@@ -76,7 +76,6 @@ def _report(args, command: str, result, passed: bool | None, extra_config=None):
     config = {
         "seed": args.seed,
         "tol": _tol(args, 1e-9),
-        "threads": args.threads,
         "output": "json" if args.json else "text",
     }
     if extra_config:
@@ -415,9 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "membership checks to 1e-10)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable JSON report")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap; reports are identical at any "
-                             "setting (default 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("norm", help="operator norm of a matrix or element")
@@ -546,7 +542,6 @@ def run(argv=None) -> int:
             json.JSONDecodeError) as exc:
         err = {"command": args.command, "error": str(exc),
                "config": {"seed": args.seed, "tol": _tol(args, 1e-9),
-                          "threads": args.threads,
                           "output": "json" if args.json else "text"}}
         if args.json:
             sys.stdout.write(json.dumps(err, sort_keys=True, indent=2) + "\n")

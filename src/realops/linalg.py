@@ -1,8 +1,11 @@
 """Dense real-matrix kernels.
 
 Operator norms via singular values, the two-part real positivity test
-(selfadjoint + nonnegative quadratic form), and the norm/positivity
-equivalence through the 2x2 block matrix [[I, x], [x^T, I]].
+(selfadjoint + nonnegative quadratic form), the norm/positivity
+equivalence through the 2x2 block matrix [[I, x], [x^T, I]], the
+contraction-ball projector, and ``kron_sum``: the block-Kronecker sum
+sum_k c[:, :, k] kron B_k behind every matrix-level norm, which alone
+fixes the block layout.
 
 Matrices are plain 2-D float ndarrays throughout; ``as_matrix`` is the
 single validation gate.  All functions are pure.
@@ -75,6 +78,43 @@ def contraction_iff_positive(x, tol: float = CLASSIFY_TOL) -> tuple[bool, bool]:
     """
     a = as_matrix(x)
     return op_norm(a) <= 1.0 + tol, is_real_positive(contraction_block(a), tol)
+
+
+def clip_contraction(m: np.ndarray) -> np.ndarray:
+    """Projection of a square real or complex matrix onto the contraction
+    ball: its singular values clipped at 1."""
+    u, s, vt = np.linalg.svd(m)
+    return u @ np.diag(np.minimum(s, 1.0)) @ vt
+
+
+def kron_sum(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[:, :, k] kron mats[k] for an (n, m, d) coefficient
+    tensor and a (d, p, q) stack, as an (n p) x (m q) matrix."""
+    n, m, _ = coeffs.shape
+    _, p, q = mats.shape
+    return np.einsum("ijk,kpq->ipjq", coeffs, mats).reshape(n * p, m * q)
+
+
+def kron_sum_grad(coeffs: np.ndarray, u: np.ndarray,
+                  v: np.ndarray) -> np.ndarray:
+    """Gradient of u^T kron_sum(coeffs, mats) v in each mats[k]."""
+    n, m, _ = coeffs.shape
+    return u.reshape(n, -1).T @ np.moveaxis(coeffs, -1, 0) @ \
+        v.reshape(m, -1)
+
+
+def kron_sum_matrix(mats: np.ndarray, level: int) -> np.ndarray:
+    """vec matrix of c -> kron_sum(c, mats) on (level, level, d) tensors.
+
+    Rows index the C-order flattening of the (level p) x (level q) value,
+    columns that of (i, j, k).
+    """
+    d, p, q = mats.shape
+    n = level
+    k_mat = np.zeros((n, p, n, q, n, n, d))
+    # writeable diagonal view: entry [i, p, j, q, i, j, k] is mats[k, p, q]
+    np.einsum("ipjqijk->ipjqk", k_mat)[...] = np.moveaxis(mats, 0, -1)[:, None]
+    return k_mat.reshape(n * p * n * q, n * n * d)
 
 
 def mat_to_json(m: np.ndarray) -> dict:

@@ -24,9 +24,9 @@ import numpy as np
 
 from .linalg import as_matrix
 from .opspace import (CBMap, MatElem, OpSpace, complexify_map,
-                      complexify_space, cb_norm_lower_search, elem,
-                      level_norm)
-from .optim import LinearMatrixMap, ratio_ascent, ratio_eval
+                      complexify_space, cb_norm_lower_search, level_norm,
+                      num_den_maps)
+from .optim import ratio_ascent, ratio_eval
 from .rng import derived_rng
 
 IDEMPOTENCY_TOL = 1e-10
@@ -144,15 +144,8 @@ def _isometry_violation_search(nu: CBMap, level: int, samples: int,
                                refinements: int, seed: int):
     """Worst |ratio - 1| for ratio = norm(nu x)/norm(x) over sampled and
     ascent-refined elements; returns (violation, ratio, coeffs)."""
-    space = nu.domain
-    d = space.dim
-    k_den = space.realization_matrix(level)
-    k_num = nu.codomain.realization_matrix(level) @ \
-        np.kron(np.eye(level * level), nu.matrix)
-    p, q = space.ambient
-    pc, qc = nu.codomain.ambient
-    num = LinearMatrixMap(k_num, level * pc, level * qc)
-    den = LinearMatrixMap(k_den, level * p, level * q)
+    d = nu.domain.dim
+    num, den = num_den_maps(nu, level)
 
     def ratio(c):
         return ratio_eval(num, den, c)
@@ -202,6 +195,10 @@ def certify_left_m_projection(p: Projection, max_level: int = 3,
     witness; otherwise the projection is certified at the checked levels
     (not a proof of the full completely isometric property).
     """
+    if max_level < 1:
+        raise ValueError("max_level must be at least 1")
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     nu, mu, tau = build_nu_mu_tau(p)
     for lvl in range(1, max_level + 1):
         viol, ratio, coeffs = _isometry_violation_search(

@@ -11,6 +11,10 @@ Coefficient conventions used throughout the package:
 
 * element tensors are indexed ``coeffs[i, j, k]`` with (i, j) the matrix
   position and k the basis index; flattening is C-order;
+* the realization of an element is ``linalg.kron_sum(coeffs, basis)``,
+  whose (i, j) block is sum_k coeffs[i, j, k] B_k; ``linalg.kron_sum``
+  owns this block layout, and ``linalg.kron_sum_matrix`` its dense vec
+  matrix;
 * the complexification doubles the basis as [real copies..., imaginary
   copies...] and its conjugation negates the imaginary half;
 * the column space C_2(X) (see mideal) stacks [upper copies..., lower
@@ -24,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, mat_from_json, mat_to_json, op_norm
+from .linalg import (as_matrix, clip_contraction, kron_sum, kron_sum_grad,
+                     kron_sum_matrix, mat_from_json, mat_to_json, op_norm)
 from .optim import (LinearMatrixMap, ratio_ascent, ratio_eval, seesaw_ascent,
                     polyak_minimize, smoothed_spectral_min,
                     top_singular_triple)
@@ -116,17 +121,7 @@ class OpSpace:
         """
         cache = self._rmcache
         if level not in cache:
-            d = self.dim
-            p, q = self.ambient
-            n = level
-            k_mat = np.zeros((n * p * n * q, n * n * d))
-            for i in range(n):
-                for j in range(n):
-                    block = np.zeros((n * p, n * q, d))
-                    block[i * p:(i + 1) * p, j * q:(j + 1) * q, :] = \
-                        np.moveaxis(self.basis, 0, -1)
-                    cols = block.reshape(n * p * n * q, d)
-                    k_mat[:, (i * n + j) * d:(i * n + j + 1) * d] = cols
+            k_mat = kron_sum_matrix(self.basis, level)
             k_mat.setflags(write=False)
             cache[level] = k_mat
         return cache[level]
@@ -180,10 +175,7 @@ class MatElem:
         return self.coeffs.shape[0]
 
     def realization(self) -> np.ndarray:
-        n = self.level
-        p, q = self.space.ambient
-        r = np.einsum("ijk,kpq->ipjq", self.coeffs, self.space.basis)
-        return r.reshape(n * p, n * q)
+        return kron_sum(self.coeffs, self.space.basis)
 
 
 def level_norm(x: MatElem) -> float:
@@ -249,11 +241,6 @@ class CBMap:
 
 def identity_map(space: OpSpace) -> CBMap:
     return CBMap(space, space, np.eye(space.dim))
-
-
-def compose(f: CBMap, g: CBMap) -> CBMap:
-    """f after g."""
-    return CBMap(g.domain, f.codomain, f.matrix @ g.matrix)
 
 
 # ----------------------------------------------------------------------
@@ -394,15 +381,16 @@ class CbSearchResult:
     restart_values: list[float]
 
 
-def _amplification(matrix: np.ndarray, level: int) -> np.ndarray:
-    return np.kron(np.eye(level * level), matrix)
+def num_den_maps(u: CBMap, level: int) -> tuple[LinearMatrixMap, LinearMatrixMap]:
+    """The level-n maps x -> R(u_n(x)) and x -> R(x) on domain coefficients.
 
-
-def _num_den_maps(u: CBMap, level: int) -> tuple[LinearMatrixMap, LinearMatrixMap]:
+    u_n(x) realizes through the images u(B_k) of the domain basis.
+    """
     px, qx = u.domain.ambient
     py, qy = u.codomain.ambient
+    images = np.einsum("mk,mpq->kpq", u.matrix, u.codomain.basis)
     k_den = u.domain.realization_matrix(level)
-    k_num = u.codomain.realization_matrix(level) @ _amplification(u.matrix, level)
+    k_num = kron_sum_matrix(images, level)
     num = LinearMatrixMap(k_num, level * py, level * qy)
     den = LinearMatrixMap(k_den, level * px, level * qx)
     return num, den
@@ -437,7 +425,7 @@ def cb_norm_lower_search(u: CBMap, level: int, restarts: int = 32,
     best_level = 1
     restart_values: list[float] = []
     for lvl in range(1, level + 1):
-        num, den = _num_den_maps(u, lvl)
+        num, den = num_den_maps(u, lvl)
         starts = _canonical_starts(d, lvl)
         if best_x is not None and best_level < lvl:
             # zero-padding preserves the ratio, so the search is monotone
@@ -516,8 +504,7 @@ def quotient_level_norm(space: OpSpace, subspace_coeffs, x: MatElem,
         raise ValueError("subspace basis coefficients are dependent")
     n = x.level
     p, q = space.ambient
-    k_space = space.realization_matrix(n)
-    k_sub = k_space @ np.kron(np.eye(n * n), s.T)
+    k_sub = kron_sum_matrix(np.einsum("jk,kpq->jpq", s, space.basis), n)
     b_vec = x.realization().ravel()
     value, w_best, gap, converged = polyak_minimize(
         b_vec, k_sub, n * p, n * q, iters=iters, tol=tol)
@@ -544,15 +531,6 @@ class ThetaSearchResult:
     witness_im: np.ndarray
 
 
-def _project_complex_contraction(w: np.ndarray) -> np.ndarray:
-    u, s, vt = np.linalg.svd(w)
-    return u @ np.diag(np.minimum(s, 1.0)) @ vt
-
-
-def _theta_value_matrix(z_re, z_im, w: np.ndarray) -> np.ndarray:
-    return np.kron(z_re, w.real) + np.kron(z_im, w.imag)
-
-
 def theta_dual_search(z_re, z_im, m_max: int = 4, restarts: int = 64,
                       iters: int = 150, seed: int = 0) -> ThetaSearchResult:
     """Lower bound for the norm of the matrix of functionals Re( . conj(z_kl)).
@@ -563,12 +541,15 @@ def theta_dual_search(z_re, z_im, m_max: int = 4, restarts: int = 64,
     evaluation happens at a feasible (contractive) test matrix, so every
     reported value, per restart included, is a true lower bound.
     """
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
     z_re = as_matrix(z_re)
     z_im = as_matrix(z_im)
     if z_re.shape != z_im.shape or z_re.shape[0] != z_re.shape[1]:
         raise ValueError("the two blocks must be square and equal shape")
     if not z_re.any() and not z_im.any():
         return ThetaSearchResult(0.0, 1, [], np.eye(1), np.zeros((1, 1)))
+    coeffs = np.stack([z_re, z_im], axis=-1)
     best = -np.inf
     best_m = 1
     best_w = np.eye(1, dtype=complex)
@@ -581,24 +562,23 @@ def theta_dual_search(z_re, z_im, m_max: int = 4, restarts: int = 64,
             qmat, _ = np.linalg.qr(g)
             candidates.append(qmat)
         for idx, w0 in enumerate(candidates):
-            w = _project_complex_contraction(w0)
+            w = clip_contraction(w0)
             run_best = 0.0
             step = 0.3
             decay = (1e-10 / step) ** (1.0 / iters)
             for _ in range(iters):
-                g_mat = _theta_value_matrix(z_re, z_im, w)
+                g_mat = kron_sum(coeffs, np.stack([w.real, w.imag]))
                 s, uvec, vvec = top_singular_triple(g_mat)
                 if s > run_best:
                     run_best = s
                     if s > best:
                         best, best_m, best_w = s, m, w.copy()
-                smat = uvec.reshape(z_re.shape[0], m)
-                tmat = vvec.reshape(z_re.shape[0], m)
-                grad = (smat.T @ z_re @ tmat) + 1j * (smat.T @ z_im @ tmat)
+                g_re, g_im = kron_sum_grad(coeffs, uvec, vvec)
+                grad = g_re + 1j * g_im
                 gn = np.linalg.norm(grad)
                 if gn < 1e-18:
                     break
-                w = _project_complex_contraction(w + step * grad / gn)
+                w = clip_contraction(w + step * grad / gn)
                 step *= decay
             if idx > 0:
                 restart_values.append(run_best)

@@ -134,7 +134,7 @@ def seesaw_ascent(num: LinearMatrixMap, den: LinearMatrixMap, x0: np.ndarray,
         if val > best_val + 1e-15:
             best_val = val
             best_m = m.copy()
-        elif val <= best_val + 1e-15:
+        else:
             if val > best_val:
                 best_val, best_m = val, m.copy()
             break
@@ -236,9 +236,8 @@ def smoothed_spectral_min(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
     prev_val = None
     last_gain = np.inf
     for mu in mu_schedule:
-        f_g = stage(mu)
         res = scipy.optimize.minimize(
-            lambda ww: f_g(ww)[0], w, jac=lambda ww: f_g(ww)[1],
+            stage(mu), w, jac=True,
             method="BFGS", options={"maxiter": 300, "gtol": 1e-15})
         w = res.x
         m = (b_vec - k_mat @ w).reshape(rows, cols)

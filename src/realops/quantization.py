@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import as_matrix, op_norm
+from .linalg import (as_matrix, clip_contraction, kron_sum, kron_sum_grad,
+                     op_norm)
 from .opspace import (OpSpace, complexified_elem, complexify_space, elem,
                       level_norm)
 from .rng import derived_rng
@@ -176,18 +177,6 @@ def _signed_permutations(m: int) -> list[np.ndarray]:
     return out
 
 
-def _clip_contraction(d: np.ndarray) -> np.ndarray:
-    u, s, vt = np.linalg.svd(d)
-    if s[0] <= 1.0:
-        return d
-    return u @ np.diag(np.minimum(s, 1.0)) @ vt
-
-
-def _tuple_value(coeff_mats, ds) -> float:
-    total = sum(np.kron(a, d) for a, d in zip(coeff_mats, ds))
-    return op_norm(total)
-
-
 def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
                        iters: int = 80, seed: int = 0) -> MaxL1Result:
     """Bracket for the maximal-quantization norm of a tuple over ell^1_d:
@@ -200,6 +189,8 @@ def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
     retractions.  upper = sum ||a_k|| by the triangle inequality, so
     lower <= true value <= upper always.
     """
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
     mats = [as_matrix(a) for a in coeff_mats]
     d = len(mats)
     if d < 1:
@@ -209,14 +200,15 @@ def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
         if a.shape != (n, n):
             raise ValueError("coefficient matrices must share a square shape")
     upper = float(sum(op_norm(a) for a in mats))
+    coeffs = np.stack(mats, axis=-1)
     best = 0.0
     best_m = 1
     best_tuple = [np.ones((1, 1)) for _ in mats]
 
     def consider(ds, m):
         nonlocal best, best_m, best_tuple
-        ds = [_clip_contraction(x) for x in ds]   # keep candidates feasible
-        v = _tuple_value(mats, ds)
+        ds = [clip_contraction(x) for x in ds]   # keep candidates feasible
+        v = op_norm(kron_sum(coeffs, np.stack(ds)))
         if v > best:
             best, best_m, best_tuple = v, m, [x.copy() for x in ds]
 
@@ -240,17 +232,14 @@ def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
             step = 0.3
             decay = (1e-8 / step) ** (1.0 / iters)
             for _ in range(iters):
-                total = sum(np.kron(a, dk) for a, dk in zip(mats, ds))
+                total = kron_sum(coeffs, np.stack(ds))
                 if not total.any():
                     break
                 u, s, vt = np.linalg.svd(total)
-                uvec, vvec = u[:, 0], vt[0, :]
-                umat = uvec.reshape(n, m)
-                vmat = vvec.reshape(n, m)
                 moved = False
                 new_ds = []
-                for a, dk in zip(mats, ds):
-                    euc = umat.T @ a @ vmat
+                for euc, dk in zip(kron_sum_grad(coeffs, u[:, 0], vt[0, :]),
+                                   ds):
                     riem = dk.T @ euc
                     skew = (riem - riem.T) / 2.0
                     sn = np.linalg.norm(skew)

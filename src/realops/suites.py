@@ -15,8 +15,7 @@ import numpy as np
 from . import linalg, mideal, opspace, quantization, systems
 from .linalg import contraction_iff_positive, is_real_positive, op_norm
 from .opspace import (CBMap, MatElem, OpSpace, check_ruan_axioms,
-                      complexification_norm, complexified_elem,
-                      complexify_map, complexify_space, direct_sum_elem,
+                      complexified_elem, complexify_map, complexify_space,
                       direct_sum_spaces, elem, full_matrix_space,
                       cb_norm_lower_search, level_norm, quotient_level_norm,
                       random_elem, span_space)
@@ -388,9 +387,11 @@ def suite_mideal(seed: int, projection_matrix=None) -> list[CheckResult]:
     rng = derived_rng(seed, 131)
     dom_dev = 0.0
     for _ in range(10):
-        a = rng.standard_normal((4, 2))
-        b = rng.standard_normal((2, 4))
-        pm = a @ np.linalg.inv(b @ a) @ b
+        # every rank-2 idempotent is a (a^T + c (I - a a^T)) with a
+        # orthonormal columns; this form stays well conditioned
+        a, _ = np.linalg.qr(rng.standard_normal((4, 2)))
+        c = rng.standard_normal((2, 4))
+        pm = a @ (a.T + c @ (np.eye(4) - a @ a.T))
         proj = mideal.projection(m2, pm)
         nu, _, _ = mideal.build_nu_mu_tau(proj)
         for _ in range(5):

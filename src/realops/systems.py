@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import is_real_positive, op_norm
 from .opspace import (CBMap, MatElem, OpSpace, cb_norm_lower_search,
-                      level_norm, random_elem)
+                      level_norm, random_elem, scalar_sandwich)
 from .rng import derived_rng
 
 MEMBERSHIP_TOL = 1e-10
@@ -89,10 +89,6 @@ class OpAlgebra:
             return None
         return c
 
-    @property
-    def is_unital(self) -> bool:
-        return self.unit_coeffs() is not None
-
 
 def op_algebra(space: OpSpace, structure=None) -> OpAlgebra:
     """Build an algebra on ``space``; the structure tensor is derived from
@@ -127,6 +123,10 @@ def check_brs_level(algebra: OpAlgebra, level: int = 2, samples: int = 100,
                     seed: int = 0, tol: float = 1e-10) -> BrsReport:
     """Sampled submultiplicativity of M_n(A) under the structure product:
     reports max(0, norm(ab) - norm(a) norm(b))."""
+    if level < 1:
+        raise ValueError("level must be at least 1")
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     d = algebra.dim
     space = algebra.space
     rng = derived_rng(seed, 31, level)
@@ -272,12 +272,9 @@ def _positive_system_sample(system: PaulsenSystem, x_space: OpSpace,
         h = rng.standard_normal((n, n))
         mu = h @ h.T + 0.1 * np.eye(n)
     x = random_elem(x_space, n, rng)
-    p, q = x_space.ambient
     lam_half_inv = np.linalg.inv(np.linalg.cholesky(lam))
     mu_half_inv = np.linalg.inv(np.linalg.cholesky(mu))
-    scaled = np.kron(lam_half_inv, np.eye(p)) @ x.realization() @ \
-        np.kron(mu_half_inv.T, np.eye(q))
-    s = op_norm(scaled)
+    s = level_norm(scalar_sandwich(lam_half_inv, x, mu_half_inv.T))
     xc = x.coeffs * (rho / s) if s > 1e-14 else x.coeffs * 0.0
     coeffs = np.zeros((n, n, 2 * d + 2))
     coeffs[:, :, system.lam_index] = lam

@@ -202,6 +202,30 @@ class TestExitCodes:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["brs-check", "--algebra", "m2.json", "--level", "0"],
+    ["brs-check", "--algebra", "m2.json", "--samples", "-5"],
+    ["certify-mproj", "--space", "m2.json", "--proj", "proj_good.json",
+     "--max-level", "0"],
+    ["certify-mproj", "--space", "m2.json", "--proj", "proj_good.json",
+     "--samples", "-1"],
+    ["max-l1", "--coeffs", "pair.json", "--mmax", "0"],
+    ["reproduce", "l12-nonunique", "--mmax", "0"],
+    ["reproduce", "complex-dual", "--mmax", "0"],
+])
+def test_out_of_range_parameters_are_input_errors(files, capsys, argv):
+    code = cli.run(["--json"] + [files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error" in json.loads(captured.out)
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_threads_flag_is_gone(capsys):
+    assert cli.run(["--threads", "2", "verify", "linalg"]) == 2
+    capsys.readouterr()
+
+
 class TestReproductions:
     def test_l12_nonunique(self, capsys):
         code, rep = run_json(capsys, ["reproduce", "l12-nonunique",
@@ -238,6 +262,14 @@ class TestVerify:
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_verify_mideal_oblique_projections_stay_idempotent(self, capsys):
+        # this seed once drew an oblique projection whose idempotency
+        # defect (2.3e-10) exceeded the projection type's tolerance
+        code, rep = run_json(capsys, ["--seed", "14129765317872405887",
+                                      "verify", "mideal"])
+        assert code == 0
+        assert rep["passed"] is True
 
     def test_verify_mideal_with_corrupt_projection(self, files, capsys):
         code = cli.run(["--json", "verify", "mideal", "--proj",

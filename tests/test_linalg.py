@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realops.linalg import (as_matrix, contraction_block,
+from realops.linalg import (as_matrix, clip_contraction, contraction_block,
                             contraction_iff_positive, is_real_positive,
+                            kron_sum, kron_sum_grad, kron_sum_matrix,
                             mat_from_json, mat_to_json, op_norm)
 
 
@@ -144,3 +145,79 @@ def test_mat_json_shape_mismatch():
 def test_as_matrix_copies_validation():
     with pytest.raises(ValueError):
         as_matrix(np.zeros((0, 2)))
+
+
+class TestKronSum:
+    @staticmethod
+    def _sum_of_krons(coeffs, mats):
+        total = np.kron(coeffs[:, :, 0], mats[0])
+        for k in range(1, mats.shape[0]):
+            total = total + np.kron(coeffs[:, :, k], mats[k])
+        return total
+
+    def test_real_equals_sum_of_krons_exactly(self):
+        rng = np.random.default_rng(7)
+        coeffs = rng.standard_normal((2, 3, 4))
+        mats = rng.standard_normal((4, 3, 2))
+        got = kron_sum(coeffs, mats)
+        assert got.shape == (6, 6)
+        assert np.array_equal(got, self._sum_of_krons(coeffs, mats))
+
+    def test_complex_equals_sum_of_krons(self):
+        # einsum rounds complex products differently from np.kron, so the
+        # complex case agrees to roundoff rather than bit for bit
+        rng = np.random.default_rng(8)
+        coeffs = rng.standard_normal((2, 3, 4)) + \
+            1j * rng.standard_normal((2, 3, 4))
+        mats = rng.standard_normal((4, 3, 2)) + \
+            1j * rng.standard_normal((4, 3, 2))
+        assert np.allclose(kron_sum(coeffs, mats),
+                           self._sum_of_krons(coeffs, mats),
+                           rtol=0, atol=1e-14)
+
+    def test_grad_matches_finite_differences(self):
+        rng = np.random.default_rng(9)
+        coeffs = rng.standard_normal((2, 3, 2))
+        mats = rng.standard_normal((2, 3, 4))
+        u = rng.standard_normal(6)
+        v = rng.standard_normal(12)
+        grad = kron_sum_grad(coeffs, u, v)
+        assert grad.shape == mats.shape
+        h = 1e-6
+        fd = np.zeros_like(mats)
+        for idx in np.ndindex(*mats.shape):
+            step = np.zeros_like(mats)
+            step[idx] = h
+            fd[idx] = (u @ kron_sum(coeffs, mats + step) @ v -
+                       u @ kron_sum(coeffs, mats - step) @ v) / (2 * h)
+        assert np.allclose(grad, fd, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_matrix_applies_kron_sum(self, level):
+        rng = np.random.default_rng(level)
+        mats = rng.standard_normal((3, 2, 4))
+        c = rng.standard_normal((level, level, 3))
+        k_mat = kron_sum_matrix(mats, level)
+        assert k_mat.shape == (level * 2 * level * 4, level * level * 3)
+        assert np.allclose(k_mat @ c.ravel(), kron_sum(c, mats).ravel(),
+                           rtol=0, atol=1e-13)
+
+
+class TestClipContraction:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_result_is_contraction(self, dtype):
+        rng = np.random.default_rng(10)
+        m = 3.0 * rng.standard_normal((4, 4)).astype(dtype)
+        if dtype is complex:
+            m = m + 3j * rng.standard_normal((4, 4))
+        s = np.linalg.svd(clip_contraction(m), compute_uv=False)
+        assert s[0] <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_fixes_contractions(self, dtype):
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((3, 3)).astype(dtype)
+        if dtype is complex:
+            m = m + 1j * rng.standard_normal((3, 3))
+        m = 0.9 * m / np.linalg.svd(m, compute_uv=False)[0]
+        assert np.allclose(clip_contraction(m), m, rtol=0, atol=1e-14)
