@@ -345,8 +345,7 @@ def _cmd_reproduce(args):
         search = opspace.theta_dual_search(
             [[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]],
             m_max=args.mmax, restarts=args.restarts, seed=args.seed)
-        worst_restart = max(search.restart_values) if search.restart_values \
-            else search.lower
+        worst_restart = max(search.restart_values)
         ok = (abs(cnorm - np.sqrt(2.0)) <= 1e-9 and
               abs(search.lower - 1.0) <= 1e-6 and
               worst_restart <= 1.0 + 1e-6 and

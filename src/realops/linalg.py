@@ -8,7 +8,11 @@ sum_k c[:, :, k] kron B_k behind every matrix-level norm, which alone
 fixes the block layout.
 
 Matrices are plain 2-D float ndarrays throughout; ``as_matrix`` is the
-single validation gate.  All functions are pure.
+single validation gate.  The search kernels (``clip_contraction``,
+``frobenius_norm``, ``kron_sum`` and ``kron_sum_grad``) also take stacks
+with leading axes, so a multistart search can advance all of its restarts
+with one call; each matrix of a stack comes out bit for bit as it would
+alone.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -81,26 +85,42 @@ def contraction_iff_positive(x, tol: float = CLASSIFY_TOL) -> tuple[bool, bool]:
 
 
 def clip_contraction(m: np.ndarray) -> np.ndarray:
-    """Projection of a square real or complex matrix onto the contraction
-    ball: its singular values clipped at 1."""
+    """Projection of a square real or complex matrix, or of each matrix of
+    a stack, onto the contraction ball: its singular values clipped at 1."""
     u, s, vt = np.linalg.svd(m)
-    return u @ np.diag(np.minimum(s, 1.0)) @ vt
+    return (u * np.minimum(s, 1.0)[..., None, :]) @ vt
+
+
+def frobenius_norm(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of a matrix, or of each matrix of a stack; the same
+    inner product as ``np.linalg.norm``, so single results agree bit for
+    bit."""
+    flat = m.reshape(*m.shape[:-2], 1, -1)
+    if np.iscomplexobj(flat):
+        sq = flat.real @ np.swapaxes(flat.real, -1, -2) + \
+            flat.imag @ np.swapaxes(flat.imag, -1, -2)
+    else:
+        sq = flat @ np.swapaxes(flat, -1, -2)
+    return np.sqrt(sq[..., 0, 0])
 
 
 def kron_sum(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """sum_k coeffs[:, :, k] kron mats[k] for an (n, m, d) coefficient
-    tensor and a (d, p, q) stack, as an (n p) x (m q) matrix."""
+    tensor and a (..., d, p, q) stack, as an (..., n p, m q) array."""
     n, m, _ = coeffs.shape
-    _, p, q = mats.shape
-    return np.einsum("ijk,kpq->ipjq", coeffs, mats).reshape(n * p, m * q)
+    p, q = mats.shape[-2:]
+    return np.einsum("ijk,...kpq->...ipjq", coeffs, mats).reshape(
+        *mats.shape[:-3], n * p, m * q)
 
 
 def kron_sum_grad(coeffs: np.ndarray, u: np.ndarray,
                   v: np.ndarray) -> np.ndarray:
-    """Gradient of u^T kron_sum(coeffs, mats) v in each mats[k]."""
+    """Gradient of u^T kron_sum(coeffs, mats) v in each mats[k]; u and v may
+    carry leading stack axes, which the (..., d, p, q) result keeps."""
     n, m, _ = coeffs.shape
-    return u.reshape(n, -1).T @ np.moveaxis(coeffs, -1, 0) @ \
-        v.reshape(m, -1)
+    ut = np.swapaxes(u.reshape(*u.shape[:-1], n, -1), -1, -2)
+    return ut[..., None, :, :] @ np.moveaxis(coeffs, -1, 0) @ \
+        v.reshape(*v.shape[:-1], m, -1)[..., None, :, :]
 
 
 def kron_sum_matrix(mats: np.ndarray, level: int) -> np.ndarray:

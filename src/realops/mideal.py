@@ -199,6 +199,8 @@ def certify_left_m_projection(p: Projection, max_level: int = 3,
         raise ValueError("max_level must be at least 1")
     if samples < 0:
         raise ValueError("samples must be nonnegative")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     nu, mu, tau = build_nu_mu_tau(p)
     for lvl in range(1, max_level + 1):
         viol, ratio, coeffs = _isometry_violation_search(

@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (as_matrix, clip_contraction, kron_sum, kron_sum_grad,
-                     kron_sum_matrix, mat_from_json, mat_to_json, op_norm)
+from .linalg import (as_matrix, clip_contraction, frobenius_norm, kron_sum,
+                     kron_sum_grad, kron_sum_matrix, mat_from_json,
+                     mat_to_json, op_norm)
 from .optim import (LinearMatrixMap, ratio_ascent, ratio_eval, seesaw_ascent,
-                    polyak_minimize, smoothed_spectral_min,
-                    top_singular_triple)
+                    polyak_minimize, smoothed_spectral_min)
 from .rng import derived_rng
 
 #: singular-value threshold below which a basis is rejected as degenerate
@@ -417,6 +417,8 @@ def cb_norm_lower_search(u: CBMap, level: int, restarts: int = 32,
     """
     if level < 1:
         raise ValueError("level must be at least 1")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     d = u.domain.dim
     p, q = u.domain.ambient
     full_domain = (d == p * q)
@@ -495,6 +497,8 @@ def quotient_level_norm(space: OpSpace, subspace_coeffs, x: MatElem,
     the infimum; non-convergence (gap estimate > tol) is flagged, not
     silent.
     """
+    if iters < 1:
+        raise ValueError("iters must be at least 1")
     s = np.asarray(subspace_coeffs, dtype=float)
     if s.ndim == 1:
         s = s.reshape(1, -1)
@@ -536,13 +540,25 @@ def theta_dual_search(z_re, z_im, m_max: int = 4, restarts: int = 64,
     """Lower bound for the norm of the matrix of functionals Re( . conj(z_kl)).
 
     The norm is the sup over m and contractive complex m x m test matrices
-    of the realized real block norm; the search runs seeded random
-    unitaries through projected ascent, for every m up to m_max.  Each
+    of the realized real block norm.  For each m up to m_max the search
+    runs projected ascent from the identity and from ``restarts`` seeded
+    random unitaries, restart r drawn from ``derived_rng(seed, m, r)``.
+    All starts advance in lockstep: each step takes one stacked SVD,
+    gradient and contraction projection over the live starts, and a start
+    retires where a lone ascent would stop (a vanishing gradient).  Each
     evaluation happens at a feasible (contractive) test matrix, so every
-    reported value, per restart included, is a true lower bound.
+    reported value, per restart included, is a true lower bound.  Each start
+    keeps its own first strict maximum, and the starts are reduced in order
+    with strict ``>``: the first best test matrix wins, and
+    ``restart_values`` (m ascending, then r) do not depend on how many
+    restarts run.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    if iters < 1:
+        raise ValueError("iters must be at least 1")
     z_re = as_matrix(z_re)
     z_im = as_matrix(z_im)
     if z_re.shape != z_im.shape or z_re.shape[0] != z_re.shape[1]:
@@ -550,39 +566,43 @@ def theta_dual_search(z_re, z_im, m_max: int = 4, restarts: int = 64,
     if not z_re.any() and not z_im.any():
         return ThetaSearchResult(0.0, 1, [], np.eye(1), np.zeros((1, 1)))
     coeffs = np.stack([z_re, z_im], axis=-1)
-    best = -np.inf
+    best = 0.0
     best_m = 1
     best_w = np.eye(1, dtype=complex)
     restart_values = []
     for m in range(1, m_max + 1):
-        candidates = [np.eye(m, dtype=complex)]
+        g = np.empty((restarts, m, m), dtype=complex)
         for r in range(restarts):
             rng = derived_rng(seed, m, r)
-            g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-            qmat, _ = np.linalg.qr(g)
-            candidates.append(qmat)
-        for idx, w0 in enumerate(candidates):
-            w = clip_contraction(w0)
-            run_best = 0.0
-            step = 0.3
-            decay = (1e-10 / step) ** (1.0 / iters)
-            for _ in range(iters):
-                g_mat = kron_sum(coeffs, np.stack([w.real, w.imag]))
-                s, uvec, vvec = top_singular_triple(g_mat)
-                if s > run_best:
-                    run_best = s
-                    if s > best:
-                        best, best_m, best_w = s, m, w.copy()
-                g_re, g_im = kron_sum_grad(coeffs, uvec, vvec)
-                grad = g_re + 1j * g_im
-                gn = np.linalg.norm(grad)
-                if gn < 1e-18:
-                    break
-                w = clip_contraction(w + step * grad / gn)
-                step *= decay
-            if idx > 0:
-                restart_values.append(run_best)
-    return ThetaSearchResult(float(best), best_m, restart_values,
+            g[r] = rng.standard_normal((m, m)) + \
+                1j * rng.standard_normal((m, m))
+        w = clip_contraction(np.concatenate(
+            [np.eye(m, dtype=complex)[None], np.linalg.qr(g)[0]]))
+        run_best = np.zeros(restarts + 1)
+        run_w = w.copy()
+        live = np.arange(restarts + 1)
+        step = 0.3
+        decay = (1e-10 / step) ** (1.0 / iters)
+        for _ in range(iters):
+            g_mat = kron_sum(coeffs, np.stack([w.real, w.imag], axis=-3))
+            u, s, vt = np.linalg.svd(g_mat)
+            better = s[:, 0] > run_best[live]
+            run_best[live[better]] = s[better, 0]
+            run_w[live[better]] = w[better]
+            grads = kron_sum_grad(coeffs, u[..., :, 0], vt[..., 0, :])
+            grad = grads[:, 0] + 1j * grads[:, 1]
+            gn = frobenius_norm(grad)
+            keep = gn >= 1e-18
+            w, grad, gn, live = w[keep], grad[keep], gn[keep], live[keep]
+            if not len(live):
+                break
+            w = clip_contraction(w + step * grad / gn[:, None, None])
+            step *= decay
+        i = int(np.argmax(run_best))     # the first of equal maxima
+        if run_best[i] > best:
+            best, best_m, best_w = float(run_best[i]), m, run_w[i]
+        restart_values.extend(run_best[1:].tolist())
+    return ThetaSearchResult(best, best_m, restart_values,
                              best_w.real.copy(), best_w.imag.copy())
 
 

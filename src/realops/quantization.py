@@ -11,14 +11,15 @@ sup over tuples of contractive matrices; the search reports an honest
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .linalg import (as_matrix, clip_contraction, kron_sum, kron_sum_grad,
-                     op_norm)
+from .linalg import (as_matrix, clip_contraction, frobenius_norm, kron_sum,
+                     kron_sum_grad, op_norm)
 from .opspace import (OpSpace, complexified_elem, complexify_space, elem,
                       level_norm)
 from .rng import derived_rng
@@ -165,16 +166,23 @@ class MaxL1Result:
     witness: list[np.ndarray]     # the contraction tuple attaining lower
 
 
-def _signed_permutations(m: int) -> list[np.ndarray]:
-    import itertools
-    out = []
-    for perm in itertools.permutations(range(m)):
-        base = np.zeros((m, m))
-        for i, j in enumerate(perm):
-            base[i, j] = 1.0
-        for signs in itertools.product([1.0, -1.0], repeat=m):
-            out.append(base * np.array(signs)[:, None])
-    return out
+#: signed-permutation tuples scored per stacked call
+CANDIDATE_SLICE = 256
+
+
+def _signed_permutations(m: int) -> np.ndarray:
+    """The 2^m m! signed permutation matrices as one stack: permutations in
+    lexicographic order, each with its row signs in ``itertools.product``
+    order."""
+    perms = np.array(list(itertools.permutations(range(m))))
+    signs = np.array(list(itertools.product([1.0, -1.0], repeat=m)))
+    base = np.eye(m)[perms]
+    return (base[:, None] * signs[None, :, :, None]).reshape(-1, m, m)
+
+
+def _tuple_norms(coeffs: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """|| sum_k a_k kron D_k || for each (d, m, m) tuple of a stack."""
+    return np.linalg.svd(kron_sum(coeffs, ds), compute_uv=False)[..., 0]
 
 
 def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
@@ -184,13 +192,26 @@ def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
         sup over m and contractions D_1..D_d of  || sum_k a_k kron D_k ||.
 
     The objective is convex in each D_k, so the sup is attained at tuples
-    of orthogonal matrices; the search enumerates signed permutations,
-    seeds random orthogonals, and ascends along skew-symmetric exponential
-    retractions.  upper = sum ||a_k|| by the triangle inequality, so
-    lower <= true value <= upper always.
+    of orthogonal matrices.  For each test size m the search scores the
+    signed-permutation tuples (when there are at most 4096 of them, else
+    the identity tuple), then ascends from ``restarts`` random orthogonal
+    tuples, restart r drawn from ``derived_rng(seed, 3, m, r)``, along
+    skew-symmetric exponential retractions.  The restarts advance in
+    lockstep: each step takes one stacked SVD, gradient and ``expm`` over
+    the live restarts, and a restart retires where a lone ascent would
+    stop (a zero realization, or no factor left to move).  Every scored
+    tuple is clipped to contractions first.  Each restart keeps its own
+    first strict maximum; the candidates and then the restarts are reduced
+    in order with strict ``>``, so the first best tuple wins and a restart's
+    result does not depend on how many others run.  upper = sum ||a_k|| by
+    the triangle inequality, so lower <= true value <= upper always.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    if iters < 1:
+        raise ValueError("iters must be at least 1")
     mats = [as_matrix(a) for a in coeff_mats]
     d = len(mats)
     if d < 1:
@@ -205,54 +226,65 @@ def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
     best_m = 1
     best_tuple = [np.ones((1, 1)) for _ in mats]
 
-    def consider(ds, m):
+    def offer(values, tuples, m):
+        """Take the first of the best of ``values`` if it beats ``best``."""
         nonlocal best, best_m, best_tuple
-        ds = [clip_contraction(x) for x in ds]   # keep candidates feasible
-        v = op_norm(kron_sum(coeffs, np.stack(ds)))
-        if v > best:
-            best, best_m, best_tuple = v, m, [x.copy() for x in ds]
+        i = int(np.argmax(values))
+        if values[i] > best:
+            best, best_m, best_tuple = (float(values[i]), m,
+                                        [x.copy() for x in tuples[i]])
 
     for m in range(1, m_max + 1):
         # deterministic extremal candidates
-        if (2.0 ** m * math.factorial(m)) ** d <= 4096:
-            import itertools
-            sp = _signed_permutations(m)
-            for combo in itertools.product(sp, repeat=d):
-                consider(list(combo), m)
+        count = 2 ** m * math.factorial(m)
+        if count ** d <= 4096:
+            sp = clip_contraction(_signed_permutations(m))
+            combos = np.stack(np.unravel_index(np.arange(count ** d),
+                                               (count,) * d), axis=-1)
+            for lo in range(0, len(combos), CANDIDATE_SLICE):
+                ds = sp[combos[lo:lo + CANDIDATE_SLICE]]
+                offer(_tuple_norms(coeffs, ds), ds, m)
         else:
-            consider([np.eye(m)] * d, m)
+            ds = clip_contraction(np.broadcast_to(np.eye(m), (1, d, m, m)))
+            offer(_tuple_norms(coeffs, ds), ds, m)
+        # random orthogonal starts, one derived stream per restart
+        g = np.empty((restarts, d, m, m))
         for r in range(restarts):
             rng = derived_rng(seed, 3, m, r)
-            ds = []
-            for _ in range(d):
-                g = rng.standard_normal((m, m))
-                qmat, _ = np.linalg.qr(g)
-                ds.append(qmat)
-            consider(ds, m)
-            step = 0.3
-            decay = (1e-8 / step) ** (1.0 / iters)
-            for _ in range(iters):
-                total = kron_sum(coeffs, np.stack(ds))
-                if not total.any():
-                    break
-                u, s, vt = np.linalg.svd(total)
-                moved = False
-                new_ds = []
-                for euc, dk in zip(kron_sum_grad(coeffs, u[:, 0], vt[0, :]),
-                                   ds):
-                    riem = dk.T @ euc
-                    skew = (riem - riem.T) / 2.0
-                    sn = np.linalg.norm(skew)
-                    if sn < 1e-18:
-                        new_ds.append(dk)
-                        continue
-                    moved = True
-                    new_ds.append(dk @ scipy.linalg.expm((step / sn) * skew))
-                ds = new_ds
-                consider(ds, m)
-                if not moved:
-                    break
-                step *= decay
+            for k in range(d):
+                g[r, k] = rng.standard_normal((m, m))
+        ds, _ = np.linalg.qr(g)
+        clipped = clip_contraction(ds)
+        run_best = _tuple_norms(coeffs, clipped)
+        run_tuple = clipped
+        live = np.arange(restarts)
+        step = 0.3
+        decay = (1e-8 / step) ** (1.0 / iters)
+        for _ in range(iters):
+            total = kron_sum(coeffs, ds)
+            keep = total.reshape(len(live), -1).any(axis=-1)
+            ds, total, live = ds[keep], total[keep], live[keep]
+            if not len(live):
+                break
+            u, _, vt = np.linalg.svd(total)
+            euc = kron_sum_grad(coeffs, u[..., :, 0], vt[..., 0, :])
+            riem = np.swapaxes(ds, -1, -2) @ euc
+            skew = (riem - np.swapaxes(riem, -1, -2)) / 2.0
+            sn = frobenius_norm(skew)
+            moves = sn >= 1e-18
+            if not moves.any():
+                break
+            ds[moves] = ds[moves] @ scipy.linalg.expm(
+                (step / sn[moves])[:, None, None] * skew[moves])
+            keep = moves.any(axis=-1)
+            ds, live = ds[keep], live[keep]
+            clipped = clip_contraction(ds)
+            v = _tuple_norms(coeffs, clipped)
+            better = v > run_best[live]
+            run_best[live[better]] = v[better]
+            run_tuple[live[better]] = clipped[better]
+            step *= decay
+        offer(run_best, run_tuple, m)
     # both brackets are exact up to floating point; never report an
     # inverted interval
     best = min(best, upper)

@@ -143,6 +143,7 @@ def test_criterion_09_quotients_and_sums(verify_all):
     quo = _row(verify_all, "opspace", "quotient norms agree")
     dsum = _row(verify_all, "opspace", "direct sum norms")
     ok = (quo["deviation"] <= 1e-6 and quo["details"]["cases"] == 50 and
+          quo["details"]["not_converged"] == 0 and
           dsum["deviation"] <= 1e-12)
     _report(9, f"50 quotient cases agree to {quo['deviation']:.2e}; direct "
                f"sums exact to {dsum['deviation']:.2e}", ok)

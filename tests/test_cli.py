@@ -212,6 +212,15 @@ class TestExitCodes:
     ["max-l1", "--coeffs", "pair.json", "--mmax", "0"],
     ["reproduce", "l12-nonunique", "--mmax", "0"],
     ["reproduce", "complex-dual", "--mmax", "0"],
+    ["certify-mproj", "--space", "m2.json", "--proj", "proj_good.json",
+     "--restarts", "-3"],
+    ["max-l1", "--coeffs", "pair.json", "--restarts", "0"],
+    ["reproduce", "l12-nonunique", "--restarts", "-1"],
+    ["reproduce", "complex-dual", "--restarts", "-1"],
+    ["quotient-norm", "--space", "m2.json", "--subspace", "subspace.json",
+     "--elem", "e12_elem.json", "--iters", "0"],
+    ["quotient-norm", "--space", "m2.json", "--subspace", "subspace.json",
+     "--elem", "e12_elem.json", "--iters", "-4"],
 ])
 def test_out_of_range_parameters_are_input_errors(files, capsys, argv):
     code = cli.run(["--json"] + [files.get(a, a) for a in argv])

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from realops.linalg import (as_matrix, clip_contraction, contraction_block,
-                            contraction_iff_positive, is_real_positive,
-                            kron_sum, kron_sum_grad, kron_sum_matrix,
-                            mat_from_json, mat_to_json, op_norm)
+                            contraction_iff_positive, frobenius_norm,
+                            is_real_positive, kron_sum, kron_sum_grad,
+                            kron_sum_matrix, mat_from_json, mat_to_json,
+                            op_norm)
 
 
 def char_poly_eigs_2x2(m):
@@ -192,6 +193,34 @@ class TestKronSum:
                        u @ kron_sum(coeffs, mats - step) @ v) / (2 * h)
         assert np.allclose(grad, fd, rtol=0, atol=1e-8)
 
+    @staticmethod
+    def _draw(rng, shape, dtype):
+        x = rng.standard_normal(shape)
+        if dtype is complex:
+            x = x + 1j * rng.standard_normal(shape)
+        return x
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stacked_kron_sum_is_the_stack_of_single_calls(self, dtype):
+        rng = np.random.default_rng(12)
+        coeffs = self._draw(rng, (2, 3, 3), dtype)
+        mats = self._draw(rng, (4, 5, 3, 2, 3), dtype)
+        got = kron_sum(coeffs, mats)
+        assert got.shape == (4, 5, 4, 9)
+        for idx in np.ndindex(4, 5):
+            assert np.array_equal(got[idx], kron_sum(coeffs, mats[idx]))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stacked_grad_is_the_stack_of_single_calls(self, dtype):
+        rng = np.random.default_rng(13)
+        coeffs = self._draw(rng, (2, 3, 3), dtype)
+        u = self._draw(rng, (7, 4), dtype)
+        v = self._draw(rng, (7, 6), dtype)
+        got = kron_sum_grad(coeffs, u, v)
+        assert got.shape == (7, 3, 2, 2)
+        for r in range(7):
+            assert np.array_equal(got[r], kron_sum_grad(coeffs, u[r], v[r]))
+
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_matrix_applies_kron_sum(self, level):
         rng = np.random.default_rng(level)
@@ -221,3 +250,28 @@ class TestClipContraction:
             m = m + 1j * rng.standard_normal((3, 3))
         m = 0.9 * m / np.linalg.svd(m, compute_uv=False)[0]
         assert np.allclose(clip_contraction(m), m, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stacked_clip_is_the_stack_of_single_calls(self, dtype):
+        rng = np.random.default_rng(14)
+        m = 2.0 * rng.standard_normal((3, 5, 4, 4)).astype(dtype)
+        if dtype is complex:
+            m = m + 2j * rng.standard_normal((3, 5, 4, 4))
+        got = clip_contraction(m)
+        for idx in np.ndindex(3, 5):
+            assert np.array_equal(got[idx], clip_contraction(m[idx]))
+
+
+class TestFrobeniusNorm:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("size", [1, 3, 4, 8])
+    def test_agrees_with_numpy_bit_for_bit(self, dtype, size):
+        rng = np.random.default_rng(size)
+        m = rng.standard_normal((6, size, size)).astype(dtype)
+        if dtype is complex:
+            m = m + 1j * rng.standard_normal((6, size, size))
+        got = frobenius_norm(m)
+        assert got.shape == (6,)
+        for r in range(6):
+            assert got[r] == np.linalg.norm(m[r])
+            assert frobenius_norm(m[r]) == np.linalg.norm(m[r])

@@ -70,6 +70,13 @@ class TestCertification:
         assert cert.certified
         assert cert.levels_checked == 3
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_nonpositive_restarts_rejected(self, restarts):
+        # no restarts would certify without searching
+        with pytest.raises(ValueError):
+            certify_left_m_projection(projection(M2, DIAG_MULT),
+                                      restarts=restarts)
+
     def test_identity_certifies(self):
         cert = certify_left_m_projection(projection(M2, np.eye(4)),
                                          max_level=2, samples=100,

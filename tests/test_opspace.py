@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from realops.linalg import op_norm
+from realops.linalg import kron_sum, op_norm
 from realops.opspace import (CBMap, MatElem, check_ruan_axioms,
                              cbmap_from_json, cbmap_to_json,
                              cb_norm_lower_search, complexification_norm,
@@ -212,6 +212,11 @@ class TestCbLowerBounds:
                 for lvl in (1, 2, 3)]
         assert vals[0] <= vals[1] <= vals[2]
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_nonpositive_restarts_rejected(self, restarts):
+        with pytest.raises(ValueError):
+            cb_norm_lower_search(TRANSPOSE, 2, restarts=restarts)
+
 
 class TestQuotientNorm:
     def test_element_inside_subspace(self):
@@ -237,6 +242,12 @@ class TestQuotientNorm:
         with pytest.raises(ValueError):
             quotient_level_norm(M2, [[1, 0, 0, 0], [2, 0, 0, 0]],
                                 elem(M2, [0, 1, 0, 0]))
+
+    @pytest.mark.parametrize("iters", [0, -4])
+    def test_nonpositive_iters_rejected(self, iters):
+        with pytest.raises(ValueError):
+            quotient_level_norm(M2, [[1, 0, 0, 0]], elem(M2, [0, 1, 0, 0]),
+                                iters=iters)
 
 
 class TestDirectSums:
@@ -284,3 +295,34 @@ class TestThetaDual:
     def test_zero(self):
         assert theta_dual_norm_lower([[0.0]], [[0.0]], m_max=2, restarts=4,
                                      seed=1) == 0.0
+
+    def test_restart_values_do_not_depend_on_the_restart_count(self):
+        z = ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]])
+        few = theta_dual_search(*z, m_max=4, restarts=16, seed=0xC0FFEE)
+        many = theta_dual_search(*z, m_max=4, restarts=32, seed=0xC0FFEE)
+        assert len(few.restart_values) == 4 * 16
+        assert len(many.restart_values) == 4 * 32
+        for m in range(4):
+            assert few.restart_values[16 * m:16 * (m + 1)] == \
+                many.restart_values[32 * m:32 * m + 16]
+
+    @pytest.mark.parametrize("z_re, z_im", [
+        ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]),
+        ([[0.3, -1.2], [0.5, 0.9]], [[-0.7, 0.1], [1.1, 0.4]]),
+    ])
+    def test_witness_is_feasible_and_reproduces_lower(self, z_re, z_im):
+        res = theta_dual_search(z_re, z_im, m_max=3, restarts=16, seed=7)
+        w = res.witness_re + 1j * res.witness_im
+        assert w.shape == (res.best_m, res.best_m)
+        assert np.linalg.svd(w, compute_uv=False)[0] <= 1.0 + 1e-12
+        coeffs = np.stack([np.asarray(z_re), np.asarray(z_im)], axis=-1)
+        value = op_norm(kron_sum(coeffs, np.stack([res.witness_re,
+                                                   res.witness_im])))
+        assert value == pytest.approx(res.lower, abs=1e-12)
+        assert max(res.restart_values) <= res.lower
+
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -1},
+                                        {"iters": 0}, {"iters": -2}])
+    def test_out_of_range_parameters_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            theta_dual_search([[1.0]], [[0.0]], **kwargs)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from realops.linalg import op_norm
+from realops.linalg import kron_sum, op_norm
 from realops.opspace import elem, level_norm, random_elem
 from realops.quantization import (PAIR_A, PAIR_B, BanachSpace,
                                   banach_from_json, banach_to_json, ell_infty,
@@ -157,6 +157,35 @@ class TestMaxL1:
             mats = [rng.standard_normal((2, 2)) for _ in range(2)]
             res = max_l1_norm_bounds(mats, m_max=2, restarts=8, seed=t)
             assert res.lower <= res.upper
+
+    @pytest.mark.parametrize("seed", [0xC0FFEE, 1])
+    def test_witness_is_feasible_and_reproduces_lower(self, seed):
+        res = max_l1_norm_bounds([PAIR_A, PAIR_B], m_max=4, restarts=16,
+                                 seed=seed)
+        assert len(res.witness) == 2
+        for w in res.witness:
+            assert w.shape == (res.best_m, res.best_m)
+            assert op_norm(w) <= 1.0 + 1e-12
+        coeffs = np.stack([PAIR_A, PAIR_B], axis=-1)
+        value = op_norm(kron_sum(coeffs, np.stack(res.witness)))
+        assert min(value, res.upper) == pytest.approx(res.lower, abs=1e-12)
+
+    def test_random_tuples_give_feasible_witnesses(self):
+        rng = np.random.default_rng(15)
+        for t in range(3):
+            mats = [rng.standard_normal((2, 2)) for _ in range(3)]
+            res = max_l1_norm_bounds(mats, m_max=3, restarts=6, seed=t)
+            assert all(op_norm(w) <= 1.0 + 1e-12 for w in res.witness)
+            value = op_norm(kron_sum(np.stack(mats, axis=-1),
+                                     np.stack(res.witness)))
+            assert min(value, res.upper) == pytest.approx(res.lower,
+                                                          abs=1e-12)
+
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -3},
+                                        {"iters": 0}, {"m_max": 0}])
+    def test_out_of_range_parameters_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            max_l1_norm_bounds([PAIR_A, PAIR_B], **kwargs)
 
     def test_monotone_refinement(self):
         small = max_l1_norm_bounds([PAIR_A, PAIR_B], m_max=2, restarts=8,
