@@ -80,7 +80,7 @@ def _report(args, command: str, result, passed: bool | None, extra_config=None):
     }
     if extra_config:
         config.update(extra_config)
-    rep = {"command": command, "config": config,
+    rep = {"command": command, "config": _jsonable(config),
            "result": _jsonable(result)}
     if passed is not None:
         rep["passed"] = bool(passed)
@@ -309,13 +309,14 @@ def _cmd_quotient_norm(args):
     sub = _load_json(args.subspace)
     coeffs = sub["coeffs"] if isinstance(sub, dict) else sub
     x = opspace.elem_from_json(space, _load_json(args.elem))
+    tol = _tol(args, 1e-7)
     res = opspace.quotient_level_norm(space, np.asarray(coeffs, float), x,
-                                      iters=args.iters, tol=1e-7)
+                                      tol=tol)
     result = {"value": res.value, "gap_estimate": res.gap,
               "converged": res.converged}
     return _report(args, "quotient-norm", result, res.converged,
                    {"space": args.space, "subspace": args.subspace,
-                    "elem": args.elem, "iters": args.iters}), \
+                    "elem": args.elem, "tol": tol}), \
         EXIT_PASS if res.converged else EXIT_ERROR
 
 
@@ -397,8 +398,24 @@ def _cmd_verify(args):
 # Parser
 # ----------------------------------------------------------------------
 
+class _UsageError(Exception):
+    """An argument error, raised where argparse would print and exit."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose errors reach ``run``, so that ``--json`` can
+    report them as JSON; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="realops",
         description="Desk-scale computations with real operator spaces: "
                     "matrix-level norms, complexification, minimal and "
@@ -410,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, default=None,
                         help="override the command's default tolerance "
                              "(classification checks default to 1e-9, "
-                             "membership checks to 1e-10)")
+                             "membership checks to 1e-10, the quotient-norm "
+                             "gap to 1e-7)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -491,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--subspace", required=True)
     p.add_argument("--elem", required=True)
-    p.add_argument("--iters", type=int, default=5000)
 
     p = sub.add_parser("reproduce",
                        help="rerun a bundled numeric counterexample")
@@ -529,23 +546,40 @@ HANDLERS = {
 }
 
 
+def _emit_error(args, message: str) -> None:
+    if args.json:
+        err = {"command": args.command, "error": message,
+               "config": _jsonable({"seed": args.seed,
+                                    "tol": _tol(args, 1e-9),
+                                    "output": "json"})}
+        sys.stdout.write(json.dumps(err, sort_keys=True, indent=2) + "\n")
+    else:
+        sys.stdout.write(f"error: {message}\n")
+
+
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
+    # parsed into a namespace of our own, so that an argument error still
+    # knows the options read before it
+    args = argparse.Namespace()
     try:
-        args = parser.parse_args(argv)
+        parser.parse_args(argv, namespace=args)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else 0
+    except _UsageError as exc:
+        if args.json or "--json" in argv:
+            args.json = True
+            _emit_error(args, str(exc))
+        else:
+            exc.parser.print_usage(sys.stderr)
+            sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")
+        return EXIT_ERROR
     try:
         rep, code = HANDLERS[args.command](args)
-    except (ValueError, TypeError, KeyError, OSError,
+    except (ValueError, TypeError, KeyError, OSError, OverflowError,
             json.JSONDecodeError) as exc:
-        err = {"command": args.command, "error": str(exc),
-               "config": {"seed": args.seed, "tol": _tol(args, 1e-9),
-                          "output": "json" if args.json else "text"}}
-        if args.json:
-            sys.stdout.write(json.dumps(err, sort_keys=True, indent=2) + "\n")
-        else:
-            sys.stdout.write(f"error: {exc}\n")
+        _emit_error(args, str(exc))
         return EXIT_ERROR
     _emit(rep, args)
     return code

@@ -32,7 +32,7 @@ from .linalg import (as_matrix, clip_contraction, frobenius_norm, kron_sum,
                      kron_sum_grad, kron_sum_matrix, mat_from_json,
                      mat_to_json, op_norm)
 from .optim import (LinearMatrixMap, ratio_ascent, ratio_eval, seesaw_ascent,
-                    polyak_minimize, smoothed_spectral_min)
+                    smoothed_spectral_min)
 from .rng import derived_rng
 
 #: singular-value threshold below which a basis is rejected as degenerate
@@ -486,23 +486,27 @@ class QuotientResult:
 
 
 def quotient_level_norm(space: OpSpace, subspace_coeffs, x: MatElem,
-                        iters: int = 5000, tol: float = 1e-7) -> QuotientResult:
+                        tol: float = 1e-7) -> QuotientResult:
     """dist(x, M_n(Y)) for the subspace Y spanned by the given level-1
     coefficient vectors.
 
-    Convex minimization of t -> sigma_max(R(x) - R(y(t))): Polyak
-    subgradient steps followed by a smoothing-continuation polish (plain
+    Convex minimization of t -> sigma_max(R(x) - R(y(t))).  The solver
+    starts at the least-squares point (the t closest to R(x) in Frobenius
+    norm).  When the operator norm of its residual is at most 1e-13, the
+    element lies in M_n(Y) and that point is returned at once, converged
+    with gap 0.  Otherwise the smoothing continuation runs from it (plain
     subgradient steps stall when the optimal matrix has a repeated top
-    singular value).  The value at the best iterate is an upper bound on
-    the infimum; non-convergence (gap estimate > tol) is flagged, not
-    silent.
+    singular value), and the better of the start and the final point is
+    reported; its value is an upper bound on the infimum.  ``converged``
+    means the continuation's point is the one reported and its gap
+    estimate is at most ``tol``; a better start point is reported
+    unconverged, with the continuation's gap estimate.  Non-convergence is
+    flagged, not silent.
     """
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
     s = np.asarray(subspace_coeffs, dtype=float)
     if s.ndim == 1:
         s = s.reshape(1, -1)
-    if s.shape[1] != space.dim:
+    if s.ndim != 2 or s.shape[1] != space.dim:
         raise ValueError("subspace coefficients must have the space's depth")
     if np.linalg.matrix_rank(s) < s.shape[0]:
         raise ValueError("subspace basis coefficients are dependent")
@@ -510,14 +514,15 @@ def quotient_level_norm(space: OpSpace, subspace_coeffs, x: MatElem,
     p, q = space.ambient
     k_sub = kron_sum_matrix(np.einsum("jk,kpq->jpq", s, space.basis), n)
     b_vec = x.realization().ravel()
-    value, w_best, gap, converged = polyak_minimize(
-        b_vec, k_sub, n * p, n * q, iters=iters, tol=tol)
+    w0 = np.linalg.lstsq(k_sub, b_vec, rcond=None)[0]
+    value = op_norm((b_vec - k_sub @ w0).reshape(n * p, n * q))
+    w_best, gap, converged = w0, 0.0, True
     if value > 1e-13:
-        p_val, p_w, p_gap = smoothed_spectral_min(b_vec, k_sub, n * p, n * q,
-                                                  w_best)
+        p_val, p_w, gap = smoothed_spectral_min(b_vec, k_sub, n * p, n * q,
+                                                w0)
+        converged = p_val <= value and gap <= tol
         if p_val <= value:
-            value, w_best, gap = p_val, p_w, p_gap
-            converged = gap <= tol
+            value, w_best = p_val, p_w
     return QuotientResult(value, gap, converged,
                           w_best.reshape(n, n, s.shape[0]))
 
@@ -652,10 +657,10 @@ def elem_to_json(x: MatElem) -> dict:
 def elem_from_json(space: OpSpace, obj: dict) -> MatElem:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ValueError('element JSON needs a "coeffs" tensor')
-    c = np.asarray(obj["coeffs"], dtype=float)
-    if "level" in obj and c.shape[0] != int(obj["level"]):
+    x = MatElem(space, obj["coeffs"])
+    if "level" in obj and x.level != int(obj["level"]):
         raise ValueError("declared level does not match coefficient shape")
-    return MatElem(space, c)
+    return x
 
 
 def cbmap_to_json(u: CBMap) -> dict:

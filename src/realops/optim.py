@@ -1,6 +1,6 @@
 """Nonsmooth search kernels shared by the norm-certification routines.
 
-Four workhorses:
+Three workhorses and a reference solver:
 
 * ``ratio_ascent``: multistart subgradient ascent on a ratio of two largest
   singular values, both linear in the parameter vector.  Steps decay
@@ -12,15 +12,19 @@ Four workhorses:
   over the operator-norm ball) has an exact SVD solution.  Alternating
   exactly is monotone in the objective and converges much tighter than
   generic ascent.
-* ``polyak_minimize``: adaptive Polyak subgradient descent for the convex
-  problem min_w sigma_max(B - K w), used for quotient norms.  Returns the
-  achieved value (an upper bound on the infimum) plus the solver's
-  internal gap estimate.
-* ``smoothed_spectral_min``: continuation polish for the same problem.
-  sigma_max is the top eigenvalue of the symmetric dilation, smoothed by
+* ``smoothed_spectral_min``: the quotient-norm solver for the convex
+  problem min_w sigma_max(B - K w).  Quotient norms start it at the
+  least-squares point w0 = lstsq(K, B) and skip it when that point's
+  residual already vanishes (operator norm at most 1e-13).  sigma_max is
+  the top eigenvalue of the symmetric dilation, smoothed by
   mu * logsumexp(eigenvalues / mu) and minimized by warm-started BFGS
   while mu shrinks; plain subgradient steps stall when the optimum has a
-  multiple top singular value, the smoothed path does not.
+  multiple top singular value, the smoothed path does not.  Returns the
+  achieved value (an upper bound on the infimum) plus a gap estimate.
+* ``polyak_minimize``: adaptive Polyak subgradient descent for the same
+  problem, kept as a reference solver.  Nothing in the package calls it:
+  quotient norms go straight from the least-squares point to the
+  continuation.
 """
 
 from __future__ import annotations
@@ -150,6 +154,10 @@ def polyak_minimize(b_vec: np.ndarray, k_mat: np.ndarray, rows: int, cols: int,
                     delta_floor: float = 1e-12):
     """min over w of sigma_max(reshape(b_vec - k_mat w)).
 
+    Not called inside the package: ``opspace.quotient_level_norm`` starts
+    ``smoothed_spectral_min`` at the least-squares point instead.  Kept as a
+    standalone reference solver.
+
     Returns (value, w_best, gap_estimate, converged).  The value is the
     norm at the best iterate, hence a true upper bound; gap_estimate is
     the final adaptive target gap, an estimate (not a certificate) of the
@@ -207,7 +215,8 @@ MU_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
 def smoothed_spectral_min(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
                           cols: int, w0: np.ndarray,
                           mu_schedule=MU_SCHEDULE):
-    """Continuation polish for min_w sigma_max(reshape(b_vec - k_mat w)).
+    """Smoothing continuation for min_w sigma_max(reshape(b_vec - k_mat w)),
+    started at w0.
 
     Returns (value, w, gap_estimate): value is the exact norm at the final
     iterate (a true upper bound); the gap estimate combines the smoothing

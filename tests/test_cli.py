@@ -235,6 +235,54 @@ def test_threads_flag_is_gone(capsys):
     capsys.readouterr()
 
 
+def test_iters_flag_is_gone(files, capsys):
+    code = cli.run(["--json", "quotient-norm", "--space", files["m2.json"],
+                    "--subspace", files["subspace.json"], "--elem",
+                    files["e12_elem.json"], "--iters", "100"])
+    assert code == 2
+    assert "--iters" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["--json", "max-l1", "--coeffs", "c.json", "--restarts", "abc"],
+     "max-l1"),
+    (["--json", "--threads", "2", "verify", "linalg"], None),
+])
+def test_argument_errors_under_json_are_json(capsys, argv, command):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    rep = json.loads(captured.out)
+    assert set(rep) == {"command", "config", "error"}
+    assert rep["command"] == command
+    assert rep["config"] == {"seed": 0xC0FFEE, "tol": 1e-9,
+                             "output": "json"}
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_argument_errors_in_text_mode_print_usage(capsys):
+    assert cli.run(["max-l1", "--coeffs", "c.json", "--restarts", "abc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and "invalid int value" in captured.err
+
+
+def test_quotient_norm_tol_reaches_converged(files, capsys):
+    argv = ["quotient-norm", "--space", files["m2.json"], "--subspace",
+            files["subspace.json"], "--elem", files["e12_elem.json"]]
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert rep["config"]["tol"] == 1e-7
+    gap = rep["result"]["gap_estimate"]
+    assert 0 < gap <= 1e-7
+    # a tolerance below the gap estimate leaves the same solve unconverged
+    code, rep = run_json(capsys, ["--tol", repr(gap / 2)] + argv)
+    assert code == 2
+    assert rep["config"]["tol"] == gap / 2
+    assert rep["result"]["converged"] is False
+    assert rep["result"]["gap_estimate"] == gap
+
+
 class TestReproductions:
     def test_l12_nonunique(self, capsys):
         code, rep = run_json(capsys, ["reproduce", "l12-nonunique",

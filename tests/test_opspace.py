@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from realops import opspace
 from realops.linalg import kron_sum, op_norm
 from realops.opspace import (CBMap, MatElem, check_ruan_axioms,
                              cbmap_from_json, cbmap_to_json,
@@ -243,11 +244,85 @@ class TestQuotientNorm:
             quotient_level_norm(M2, [[1, 0, 0, 0], [2, 0, 0, 0]],
                                 elem(M2, [0, 1, 0, 0]))
 
-    @pytest.mark.parametrize("iters", [0, -4])
-    def test_nonpositive_iters_rejected(self, iters):
-        with pytest.raises(ValueError):
-            quotient_level_norm(M2, [[1, 0, 0, 0]], elem(M2, [0, 1, 0, 0]),
-                                iters=iters)
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_value_bounded_by_level_norm_and_least_squares(self, level):
+        rng = np.random.default_rng(40 + level)
+        for k in (1, 2):
+            s = rng.standard_normal((k, 4))
+            x = MatElem(M2, rng.standard_normal((level, level, 4)))
+            res = quotient_level_norm(M2, s, x)
+            # the least-squares point is the solver's start
+            units = np.eye(level)
+            cols = [np.kron(np.outer(units[i], units[j]),
+                            np.einsum("k,kpq->pq", s[l], M2.basis)).ravel()
+                    for i in range(level) for j in range(level)
+                    for l in range(k)]
+            b = x.realization()
+            t = np.linalg.lstsq(np.stack(cols, axis=1), b.ravel(),
+                                rcond=None)[0]
+            lsq = op_norm(b - (np.stack(cols, axis=1) @ t).reshape(b.shape))
+            assert res.value <= level_norm(x) * (1 + 1e-12)
+            assert res.value <= lsq * (1 + 1e-12)
+            # the reported minimizer attains the value
+            m = MatElem(M2, np.einsum("ijl,lk->ijk", res.minimizer, s))
+            assert op_norm(x.realization() - m.realization()) == \
+                pytest.approx(res.value, abs=1e-12)
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_two_parameter_dual_oracle(self, case):
+        # dist(X, span{S1, S2}) in M2(R) equals max |<X, Z>| / ||Z||_1 over
+        # the 2-dim annihilator of the span (operator/trace norm duality);
+        # every Z gives a lower bound, so the oracle is a 1-parameter
+        # search over the angle of Z, refined on dense grids
+        rng = np.random.default_rng(70 + case)
+        s = rng.standard_normal((2, 4))
+        x = rng.standard_normal(4)
+        z1, z2 = np.linalg.svd(s)[2][2:].reshape(2, 2, 2)
+        lo, hi = 0.0, np.pi
+        for _ in range(6):
+            th = np.linspace(lo, hi, 2001)
+            z = (np.cos(th)[:, None, None] * z1 +
+                 np.sin(th)[:, None, None] * z2)
+            h = (np.abs(np.einsum("pq,tpq->t", x.reshape(2, 2), z)) /
+                 np.linalg.svd(z, compute_uv=False).sum(axis=1))
+            i = int(np.argmax(h))
+            step = th[1] - th[0]
+            lo, hi = th[i] - 2 * step, th[i] + 2 * step
+        res = quotient_level_norm(M2, s, elem(M2, x))
+        assert res.converged
+        assert -1e-12 <= res.value - h[i] <= 1e-8
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_inside_complexified_subspace(self, level):
+        m2c = complexify_space(M2)
+        rng = np.random.default_rng(90 + level)
+        for k in (1, 2):
+            s = rng.standard_normal((k, 8))
+            t = rng.standard_normal((level, level, k))
+            x = MatElem(m2c, np.einsum("ijl,lk->ijk", t, s))
+            res = quotient_level_norm(m2c, s, x)
+            assert res.value <= 1e-10
+            assert res.converged
+
+    def test_better_start_point_is_reported_unconverged(self, monkeypatch):
+        # dist(e12, span e11): the least-squares point t = 0 is optimal
+        def worse(b_vec, k_mat, rows, cols, w0):
+            return 2.0, w0 + 1.0, 0.0
+        monkeypatch.setattr(opspace, "smoothed_spectral_min", worse)
+        res = quotient_level_norm(M2, [[1, 0, 0, 0]], elem(M2, [0, 1, 0, 0]))
+        assert res.value == 1.0
+        assert np.all(res.minimizer == 0.0)
+        assert (res.gap, res.converged) == (0.0, False)
+
+    def test_two_runs_give_the_same_bits(self):
+        m2c = complexify_space(M2)
+        rng = np.random.default_rng(11)
+        s = rng.standard_normal((2, 8))
+        x = MatElem(m2c, rng.standard_normal((2, 2, 8)))
+        a = quotient_level_norm(m2c, s, x)
+        b = quotient_level_norm(m2c, s, x)
+        assert (a.value, a.gap, a.converged) == (b.value, b.gap, b.converged)
+        assert a.minimizer.tobytes() == b.minimizer.tobytes()
 
 
 class TestDirectSums:
