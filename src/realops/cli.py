@@ -17,11 +17,23 @@ from dataclasses import asdict, is_dataclass
 import numpy as np
 
 from . import linalg, mideal, opspace, quantization, suites, systems
+from .linalg import CLASSIFY_TOL, MEMBERSHIP_TOL
 from .rng import DEFAULT_SEED
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
+
+#: --tol defaults other than CLASSIFY_TOL; unitize and subtriple test at
+#: these fixed values, which --tol does not change
+TOL_DEFAULTS = {
+    **dict.fromkeys(("multiplier-witness", "right-ideal", "shilov",
+                     "tro-check", "unitize"), MEMBERSHIP_TOL),
+    "brs-check": 1e-10,        # slack of norm(ab) <= norm(a) norm(b)
+    "choi-effros": 1e-10,      # deviations of the re-product identities
+    "quotient-norm": 1e-7,     # gap estimate of the convex solve
+    "subtriple": 1e-10,        # rank cutoff relative to the top singular value
+}
 
 
 def _jsonable(obj):
@@ -67,15 +79,16 @@ def _load_map(path: str, domain=None, codomain=None) -> opspace.CBMap:
                                    base_dir=os.path.dirname(path) or ".")
 
 
-def _tol(args, fallback: float) -> float:
-    """Resolve --tol against the command's own default."""
-    return fallback if args.tol is None else args.tol
+def _tol(args) -> float:
+    """--tol, or the command's default from TOL_DEFAULTS."""
+    return TOL_DEFAULTS.get(args.command, CLASSIFY_TOL) if args.tol is None \
+        else args.tol
 
 
 def _report(args, command: str, result, passed: bool | None, extra_config=None):
     config = {
         "seed": args.seed,
-        "tol": _tol(args, 1e-9),
+        "tol": _tol(args),
         "output": "json" if args.json else "text",
     }
     if extra_config:
@@ -191,7 +204,7 @@ def _cmd_certify_mproj(args):
     proj = mideal.projection(space, np.asarray(pobj["matrix"], dtype=float))
     cert = mideal.certify_left_m_projection(
         proj, max_level=args.max_level, samples=args.samples,
-        restarts=args.restarts, seed=args.seed, tol=_tol(args, 1e-9))
+        restarts=args.restarts, seed=args.seed, tol=_tol(args))
     code = {"certified": EXIT_PASS, "refuted": EXIT_FAIL}.get(cert.verdict,
                                                               EXIT_ERROR)
     return _report(args, "certify-mproj", cert, cert.certified,
@@ -204,7 +217,7 @@ def _cmd_multiplier_witness(args):
     space = _load_space(args.space)
     u = _load_map(args.map, domain=space, codomain=space)
     a = linalg.mat_from_json(_load_json(args.a))
-    ok = mideal.verify_multiplier_witness(space, u, a, tol=_tol(args, 1e-10))
+    ok = mideal.verify_multiplier_witness(space, u, a, tol=_tol(args))
     return _report(args, "multiplier-witness", {"is_witness": ok}, ok,
                    {"space": args.space, "map": args.map, "a": args.a}), \
         EXIT_PASS if ok else EXIT_FAIL
@@ -214,7 +227,8 @@ def _cmd_right_ideal(args):
     algebra = _load_algebra(args.algebra)
     sub = _load_json(args.subspace)
     coeffs = sub["coeffs"] if isinstance(sub, dict) else sub
-    ok = mideal.is_right_ideal(algebra, np.asarray(coeffs, dtype=float))
+    ok = mideal.is_right_ideal(algebra, np.asarray(coeffs, dtype=float),
+                               tol=_tol(args))
     return _report(args, "right-ideal", {"is_right_ideal": ok}, ok,
                    {"algebra": args.algebra, "subspace": args.subspace}), \
         EXIT_PASS if ok else EXIT_FAIL
@@ -223,7 +237,8 @@ def _cmd_right_ideal(args):
 def _cmd_brs_check(args):
     algebra = _load_algebra(args.algebra)
     rep = systems.check_brs_level(algebra, level=args.level,
-                                  samples=args.samples, seed=args.seed)
+                                  samples=args.samples, seed=args.seed,
+                                  tol=_tol(args))
     result = {"level": rep.level, "samples": rep.samples,
               "max_violation": rep.max_violation, "passed": rep.passed}
     return _report(args, "brs-check", result, rep.passed,
@@ -264,7 +279,7 @@ def _cmd_choi_effros(args):
     pobj = _load_json(args.idempotent)
     phi = opspace.CBMap(algebra.space, algebra.space,
                         np.asarray(pobj["matrix"], dtype=float))
-    rep = systems.choi_effros_product(algebra, phi, tol=_tol(args, 1e-10),
+    rep = systems.choi_effros_product(algebra, phi, tol=_tol(args),
                                       seed=args.seed)
     if not rep.preconditions_ok:
         code = EXIT_ERROR
@@ -277,7 +292,7 @@ def _cmd_choi_effros(args):
 
 def _cmd_tro_check(args):
     space = _load_space(args.space)
-    rep = systems.tro_closure_report(space, tol=_tol(args, 1e-10))
+    rep = systems.tro_closure_report(space, tol=_tol(args))
     return _report(args, "tro-check", rep, rep.is_tro,
                    {"space": args.space}), \
         EXIT_PASS if rep.is_tro else EXIT_FAIL
@@ -295,7 +310,7 @@ def _cmd_shilov(args):
     tro = systems.TROSpace(_load_space(args.tro))
     y = opspace.elem_from_json(tro.space, _load_json(args.y))
     z = opspace.elem_from_json(tro.space, _load_json(args.z))
-    res = systems.shilov_inner_product(tro, y, z)
+    res = systems.shilov_inner_product(tro, y, z, tol=_tol(args))
     result = {"matrix": res.matrix.tolist(),
               "membership_residual": res.membership_residual,
               "in_span": res.in_span}
@@ -309,14 +324,13 @@ def _cmd_quotient_norm(args):
     sub = _load_json(args.subspace)
     coeffs = sub["coeffs"] if isinstance(sub, dict) else sub
     x = opspace.elem_from_json(space, _load_json(args.elem))
-    tol = _tol(args, 1e-7)
     res = opspace.quotient_level_norm(space, np.asarray(coeffs, float), x,
-                                      tol=tol)
+                                      tol=_tol(args))
     result = {"value": res.value, "gap_estimate": res.gap,
               "converged": res.converged}
     return _report(args, "quotient-norm", result, res.converged,
                    {"space": args.space, "subspace": args.subspace,
-                    "elem": args.elem, "tol": tol}), \
+                    "elem": args.elem}), \
         EXIT_PASS if res.converged else EXIT_ERROR
 
 
@@ -425,10 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
                         default=DEFAULT_SEED,
                         help="64-bit master seed (default 0xC0FFEE)")
     parser.add_argument("--tol", type=float, default=None,
-                        help="override the command's default tolerance "
-                             "(classification checks default to 1e-9, "
-                             "membership checks to 1e-10, the quotient-norm "
-                             "gap to 1e-7)")
+                        help="override the command's default tolerance ("
+                             + ", ".join(f"{cmd} {val:g}" for cmd, val in
+                                         sorted(TOL_DEFAULTS.items()))
+                             + f", any other command {CLASSIFY_TOL:g}; "
+                               "unitize and subtriple keep theirs)")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -550,7 +565,7 @@ def _emit_error(args, message: str) -> None:
     if args.json:
         err = {"command": args.command, "error": message,
                "config": _jsonable({"seed": args.seed,
-                                    "tol": _tol(args, 1e-9),
+                                    "tol": _tol(args),
                                     "output": "json"})}
         sys.stdout.write(json.dumps(err, sort_keys=True, indent=2) + "\n")
     else:

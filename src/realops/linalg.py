@@ -3,16 +3,18 @@
 Operator norms via singular values, the two-part real positivity test
 (selfadjoint + nonnegative quadratic form), the norm/positivity
 equivalence through the 2x2 block matrix [[I, x], [x^T, I]], the
-contraction-ball projector, and ``kron_sum``: the block-Kronecker sum
+contraction-ball projector, ``kron_sum``: the block-Kronecker sum
 sum_k c[:, :, k] kron B_k behind every matrix-level norm, which alone
-fixes the block layout.
+fixes the block layout, and ``span_coefficients`` with ``in_span``: the
+least-squares solve and the one rule behind every span-membership test.
 
 Matrices are plain 2-D float ndarrays throughout; ``as_matrix`` is the
 single validation gate.  The search kernels (``clip_contraction``,
-``frobenius_norm``, ``kron_sum`` and ``kron_sum_grad``) also take stacks
-with leading axes, so a multistart search can advance all of its restarts
-with one call; each matrix of a stack comes out bit for bit as it would
-alone.  All functions are pure.
+``frobenius_norm``, ``kron_sum``, ``kron_sum_grad``) and the membership
+kernel also take stacks with leading axes, so one call serves every
+restart of a multistart search or every product of a closure check; each
+matrix of a stack comes out bit for bit as it would alone.  All functions
+are pure.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import numpy as np
 CLASSIFY_TOL = 1e-9
 #: default tolerance for exact linear-algebra identities
 EXACT_TOL = 1e-12
+#: default tolerance of the span-membership rule (see ``in_span``)
+MEMBERSHIP_TOL = 1e-10
 
 
 def as_matrix(m) -> np.ndarray:
@@ -102,6 +106,34 @@ def frobenius_norm(m: np.ndarray) -> np.ndarray:
     else:
         sq = flat @ np.swapaxes(flat, -1, -2)
     return np.sqrt(sq[..., 0, 0])
+
+
+def span_coefficients(span: np.ndarray, mats: np.ndarray,
+                      pinv: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients of each matrix of a (..., p, q) stack over
+    the (n, p, q) stack ``span``, which may be dependent, and the Frobenius
+    norm of each residual, as (..., n) and (...) arrays.  The solve goes
+    through the pseudo-inverse of span's (p q, n) vec matrix; ``pinv``
+    passes it in when the caller caches it."""
+    vecs = span.reshape(span.shape[0], -1).T
+    if pinv is None:
+        pinv = np.linalg.pinv(vecs)
+    flat = mats.reshape(*mats.shape[:-2], -1, 1)
+    coeffs = pinv @ flat
+    return coeffs[..., 0], frobenius_norm(vecs @ coeffs - flat)
+
+
+def relative_residual(residuals: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Residual norms from ``span_coefficients`` relative to 1 + |m|_F."""
+    return residuals / (1.0 + frobenius_norm(mats))
+
+
+def in_span(residuals: np.ndarray, mats: np.ndarray,
+            tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+    """The membership rule: m lies in the span when its least-squares
+    residual is at most tol (1 + |m|_F)."""
+    return relative_residual(residuals, mats) <= tol
 
 
 def kron_sum(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import MEMBERSHIP_TOL, as_matrix, in_span, span_coefficients
 from .opspace import (CBMap, MatElem, OpSpace, complexify_map,
                       complexify_space, cb_norm_lower_search, level_norm,
                       num_den_maps)
@@ -323,46 +323,39 @@ def projection_complexification_consistency(u: CBMap, samples: int = 20,
 # Multiplier witnesses and right ideals
 # ----------------------------------------------------------------------
 
-def verify_multiplier_witness(space: OpSpace, u: CBMap, a, tol: float = 1e-10) -> bool:
+def _images(space: OpSpace, u: CBMap) -> np.ndarray:
+    """The (d, p, q) stack of realizations u(B_k)."""
+    return np.einsum("mk,mpq->kpq", u.matrix, space.basis)
+
+
+def verify_multiplier_witness(space: OpSpace, u: CBMap, a,
+                              tol: float = MEMBERSHIP_TOL) -> bool:
     """True iff the ambient matrix a implements u as left multiplication,
     i.e. realization(u(B_k)) = a B_k on every basis element within tol."""
     am = as_matrix(a)
     p, _ = space.ambient
     if am.shape != (p, p):
         raise ValueError(f"witness must be {p} x {p} for this ambient")
-    for k in range(space.dim):
-        img = np.einsum("m,mpq->pq", u.matrix[:, k], space.basis)
-        if np.max(np.abs(img - am @ space.basis[k])) > tol:
-            return False
-    return True
+    return bool(np.max(np.abs(_images(space, u) - am @ space.basis)) <= tol)
 
 
 def solve_left_multiplier(space: OpSpace, u: CBMap) -> tuple[np.ndarray, float]:
     """Least-squares solve of a B_k = u(B_k) for the witness a; returns
-    (a, residual).  A residual above tol * (1 + |u|) means no witness."""
-    p, q = space.ambient
-    d = space.dim
-    rows = []
-    rhs = []
-    for k in range(d):
-        img = np.einsum("m,mpq->pq", u.matrix[:, k], space.basis)
-        # (a B_k) entries are linear in a: row for entry (r, c)
-        for r in range(p):
-            for c in range(q):
-                row = np.zeros(p * p)
-                row[r * p:(r + 1) * p] = space.basis[k][:, c]
-                rows.append(row)
-                rhs.append(img[r, c])
-    mat = np.asarray(rows)
-    rhs = np.asarray(rhs)
-    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    res = float(np.linalg.norm(mat @ sol - rhs))
-    return sol.reshape(p, p), res
+    (a, residual), the residual being the Frobenius norm of the stacked
+    a B_k - u(B_k).  A residual far above roundoff means no witness."""
+    # a [B_1 ... B_d] = [u(B_1) ... u(B_d)], transposed into lstsq form
+    blocks = np.concatenate(space.basis, axis=1)          # (p, d q)
+    images = np.concatenate(_images(space, u), axis=1)
+    sol, *_ = np.linalg.lstsq(blocks.T, images.T, rcond=None)
+    res = float(np.linalg.norm(blocks.T @ sol - images.T))
+    return sol.T, res
 
 
-def is_right_ideal(algebra, subspace_coeffs, tol: float = 1e-10) -> bool:
+def is_right_ideal(algebra, subspace_coeffs,
+                   tol: float = MEMBERSHIP_TOL) -> bool:
     """True iff J B_k stays in J for every algebra basis element, with
-    membership measured by least-squares residual."""
+    membership measured by least-squares residual; the rows spanning J may
+    be dependent."""
     space = algebra.space
     s = np.asarray(subspace_coeffs, dtype=float)
     if s.ndim == 1:
@@ -371,13 +364,6 @@ def is_right_ideal(algebra, subspace_coeffs, tol: float = 1e-10) -> bool:
         raise ValueError("subspace coefficients must live over the "
                          "algebra's basis")
     j_mats = np.einsum("jk,kpq->jpq", s, space.basis)
-    j_vecs = j_mats.reshape(s.shape[0], -1)
-    pinv = np.linalg.pinv(j_vecs.T)
-    for jm in j_mats:
-        for bk in space.basis:
-            prod = jm @ bk
-            c = pinv @ prod.ravel()
-            res = float(np.linalg.norm(j_vecs.T @ c - prod.ravel()))
-            if res > tol * (1.0 + np.linalg.norm(prod)):
-                return False
-    return True
+    prods = j_mats[:, None] @ space.basis[None]
+    _, res = span_coefficients(j_mats, prods)
+    return bool(in_span(res, prods, tol).all())

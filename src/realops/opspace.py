@@ -19,18 +19,24 @@ Coefficient conventions used throughout the package:
   copies...] and its conjugation negates the imaginary half;
 * the column space C_2(X) (see mideal) stacks [upper copies..., lower
   copies...].
+
+Span membership lives in ``linalg``: ``OpSpace.coefficients`` and
+``contains`` apply ``linalg.span_coefficients`` and ``linalg.in_span`` to
+a matrix or a stack of them, with the basis pseudo-inverse cached.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (as_matrix, clip_contraction, frobenius_norm, kron_sum,
-                     kron_sum_grad, kron_sum_matrix, mat_from_json,
-                     mat_to_json, op_norm)
+from .linalg import (MEMBERSHIP_TOL, as_matrix, clip_contraction,
+                     frobenius_norm, in_span, kron_sum, kron_sum_grad,
+                     kron_sum_matrix, mat_from_json, mat_to_json, op_norm,
+                     span_coefficients)
 from .optim import (LinearMatrixMap, ratio_ascent, ratio_eval, seesaw_ascent,
                     smoothed_spectral_min)
 from .rng import derived_rng
@@ -80,15 +86,15 @@ class OpSpace:
             p, q = self.ambient
             if p % 2 or q % 2:
                 raise ValueError("complexified space needs even ambient sides")
-            jp = complex_structure(p // 2)
-            jq = complex_structure(q // 2)
-            for k in range(d):
-                conj = jp @ b[k] @ jq.T     # J x J^{-1}, J^{-1} = J^T
-                _, res = self.coefficients(conj)
-                if res > 1e-10 * (1.0 + np.linalg.norm(conj)):
-                    raise ValueError(
-                        "span is not invariant under the block complex "
-                        f"structure (basis element {k}, residual {res:.3e})")
+            # J x J^{-1} for every basis element, J^{-1} = J^T
+            conj = complex_structure(p // 2) @ b @ complex_structure(q // 2).T
+            _, res = self.coefficients(conj)
+            inside = in_span(res, conj)
+            if not inside.all():
+                k = int(np.argmin(inside))
+                raise ValueError(
+                    "span is not invariant under the block complex "
+                    f"structure (basis element {k}, residual {res[k]:.3e})")
 
     @property
     def dim(self) -> int:
@@ -98,21 +104,23 @@ class OpSpace:
     def ambient(self) -> tuple[int, int]:
         return self.basis.shape[1], self.basis.shape[2]
 
-    def coefficients(self, mat: np.ndarray) -> tuple[np.ndarray, float]:
-        """Least-squares coefficients of ``mat`` plus the residual norm."""
-        m = as_matrix(mat)
-        if m.shape != self.ambient:
-            raise ValueError(f"matrix shape {m.shape} does not match ambient "
-                             f"{self.ambient}")
-        c = self._pinv @ m.ravel()
-        res = float(np.linalg.norm(self.basis.reshape(self.dim, -1).T @ c
-                                   - m.ravel()))
-        return c, res
+    def coefficients(self, mat: np.ndarray):
+        """Least-squares coefficients of a matrix, or of each matrix of a
+        (..., p, q) stack, plus the residual norm (an array for a stack)."""
+        m = np.asarray(mat, dtype=float)
+        if m.ndim < 2 or m.shape[-2:] != self.ambient or \
+                not np.all(np.isfinite(m)):
+            raise ValueError(f"expected finite matrices of ambient shape "
+                             f"{self.ambient}, got shape {m.shape}")
+        c, res = span_coefficients(self.basis, m, self._pinv)
+        return c, (float(res) if m.ndim == 2 else res)
 
-    def contains(self, mat: np.ndarray, tol: float = 1e-10) -> bool:
-        m = as_matrix(mat)
+    def contains(self, mat: np.ndarray, tol: float = MEMBERSHIP_TOL):
+        """Membership of a matrix (a bool) or of each matrix of a stack."""
+        m = np.asarray(mat, dtype=float)
         _, res = self.coefficients(m)
-        return res <= tol * (1.0 + np.linalg.norm(m))
+        inside = in_span(res, m, tol)
+        return bool(inside) if m.ndim == 2 else inside
 
     def realization_matrix(self, level: int) -> np.ndarray:
         """vec matrix of the realization R at ``level`` (cached).
@@ -683,7 +691,6 @@ def cbmap_from_json(obj: dict, domain: OpSpace | None = None,
             raise ValueError(f'map JSON needs "{slot}" (inline or file path) '
                              f'when no space is supplied')
         if isinstance(val, str):
-            import json
             with open(os.path.join(base_dir, val)) as fh:
                 return opspace_from_json(json.load(fh))
         return opspace_from_json(val)

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import is_real_positive, op_norm
+from .linalg import (MEMBERSHIP_TOL, in_span, is_real_positive, op_norm,
+                     relative_residual, span_coefficients)
 from .opspace import (CBMap, MatElem, OpSpace, cb_norm_lower_search,
-                      level_norm, random_elem, scalar_sandwich)
+                      complex_structure, level_norm, opspace_from_json,
+                      opspace_to_json, random_elem, scalar_sandwich)
 from .rng import derived_rng
-
-MEMBERSHIP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -34,11 +34,12 @@ class OpAlgebra:
     the stored tensor reproduces the ambient products; it equals the
     closure residual for derived tensors but is merely recorded, not
     enforced, for supplied ones (an abstract product may deliberately
-    disagree with the ambient one).
+    disagree with the ambient one).  A ``structure`` of None is derived
+    from the same least-squares solve that measures the closure.
     """
 
     space: OpSpace
-    structure: np.ndarray                 # (d, d, d)
+    structure: np.ndarray | None          # (d, d, d)
     derived: bool = True
     closure_residuals: np.ndarray = field(default=None)
     structure_residuals: np.ndarray = field(default=None)
@@ -48,23 +49,23 @@ class OpAlgebra:
         if p != q:
             raise ValueError("an operator algebra needs a square ambient")
         d = self.space.dim
-        s = np.asarray(self.structure, dtype=float)
-        if s.shape != (d, d, d):
-            raise ValueError(f"structure tensor must be ({d}, {d}, {d})")
-        closure = np.zeros((d, d))
-        struct_res = np.zeros((d, d))
+        if self.structure is not None:
+            s = np.asarray(self.structure, dtype=float)
+            if s.shape != (d, d, d):
+                raise ValueError(f"structure tensor must be ({d}, {d}, {d})")
         basis = self.space.basis
-        for j in range(d):
-            for k in range(d):
-                prod = basis[j] @ basis[k]
-                _, res = self.space.coefficients(prod)
-                closure[j, k] = res
-                if res > MEMBERSHIP_TOL * (1.0 + np.linalg.norm(prod)):
-                    raise ValueError(
-                        f"basis product B_{j} B_{k} leaves the span "
-                        f"(residual {res:.3e}); not an algebra")
-                rebuilt = np.einsum("m,mpq->pq", s[j, k], basis)
-                struct_res[j, k] = float(np.max(np.abs(rebuilt - prod)))
+        prods = basis[:, None] @ basis[None]          # B_j B_k
+        coeffs, closure = self.space.coefficients(prods)
+        inside = in_span(closure, prods)
+        if not inside.all():
+            j, k = np.argwhere(~inside)[0]
+            raise ValueError(
+                f"basis product B_{j} B_{k} leaves the span "
+                f"(residual {closure[j, k]:.3e}); not an algebra")
+        if self.structure is None:
+            s = coeffs
+        rebuilt = np.einsum("jkm,mpq->jkpq", s, basis)
+        struct_res = np.max(np.abs(rebuilt - prods), axis=(2, 3))
         s = s.copy()
         s.setflags(write=False)
         closure.setflags(write=False)
@@ -83,26 +84,15 @@ class OpAlgebra:
         return np.einsum("ilr,ljs,rsm->ijm", a, b, self.structure)
 
     def unit_coeffs(self, tol: float = MEMBERSHIP_TOL) -> np.ndarray | None:
-        p, _ = self.space.ambient
-        c, res = self.space.coefficients(np.eye(p))
-        if res > tol * (1.0 + np.sqrt(p)):
-            return None
-        return c
+        eye = np.eye(self.space.ambient[0])
+        c, res = self.space.coefficients(eye)
+        return c if in_span(res, eye, tol) else None
 
 
 def op_algebra(space: OpSpace, structure=None) -> OpAlgebra:
     """Build an algebra on ``space``; the structure tensor is derived from
     ambient products unless supplied."""
-    if structure is not None:
-        return OpAlgebra(space, np.asarray(structure, dtype=float),
-                         derived=False)
-    d = space.dim
-    s = np.zeros((d, d, d))
-    for j in range(d):
-        for k in range(d):
-            c, _ = space.coefficients(space.basis[j] @ space.basis[k])
-            s[j, k] = c
-    return OpAlgebra(space, s, derived=True)
+    return OpAlgebra(space, structure, derived=structure is None)
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +165,6 @@ def unitize(algebra: OpAlgebra) -> OpAlgebra:
     if not space.contains(eye):
         new_mats.append(eye)
     if space.is_complexified:
-        from .opspace import complex_structure
         jmat = complex_structure(p // 2)
         if not space.contains(jmat):
             new_mats.append(jmat)
@@ -349,19 +338,6 @@ class ChoiEffrosReport:
     passed: bool
 
 
-def _transpose_matrix(space: OpSpace) -> np.ndarray:
-    """Coefficient matrix of x -> x^T; requires the span to be transpose
-    closed."""
-    d = space.dim
-    t = np.zeros((d, d))
-    for k in range(d):
-        c, res = space.coefficients(space.basis[k].T)
-        if res > MEMBERSHIP_TOL * (1.0 + np.linalg.norm(space.basis[k])):
-            raise ValueError("span is not closed under transposition")
-        t[:, k] = c
-    return t
-
-
 def choi_effros_product(algebra: OpAlgebra, phi: CBMap, tol: float = 1e-10,
                         trials: int = 500, seed: int = 0,
                         cc_restarts: int = 8) -> ChoiEffrosReport:
@@ -390,9 +366,12 @@ def choi_effros_product(algebra: OpAlgebra, phi: CBMap, tol: float = 1e-10,
     dev_idem = float(np.max(np.abs(pm @ pm - pm)))
     if dev_idem > 1e-10:
         failures.append(f"phi is not idempotent (deviation {dev_idem:.3e})")
-    try:
-        tmat = _transpose_matrix(space)
-    except ValueError:
+    transposes = np.swapaxes(space.basis, 1, 2)
+    t_coeffs, t_res = space.coefficients(transposes)
+    if in_span(t_res, transposes).all():
+        # coefficient matrix of x -> x^T, one column per basis element
+        tmat = np.ascontiguousarray(t_coeffs.T)
+    else:
         failures.append("algebra is not transpose closed")
         tmat = None
     dev_sa = np.inf
@@ -486,24 +465,24 @@ class TroReport:
     witness_residual: float
 
 
+def _triple_products(mats: np.ndarray) -> np.ndarray:
+    """x y^T z for every triple of a (d, p, q) stack, as (d, d, d, p, q)."""
+    xyt = mats[:, None] @ np.swapaxes(mats, 1, 2)[None]
+    return xyt[:, :, None] @ mats[None, None]
+
+
 def tro_closure_report(space: OpSpace, tol: float = MEMBERSHIP_TOL) -> TroReport:
-    """Check B_j B_k^T B_l in span for all basis triples."""
-    worst = 0.0
-    witness = None
-    wit_prod = None
-    for j in range(space.dim):
-        for k in range(space.dim):
-            for l in range(space.dim):
-                prod = space.basis[j] @ space.basis[k].T @ space.basis[l]
-                _, res = space.coefficients(prod)
-                scaled = res / (1.0 + np.linalg.norm(prod))
-                if scaled > worst:
-                    worst = scaled
-                    witness = (j, k, l)
-                    wit_prod = prod
-    ok = bool(worst <= tol)
-    return TroReport(ok, float(worst), tol, None if ok else witness,
-                     None if ok else wit_prod, 0.0 if ok else float(worst))
+    """Check B_j B_k^T B_l in span for all basis triples; the witness is the
+    first triple, in row-major order, of largest relative residual."""
+    prods = _triple_products(space.basis)
+    _, res = space.coefficients(prods)
+    scaled = relative_residual(res, prods)
+    if in_span(res, prods, tol).all():
+        return TroReport(True, float(scaled.max()), tol, None, None, 0.0)
+    witness = np.unravel_index(np.argmax(scaled), scaled.shape)
+    worst = float(scaled[witness])
+    return TroReport(False, worst, tol, tuple(int(i) for i in witness),
+                     prods[witness], worst)
 
 
 def is_tro(space: OpSpace, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -544,15 +523,8 @@ def generated_subtriple(space: OpSpace, max_iters: int | None = None) -> OpSpace
 
     current = orth(vecs)
     for _ in range(limit):
-        mats = current.reshape(-1, p, q)
-        new_rows = [current]
-        for x in mats:
-            for y in mats:
-                xy = x @ y.T
-                for z in mats:
-                    new_rows.append((xy @ z).reshape(1, -1))
-        stacked = np.concatenate(new_rows)
-        nxt = orth(stacked)
+        triples = _triple_products(current.reshape(-1, p, q))
+        nxt = orth(np.concatenate([current, triples.reshape(-1, p * q)]))
         if nxt.shape[0] == current.shape[0]:
             return OpSpace(nxt.reshape(-1, p, q))
         current = nxt
@@ -573,17 +545,12 @@ def shilov_inner_product(tro: TROSpace, y: MatElem, z: MatElem,
     the pairwise products B_a^T B_b."""
     if y.level != 1 or z.level != 1:
         raise ValueError("the inner product is defined on level-1 elements")
-    space = tro.space
+    basis = tro.space.basis
     g = y.realization().T @ z.realization()
-    d = space.dim
-    pair_vecs = np.zeros((d * d, g.size))
-    for a in range(d):
-        for b in range(d):
-            pair_vecs[a * d + b] = (space.basis[a].T @ space.basis[b]).ravel()
-    sol, *_ = np.linalg.lstsq(pair_vecs.T, g.ravel(), rcond=None)
-    res = float(np.linalg.norm(pair_vecs.T @ sol - g.ravel()))
-    scaled = res / (1.0 + np.linalg.norm(g))
-    return ShilovResult(g, scaled, scaled <= tol)
+    pairs = np.swapaxes(basis, 1, 2)[:, None] @ basis[None]   # B_a^T B_b
+    _, res = span_coefficients(pairs.reshape(-1, *g.shape), g)
+    return ShilovResult(g, float(relative_residual(res, g)),
+                        bool(in_span(res, g, tol)))
 
 
 # ----------------------------------------------------------------------
@@ -591,7 +558,6 @@ def shilov_inner_product(tro: TROSpace, y: MatElem, z: MatElem,
 # ----------------------------------------------------------------------
 
 def algebra_to_json(algebra: OpAlgebra) -> dict:
-    from .opspace import opspace_to_json
     out = opspace_to_json(algebra.space)
     out["structure"] = [[[float(v) for v in row] for row in mat]
                         for mat in algebra.structure]
@@ -599,7 +565,6 @@ def algebra_to_json(algebra: OpAlgebra) -> dict:
 
 
 def algebra_from_json(obj: dict) -> OpAlgebra:
-    from .opspace import opspace_from_json
     space = opspace_from_json(obj)
     structure = obj.get("structure")
     return op_algebra(space, structure)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from realops import cli
+from realops import cli, mideal, systems
+from realops.linalg import MEMBERSHIP_TOL
 from realops.opspace import full_matrix_space, opspace_to_json, span_space
 
 
@@ -44,6 +45,12 @@ def files(tmp_path):
     write("bad_mat.json", {"rows": 2, "cols": 2, "entries": [[1, 2]]})
     write("mixed_span.json", opspace_to_json(span_space(
         [[[1, 0], [0, 0]], [[0, 1], [1, 0]]])))
+    write("corner.json", opspace_to_json(span_space(
+        [[[1, 0], [0, 0]], [[0, 1], [0, 0]]])))
+    write("y_elem.json", {"level": 1, "coeffs": [[[1.0, 0.0]]]})
+    write("z_elem.json", {"level": 1, "coeffs": [[[0.0, 1.0]]]})
+    write("half_scalars.json", dict(opspace_to_json(span_space([[[0.5]]])),
+                                    structure=[[[1.0]]]))
     return paths
 
 
@@ -281,6 +288,63 @@ def test_quotient_norm_tol_reaches_converged(files, capsys):
     assert rep["config"]["tol"] == gap / 2
     assert rep["result"]["converged"] is False
     assert rep["result"]["gap_estimate"] == gap
+
+
+TOL_CHECKS = {
+    "tro-check": (["--space", "e12.json"], systems, "tro_closure_report"),
+    "multiplier-witness": (["--space", "m2.json", "--map", "id_map.json",
+                            "--a", "eye2.json"],
+                           mideal, "verify_multiplier_witness"),
+    "choi-effros": (["--algebra", "m2.json", "--idempotent",
+                     "diag_phi.json"], systems, "choi_effros_product"),
+    "brs-check": (["--algebra", "m2.json", "--level", "1", "--samples",
+                   "10"], systems, "check_brs_level"),
+    "right-ideal": (["--algebra", "triangular.json", "--subspace",
+                     "ideal.json"], mideal, "is_right_ideal"),
+    "shilov": (["--tro", "corner.json", "--y", "y_elem.json", "--z",
+                "z_elem.json"], systems, "shilov_inner_product"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TOL_CHECKS))
+@pytest.mark.parametrize("tol", [None, "3e-8"])
+def test_config_tol_is_the_tolerance_the_check_used(files, capsys,
+                                                    monkeypatch, command,
+                                                    tol):
+    argv, module, name = TOL_CHECKS[command]
+    check = getattr(module, name)
+    used = []
+
+    def spy(*args, **kwargs):
+        used.append(kwargs["tol"])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    flags = [] if tol is None else ["--tol", tol]
+    code, rep = run_json(capsys, flags + [command] +
+                         [files.get(a, a) for a in argv])
+    assert code == 0
+    assert used == [rep["config"]["tol"]]
+    expected = {"brs-check": 1e-10, "choi-effros": 1e-10}.get(
+        command, MEMBERSHIP_TOL)
+    assert used[0] == (expected if tol is None else float(tol))
+
+
+def test_explicit_tol_reaches_brs_check(files, capsys):
+    argv = ["brs-check", "--algebra", files["half_scalars.json"],
+            "--level", "1"]
+    code, rep = run_json(capsys, argv)
+    assert code == 1
+    assert 1.0 < rep["result"]["max_violation"] < 2.0
+    code, rep = run_json(capsys, ["--tol", "2"] + argv)
+    assert code == 0
+    assert rep["config"]["tol"] == 2.0 and rep["result"]["passed"] is True
+
+
+def test_error_report_echoes_the_command_default(capsys):
+    code, rep = run_json(capsys, ["tro-check", "--space", "/nonexistent.json"])
+    assert code == 2
+    assert rep["config"]["tol"] == MEMBERSHIP_TOL
 
 
 class TestReproductions:

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realops.linalg import (as_matrix, clip_contraction, contraction_block,
-                            contraction_iff_positive, frobenius_norm,
-                            is_real_positive, kron_sum, kron_sum_grad,
-                            kron_sum_matrix, mat_from_json, mat_to_json,
-                            op_norm)
+from realops.linalg import (MEMBERSHIP_TOL, as_matrix, clip_contraction,
+                            contraction_block, contraction_iff_positive,
+                            frobenius_norm, in_span, is_real_positive,
+                            kron_sum, kron_sum_grad, kron_sum_matrix,
+                            mat_from_json, mat_to_json, op_norm,
+                            relative_residual, span_coefficients)
 
 
 def char_poly_eigs_2x2(m):
@@ -275,3 +276,46 @@ class TestFrobeniusNorm:
         for r in range(6):
             assert got[r] == np.linalg.norm(m[r])
             assert frobenius_norm(m[r]) == np.linalg.norm(m[r])
+
+
+class TestSpanCoefficients:
+    def test_agrees_with_lstsq(self):
+        rng = np.random.default_rng(8)
+        span = rng.standard_normal((3, 2, 4))
+        mats = rng.standard_normal((5, 2, 4))
+        coeffs, res = span_coefficients(span, mats)
+        assert coeffs.shape == (5, 3) and res.shape == (5,)
+        vecs = span.reshape(3, -1).T
+        for r in range(5):
+            sol, *_ = np.linalg.lstsq(vecs, mats[r].ravel(), rcond=None)
+            assert np.allclose(coeffs[r], sol, atol=1e-12)
+            assert res[r] == pytest.approx(
+                np.linalg.norm(vecs @ sol - mats[r].ravel()), abs=1e-12)
+
+    def test_dependent_span_members(self):
+        e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        span = np.stack([e12, 2.0 * e12])
+        coeffs, res = span_coefficients(span, np.stack([3.0 * e12, np.eye(2)]))
+        assert np.allclose(coeffs[0], [0.6, 1.2])    # minimal-norm solution
+        assert res[0] <= 1e-15
+        assert res[1] == pytest.approx(np.sqrt(2.0))
+
+    def test_stack_axes_and_cached_pinv(self):
+        rng = np.random.default_rng(9)
+        span = rng.standard_normal((2, 3, 3))
+        pinv = np.linalg.pinv(span.reshape(2, -1).T)
+        mats = rng.standard_normal((4, 2, 3, 3))
+        coeffs, res = span_coefficients(span, mats, pinv)
+        assert coeffs.shape == (4, 2, 2) and res.shape == (4, 2)
+        for idx in np.ndindex(4, 2):
+            c, r = span_coefficients(span, mats[idx])
+            assert np.array_equal(coeffs[idx], c)
+            assert res[idx] == r
+
+    def test_membership_rule(self):
+        m = np.full((2, 2), 0.5)                 # |m|_F = 1
+        assert relative_residual(4e-10, m) == pytest.approx(2e-10)
+        assert in_span(2e-10, m)
+        assert not in_span(3e-10, m)
+        assert in_span(3e-10, m, tol=2e-10)
+        assert MEMBERSHIP_TOL == 1e-10

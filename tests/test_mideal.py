@@ -195,6 +195,14 @@ class TestMultiplierWitness:
         with pytest.raises(ValueError):
             verify_multiplier_witness(M2, identity_map(M2), np.eye(3))
 
+    def test_left_multiplication_is_recovered(self):
+        a = np.random.default_rng(6).standard_normal((2, 2))
+        u = CBMap(M2, M2, np.kron(a, np.eye(2)))    # x -> a x, row-major
+        found, residual = solve_left_multiplier(M2, u)
+        assert residual <= 1e-12
+        assert np.allclose(found, a, atol=1e-12)
+        assert verify_multiplier_witness(M2, u, found)
+
 
 class TestTau:
     def test_orthogonal_corner_multiplier_contractive(self):
@@ -234,3 +242,8 @@ class TestRightIdeals:
 
     def test_whole_algebra_is(self, triangular):
         assert is_right_ideal(triangular, np.eye(3))
+
+    def test_dependent_rows_accepted(self, triangular):
+        assert is_right_ideal(triangular, [[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]])
+        assert not is_right_ideal(triangular, [[1.0, 0.0, 0.0],
+                                               [2.0, 0.0, 0.0]])

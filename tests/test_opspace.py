@@ -3,6 +3,7 @@ import pytest
 
 from realops import opspace
 from realops.linalg import kron_sum, op_norm
+from realops.quantization import ell_one, realize_min
 from realops.opspace import (CBMap, MatElem, check_ruan_axioms,
                              cbmap_from_json, cbmap_to_json,
                              cb_norm_lower_search, complexification_norm,
@@ -58,6 +59,34 @@ class TestSpaces:
     def test_coeff_shape_mismatch(self):
         with pytest.raises(ValueError):
             MatElem(M2, np.zeros((2, 2, 3)))
+
+    @pytest.mark.parametrize("name", ["M2(R)", "complexified M2(R)",
+                                      "min ell_1^2"])
+    def test_stacked_membership_is_the_stack_of_single_calls(self, name):
+        space = {"M2(R)": M2, "complexified M2(R)": complexify_space(M2),
+                 "min ell_1^2": realize_min(ell_one(2))}[name]
+        rng = np.random.default_rng(len(name))
+        inside = np.einsum("nk,kpq->npq",
+                           rng.standard_normal((4, space.dim)), space.basis)
+        mats = np.concatenate([inside, rng.standard_normal((5,) +
+                                                           space.ambient)])
+        mats = mats.reshape(3, 3, *space.ambient)
+        coeffs, res = space.coefficients(mats)
+        contained = space.contains(mats)
+        assert coeffs.shape == (3, 3, space.dim)
+        assert res.shape == contained.shape == (3, 3)
+        for idx in np.ndindex(3, 3):
+            c, r = space.coefficients(mats[idx])
+            assert np.array_equal(coeffs[idx], c)
+            assert res[idx] == r
+            assert contained[idx] == space.contains(mats[idx])
+        assert contained.ravel()[:4].all()
+
+    def test_coefficients_check_the_ambient(self):
+        with pytest.raises(ValueError):
+            M2.coefficients(np.zeros((3, 2, 3)))
+        with pytest.raises(ValueError):
+            M2.coefficients(np.full((2, 2), np.nan))
 
     def test_json_round_trip(self):
         sp = opspace_from_json(opspace_to_json(M2))

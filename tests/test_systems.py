@@ -28,9 +28,25 @@ class TestOpAlgebra:
                                np.array([[[0, 0, 1, 0]]], float))
         assert np.allclose(c.ravel(), [1, 0, 0, 0])
 
+    @pytest.mark.parametrize("space", [UPPER_TRI, complexify_space(M2)],
+                             ids=["triangular", "complexified M2(R)"])
+    def test_stacked_products_match_the_per_product_solve(self, space):
+        alg = op_algebra(space)
+        for j, k in np.ndindex(space.dim, space.dim):
+            c, res = space.coefficients(space.basis[j] @ space.basis[k])
+            assert np.array_equal(alg.structure[j, k], c)
+            assert alg.closure_residuals[j, k] == res
+
     def test_non_closed_span_rejected(self):
         with pytest.raises(ValueError):
             op_algebra(span_space([[[0, 1], [1, 0]]]))   # square is e11+e22
+
+    def test_first_failing_product_is_named(self):
+        # row-major order: e11 (e12 + e21) = e12 fails before e21 and I
+        with pytest.raises(ValueError, match=r"^basis product B_0 B_1 leaves "
+                           r"the span \(residual 7\.071e-01\); not an "
+                           r"algebra$"):
+            op_algebra(span_space([[[1, 0], [0, 0]], [[0, 1], [1, 0]]]))
 
     def test_rectangular_ambient_rejected(self):
         with pytest.raises(ValueError):
@@ -194,6 +210,25 @@ class TestTro:
         rep = tro_closure_report(span_space([e11, x]))
         assert not rep.is_tro
         assert np.allclose(rep.witness_product, [[0.0, 0.0], [0.0, 1.0]])
+
+    def test_first_maximal_witness_is_kept(self):
+        # six triples of the symmetric 2 x 2 matrices tie at the largest
+        # relative residual; the first in row-major (j, k, l) order wins
+        sym = span_space([[[1, 0], [0, 0]], [[0, 0], [0, 1]],
+                          [[0, 1], [1, 0]]])
+        rep = tro_closure_report(sym)
+        assert not rep.is_tro
+        best, first = 0.0, None           # the per-triple loop as reference
+        for j, k, l in np.ndindex(3, 3, 3):
+            prod = sym.basis[j] @ sym.basis[k].T @ sym.basis[l]
+            scaled = sym.coefficients(prod)[1] / (1.0 + np.linalg.norm(prod))
+            if scaled > best:
+                best, first = scaled, (j, k, l)
+        assert rep.witness_triple == first == (0, 0, 2)
+        assert rep.max_residual == best
+        assert np.array_equal(rep.witness_product, [[0.0, 1.0], [0.0, 0.0]])
+        assert rep.max_residual == rep.witness_residual
+        assert rep.max_residual == pytest.approx(np.sqrt(0.5) / 2.0)
 
     def test_trospace_validates(self):
         with pytest.raises(ValueError):
