@@ -11,9 +11,8 @@ from .linalg import (contraction_iff_positive, is_real_positive, op_norm)
 from .opspace import (CBMap, MatElem, OpSpace, check_ruan_axioms,
                       complexification_norm, complexify_map,
                       complexify_space, direct_sum_spaces, elem,
-                      full_matrix_space, level_cb_norm_lower, level_norm,
-                      quotient_level_norm, random_elem, span_space,
-                      theta_dual_norm_lower)
+                      full_matrix_space, level_norm, quotient_level_norm,
+                      random_elem, span_space)
 from .quantization import (BanachSpace, ell_infty, ell_one,
                            max_l1_norm_bounds, min_complexification_check,
                            min_level_norm, realize_min,

@@ -1,9 +1,14 @@
 """Command-line surface.
 
-Subcommand style over JSON files; every report embeds the full
-configuration (defaults included verbatim), so identical inputs and seed
-produce byte-identical reports.  Exit codes: 0 pass/true, 1
-refuted/false/assertion failed, 2 invalid input or inconclusive.
+Subcommand style over JSON files.  Each handler returns ``(result,
+code)``, and ``run`` assembles every report from it: ``command``, then
+``config`` with seed, tol and output followed by every option of the
+parsed subcommand (defaults and unset options included verbatim), then
+``result``.  Identical inputs and seed produce byte-identical reports.
+Exit codes: 0 pass/true, 1 refuted/false/assertion failed, 2 invalid
+input or inconclusive.  A command that gives a verdict also reports
+``passed``, true exactly when it exits 0; the others exit 0 and carry no
+``passed``.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
 
-#: --tol defaults other than CLASSIFY_TOL; unitize and subtriple test at
-#: these fixed values, which --tol does not change
+#: --tol defaults other than CLASSIFY_TOL
 TOL_DEFAULTS = {
     **dict.fromkeys(("multiplier-witness", "right-ideal", "shilov",
                      "tro-check", "unitize"), MEMBERSHIP_TOL),
@@ -34,6 +38,12 @@ TOL_DEFAULTS = {
     "quotient-norm": 1e-7,     # gap estimate of the convex solve
     "subtriple": 1e-10,        # rank cutoff relative to the top singular value
 }
+
+#: options of the main parser; every other parsed option is the subcommand's
+GLOBAL_OPTIONS = ("command", "seed", "tol", "json")
+
+#: commands whose report name carries their positional argument
+NAMED_BY = {"reproduce": "name", "verify": "suite"}
 
 
 def _jsonable(obj):
@@ -79,25 +89,49 @@ def _load_map(path: str, domain=None, codomain=None) -> opspace.CBMap:
                                    base_dir=os.path.dirname(path) or ".")
 
 
+def _load_matrix(path: str) -> np.ndarray:
+    """The coefficient matrix of a projection or idempotent map file."""
+    obj = _load_json(path)
+    if not isinstance(obj, dict) or "matrix" not in obj:
+        raise ValueError('projection JSON needs a "matrix"')
+    return np.asarray(obj["matrix"], dtype=float)
+
+
+def _coeffs(obj) -> np.ndarray:
+    """Coefficients given as {"coeffs": [...]} or as the bare list."""
+    if isinstance(obj, dict):
+        if "coeffs" not in obj:
+            raise ValueError('coefficient JSON needs "coeffs"')
+        obj = obj["coeffs"]
+    return np.asarray(obj, dtype=float)
+
+
+def _write_out(args, result: dict, key: str) -> dict:
+    """Write ``result[key]`` to ``--out``, when given, and record where."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(result[key], fh, sort_keys=True, indent=2)
+        result["written_to"] = args.out
+    return result
+
+
 def _tol(args) -> float:
     """--tol, or the command's default from TOL_DEFAULTS."""
     return TOL_DEFAULTS.get(args.command, CLASSIFY_TOL) if args.tol is None \
         else args.tol
 
 
-def _report(args, command: str, result, passed: bool | None, extra_config=None):
-    config = {
-        "seed": args.seed,
-        "tol": _tol(args),
-        "output": "json" if args.json else "text",
-    }
-    if extra_config:
-        config.update(extra_config)
-    rep = {"command": command, "config": _jsonable(config),
-           "result": _jsonable(result)}
-    if passed is not None:
-        rep["passed"] = bool(passed)
-    return rep
+def _verdict(ok) -> int:
+    return EXIT_PASS if ok else EXIT_FAIL
+
+
+def _config(args) -> dict:
+    """seed, tol and output, then every option of the parsed subcommand."""
+    config = {"seed": args.seed, "tol": _tol(args),
+              "output": "json" if args.json else "text"}
+    config.update((key, val) for key, val in vars(args).items()
+                  if key not in GLOBAL_OPTIONS)
+    return _jsonable(config)
 
 
 def _emit(rep: dict, args) -> None:
@@ -124,34 +158,25 @@ def _emit_tree(node, prefix, out) -> None:
 
 
 # ----------------------------------------------------------------------
-# Handlers
+# Handlers: each returns (result, exit code), the code None when the
+# command gives no verdict
 # ----------------------------------------------------------------------
 
 def _cmd_norm(args):
     if args.mat:
         m = linalg.mat_from_json(_load_json(args.mat))
-        return _report(args, "norm", {"op_norm": linalg.op_norm(m)},
-                       None, {"mat": args.mat}), EXIT_PASS
+        return {"op_norm": linalg.op_norm(m)}, None
     if not (args.space and args.elem):
         raise ValueError("norm needs --mat, or --space with --elem")
     space = _load_space(args.space)
     x = opspace.elem_from_json(space, _load_json(args.elem))
-    return _report(args, "norm",
-                   {"level": x.level, "level_norm": opspace.level_norm(x)},
-                   None, {"space": args.space, "elem": args.elem}), EXIT_PASS
+    return {"level": x.level, "level_norm": opspace.level_norm(x)}, None
 
 
 def _cmd_complexify(args):
-    space = _load_space(args.space)
-    xc = opspace.complexify_space(space)
+    xc = opspace.complexify_space(_load_space(args.space))
     result = {"space": opspace.opspace_to_json(xc), "dim": xc.dim}
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(opspace.opspace_to_json(xc), fh, sort_keys=True,
-                      indent=2)
-        result["written_to"] = args.out
-    return _report(args, "complexify", result, None,
-                   {"space": args.space, "out": args.out}), EXIT_PASS
+    return _write_out(args, result, "space"), None
 
 
 def _cmd_quantize_min(args):
@@ -160,25 +185,19 @@ def _cmd_quantize_min(args):
     result = {"space": opspace.opspace_to_json(xs),
               "dual_ball_vertices": e.representatives.shape[0] * 2}
     if args.elem:
-        parsed = _vector_arg(args.elem)
-        if isinstance(parsed, dict):
-            parsed = parsed.get("coeffs", parsed)
-        c = np.asarray(parsed, dtype=float)
+        c = _coeffs(_vector_arg(args.elem))
         if c.ndim == 1:
             c = c.reshape(1, 1, -1)
         result["min_level_norm"] = quantization.min_level_norm(e, c)
         result["level"] = int(c.shape[0])
-    return _report(args, "quantize-min", result, None,
-                   {"banach": args.banach, "elem": args.elem}), EXIT_PASS
+    return result, None
 
 
 def _cmd_w2_norm(args):
     e = quantization.banach_from_json(_load_json(args.banach))
     x = np.asarray(_vector_arg(args.x), dtype=float)
     y = np.asarray(_vector_arg(args.y), dtype=float)
-    val = quantization.w2_complex_norm(e, x, y)
-    return _report(args, "w2-norm", {"w2_norm": val}, None,
-                   {"banach": args.banach, "x": args.x, "y": args.y}), EXIT_PASS
+    return {"w2_norm": quantization.w2_complex_norm(e, x, y)}, None
 
 
 def _cmd_max_l1(args):
@@ -189,28 +208,18 @@ def _cmd_max_l1(args):
     res = quantization.max_l1_norm_bounds(mats, m_max=args.mmax,
                                           restarts=args.restarts,
                                           seed=args.seed)
-    result = {"lower": res.lower, "upper": res.upper, "best_m": res.best_m,
-              "witness": [w.tolist() for w in res.witness]}
-    return _report(args, "max-l1", result, None,
-                   {"coeffs": args.coeffs, "mmax": args.mmax,
-                    "restarts": args.restarts}), EXIT_PASS
+    return {"lower": res.lower, "upper": res.upper, "best_m": res.best_m,
+            "witness": res.witness}, None
 
 
 def _cmd_certify_mproj(args):
     space = _load_space(args.space)
-    pobj = _load_json(args.proj)
-    if not isinstance(pobj, dict) or "matrix" not in pobj:
-        raise ValueError('projection JSON needs a "matrix"')
-    proj = mideal.projection(space, np.asarray(pobj["matrix"], dtype=float))
+    proj = mideal.projection(space, _load_matrix(args.proj))
     cert = mideal.certify_left_m_projection(
         proj, max_level=args.max_level, samples=args.samples,
         restarts=args.restarts, seed=args.seed, tol=_tol(args))
-    code = {"certified": EXIT_PASS, "refuted": EXIT_FAIL}.get(cert.verdict,
-                                                              EXIT_ERROR)
-    return _report(args, "certify-mproj", cert, cert.certified,
-                   {"space": args.space, "proj": args.proj,
-                    "max_level": args.max_level, "samples": args.samples,
-                    "restarts": args.restarts}), code
+    return cert, EXIT_ERROR if cert.verdict == "inconclusive" \
+        else _verdict(cert.certified)
 
 
 def _cmd_multiplier_witness(args):
@@ -218,20 +227,14 @@ def _cmd_multiplier_witness(args):
     u = _load_map(args.map, domain=space, codomain=space)
     a = linalg.mat_from_json(_load_json(args.a))
     ok = mideal.verify_multiplier_witness(space, u, a, tol=_tol(args))
-    return _report(args, "multiplier-witness", {"is_witness": ok}, ok,
-                   {"space": args.space, "map": args.map, "a": args.a}), \
-        EXIT_PASS if ok else EXIT_FAIL
+    return {"is_witness": ok}, _verdict(ok)
 
 
 def _cmd_right_ideal(args):
     algebra = _load_algebra(args.algebra)
-    sub = _load_json(args.subspace)
-    coeffs = sub["coeffs"] if isinstance(sub, dict) else sub
-    ok = mideal.is_right_ideal(algebra, np.asarray(coeffs, dtype=float),
+    ok = mideal.is_right_ideal(algebra, _coeffs(_load_json(args.subspace)),
                                tol=_tol(args))
-    return _report(args, "right-ideal", {"is_right_ideal": ok}, ok,
-                   {"algebra": args.algebra, "subspace": args.subspace}), \
-        EXIT_PASS if ok else EXIT_FAIL
+    return {"is_right_ideal": ok}, _verdict(ok)
 
 
 def _cmd_brs_check(args):
@@ -239,71 +242,45 @@ def _cmd_brs_check(args):
     rep = systems.check_brs_level(algebra, level=args.level,
                                   samples=args.samples, seed=args.seed,
                                   tol=_tol(args))
-    result = {"level": rep.level, "samples": rep.samples,
-              "max_violation": rep.max_violation, "passed": rep.passed}
-    return _report(args, "brs-check", result, rep.passed,
-                   {"algebra": args.algebra, "level": args.level,
-                    "samples": args.samples}), \
-        EXIT_PASS if rep.passed else EXIT_FAIL
+    return {"level": rep.level, "samples": rep.samples,
+            "max_violation": rep.max_violation, "passed": rep.passed}, \
+        _verdict(rep.passed)
 
 
 def _cmd_unitize(args):
     algebra = _load_algebra(args.algebra)
-    before = algebra.dim
-    unital = systems.unitize(algebra)
-    result = {"dim_before": before, "dim_after": unital.dim,
+    unital = systems.unitize(algebra, tol=_tol(args))
+    result = {"dim_before": algebra.dim, "dim_after": unital.dim,
               "algebra": systems.algebra_to_json(unital)}
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(systems.algebra_to_json(unital), fh, sort_keys=True,
-                      indent=2)
-        result["written_to"] = args.out
-    return _report(args, "unitize", result, None,
-                   {"algebra": args.algebra, "out": args.out}), EXIT_PASS
+    return _write_out(args, result, "algebra"), None
 
 
 def _cmd_paulsen(args):
-    space = _load_space(args.space)
-    ps = systems.build_paulsen_system(space)
-    result = {"dim": ps.space.dim, "ambient_side": ps.space.ambient[0],
-              "space": opspace.opspace_to_json(ps.space),
-              "corners": {"lambda": ps.lam_index, "mu": ps.mu_index,
-                          "upper": list(ps.upper_indices),
-                          "lower": list(ps.lower_indices)}}
-    return _report(args, "paulsen", result, None,
-                   {"space": args.space}), EXIT_PASS
+    ps = systems.build_paulsen_system(_load_space(args.space))
+    return {"dim": ps.space.dim, "ambient_side": ps.space.ambient[0],
+            "space": opspace.opspace_to_json(ps.space),
+            "corners": {"lambda": ps.lam_index, "mu": ps.mu_index,
+                        "upper": ps.upper_indices,
+                        "lower": ps.lower_indices}}, None
 
 
 def _cmd_choi_effros(args):
     algebra = _load_algebra(args.algebra)
-    pobj = _load_json(args.idempotent)
     phi = opspace.CBMap(algebra.space, algebra.space,
-                        np.asarray(pobj["matrix"], dtype=float))
+                        _load_matrix(args.idempotent))
     rep = systems.choi_effros_product(algebra, phi, tol=_tol(args),
                                       seed=args.seed)
-    if not rep.preconditions_ok:
-        code = EXIT_ERROR
-    else:
-        code = EXIT_PASS if rep.passed else EXIT_FAIL
-    return _report(args, "choi-effros", rep, rep.passed,
-                   {"algebra": args.algebra,
-                    "idempotent": args.idempotent}), code
+    return rep, _verdict(rep.passed) if rep.preconditions_ok else EXIT_ERROR
 
 
 def _cmd_tro_check(args):
-    space = _load_space(args.space)
-    rep = systems.tro_closure_report(space, tol=_tol(args))
-    return _report(args, "tro-check", rep, rep.is_tro,
-                   {"space": args.space}), \
-        EXIT_PASS if rep.is_tro else EXIT_FAIL
+    rep = systems.tro_closure_report(_load_space(args.space), tol=_tol(args))
+    return rep, _verdict(rep.is_tro)
 
 
 def _cmd_subtriple(args):
-    space = _load_space(args.space)
-    sub = systems.generated_subtriple(space)
-    result = {"dim": sub.dim, "space": opspace.opspace_to_json(sub)}
-    return _report(args, "subtriple", result, None,
-                   {"space": args.space}), EXIT_PASS
+    sub = systems.generated_subtriple(_load_space(args.space), tol=_tol(args))
+    return {"dim": sub.dim, "space": opspace.opspace_to_json(sub)}, None
 
 
 def _cmd_shilov(args):
@@ -311,26 +288,18 @@ def _cmd_shilov(args):
     y = opspace.elem_from_json(tro.space, _load_json(args.y))
     z = opspace.elem_from_json(tro.space, _load_json(args.z))
     res = systems.shilov_inner_product(tro, y, z, tol=_tol(args))
-    result = {"matrix": res.matrix.tolist(),
-              "membership_residual": res.membership_residual,
-              "in_span": res.in_span}
-    return _report(args, "shilov", result, res.in_span,
-                   {"tro": args.tro, "y": args.y, "z": args.z}), \
-        EXIT_PASS if res.in_span else EXIT_FAIL
+    return {"matrix": res.matrix,
+            "membership_residual": res.membership_residual,
+            "in_span": res.in_span}, _verdict(res.in_span)
 
 
 def _cmd_quotient_norm(args):
     space = _load_space(args.space)
-    sub = _load_json(args.subspace)
-    coeffs = sub["coeffs"] if isinstance(sub, dict) else sub
+    coeffs = _coeffs(_load_json(args.subspace))
     x = opspace.elem_from_json(space, _load_json(args.elem))
-    res = opspace.quotient_level_norm(space, np.asarray(coeffs, float), x,
-                                      tol=_tol(args))
-    result = {"value": res.value, "gap_estimate": res.gap,
-              "converged": res.converged}
-    return _report(args, "quotient-norm", result, res.converged,
-                   {"space": args.space, "subspace": args.subspace,
-                    "elem": args.elem}), \
+    res = opspace.quotient_level_norm(space, coeffs, x, tol=_tol(args))
+    return {"value": res.value, "gap_estimate": res.gap,
+            "converged": res.converged}, \
         EXIT_PASS if res.converged else EXIT_ERROR
 
 
@@ -338,74 +307,50 @@ def _cmd_reproduce(args):
     if args.name == "l12-nonunique":
         rep = quantization.reproduce_l12_nonuniqueness(
             seed=args.seed, m_max=args.mmax, restarts=args.restarts)
-        result = {"min_norm": rep.min_norm, "max_lower": rep.max_lower,
-                  "max_upper": rep.max_upper, "gap": rep.gap,
-                  "best_m": rep.best_m,
-                  "witness": [w.tolist() for w in rep.witness],
-                  "claim": rep.claim}
         ok = (rep.passed and abs(rep.min_norm - np.sqrt(2.0)) <= 1e-9 and
               rep.max_lower >= 2.0 - 1e-6 and
               abs(rep.max_upper - 2.0) <= 1e-12 and rep.gap >= 0.58)
-        return _report(args, "reproduce l12-nonunique", result, ok,
-                       {"name": args.name, "mmax": args.mmax,
-                        "restarts": args.restarts}), \
-            EXIT_PASS if ok else EXIT_FAIL
-    if args.name == "complex-dual":
-        scalars = opspace.span_space([[[1.0]]])
-        x = opspace.elem(scalars, np.array([[[1.0], [0.0]],
-                                            [[0.0], [0.0]]]))
-        y = opspace.elem(scalars, np.array([[[0.0], [1.0]],
-                                            [[0.0], [0.0]]]))
-        cnorm = opspace.complexification_norm(scalars, x, y)
-        search = opspace.theta_dual_search(
-            [[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]],
-            m_max=args.mmax, restarts=args.restarts, seed=args.seed)
-        worst_restart = max(search.restart_values)
-        ok = (abs(cnorm - np.sqrt(2.0)) <= 1e-9 and
-              abs(search.lower - 1.0) <= 1e-6 and
-              worst_restart <= 1.0 + 1e-6 and
-              cnorm - search.lower >= 0.4)
-        result = {"complexified_norm": cnorm,
-                  "dual_lower_bound": search.lower,
-                  "worst_restart": worst_restart,
-                  "restarts_run": len(search.restart_values),
-                  "best_m": search.best_m,
-                  "gap": cnorm - search.lower,
-                  "claim": ("passing to the real dual of the complex "
-                            "scalars is isometric but not completely "
-                            "isometric: the level-2 row [1, i] has norm "
-                            "sqrt(2) while its dual image has norm 1")}
-        return _report(args, "reproduce complex-dual", result, ok,
-                       {"name": args.name, "mmax": args.mmax,
-                        "restarts": args.restarts}), \
-            EXIT_PASS if ok else EXIT_FAIL
-    raise ValueError(f"unknown reproduction {args.name!r}; choose "
-                     f"'l12-nonunique' or 'complex-dual'")
+        return {"min_norm": rep.min_norm, "max_lower": rep.max_lower,
+                "max_upper": rep.max_upper, "gap": rep.gap,
+                "best_m": rep.best_m, "witness": rep.witness,
+                "claim": rep.claim}, _verdict(ok)
+    scalars = opspace.span_space([[[1.0]]])
+    x = opspace.elem(scalars, np.array([[[1.0], [0.0]], [[0.0], [0.0]]]))
+    y = opspace.elem(scalars, np.array([[[0.0], [1.0]], [[0.0], [0.0]]]))
+    cnorm = opspace.complexification_norm(scalars, x, y)
+    search = opspace.theta_dual_search(
+        [[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]],
+        m_max=args.mmax, restarts=args.restarts, seed=args.seed)
+    worst_restart = max(search.restart_values)
+    ok = (abs(cnorm - np.sqrt(2.0)) <= 1e-9 and
+          abs(search.lower - 1.0) <= 1e-6 and
+          worst_restart <= 1.0 + 1e-6 and
+          cnorm - search.lower >= 0.4)
+    return {"complexified_norm": cnorm,
+            "dual_lower_bound": search.lower,
+            "worst_restart": worst_restart,
+            "restarts_run": len(search.restart_values),
+            "best_m": search.best_m,
+            "gap": cnorm - search.lower,
+            "claim": ("passing to the real dual of the complex scalars is "
+                      "isometric but not completely isometric: the level-2 "
+                      "row [1, i] has norm sqrt(2) while its dual image has "
+                      "norm 1")}, _verdict(ok)
 
 
 def _cmd_verify(args):
-    projection_matrix = None
-    if args.proj:
-        pobj = _load_json(args.proj)
-        projection_matrix = np.asarray(pobj["matrix"], dtype=float)
+    projection_matrix = _load_matrix(args.proj) if args.proj else None
     if args.suite == "all":
         per_suite = suites.run_all(args.seed)
     else:
         per_suite = {args.suite: suites.run_suite(
             args.suite, args.seed, projection_matrix=projection_matrix)}
-    result = {}
-    all_pass = True
-    for name, checks in per_suite.items():
-        rows = []
-        for c in checks:
-            rows.append({"name": c.name, "deviation": c.deviation,
-                         "tolerance": c.tolerance, "passed": c.passed,
-                         "details": _jsonable(c.details)})
-            all_pass &= c.passed
-        result[name] = rows
-    return _report(args, f"verify {args.suite}", result, all_pass,
-                   {"suite": args.suite, "proj": args.proj}), \
-        EXIT_PASS if all_pass else EXIT_FAIL
+    result = {name: [{"name": c.name, "deviation": c.deviation,
+                      "tolerance": c.tolerance, "passed": c.passed,
+                      "details": c.details} for c in checks]
+              for name, checks in per_suite.items()}
+    return result, _verdict(all(c.passed for checks in per_suite.values()
+                                for c in checks))
 
 
 # ----------------------------------------------------------------------
@@ -442,8 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the command's default tolerance ("
                              + ", ".join(f"{cmd} {val:g}" for cmd, val in
                                          sorted(TOL_DEFAULTS.items()))
-                             + f", any other command {CLASSIFY_TOL:g}; "
-                               "unitize and subtriple keep theirs)")
+                             + f", any other command {CLASSIFY_TOL:g})")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -591,13 +535,20 @@ def run(argv=None) -> int:
             sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")
         return EXIT_ERROR
     try:
-        rep, code = HANDLERS[args.command](args)
+        result, code = HANDLERS[args.command](args)
     except (ValueError, TypeError, KeyError, OSError, OverflowError,
             json.JSONDecodeError) as exc:
         _emit_error(args, str(exc))
         return EXIT_ERROR
+    command = args.command
+    if command in NAMED_BY:
+        command += " " + getattr(args, NAMED_BY[command])
+    rep = {"command": command, "config": _config(args),
+           "result": _jsonable(result)}
+    if code is not None:
+        rep["passed"] = code == EXIT_PASS
     _emit(rep, args)
-    return code
+    return EXIT_PASS if code is None else code
 
 
 def main() -> None:

@@ -476,11 +476,6 @@ def cb_norm_lower_search(u: CBMap, level: int, restarts: int = 32,
     return CbSearchResult(best_val, level, witness, restart_values)
 
 
-def level_cb_norm_lower(u: CBMap, level: int, restarts: int = 32,
-                        iters: int = 500, seed: int = 0) -> float:
-    return cb_norm_lower_search(u, level, restarts, iters, seed).value
-
-
 # ----------------------------------------------------------------------
 # Quotient norms
 # ----------------------------------------------------------------------
@@ -617,12 +612,6 @@ def theta_dual_search(z_re, z_im, m_max: int = 4, restarts: int = 64,
         restart_values.extend(run_best[1:].tolist())
     return ThetaSearchResult(best, best_m, restart_values,
                              best_w.real.copy(), best_w.imag.copy())
-
-
-def theta_dual_norm_lower(z_re, z_im, m_max: int = 4, restarts: int = 64,
-                          seed: int = 0) -> float:
-    return theta_dual_search(z_re, z_im, m_max=m_max, restarts=restarts,
-                             seed=seed).lower
 
 
 # ----------------------------------------------------------------------

@@ -74,9 +74,11 @@ def ratio_eval(num: LinearMatrixMap, den: LinearMatrixMap, x: np.ndarray) -> flo
 
 
 def ratio_ascent(num: LinearMatrixMap, den: LinearMatrixMap, x0: np.ndarray,
-                 iters: int = 500, step0: float = 0.5, step_floor: float = 1e-13,
+                 iters: int = 500, step0: float = 0.5,
                  sign: float = 1.0) -> tuple[float, np.ndarray]:
     """Maximize sign * sigma(num x)/sigma(den x); returns (best value, best x).
+
+    The step decays geometrically from ``step0`` to 1e-13 over ``iters``.
 
     ``sign=-1`` turns the routine into a minimizer (used for isometry
     defects below 1).  The reported value is always sign * ratio at the
@@ -87,7 +89,7 @@ def ratio_ascent(num: LinearMatrixMap, den: LinearMatrixMap, x0: np.ndarray,
     if nx <= 1e-300:
         return 0.0, x
     x /= nx
-    decay = (step_floor / step0) ** (1.0 / max(iters, 1))
+    decay = (1e-13 / step0) ** (1.0 / max(iters, 1))
     step = step0
     best_val = -np.inf
     best_x = x.copy()
@@ -110,9 +112,10 @@ def ratio_ascent(num: LinearMatrixMap, den: LinearMatrixMap, x0: np.ndarray,
     return best_val, best_x
 
 
-def seesaw_ascent(num: LinearMatrixMap, den: LinearMatrixMap, x0: np.ndarray,
-                  rounds: int = 80) -> tuple[float, np.ndarray]:
-    """Exact alternating maximization of sigma(num x)/sigma(den x).
+def seesaw_ascent(num: LinearMatrixMap, den: LinearMatrixMap,
+                  x0: np.ndarray) -> tuple[float, np.ndarray]:
+    """Exact alternating maximization of sigma(num x)/sigma(den x), for at
+    most 80 rounds.
 
     Requires den.matrix to be square and invertible (the denominator space
     fills its ambient matrix space).  Monotone in the objective.
@@ -129,7 +132,7 @@ def seesaw_ascent(num: LinearMatrixMap, den: LinearMatrixMap, x0: np.ndarray,
     rect_eye = np.eye(den.rows, den.cols)
     best_val = -np.inf
     best_m = m.copy()
-    for _ in range(rounds):
+    for _ in range(80):
         n = (comp @ m.ravel()).reshape(num.rows, num.cols)
         if not n.any():
             break
@@ -213,10 +216,9 @@ MU_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)
 
 
 def smoothed_spectral_min(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
-                          cols: int, w0: np.ndarray,
-                          mu_schedule=MU_SCHEDULE):
+                          cols: int, w0: np.ndarray):
     """Smoothing continuation for min_w sigma_max(reshape(b_vec - k_mat w)),
-    started at w0.
+    started at w0, through the smoothing levels of MU_SCHEDULE.
 
     Returns (value, w, gap_estimate): value is the exact norm at the final
     iterate (a true upper bound); the gap estimate combines the smoothing
@@ -244,7 +246,7 @@ def smoothed_spectral_min(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
     w = np.asarray(w0, dtype=float).copy()
     prev_val = None
     last_gain = np.inf
-    for mu in mu_schedule:
+    for mu in MU_SCHEDULE:
         res = scipy.optimize.minimize(
             stage(mu), w, jac=True,
             method="BFGS", options={"maxiter": 300, "gtol": 1e-15})
@@ -254,6 +256,6 @@ def smoothed_spectral_min(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
         if prev_val is not None:
             last_gain = abs(prev_val - val)
         prev_val = val
-    gap = max(mu_schedule[-1] * np.log(max(side, 2)), last_gain
+    gap = max(MU_SCHEDULE[-1] * np.log(max(side, 2)), last_gain
               if last_gain is not np.inf else 0.0)
     return prev_val, w, float(gap)

@@ -151,9 +151,10 @@ def check_brs_level(algebra: OpAlgebra, level: int = 2, samples: int = 100,
 # Unitization
 # ----------------------------------------------------------------------
 
-def unitize(algebra: OpAlgebra) -> OpAlgebra:
+def unitize(algebra: OpAlgebra, tol: float = MEMBERSHIP_TOL) -> OpAlgebra:
     """Adjoin the ambient identity (and, for a complexified algebra, the
-    ambient complex structure J = "i 1") when not already in the span.
+    ambient complex structure J = "i 1") when not already in the span
+    (membership at ``tol``).
 
     The real dimension grows by 0 or 1; growing by 2 happens only in the
     complexified case, where the complex unitization spans both 1 and i1.
@@ -162,11 +163,11 @@ def unitize(algebra: OpAlgebra) -> OpAlgebra:
     p, _ = space.ambient
     new_mats = []
     eye = np.eye(p)
-    if not space.contains(eye):
+    if not space.contains(eye, tol):
         new_mats.append(eye)
     if space.is_complexified:
         jmat = complex_structure(p // 2)
-        if not space.contains(jmat):
+        if not space.contains(jmat, tol):
             new_mats.append(jmat)
     if not new_mats:
         return op_algebra(space)
@@ -339,8 +340,7 @@ class ChoiEffrosReport:
 
 
 def choi_effros_product(algebra: OpAlgebra, phi: CBMap, tol: float = 1e-10,
-                        trials: int = 500, seed: int = 0,
-                        cc_restarts: int = 8) -> ChoiEffrosReport:
+                        trials: int = 500, seed: int = 0) -> ChoiEffrosReport:
     """Verify that the range of a unital idempotent phi becomes an algebra
     with unit, involution and the multiplicative norm identity under the
     re-product r o s = phi(r s), all with the original norm.
@@ -379,7 +379,7 @@ def choi_effros_product(algebra: OpAlgebra, phi: CBMap, tol: float = 1e-10,
         dev_sa = float(np.max(np.abs(pm @ tmat - tmat @ pm)))
     cc_bounds = []
     for lvl in (1, 2):
-        cc_bounds.append(cb_norm_lower_search(phi, lvl, restarts=cc_restarts,
+        cc_bounds.append(cb_norm_lower_search(phi, lvl, restarts=8,
                                               iters=200, seed=seed).value)
     if any(v > 1.0 + 1e-9 for v in cc_bounds):
         failures.append(f"phi is not completely contractive at tested "
@@ -505,24 +505,26 @@ class TROSpace:
                 f"at basis triple {rep.witness_triple})")
 
 
-def generated_subtriple(space: OpSpace, max_iters: int | None = None) -> OpSpace:
+def generated_subtriple(space: OpSpace, tol: float = 1e-10) -> OpSpace:
     """Smallest triple-closed span containing the space, computed inside
     the ambient by iterating span closure under (x, y, z) -> x y^T z.
 
-    The dimension is strictly increasing until it stabilizes, so at most
-    ambient-dimension iterations happen.
+    Each span is cut at rank ``tol`` relative to its largest singular
+    value.  The dimension is strictly increasing until it stabilizes, so
+    at most ambient-dimension iterations happen.
     """
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"rank cutoff tol must lie in [0, 1), got {tol}")
     p, q = space.ambient
-    limit = max_iters if max_iters is not None else p * q + 1
     vecs = space.basis.reshape(space.dim, -1)
 
     def orth(v):
         u_svd, s_svd, vt = np.linalg.svd(v, full_matrices=False)
-        rank = int(np.sum(s_svd > 1e-10 * s_svd[0]))
+        rank = int(np.sum(s_svd > tol * s_svd[0]))
         return vt[:rank]
 
     current = orth(vecs)
-    for _ in range(limit):
+    for _ in range(p * q + 1):
         triples = _triple_products(current.reshape(-1, p, q))
         nxt = orth(np.concatenate([current, triples.reshape(-1, p * q)]))
         if nxt.shape[0] == current.shape[0]:

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -51,6 +52,7 @@ def files(tmp_path):
     write("z_elem.json", {"level": 1, "coeffs": [[[0.0, 1.0]]]})
     write("half_scalars.json", dict(opspace_to_json(span_space([[[0.5]]])),
                                     structure=[[[1.0]]]))
+    write("foo.json", {"foo": 1})
     return paths
 
 
@@ -303,6 +305,9 @@ TOL_CHECKS = {
                      "ideal.json"], mideal, "is_right_ideal"),
     "shilov": (["--tro", "corner.json", "--y", "y_elem.json", "--z",
                 "z_elem.json"], systems, "shilov_inner_product"),
+    "unitize": (["--algebra", "e12.json"], systems, "unitize"),
+    "subtriple": (["--space", "mixed_span.json"], systems,
+                  "generated_subtriple"),
 }
 
 
@@ -325,8 +330,8 @@ def test_config_tol_is_the_tolerance_the_check_used(files, capsys,
                          [files.get(a, a) for a in argv])
     assert code == 0
     assert used == [rep["config"]["tol"]]
-    expected = {"brs-check": 1e-10, "choi-effros": 1e-10}.get(
-        command, MEMBERSHIP_TOL)
+    expected = {"brs-check": 1e-10, "choi-effros": 1e-10,
+                "subtriple": 1e-10}.get(command, MEMBERSHIP_TOL)
     assert used[0] == (expected if tol is None else float(tol))
 
 
@@ -339,6 +344,48 @@ def test_explicit_tol_reaches_brs_check(files, capsys):
     code, rep = run_json(capsys, ["--tol", "2"] + argv)
     assert code == 0
     assert rep["config"]["tol"] == 2.0 and rep["result"]["passed"] is True
+
+
+def test_explicit_tol_reaches_unitize(files, capsys):
+    argv = ["unitize", "--algebra", files["e12.json"]]
+    code, rep = run_json(capsys, argv)
+    assert code == 0 and rep["result"]["dim_after"] == 2
+    # the identity's relative residual against span{e12} is about 0.59
+    code, rep = run_json(capsys, ["--tol", "2"] + argv)
+    assert code == 0
+    assert rep["config"]["tol"] == 2.0 and rep["result"]["dim_after"] == 1
+
+
+def test_subtriple_rejects_a_rank_cutoff_of_one_or_more(files, capsys):
+    code, rep = run_json(capsys, ["--tol", "1", "subtriple", "--space",
+                                  files["mixed_span.json"]])
+    assert code == 2
+    assert "rank cutoff" in rep["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify-mproj", "--space", "m2.json", "--proj", "foo.json"],
+    ["choi-effros", "--algebra", "m2.json", "--idempotent", "foo.json"],
+    ["verify", "mideal", "--proj", "foo.json"],
+])
+def test_matrix_files_without_matrix_are_input_errors(files, capsys, argv):
+    code, rep = run_json(capsys, [files.get(a, a) for a in argv])
+    assert code == 2
+    assert rep["error"] == 'projection JSON needs a "matrix"'
+
+
+@pytest.mark.parametrize("argv", [
+    ["right-ideal", "--algebra", "triangular.json", "--subspace", "foo.json"],
+    ["quotient-norm", "--space", "m2.json", "--subspace", "foo.json",
+     "--elem", "e12_elem.json"],
+    ["quantize-min", "--banach", "l12.json", "--elem", "foo.json"],
+    ["quantize-min", "--banach", "l12.json", "--elem", '{"foo": 1}'],
+])
+def test_coefficient_files_without_coeffs_are_input_errors(files, capsys,
+                                                           argv):
+    code, rep = run_json(capsys, [files.get(a, a) for a in argv])
+    assert code == 2
+    assert rep["error"] == 'coefficient JSON needs "coeffs"'
 
 
 def test_error_report_echoes_the_command_default(capsys):
@@ -411,3 +458,82 @@ class TestVerify:
         assert code == 0
         assert "config.seed = 12648430" in out
         assert "result.op_norm: 4.0" in out
+
+
+#: one argv per command; some refute or stay inconclusive (NONZERO_CODES),
+#: so that ``passed`` is seen false as well as true
+REPORT_ARGVS = {
+    "norm": ["norm", "--mat", "mat.json"],
+    "complexify": ["complexify", "--space", "e12.json"],
+    "quantize-min": ["quantize-min", "--banach", "l12.json"],
+    "w2-norm": ["w2-norm", "--banach", "l12.json", "--x", "[3, 0]",
+                "--y", "[0, 0]"],
+    "max-l1": ["max-l1", "--coeffs", "pair.json", "--mmax", "1",
+               "--restarts", "2"],
+    "certify-mproj": ["certify-mproj", "--space", "m2.json", "--proj",
+                      "proj_symm.json", "--max-level", "2", "--samples",
+                      "20", "--restarts", "2"],
+    "multiplier-witness": ["multiplier-witness", "--space", "m2.json",
+                           "--map", "id_map.json", "--a", "eye2.json"],
+    "right-ideal": ["right-ideal", "--algebra", "triangular.json",
+                    "--subspace", "not_ideal.json"],
+    "brs-check": ["brs-check", "--algebra", "m2.json", "--level", "1",
+                  "--samples", "5"],
+    "unitize": ["unitize", "--algebra", "e12.json"],
+    "paulsen": ["paulsen", "--space", "e12.json"],
+    "choi-effros": ["choi-effros", "--algebra", "m2.json", "--idempotent",
+                    "proj_symm.json"],
+    "tro-check": ["tro-check", "--space", "mixed_span.json"],
+    "subtriple": ["subtriple", "--space", "e12.json"],
+    "shilov": ["shilov", "--tro", "corner.json", "--y", "y_elem.json",
+               "--z", "z_elem.json"],
+    "quotient-norm": ["--tol", "1e-300", "quotient-norm", "--space",
+                      "m2.json", "--subspace", "subspace.json", "--elem",
+                      "e12_elem.json"],
+    "reproduce": ["reproduce", "complex-dual", "--mmax", "1",
+                  "--restarts", "2"],
+    "verify": ["verify", "linalg"],
+}
+
+NO_VERDICT = {"norm", "complexify", "quantize-min", "w2-norm", "max-l1",
+              "unitize", "paulsen", "subtriple"}
+
+#: refuted, failed preconditions and an unconverged solve
+NONZERO_CODES = {"certify-mproj": 1, "right-ideal": 1, "tro-check": 1,
+                 "choi-effros": 2, "quotient-norm": 2}
+
+
+def subcommand_options(command):
+    """The option names (dests) the parser declares for a subcommand."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions
+            if a.dest != "help"}
+
+
+@pytest.mark.parametrize("command", sorted(cli.HANDLERS))
+def test_report_shape(files, capsys, command):
+    code, rep = run_json(capsys, [files.get(a, a)
+                                  for a in REPORT_ARGVS[command]])
+    assert set(rep["config"]) == ({"seed", "tol", "output"} |
+                                  subcommand_options(command))
+    assert rep["config"]["output"] == "json"
+    assert code == NONZERO_CODES.get(command, 0)
+    if command in NO_VERDICT:
+        assert "passed" not in rep
+    else:
+        assert rep["passed"] is (code == 0)
+
+
+@pytest.mark.parametrize("command, key", [("complexify", "space"),
+                                          ("unitize", "algebra")])
+def test_out_writes_the_reported_object(files, capsys, tmp_path, command,
+                                        key):
+    out = tmp_path / "out.json"
+    flag = "--space" if command == "complexify" else "--algebra"
+    code, rep = run_json(capsys, [command, flag, files["e12.json"],
+                                  "--out", str(out)])
+    assert code == 0
+    assert rep["result"]["written_to"] == str(out)
+    assert rep["config"]["out"] == str(out)
+    assert json.loads(out.read_text()) == rep["result"][key]

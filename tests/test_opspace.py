@@ -11,10 +11,9 @@ from realops.opspace import (CBMap, MatElem, check_ruan_axioms,
                              complexify_space, conjugate_elem,
                              direct_sum_elem, direct_sum_spaces, elem,
                              elem_from_json, elem_to_json, full_matrix_space,
-                             identity_map, level_cb_norm_lower, level_norm,
-                             opspace_from_json, opspace_to_json,
-                             quotient_level_norm, random_elem, scalar_sandwich,
-                             span_space, theta_dual_norm_lower,
+                             identity_map, level_norm, opspace_from_json,
+                             opspace_to_json, quotient_level_norm,
+                             random_elem, scalar_sandwich, span_space,
                              theta_dual_search)
 
 M2 = full_matrix_space(2)
@@ -211,12 +210,13 @@ class TestRuanAxioms:
 
 class TestCbLowerBounds:
     def test_identity_is_one(self):
-        assert level_cb_norm_lower(identity_map(M2), 2, restarts=4,
-                                   seed=1) == pytest.approx(1.0, abs=1e-9)
+        assert cb_norm_lower_search(identity_map(M2), 2, restarts=4,
+                                    seed=1).value == pytest.approx(1.0,
+                                                                   abs=1e-9)
 
     def test_scaling_is_two(self):
         u = CBMap(M2, M2, 2.0 * np.eye(4))
-        assert level_cb_norm_lower(u, 3, restarts=4, seed=1) == \
+        assert cb_norm_lower_search(u, 3, restarts=4, seed=1).value == \
             pytest.approx(2.0, abs=1e-9)
 
     def test_transpose_witness(self):
@@ -238,7 +238,7 @@ class TestCbLowerBounds:
             res.value, abs=1e-9)
 
     def test_monotone_in_level(self):
-        vals = [level_cb_norm_lower(TRANSPOSE, lvl, restarts=6, seed=9)
+        vals = [cb_norm_lower_search(TRANSPOSE, lvl, restarts=6, seed=9).value
                 for lvl in (1, 2, 3)]
         assert vals[0] <= vals[1] <= vals[2]
 
@@ -391,14 +391,14 @@ class TestThetaDual:
         assert all(v <= 1.0 + 1e-6 for v in res.restart_values)
 
     def test_scalar_is_isometric(self):
-        assert theta_dual_norm_lower([[1.0]], [[0.0]], m_max=2, restarts=8,
-                                     seed=1) == pytest.approx(1.0, abs=1e-9)
-        assert theta_dual_norm_lower([[0.6]], [[0.8]], m_max=2, restarts=8,
-                                     seed=1) == pytest.approx(1.0, abs=1e-6)
+        assert theta_dual_search([[1.0]], [[0.0]], m_max=2, restarts=8,
+                                 seed=1).lower == pytest.approx(1.0, abs=1e-9)
+        assert theta_dual_search([[0.6]], [[0.8]], m_max=2, restarts=8,
+                                 seed=1).lower == pytest.approx(1.0, abs=1e-6)
 
     def test_zero(self):
-        assert theta_dual_norm_lower([[0.0]], [[0.0]], m_max=2, restarts=4,
-                                     seed=1) == 0.0
+        assert theta_dual_search([[0.0]], [[0.0]], m_max=2, restarts=4,
+                                 seed=1).lower == 0.0
 
     def test_restart_values_do_not_depend_on_the_restart_count(self):
         z = ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]])

@@ -92,6 +92,12 @@ class TestUnitize:
     def test_already_unital_unchanged(self):
         assert unitize(op_algebra(M2)).dim == 4
 
+    def test_tol_decides_membership_of_the_unit(self):
+        # the identity's relative residual against span{e12} is about 0.59
+        alg = op_algebra(span_space([[[0, 1], [0, 0]]]))
+        assert unitize(alg, tol=0.5).dim == 2
+        assert unitize(alg, tol=0.6).dim == 1
+
     def test_complexified_unitization_matches(self):
         e12 = span_space([[[0, 1], [0, 0]]])
         a1 = unitize(op_algebra(e12))
@@ -254,6 +260,17 @@ class TestSubtriple:
     def test_rectangular_ambient(self):
         row = span_space([[[1.0, 0.0]], [[0.0, 1.0]]])
         assert generated_subtriple(row).dim == 2
+
+    def test_rank_cutoff_is_relative_to_the_top_singular_value(self):
+        # singular values sqrt(2) and 1: a cutoff of 0.9 keeps only
+        # e12 + e21, which is triple closed on its own
+        mixed = span_space([[[1, 0], [0, 0]], [[0, 1], [1, 0]]])
+        assert generated_subtriple(mixed, tol=0.9).dim == 1
+
+    @pytest.mark.parametrize("tol", [1.0, 2.0, -1e-3, float("nan")])
+    def test_rank_cutoff_outside_unit_interval_rejected(self, tol):
+        with pytest.raises(ValueError):
+            generated_subtriple(M2, tol=tol)
 
 
 class TestShilov:
