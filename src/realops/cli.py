@@ -14,6 +14,7 @@ input or inconclusive.  A command that gives a verdict also reports
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,7 +36,7 @@ TOL_DEFAULTS = {
                      "tro-check", "unitize"), MEMBERSHIP_TOL),
     "brs-check": 1e-10,        # slack of norm(ab) <= norm(a) norm(b)
     "choi-effros": 1e-10,      # deviations of the re-product identities
-    "quotient-norm": 1e-7,     # gap estimate of the convex solve
+    "quotient-norm": 1e-7,     # certified gap of the convex solve
     "subtriple": 1e-10,        # rank cutoff relative to the top singular value
 }
 
@@ -298,8 +299,8 @@ def _cmd_quotient_norm(args):
     coeffs = _coeffs(_load_json(args.subspace))
     x = opspace.elem_from_json(space, _load_json(args.elem))
     res = opspace.quotient_level_norm(space, coeffs, x, tol=_tol(args))
-    return {"value": res.value, "gap_estimate": res.gap,
-            "converged": res.converged}, \
+    return {"value": res.value, "lower": res.lower, "gap_estimate": res.gap,
+            "converged": res.converged, "iterations": res.iterations}, \
         EXIT_PASS if res.converged else EXIT_ERROR
 
 
@@ -373,7 +374,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs
+    about forty times as much as a parse, and parsing leaves it unchanged."""
     parser = _Parser(
         prog="realops",
         description="Desk-scale computations with real operator spaces: "

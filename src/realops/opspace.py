@@ -38,7 +38,7 @@ from .linalg import (MEMBERSHIP_TOL, as_matrix, clip_contraction,
                      kron_sum_matrix, mat_from_json, mat_to_json, op_norm,
                      span_coefficients)
 from .optim import (LinearMatrixMap, ratio_ascent, ratio_eval, seesaw_ascent,
-                    smoothed_spectral_min)
+                    spectral_min_sdp)
 from .rng import derived_rng
 
 #: singular-value threshold below which a basis is rejected as degenerate
@@ -483,28 +483,28 @@ def cb_norm_lower_search(u: CBMap, level: int, restarts: int = 32,
 @dataclass
 class QuotientResult:
     value: float
-    gap: float
-    converged: bool
+    gap: float               # value - lower
+    converged: bool          # gap <= tol
     minimizer: np.ndarray    # (n, n, dim Y) coefficients over the subspace
+    lower: float             # certified lower bound on the distance
+    iterations: int          # interior-point steps (0 at the zero exit)
 
 
 def quotient_level_norm(space: OpSpace, subspace_coeffs, x: MatElem,
                         tol: float = 1e-7) -> QuotientResult:
     """dist(x, M_n(Y)) for the subspace Y spanned by the given level-1
-    coefficient vectors.
+    coefficient vectors, as a certified bracket lower <= dist <= value.
 
-    Convex minimization of t -> sigma_max(R(x) - R(y(t))).  The solver
+    The distance is min over t of sigma_max(R(x) - R(y(t))).  The solver
     starts at the least-squares point (the t closest to R(x) in Frobenius
     norm).  When the operator norm of its residual is at most 1e-13, the
-    element lies in M_n(Y) and that point is returned at once, converged
-    with gap 0.  Otherwise the smoothing continuation runs from it (plain
-    subgradient steps stall when the optimal matrix has a repeated top
-    singular value), and the better of the start and the final point is
-    reported; its value is an upper bound on the infimum.  ``converged``
-    means the continuation's point is the one reported and its gap
-    estimate is at most ``tol``; a better start point is reported
-    unconverged, with the continuation's gap estimate.  Non-convergence is
-    flagged, not silent.
+    element lies in M_n(Y) and that point is returned at once, with lower
+    bound 0.  Otherwise ``optim.spectral_min_sdp`` brackets the distance
+    from that start, and the better of the start and its point is
+    reported: ``value`` is the norm at the reported minimizer, an upper
+    bound, and ``lower`` comes from a trace-norm dual certificate.
+    ``gap = value - lower`` and ``converged`` means ``gap <= tol``; the
+    solve itself does not depend on ``tol``.
     """
     s = np.asarray(subspace_coeffs, dtype=float)
     if s.ndim == 1:
@@ -519,15 +519,15 @@ def quotient_level_norm(space: OpSpace, subspace_coeffs, x: MatElem,
     b_vec = x.realization().ravel()
     w0 = np.linalg.lstsq(k_sub, b_vec, rcond=None)[0]
     value = op_norm((b_vec - k_sub @ w0).reshape(n * p, n * q))
-    w_best, gap, converged = w0, 0.0, True
+    w_best, lower, iterations = w0, 0.0, 0
     if value > 1e-13:
-        p_val, p_w, gap = smoothed_spectral_min(b_vec, k_sub, n * p, n * q,
-                                                w0)
-        converged = p_val <= value and gap <= tol
-        if p_val <= value:
-            value, w_best = p_val, p_w
-    return QuotientResult(value, gap, converged,
-                          w_best.reshape(n, n, s.shape[0]))
+        s_val, s_w, lower, _, iterations = spectral_min_sdp(
+            b_vec, k_sub, n * p, n * q, w0)
+        if s_val <= value:
+            value, w_best = s_val, s_w
+    gap = value - lower
+    return QuotientResult(value, gap, gap <= tol,
+                          w_best.reshape(n, n, s.shape[0]), lower, iterations)
 
 
 # ----------------------------------------------------------------------

@@ -43,6 +43,8 @@ def files(tmp_path):
     write("eye2.json", {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 1]]})
     write("subspace.json", {"coeffs": [[1.0, 0.0, 0.0, 0.0]]})
     write("e12_elem.json", {"level": 1, "coeffs": [[[0.0, 1.0, 0.0, 0.0]]]})
+    write("generic_elem.json", {"level": 1,
+                                "coeffs": [[[0.3, 1.0, -0.7, 0.2]]]})
     write("bad_mat.json", {"rows": 2, "cols": 2, "entries": [[1, 2]]})
     write("mixed_span.json", opspace_to_json(span_space(
         [[[1, 0], [0, 0]], [[0, 1], [1, 0]]])))
@@ -277,19 +279,43 @@ def test_argument_errors_in_text_mode_print_usage(capsys):
 
 
 def test_quotient_norm_tol_reaches_converged(files, capsys):
+    # the bracket closes exactly on dist(e12, span e11), so the generic
+    # element is the one whose gap a tolerance can fall below
     argv = ["quotient-norm", "--space", files["m2.json"], "--subspace",
-            files["subspace.json"], "--elem", files["e12_elem.json"]]
+            files["subspace.json"], "--elem", files["generic_elem.json"]]
     code, rep = run_json(capsys, argv)
     assert code == 0
     assert rep["config"]["tol"] == 1e-7
-    gap = rep["result"]["gap_estimate"]
+    res = rep["result"]
+    gap = res["gap_estimate"]
     assert 0 < gap <= 1e-7
-    # a tolerance below the gap estimate leaves the same solve unconverged
+    assert gap == res["value"] - res["lower"]
+    # a tolerance below the gap leaves the same solve unconverged
     code, rep = run_json(capsys, ["--tol", repr(gap / 2)] + argv)
     assert code == 2
     assert rep["config"]["tol"] == gap / 2
-    assert rep["result"]["converged"] is False
-    assert rep["result"]["gap_estimate"] == gap
+    assert rep["result"] == dict(res, converged=False)
+
+
+def test_successive_runs_share_no_state(files, capsys):
+    # the parser is built once per process and reused by every run
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["quotient-norm", "--space", files["m2.json"], "--subspace",
+            files["subspace.json"], "--elem", files["e12_elem.json"]]
+    cli.run(["--json"] + argv)
+    fresh = capsys.readouterr().out
+    code, rep = run_json(capsys, ["--tol", "3e-8"] + argv)
+    assert (code, rep["config"]["tol"]) == (0, 3e-8)
+    code, rep = run_json(capsys, argv)
+    assert (code, rep["config"]["tol"]) == (0, 1e-7)
+    code, rep = run_json(capsys, ["max-l1", "--coeffs", files["pair.json"],
+                                  "--restarts", "abc"])
+    assert code == 2 and "error" in rep
+    code, rep = run_json(capsys, ["max-l1", "--coeffs", files["pair.json"],
+                                  "--mmax", "1"])
+    assert code == 0 and rep["config"]["restarts"] == 64
+    cli.run(["--json"] + argv)
+    assert capsys.readouterr().out == fresh
 
 
 TOL_CHECKS = {
@@ -489,7 +515,7 @@ REPORT_ARGVS = {
                "--z", "z_elem.json"],
     "quotient-norm": ["--tol", "1e-300", "quotient-norm", "--space",
                       "m2.json", "--subspace", "subspace.json", "--elem",
-                      "e12_elem.json"],
+                      "generic_elem.json"],
     "reproduce": ["reproduce", "complex-dual", "--mmax", "1",
                   "--restarts", "2"],
     "verify": ["verify", "linalg"],

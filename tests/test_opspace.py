@@ -3,6 +3,8 @@ import pytest
 
 from realops import opspace
 from realops.linalg import kron_sum, op_norm
+from realops.optim import (SDP_MAX_ITERS, smoothed_spectral_min,
+                           spectral_min_sdp)
 from realops.quantization import ell_one, realize_min
 from realops.opspace import (CBMap, MatElem, check_ruan_axioms,
                              cbmap_from_json, cbmap_to_json,
@@ -334,14 +336,27 @@ class TestQuotientNorm:
             assert res.converged
 
     def test_better_start_point_is_reported_unconverged(self, monkeypatch):
-        # dist(e12, span e11): the least-squares point t = 0 is optimal
+        # dist(e12, span e11): the least-squares point t = 0 is optimal; a
+        # kernel returning a worse point and a weak lower bound leaves the
+        # start reported, bracketed by that bound
         def worse(b_vec, k_mat, rows, cols, w0):
-            return 2.0, w0 + 1.0, 0.0
-        monkeypatch.setattr(opspace, "smoothed_spectral_min", worse)
+            return 2.0, w0 + 1.0, 0.5, np.zeros((rows, cols)), 3
+        monkeypatch.setattr(opspace, "spectral_min_sdp", worse)
         res = quotient_level_norm(M2, [[1, 0, 0, 0]], elem(M2, [0, 1, 0, 0]))
         assert res.value == 1.0
         assert np.all(res.minimizer == 0.0)
-        assert (res.gap, res.converged) == (0.0, False)
+        assert (res.lower, res.gap, res.converged) == (0.5, 0.5, False)
+        assert res.iterations == 3
+
+    def test_bracket_is_reported(self):
+        # the certificate closes exactly on dist(e12, span e11) = 1
+        res = quotient_level_norm(M2, [[1, 0, 0, 0]], elem(M2, [0, 1, 0, 0]))
+        assert res.lower <= res.value
+        assert res.gap == res.value - res.lower
+        assert res.converged and res.iterations > 0
+        inside = quotient_level_norm(M2, [[1, 0, 0, 0]],
+                                     elem(M2, [2, 0, 0, 0]))
+        assert (inside.lower, inside.iterations) == (0.0, 0)
 
     def test_two_runs_give_the_same_bits(self):
         m2c = complexify_space(M2)
@@ -350,8 +365,95 @@ class TestQuotientNorm:
         x = MatElem(m2c, rng.standard_normal((2, 2, 8)))
         a = quotient_level_norm(m2c, s, x)
         b = quotient_level_norm(m2c, s, x)
-        assert (a.value, a.gap, a.converged) == (b.value, b.gap, b.converged)
+        assert (a.value, a.gap, a.converged, a.lower, a.iterations) == \
+            (b.value, b.gap, b.converged, b.lower, b.iterations)
         assert a.minimizer.tobytes() == b.minimizer.tobytes()
+
+
+def sdp_problem(space, s, x):
+    """(b_vec, k_mat, rows, cols, w0) of dist(x, M_n(span s)), with the
+    subspace columns built by np.kron."""
+    n = x.level
+    _, p, q = space.basis.shape
+    units = np.eye(n)
+    ys = np.einsum("lk,kpq->lpq", s, space.basis)
+    k = np.stack([np.kron(np.outer(units[i], units[j]), y).ravel()
+                  for i in range(n) for j in range(n) for y in ys], axis=1)
+    b = x.realization().ravel()
+    return b, k, n * p, n * q, np.linalg.lstsq(k, b, rcond=None)[0]
+
+
+def sdp_cases():
+    """Random generic cases at levels 1-3 over M2(R), its complexification
+    and the minimal ell^1_2, with 1- and 2-dimensional subspaces."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for space in (M2, complexify_space(M2), realize_min(ell_one(2))):
+        for level in (1, 2, 3):
+            for k in ((1,) if space.dim == 2 else (1, 2)):
+                s = rng.standard_normal((k, space.dim))
+                x = MatElem(space, rng.standard_normal((level, level,
+                                                        space.dim)))
+                cases.append(sdp_problem(space, s, x))
+    return cases
+
+
+SDP_CASES = sdp_cases()
+
+
+class TestSpectralMinSdp:
+    @pytest.mark.parametrize("case", range(len(SDP_CASES)))
+    def test_bracket_closes(self, case):
+        b, k, rows, cols, w0 = SDP_CASES[case]
+        value, w, lower, _, iterations = spectral_min_sdp(b, k, rows, cols,
+                                                          w0)
+        assert 0.0 <= lower <= value
+        assert value - lower <= 1e-9
+        assert iterations <= SDP_MAX_ITERS
+        # the value is attained at w and never exceeds the start or w = 0
+        assert op_norm((b - k @ w).reshape(rows, cols)) == value
+        assert value <= op_norm((b - k @ w0).reshape(rows, cols))
+        assert value <= op_norm(b.reshape(rows, cols))
+
+    @pytest.mark.parametrize("case", range(0, len(SDP_CASES), 2))
+    def test_agrees_with_smoothed_reference(self, case):
+        b, k, rows, cols, w0 = SDP_CASES[case]
+        value, _, lower, _, _ = spectral_min_sdp(b, k, rows, cols, w0)
+        ref = smoothed_spectral_min(b, k, rows, cols, w0)[0]
+        assert abs(value - ref) <= 1e-8
+        assert lower <= ref
+
+    @pytest.mark.parametrize("case", range(len(SDP_CASES)))
+    def test_lower_bound_from_independent_projection(self, case):
+        # project the certificate onto the annihilator of span K through
+        # least squares, then recompute |<B, Z>| / ||Z||_1
+        b, k, rows, cols, w0 = SDP_CASES[case]
+        _, _, lower, z, _ = spectral_min_sdp(b, k, rows, cols, w0)
+        z_ann = z.ravel() - k @ np.linalg.lstsq(k, z.ravel(), rcond=None)[0]
+        assert np.abs(k.T @ z_ann).max() <= 1e-12
+        trace_norm = np.linalg.svd(z_ann.reshape(rows, cols),
+                                   compute_uv=False).sum()
+        assert abs(b @ z_ann) / trace_norm == pytest.approx(lower, rel=1e-10)
+
+    def test_two_runs_give_the_same_bits(self):
+        b, k, rows, cols, w0 = SDP_CASES[-1]
+        v1, w1, lo1, z1, it1 = spectral_min_sdp(b, k, rows, cols, w0)
+        v2, w2, lo2, z2, it2 = spectral_min_sdp(b, k, rows, cols, w0)
+        assert (v1, lo1, it1) == (v2, lo2, it2)
+        assert w1.tobytes() == w2.tobytes() and z1.tobytes() == z2.tobytes()
+
+    def test_singular_schur_matrix_ends_the_solve(self):
+        # a zero column of K makes the Schur matrix singular: the first
+        # solve raises LinAlgError, which ends the search at its start
+        b, k, rows, cols, w0 = SDP_CASES[0]
+        k = np.concatenate([k, np.zeros((k.shape[0], 1))], axis=1)
+        w0 = np.append(w0, 0.0)
+        value, w, lower, z, iterations = spectral_min_sdp(b, k, rows, cols,
+                                                          w0)
+        assert iterations == 0
+        assert value == op_norm((b - k @ w0).reshape(rows, cols))
+        assert np.array_equal(w, w0)
+        assert lower == 0.0 and not z.any()
 
 
 class TestDirectSums:
