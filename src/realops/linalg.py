@@ -99,7 +99,7 @@ def frobenius_norm(m: np.ndarray) -> np.ndarray:
     """Frobenius norm of a matrix, or of each matrix of a stack; the same
     inner product as ``np.linalg.norm``, so single results agree bit for
     bit."""
-    flat = m.reshape(*m.shape[:-2], 1, -1)
+    flat = m.reshape(*m.shape[:-2], 1, m.shape[-2] * m.shape[-1])
     if np.iscomplexobj(flat):
         sq = flat.real @ np.swapaxes(flat.real, -1, -2) + \
             flat.imag @ np.swapaxes(flat.imag, -1, -2)

@@ -422,6 +422,9 @@ def cb_norm_lower_search(u: CBMap, level: int, restarts: int = 32,
     are searched first and their best witnesses re-embedded (zero-padded),
     so results are monotone nondecreasing in the level under a fixed seed
     schedule.  Every reported value is the ratio at a feasible element.
+    On a domain that fills its ambient space every restart runs the exact
+    seesaw; otherwise all restarts of a level run as one lockstep
+    ``ratio_ascent``, and are reduced in order with strict ``>``.
     """
     if level < 1:
         raise ValueError("level must be at least 1")
@@ -444,31 +447,34 @@ def cb_norm_lower_search(u: CBMap, level: int, restarts: int = 32,
             pad[:best_level, :best_level, :] = \
                 best_x.reshape(best_level, best_level, d)
             starts.append(pad.ravel())
-        for c in starts:
-            val = ratio_eval(num, den, c)
+        starts = np.stack(starts)
+        for val, c in zip(ratio_eval(num, den, starts), starts):
             if val > best_val:
-                best_val, best_x, best_level = val, c.copy(), lvl
+                best_val, best_x, best_level = float(val), c.copy(), lvl
+        x0s = np.empty((restarts, lvl * lvl * d))
         for r in range(restarts):
             rng = derived_rng(seed, lvl, r)
-            x0 = rng.standard_normal(lvl * lvl * d)
-            x0 += 1e-8 * rng.standard_normal(x0.shape)   # tie-breaking jitter
-            if full_domain:
-                val, x = seesaw_ascent(num, den, x0)
-            else:
-                val, x = ratio_ascent(num, den, x0, iters=iters)
+            x0s[r] = rng.standard_normal(lvl * lvl * d)
+            x0s[r] += 1e-8 * rng.standard_normal(lvl * lvl * d)  # tie-break
+        if full_domain:
+            runs = [seesaw_ascent(num, den, x0) for x0 in x0s]
+        else:
+            runs = zip(*ratio_ascent(num, den, x0s, iters=iters))
+        for val, x in runs:
             if lvl == level:
-                restart_values.append(val)
+                restart_values.append(float(val))
             if val > best_val:
-                best_val, best_x, best_level = val, x.copy(), lvl
+                best_val, best_x, best_level = float(val), x.copy(), lvl
         # polish the incumbent at this level
         if best_x is not None and best_level == lvl:
             if full_domain:
                 val, x = seesaw_ascent(num, den, best_x)
             else:
-                val, x = ratio_ascent(num, den, best_x, iters=iters,
-                                      step0=1e-3)
+                vals, xs = ratio_ascent(num, den, best_x[None], iters=iters,
+                                        step0=1e-3)
+                val, x = vals[0], xs[0]
             if val > best_val:
-                best_val, best_x = val, x.copy()
+                best_val, best_x = float(val), x.copy()
     witness = np.zeros((level, level, d))
     if best_x is not None:
         witness[:best_level, :best_level, :] = \

@@ -3,7 +3,9 @@
 Three workhorses and two reference solvers:
 
 * ``ratio_ascent``: multistart subgradient ascent on a ratio of two largest
-  singular values, both linear in the parameter vector.  Steps decay
+  singular values, both linear in the parameter vector.  It takes a stack
+  of starts and advances them in lockstep, with one stacked SVD of each
+  map per step; each start ends exactly as it would alone.  Steps decay
   geometrically, which keeps making progress at the sharp (nonsmooth)
   maxima these spectral objectives have.  Every evaluated iterate is
   feasible, so the best value seen is always a valid lower bound.
@@ -36,6 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
+from .linalg import frobenius_norm
+
 
 def top_singular_triple(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """(sigma_max, u, v) with u^T m v = sigma_max."""
@@ -52,64 +56,83 @@ class LinearMatrixMap:
     cols: int
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        return (self.matrix @ x).reshape(self.rows, self.cols)
+        """The matrix at x, or the (..., rows, cols) stack at a (..., dim)
+        stack; each matrix of a stack comes out bit for bit as alone."""
+        return (self.matrix @ x[..., None]).reshape(
+            *x.shape[:-1], self.rows, self.cols)
 
-    def sigma(self, x: np.ndarray) -> float:
+    def sigma(self, x: np.ndarray) -> np.ndarray:
+        """Largest singular value at each row of an (r, dim) stack."""
+        return np.linalg.svd(self.value(x), compute_uv=False)[:, 0]
+
+    def sigma_grads(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Largest singular values and their gradients at each row of a
+        (r, dim) stack, from one stacked SVD; a row whose matrix is zero
+        gets value and gradient zero."""
         m = self.value(x)
-        if not m.any():
-            return 0.0
-        return float(np.linalg.svd(m, compute_uv=False)[0])
-
-    def sigma_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        m = self.value(x)
-        if not m.any():
-            return 0.0, np.zeros(self.matrix.shape[1])
-        s, u, v = top_singular_triple(m)
-        return s, self.matrix.T @ np.outer(u, v).ravel()
+        u, s, vt = np.linalg.svd(m)
+        outer = u[:, :, 0, None] * vt[:, None, 0, :]
+        grads = (self.matrix.T @ outer.reshape(len(x), -1, 1))[..., 0]
+        grads[~m.any(axis=(1, 2))] = 0.0
+        return s[:, 0], grads
 
 
-def ratio_eval(num: LinearMatrixMap, den: LinearMatrixMap, x: np.ndarray) -> float:
+def ratio_eval(num: LinearMatrixMap, den: LinearMatrixMap,
+               x: np.ndarray) -> np.ndarray:
+    """sigma(num x)/sigma(den x) at each row of an (r, dim) stack, 0 where
+    the denominator vanishes."""
     sd = den.sigma(x)
-    if sd <= 1e-300:
-        return 0.0
-    return num.sigma(x) / sd
+    ok = sd > 1e-300
+    return np.where(ok, num.sigma(x) / np.where(ok, sd, 1.0), 0.0)
 
 
 def ratio_ascent(num: LinearMatrixMap, den: LinearMatrixMap, x0: np.ndarray,
                  iters: int = 500, step0: float = 0.5,
-                 sign: float = 1.0) -> tuple[float, np.ndarray]:
-    """Maximize sign * sigma(num x)/sigma(den x); returns (best value, best x).
+                 sign: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize sign * sigma(num x)/sigma(den x) from each row of the
+    (r, dim) stack of starts ``x0``; returns (best values, best points) as
+    (r,) and (r, dim) arrays.
 
-    The step decays geometrically from ``step0`` to 1e-13 over ``iters``.
+    Every start is normalized and the rows advance in lockstep: each step
+    makes one stacked SVD of the numerator matrices and one of the
+    denominator matrices, and moves each row along its normalized
+    gradient.  The step decays geometrically from ``step0`` to 1e-13 over
+    ``iters``.  A row retires where a lone ascent stops (a vanishing
+    denominator or gradient), and a zero start has value 0 at itself.
+    Each row keeps its own first strict maximum, so it ends exactly as it
+    would alone.
 
     ``sign=-1`` turns the routine into a minimizer (used for isometry
     defects below 1).  The reported value is always sign * ratio at the
     best feasible iterate.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    nx = np.linalg.norm(x)
-    if nx <= 1e-300:
-        return 0.0, x
-    x /= nx
+    x = np.array(x0, dtype=float)
+    nx = frobenius_norm(x[:, None, :])
+    live = np.flatnonzero(nx > 1e-300)
+    best_val = np.where(nx > 1e-300, -np.inf, 0.0)
+    x[live] /= nx[live, None]
+    best_x = x.copy()
+    x = x[live]
     decay = (1e-13 / step0) ** (1.0 / max(iters, 1))
     step = step0
-    best_val = -np.inf
-    best_x = x.copy()
     for _ in range(iters):
-        sn, gn = num.sigma_and_grad(x)
-        sd, gd = den.sigma_and_grad(x)
-        if sd <= 1e-300:
+        if not live.size:
             break
+        sn, gn = num.sigma_grads(x)
+        sd, gd = den.sigma_grads(x)
+        keep = sd > 1e-300
+        x, sn, gn, sd, gd, live = (x[keep], sn[keep], gn[keep], sd[keep],
+                                   gd[keep], live[keep])
         val = sign * sn / sd
-        if val > best_val:
-            best_val = val
-            best_x = x.copy()
-        g = sign * (gn * sd - sn * gd) / (sd * sd)
-        gnorm = np.linalg.norm(g)
-        if gnorm < 1e-18:
-            break
-        x = x + step * (g / gnorm)
-        x /= np.linalg.norm(x)
+        better = val > best_val[live]
+        best_val[live[better]] = val[better]
+        best_x[live[better]] = x[better]
+        g = sign * (gn * sd[:, None] - sn[:, None] * gd) / (sd * sd)[:, None]
+        gnorm = frobenius_norm(g[:, None, :])
+        keep = gnorm >= 1e-18
+        x, g, gnorm, live = x[keep], g[keep], gnorm[keep], live[keep]
+        x = x + step * (g / gnorm[:, None])
+        x /= frobenius_norm(x[:, None, :])[:, None]
         step *= decay
     return best_val, best_x
 
@@ -289,9 +312,10 @@ def spectral_min_sdp(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
     annihilator of span K, gives the lower bound |<B, Z>| / ||Z||_1,
     whatever the residuals of X.  The best of each is kept; the solve stops
     when upper - lower <= SDP_BRACKET * max(1, upper), after SDP_MAX_ITERS
-    steps, or on a LinAlgError (a Cholesky factor of X or S, or the Schur
-    solve, failing near the optimum), which ends the solve with the bounds
-    reached so far.
+    steps, or on a LinAlgError of a Cholesky factor of X or S near the
+    optimum, which ends the solve with the bounds reached so far.  A Schur
+    matrix that is numerically singular there gives its step by least
+    squares instead.
 
     Returns (value, w, lower, z, iterations): value = sigma_max at w, the
     least of w0, w = 0 and every iterate; lower <= the infimum <= value;
@@ -340,8 +364,12 @@ def spectral_min_sdp(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
             schur = a_f @ (x @ a @ s_inv).reshape(1 + nvar, -1).T
 
             def direction(target):
-                dy = np.linalg.solve(
-                    schur, r_p - a_f @ (target - x @ r_d @ s_inv).ravel())
+                rhs = r_p - a_f @ (target - x @ r_d @ s_inv).ravel()
+                try:
+                    dy = np.linalg.solve(schur, rhs)
+                except np.linalg.LinAlgError:
+                    # numerically singular near the optimum
+                    dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
                 ds = r_d - (dy @ a_f).reshape(side, side)
                 dx = target - x @ ds @ s_inv
                 return (dx + dx.T) / 2.0, dy, ds

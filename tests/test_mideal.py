@@ -8,9 +8,10 @@ from realops.mideal import (build_nu_mu_tau, certify_left_m_projection,
                             reverify_certification, shuffle_iso,
                             solve_left_multiplier, tau_map, tau_u_level_cb,
                             verify_multiplier_witness)
-from realops.opspace import (CBMap, MatElem, elem, full_matrix_space,
-                             identity_map, level_norm, random_elem,
-                             span_space)
+from realops.opspace import (CBMap, MatElem, cb_norm_lower_search, elem,
+                             full_matrix_space, identity_map, level_norm,
+                             random_elem, span_space)
+from realops.rng import derived_rng
 from realops.systems import op_algebra
 
 M2 = full_matrix_space(2)
@@ -82,6 +83,38 @@ class TestCertification:
                                          max_level=2, samples=100,
                                          restarts=6, seed=1, tol=1e-9)
         assert cert.certified
+
+    @pytest.mark.parametrize("e", [np.diag([1.0, 0.0]), np.eye(2),
+                                   np.zeros((2, 2)),
+                                   np.array([[0.5, 0.5], [0.5, 0.5]])])
+    def test_orthogonal_witnesses_certify(self, e):
+        # left multiplication by an orthogonal projection e; e = 0 gives
+        # the zero projection
+        pm = M2.coefficients(e @ M2.basis)[0].T
+        cert = certify_left_m_projection(projection(M2, pm), max_level=2,
+                                         samples=100, restarts=6,
+                                         seed=0xC0FFEE, tol=1e-9)
+        assert cert.certified
+
+    def test_oblique_idempotents_refute_at_level_one(self):
+        # the ten oblique rank-2 idempotents of the mideal suite at seed
+        # 0xC0FFEE; nu's level-1 norm exceeds 1, and the seesaw ascent
+        # (exact on the full domain M2(R)) gives it to compare with
+        rng = derived_rng(0xC0FFEE, 131)
+        for _ in range(10):
+            a, _ = np.linalg.qr(rng.standard_normal((4, 2)))
+            c = rng.standard_normal((2, 4))
+            p = projection(M2, a @ (a.T + c @ (np.eye(4) - a @ a.T)))
+            cert = certify_left_m_projection(p, max_level=3, samples=200,
+                                             restarts=8, seed=0xC0FFEE)
+            assert (cert.verdict, cert.check, cert.refuted_level) == \
+                ("refuted", "nu_isometry", 1)
+            assert abs(reverify_certification(p, cert) - cert.observed) \
+                <= 1e-12
+            seesaw = cb_norm_lower_search(build_nu_mu_tau(p)[0], 1).value
+            # 400 subgradient steps end up to 3.7e-4 (relative) below the
+            # seesaw value on these draws
+            assert abs(cert.observed - seesaw) <= 1e-3 * seesaw
 
     def test_symmetrization_refutes_at_level_one(self):
         # direct oracle: nu(e12) stacks S = (e12+e21)/2 and K = (e12-e21)/2,

@@ -3,7 +3,7 @@ import pytest
 
 from realops import opspace
 from realops.linalg import kron_sum, op_norm
-from realops.optim import (SDP_MAX_ITERS, smoothed_spectral_min,
+from realops.optim import (SDP_BRACKET, SDP_MAX_ITERS, smoothed_spectral_min,
                            spectral_min_sdp)
 from realops.quantization import ell_one, realize_min
 from realops.opspace import (CBMap, MatElem, check_ruan_axioms,
@@ -249,6 +249,28 @@ class TestCbLowerBounds:
         with pytest.raises(ValueError):
             cb_norm_lower_search(TRANSPOSE, 2, restarts=restarts)
 
+    def test_partial_domain_values_are_pinned(self):
+        # span{e11, e12, e22} is not all of M2(R), so the search runs the
+        # lockstep ratio ascent; these are the values of the one-start-at-a-
+        # time ascent it replaced
+        ut = span_space([[[1, 0], [0, 0]], [[0, 1], [0, 0]],
+                         [[0, 0], [0, 1]]])
+        u = CBMap(ut, ut, np.array([[1.0, 0.5, 0.0], [0.0, -1.0, 0.3],
+                                    [0.2, 0.0, 0.7]]))
+        res = cb_norm_lower_search(u, 2, restarts=4, iters=150, seed=3)
+        assert abs(res.value - 1.3151451678597066) <= 1e-12
+        assert np.allclose(res.restart_values,
+                           [1.3044768657730266, 1.3119301088415292,
+                            1.3147710536281525, 1.3124510329139312],
+                           rtol=0, atol=1e-12)
+        w = MatElem(ut, res.witness)
+        assert level_norm(u(w)) / level_norm(w) == pytest.approx(
+            res.value, rel=1e-12)
+        # restart r depends on its own start only: more restarts extend
+        # the list without reordering it
+        more = cb_norm_lower_search(u, 2, restarts=6, iters=150, seed=3)
+        assert more.restart_values[:4] == res.restart_values
+
 
 class TestQuotientNorm:
     def test_element_inside_subspace(self):
@@ -442,18 +464,36 @@ class TestSpectralMinSdp:
         assert (v1, lo1, it1) == (v2, lo2, it2)
         assert w1.tobytes() == w2.tobytes() and z1.tobytes() == z2.tobytes()
 
-    def test_singular_schur_matrix_ends_the_solve(self):
-        # a zero column of K makes the Schur matrix singular: the first
-        # solve raises LinAlgError, which ends the search at its start
+    def test_singular_schur_matrix_steps_by_least_squares(self):
+        # a zero column of K makes every Schur matrix singular: each step
+        # takes its dy from least squares, and the solve still reaches the
+        # distance bracketed without that column
         b, k, rows, cols, w0 = SDP_CASES[0]
+        _, _, lower_ref, _, _ = spectral_min_sdp(b, k, rows, cols, w0)
         k = np.concatenate([k, np.zeros((k.shape[0], 1))], axis=1)
         w0 = np.append(w0, 0.0)
-        value, w, lower, z, iterations = spectral_min_sdp(b, k, rows, cols,
+        value, w, lower, _, iterations = spectral_min_sdp(b, k, rows, cols,
                                                           w0)
-        assert iterations == 0
-        assert value == op_norm((b - k @ w0).reshape(rows, cols))
-        assert np.array_equal(w, w0)
-        assert lower == 0.0 and not z.any()
+        assert iterations > 0
+        assert op_norm((b - k @ w).reshape(rows, cols)) == value
+        assert 0.0 <= lower <= value
+        assert value - lower_ref <= 1e-9
+
+    def test_near_singular_schur_matrix_closes_the_bracket(self):
+        # a level-2 element over min ell^1_2 (one of the quotient benchmark
+        # inputs) whose Schur matrix turns numerically singular near the
+        # optimum; ending the solve there left a bracket of 3.3e-10
+        space = span_space([np.diag([1.0, 1.0]), np.diag([1.0, -1.0])])
+        x = MatElem(space, np.array(
+            [[[-0.2394039947734657, 0.5694527956761426],
+              [-1.342791271310329, 1.5934425847531493]],
+             [[1.9083746971783042, 0.09224727590776144],
+              [-0.5894959610808985, 0.08126238493456549]]]))
+        res = quotient_level_norm(
+            space, [[-0.9154395869277606, -0.06520653368645567]], x)
+        assert res.gap <= SDP_BRACKET * max(1.0, res.value)
+        assert res.iterations == 7
+        assert res.value == pytest.approx(1.79093773592, abs=1e-10)
 
 
 class TestDirectSums:

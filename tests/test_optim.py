@@ -1,0 +1,124 @@
+import numpy as np
+import pytest
+
+from realops.opspace import CBMap, full_matrix_space, num_den_maps, span_space
+from realops.optim import LinearMatrixMap, ratio_ascent, ratio_eval
+
+M2 = full_matrix_space(2)
+UT = span_space([[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]])
+
+
+def maps(name):
+    rng = np.random.default_rng(21)
+    if name == "full":
+        return num_den_maps(CBMap(M2, M2, rng.standard_normal((4, 4))), 2)
+    return num_den_maps(CBMap(UT, M2, rng.standard_normal((4, 3))), 2)
+
+
+def row_maps():
+    """den(x) = [x1, 0] and num(x) = diag(x1, 2 x2) on R^2: the ratio is
+    max(|x1|, 2 |x2|) / |x1|, with zero gradient at e1 and a vanishing
+    denominator at e2."""
+    den = LinearMatrixMap(np.array([[1.0, 0.0], [0.0, 0.0]]), 1, 2)
+    num = LinearMatrixMap(np.array([[1.0, 0.0], [0.0, 0.0],
+                                    [0.0, 0.0], [0.0, 2.0]]), 2, 2)
+    return num, den
+
+
+class TestStackedMaps:
+    @pytest.mark.parametrize("name", ["full", "partial"])
+    def test_stacks_equal_single_points(self, name):
+        num, den = maps(name)
+        xs = np.random.default_rng(22).standard_normal(
+            (7, num.matrix.shape[1]))
+        xs[3] = 0.0
+        assert np.array_equal(num.value(xs), np.stack([num.value(x)
+                                                       for x in xs]))
+        lone = [np.linalg.svd(den.value(x), compute_uv=False)[0]
+                for x in xs]
+        assert np.array_equal(den.sigma(xs), lone)
+        assert np.array_equal(ratio_eval(num, den, xs),
+                              [ratio_eval(num, den, x[None])[0] for x in xs])
+        assert ratio_eval(num, den, xs)[3] == 0.0
+
+    def test_zero_numerator_has_zero_gradient(self):
+        num, den = row_maps()
+        s, g = num.sigma_grads(np.array([[0.0, 0.0], [0.6, 0.8]]))
+        assert s[0] == 0.0 and not g[0].any()
+        assert s[1] == 1.6 and np.array_equal(g[1], [0.0, 2.0])
+
+
+def lone_ascent(num, den, x0, iters, sign):
+    """Reference: one start at a time, with single-matrix SVDs and
+    np.linalg.norm."""
+    def top(mmap, x):
+        m = mmap.value(x)
+        if not m.any():
+            return 0.0, np.zeros(x.size)
+        u, s, vt = np.linalg.svd(m)
+        return s[0], mmap.matrix.T @ np.outer(u[:, 0], vt[0]).ravel()
+
+    x = x0 / np.linalg.norm(x0)
+    decay = (1e-13 / 0.5) ** (1.0 / iters)
+    step, best_val, best_x = 0.5, -np.inf, x.copy()
+    for _ in range(iters):
+        sn, gn = top(num, x)
+        sd, gd = top(den, x)
+        if sd <= 1e-300:
+            break
+        if sign * sn / sd > best_val:
+            best_val, best_x = sign * sn / sd, x.copy()
+        g = sign * (gn * sd - sn * gd) / (sd * sd)
+        gnorm = np.linalg.norm(g)
+        if gnorm < 1e-18:
+            break
+        x = x + step * (g / gnorm)
+        x /= np.linalg.norm(x)
+        step *= decay
+    return best_val, best_x
+
+
+class TestRatioAscent:
+    # each row of a stack ends bit for bit as that start run alone
+    @pytest.mark.parametrize("name", ["full", "partial"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rows_match_lone_runs_bit_for_bit(self, name, sign):
+        num, den = maps(name)
+        starts = np.random.default_rng(23).standard_normal(
+            (6, num.matrix.shape[1]))
+        vals, xs = ratio_ascent(num, den, starts, iters=120, sign=sign)
+        assert vals.shape == (6,) and xs.shape == starts.shape
+        for start, val, x in zip(starts, vals, xs):
+            v1, x1 = ratio_ascent(num, den, start[None], iters=120,
+                                  sign=sign)
+            assert v1[0] == val
+            assert np.array_equal(x1[0], x)
+            v1, x1 = lone_ascent(num, den, start, 120, sign)
+            assert v1 == val
+            assert np.array_equal(x1, x)
+            # the value is sign * ratio at the returned feasible point
+            assert sign * ratio_eval(num, den, x[None])[0] == \
+                pytest.approx(val, rel=1e-13)
+
+    def test_retired_rows_leave_the_others_unchanged(self):
+        num, den = row_maps()
+        live = np.array([[0.6, 0.8], [-0.3, 0.4], [0.9, -0.1]])
+        retiring = np.array([[0.0, 0.0],     # zero start
+                             [2.0, 0.0],     # zero gradient at e1
+                             [0.0, 3.0]])    # vanishing denominator
+        stack = np.concatenate([retiring[:2], live[:1], retiring[2:],
+                                live[1:]])
+        vals, xs = ratio_ascent(num, den, stack, iters=80)
+        alone_vals, alone_xs = ratio_ascent(num, den, live, iters=80)
+        assert np.array_equal(vals[[2, 4, 5]], alone_vals)
+        assert np.array_equal(xs[[2, 4, 5]], alone_xs)
+        assert vals[0] == 0.0 and not xs[0].any()
+        assert vals[1] == 1.0 and np.array_equal(xs[1], [1.0, 0.0])
+        assert vals[3] == -np.inf and np.array_equal(xs[3], [0.0, 1.0])
+
+    def test_all_rows_retired(self):
+        num, den = row_maps()
+        vals, xs = ratio_ascent(num, den, np.array([[0.0, 0.0],
+                                                    [1.0, 0.0]]))
+        assert np.array_equal(vals, [0.0, 1.0])
+        assert np.array_equal(xs, [[0.0, 0.0], [1.0, 0.0]])
