@@ -20,7 +20,7 @@ from .quantization import (BanachSpace, ell_infty, ell_one,
 from .mideal import (Certification, Projection, build_nu_mu_tau,
                      certify_left_m_projection, is_right_ideal, projection,
                      projection_complexification_consistency, shuffle_iso,
-                     tau_u_level_cb, verify_multiplier_witness)
+                     tau_map, verify_multiplier_witness)
 from .systems import (OpAlgebra, PaulsenSystem, TROSpace,
                       build_paulsen_system, check_brs_level,
                       choi_effros_product, generated_subtriple, is_tro,

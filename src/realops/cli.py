@@ -219,8 +219,7 @@ def _cmd_certify_mproj(args):
     cert = mideal.certify_left_m_projection(
         proj, max_level=args.max_level, samples=args.samples,
         restarts=args.restarts, seed=args.seed, tol=_tol(args))
-    return cert, EXIT_ERROR if cert.verdict == "inconclusive" \
-        else _verdict(cert.certified)
+    return cert, _verdict(cert.certified)
 
 
 def _cmd_multiplier_witness(args):

@@ -16,7 +16,8 @@ certify the absence of violations up to the checked level, not the full
 (all-levels) property.  At each level the isometry search scores a seeded
 pool of elements in one stacked evaluation, then refines the pool's best
 point from several jittered starts that run in lockstep through one
-stacked ``ratio_ascent``.
+stacked ``ratio_ascent``.  The checks of mu and tau advance one lazy
+``opspace.cb_norm_levels`` sweep per map, a level at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .linalg import MEMBERSHIP_TOL, as_matrix, in_span, span_coefficients
 from .opspace import (CBMap, MatElem, OpSpace, complexify_map,
-                      complexify_space, cb_norm_lower_search, level_norm,
+                      complexify_space, cb_norm_levels, level_norm,
                       num_den_maps)
 from .optim import ratio_ascent, ratio_eval
 from .rng import derived_rng
@@ -101,7 +102,9 @@ def build_nu_mu_tau(p: Projection) -> tuple[CBMap, CBMap, CBMap]:
 
 
 def tau_map(u: CBMap) -> CBMap:
-    """tau_u: [x; y] -> [u(x); y] on C_2(X), for an endomap u of X."""
+    """tau_u: [x; y] -> [u(x); y] on C_2(X), for an endomap u of X.  A
+    level-norm lower bound of tau_u above 1 refutes multiplier norm <= 1
+    for u."""
     if u.domain is not u.codomain and \
             not np.array_equal(u.domain.basis, u.codomain.basis):
         raise ValueError("tau needs an endomap")
@@ -113,21 +116,13 @@ def tau_map(u: CBMap) -> CBMap:
     return CBMap(c2, c2, mat)
 
 
-def tau_u_level_cb(u: CBMap, level: int, restarts: int = 16,
-                   seed: int = 0) -> float:
-    """Lower bound for the level norm of tau_u; a value above 1 refutes
-    multiplier norm <= 1 for u."""
-    return cb_norm_lower_search(tau_map(u), level, restarts=restarts,
-                                seed=seed).value
-
-
 # ----------------------------------------------------------------------
 # Certification
 # ----------------------------------------------------------------------
 
 @dataclass
 class Certification:
-    verdict: str                 # "certified" | "refuted" | "inconclusive"
+    verdict: str                 # "certified" | "refuted"
     levels_checked: int
     samples: int
     tolerance: float
@@ -192,7 +187,8 @@ def certify_left_m_projection(p: Projection, max_level: int = 3,
     Per level: (a) search for isometry violations of nu, over ``samples``
     seeded elements and then min(restarts, 16) ascent refinements, which
     all start from the best sampled element and run in lockstep; (b)
-    refute contractivity of mu and tau through cb-norm lower bounds.  Any
+    refute contractivity of mu and tau through the next level of their
+    ``cb_norm_levels`` sweeps (cb-norm lower bounds).  Any
     violation yields a refuted verdict with a concrete re-verifiable
     witness; otherwise the projection is certified at the checked levels
     (not a proof of the full completely isometric property).
@@ -204,6 +200,10 @@ def certify_left_m_projection(p: Projection, max_level: int = 3,
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     nu, mu, tau = build_nu_mu_tau(p)
+    sweeps = [(name, cb_norm_levels(mp, max_level, restarts=restarts,
+                                    iters=300, seed=seed + 1))
+              for name, mp in (("mu_contraction", mu),
+                               ("tau_contraction", tau))]
     for lvl in range(1, max_level + 1):
         viol, ratio, coeffs = _isometry_violation_search(
             nu, lvl, samples, refinements=min(restarts, 16), seed=seed)
@@ -212,9 +212,8 @@ def certify_left_m_projection(p: Projection, max_level: int = 3,
                 "refuted", lvl, samples, tol, refuted_level=lvl,
                 check="nu_isometry", witness=coeffs, observed=ratio,
                 expected=1.0)
-        for name, mp in (("mu_contraction", mu), ("tau_contraction", tau)):
-            res = cb_norm_lower_search(mp, lvl, restarts=restarts,
-                                       iters=300, seed=seed + 1)
+        for name, levels in sweeps:
+            res = next(levels)
             if res.value > 1.0 + tol:
                 return Certification(
                     "refuted", lvl, samples, tol, refuted_level=lvl,

@@ -404,50 +404,44 @@ def num_den_maps(u: CBMap, level: int) -> tuple[LinearMatrixMap, LinearMatrixMap
     return num, den
 
 
-def _canonical_starts(dim_domain: int, level: int) -> list[np.ndarray]:
-    """Single-coefficient elements: the classical extremal candidates."""
-    starts = []
-    for k in range(dim_domain):
-        c = np.zeros(level * level * dim_domain)
-        c[k] = 1.0
-        starts.append(c)
-    return starts
+def cb_norm_levels(u: CBMap, max_level: int, restarts: int = 32,
+                   iters: int = 500, seed: int = 0):
+    """Yield a ``CbSearchResult`` for each level n = 1..max_level in turn:
+    a certified lower bound for the norm of u_n, searched when asked for.
 
-
-def cb_norm_lower_search(u: CBMap, level: int, restarts: int = 32,
-                         iters: int = 500, seed: int = 0) -> CbSearchResult:
-    """Certified lower bound for the norm of the level-n amplification u_n.
-
-    Multistart ascent on the ratio norm(u_n(x)) / norm(x).  Lower levels
-    are searched first and their best witnesses re-embedded (zero-padded),
-    so results are monotone nondecreasing in the level under a fixed seed
-    schedule.  Every reported value is the ratio at a feasible element.
-    On a domain that fills its ambient space every restart runs the exact
-    seesaw; otherwise all restarts of a level run as one lockstep
-    ``ratio_ascent``, and are reduced in order with strict ``>``.
+    Multistart ascent on the ratio norm(u_n(x)) / norm(x) from the d
+    single-coefficient elements, the best witness so far (zero-padded, so
+    results are nondecreasing in the level) and ``restarts`` draws of
+    ``derived_rng(seed, n, r)``.  Every value is the ratio at a feasible
+    element.  One stacked ascent runs the restarts, reduced in order with
+    strict ``>``, and one polishes the incumbent: the exact seesaw on a
+    domain that fills its ambient space, ``ratio_ascent`` otherwise.
+    Invalid parameters raise ``ValueError`` at the first ``next()``.
     """
-    if level < 1:
+    if max_level < 1:
         raise ValueError("level must be at least 1")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    if iters < 1:
+        raise ValueError("iters must be at least 1")
     d = u.domain.dim
     p, q = u.domain.ambient
-    full_domain = (d == p * q)
+
+    def ascent(num, den, x0s, step0=0.5):
+        return seesaw_ascent(num, den, x0s) if d == p * q else \
+            ratio_ascent(num, den, x0s, iters=iters, step0=step0)
+
     best_val = 0.0
     best_x = None        # flat coefficient vector at level best_level
     best_level = 1
-    restart_values: list[float] = []
-    for lvl in range(1, level + 1):
+    for lvl in range(1, max_level + 1):
         num, den = num_den_maps(u, lvl)
-        starts = _canonical_starts(d, lvl)
-        if best_x is not None and best_level < lvl:
-            # zero-padding preserves the ratio, so the search is monotone
-            # nondecreasing in the level under a fixed seed schedule
+        starts = np.eye(d, lvl * lvl * d)
+        if best_x is not None:
             pad = np.zeros((lvl, lvl, d))
             pad[:best_level, :best_level, :] = \
                 best_x.reshape(best_level, best_level, d)
-            starts.append(pad.ravel())
-        starts = np.stack(starts)
+            starts = np.concatenate([starts, pad.reshape(1, -1)])
         for val, c in zip(ratio_eval(num, den, starts), starts):
             if val > best_val:
                 best_val, best_x, best_level = float(val), c.copy(), lvl
@@ -456,30 +450,29 @@ def cb_norm_lower_search(u: CBMap, level: int, restarts: int = 32,
             rng = derived_rng(seed, lvl, r)
             x0s[r] = rng.standard_normal(lvl * lvl * d)
             x0s[r] += 1e-8 * rng.standard_normal(lvl * lvl * d)  # tie-break
-        if full_domain:
-            runs = [seesaw_ascent(num, den, x0) for x0 in x0s]
-        else:
-            runs = zip(*ratio_ascent(num, den, x0s, iters=iters))
-        for val, x in runs:
-            if lvl == level:
-                restart_values.append(float(val))
+        vals, xs = ascent(num, den, x0s)
+        for val, x in zip(vals, xs):
             if val > best_val:
                 best_val, best_x, best_level = float(val), x.copy(), lvl
         # polish the incumbent at this level
         if best_x is not None and best_level == lvl:
-            if full_domain:
-                val, x = seesaw_ascent(num, den, best_x)
-            else:
-                vals, xs = ratio_ascent(num, den, best_x[None], iters=iters,
-                                        step0=1e-3)
-                val, x = vals[0], xs[0]
+            (val,), (x,) = ascent(num, den, best_x[None], step0=1e-3)
             if val > best_val:
                 best_val, best_x = float(val), x.copy()
-    witness = np.zeros((level, level, d))
-    if best_x is not None:
-        witness[:best_level, :best_level, :] = \
-            best_x.reshape(best_level, best_level, d)
-    return CbSearchResult(best_val, level, witness, restart_values)
+        witness = np.zeros((lvl, lvl, d))
+        if best_x is not None:
+            witness[:best_level, :best_level, :] = \
+                best_x.reshape(best_level, best_level, d)
+        yield CbSearchResult(best_val, lvl, witness, vals.tolist())
+
+
+def cb_norm_lower_search(u: CBMap, level: int, restarts: int = 32,
+                         iters: int = 500, seed: int = 0) -> CbSearchResult:
+    """The level-n result of ``cb_norm_levels``; a caller that wants
+    several levels walks that generator once instead."""
+    for res in cb_norm_levels(u, level, restarts, iters, seed):
+        pass
+    return res
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,9 @@ Three workhorses and two reference solvers:
   matrix space, the linearized subproblem (maximize a linear functional
   over the operator-norm ball) has an exact SVD solution.  Alternating
   exactly is monotone in the objective and converges much tighter than
-  generic ascent.
+  generic ascent.  It takes a stack of starts like ``ratio_ascent``, with
+  three stacked SVDs per round (numerator images, denominator matrices and
+  linearized functionals); each start ends exactly as it would alone.
 * ``spectral_min_sdp``: the quotient-norm solver for the convex problem
   min_w sigma_max(B - K w), written as the small semidefinite program
   min t s.t. t I - D(B - K w) >= 0 with D(M) = [[0, M], [M^T, 0]], and
@@ -104,8 +106,10 @@ def ratio_ascent(num: LinearMatrixMap, den: LinearMatrixMap, x0: np.ndarray,
 
     ``sign=-1`` turns the routine into a minimizer (used for isometry
     defects below 1).  The reported value is always sign * ratio at the
-    best feasible iterate.
+    best feasible iterate.  ``iters < 1`` raises ``ValueError``.
     """
+    if iters < 1:
+        raise ValueError("iters must be at least 1")
     x = np.array(x0, dtype=float)
     nx = frobenius_norm(x[:, None, :])
     live = np.flatnonzero(nx > 1e-300)
@@ -113,7 +117,7 @@ def ratio_ascent(num: LinearMatrixMap, den: LinearMatrixMap, x0: np.ndarray,
     x[live] /= nx[live, None]
     best_x = x.copy()
     x = x[live]
-    decay = (1e-13 / step0) ** (1.0 / max(iters, 1))
+    decay = (1e-13 / step0) ** (1.0 / iters)
     step = step0
     for _ in range(iters):
         if not live.size:
@@ -138,43 +142,50 @@ def ratio_ascent(num: LinearMatrixMap, den: LinearMatrixMap, x0: np.ndarray,
 
 
 def seesaw_ascent(num: LinearMatrixMap, den: LinearMatrixMap,
-                  x0: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact alternating maximization of sigma(num x)/sigma(den x), for at
-    most 80 rounds.
+                  x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact alternating maximization of sigma(num x)/sigma(den x) from each
+    row of the (r, dim) stack ``x0``, for at most 80 rounds; returns (best
+    values, best points) as (r,) and (r, dim) arrays.
 
     Requires den.matrix to be square and invertible (the denominator space
-    fills its ambient matrix space).  Monotone in the objective.
+    fills its ambient matrix space).  Monotone in the objective.  The rows
+    advance in lockstep and each ends exactly as it would alone: a row
+    retires at a zero start (value 0 at itself), a zero numerator, or no
+    strict improvement beyond 1e-15.
     """
     dmat = den.matrix
     if dmat.shape[0] != dmat.shape[1]:
         raise ValueError("seesaw needs a bijective denominator realization")
     comp = num.matrix @ np.linalg.inv(dmat)
-    m = den.value(np.asarray(x0, dtype=float))
-    sm = np.linalg.svd(m, compute_uv=False)[0] if m.any() else 0.0
-    if sm <= 1e-300:
-        return 0.0, np.asarray(x0, dtype=float)
-    m = m / sm
-    rect_eye = np.eye(den.rows, den.cols)
-    best_val = -np.inf
+    x_best = np.array(x0, dtype=float)
+    m = den.value(x_best)
+    sm = np.linalg.svd(m, compute_uv=False)[:, 0]
+    start = np.flatnonzero(sm > 1e-300)
+    best_val = np.where(sm > 1e-300, -np.inf, 0.0)
+    m[start] /= sm[start, None, None]
     best_m = m.copy()
+    m, live = m[start], start
+    rect_eye = np.eye(den.rows, den.cols)
     for _ in range(80):
-        n = (comp @ m.ravel()).reshape(num.rows, num.cols)
-        if not n.any():
+        n = (comp @ m.reshape(-1, len(dmat), 1)).reshape(-1, num.rows,
+                                                         num.cols)
+        keep = n.any(axis=(1, 2))
+        m, n, live = m[keep], n[keep], live[keep]
+        if not live.size:
             break
-        sn, s, t = top_singular_triple(n)
-        val = sn / float(np.linalg.svd(m, compute_uv=False)[0])
-        if val > best_val + 1e-15:
-            best_val = val
-            best_m = m.copy()
-        else:
-            if val > best_val:
-                best_val, best_m = val, m.copy()
-            break
-        w = (comp.T @ np.outer(s, t).ravel()).reshape(den.rows, den.cols)
-        u, _, vt = np.linalg.svd(w)
+        u, s, vt = np.linalg.svd(n)
+        val = s[:, 0] / np.linalg.svd(m, compute_uv=False)[:, 0]
+        prev = best_val[live]
+        better = val > prev
+        best_val[live[better]], best_m[live[better]] = val[better], m[better]
+        keep = val > prev + 1e-15
+        m, u, vt, live = m[keep], u[keep], vt[keep], live[keep]
+        w = comp.T @ (u[:, :, :1] * vt[:, :1]).reshape(-1, len(comp), 1)
+        u, _, vt = np.linalg.svd(w.reshape(-1, den.rows, den.cols))
         m = u @ rect_eye @ vt
-    x_best = np.linalg.solve(dmat, best_m.ravel())
-    return (best_val if best_val > -np.inf else 0.0), x_best
+    x_best[start] = np.linalg.solve(
+        dmat, best_m[start].reshape(-1, len(dmat), 1))[..., 0]
+    return np.where(best_val > -np.inf, best_val, 0.0), x_best
 
 
 def polyak_minimize(b_vec: np.ndarray, k_mat: np.ndarray, rows: int, cols: int,
@@ -342,7 +353,15 @@ def spectral_min_sdp(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
     c_mat = -dilations(b_vec)[0]
     c_vec = np.zeros(1 + nvar)
     c_vec[0] = -1.0
-    basis = np.linalg.qr(k_mat)[0]   # orthonormal, spans K's columns
+    # orthonormal basis of span K.  A zero or dependent column gives Q an
+    # arbitrary extra direction (and one before an independent column also
+    # leaves part of span K out), so a rank-deficient K takes the left
+    # singular vectors of its nonzero singular values instead.
+    basis, r_mat = np.linalg.qr(k_mat)
+    r_diag = np.abs(np.diag(r_mat))
+    if not (r_diag > 1e-12 * r_diag.max(initial=0.0)).all():
+        u, sv, _ = np.linalg.svd(k_mat, full_matrices=False)
+        basis = u[:, sv > 1e-12 * sv.max(initial=0.0)]
 
     w0 = np.asarray(w0, dtype=float)
     start, origin = norm_at(w0), norm_at(np.zeros(nvar))

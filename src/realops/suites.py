@@ -17,8 +17,8 @@ from .linalg import contraction_iff_positive, is_real_positive, op_norm
 from .opspace import (CBMap, MatElem, OpSpace, check_ruan_axioms,
                       complexified_elem, complexify_map, complexify_space,
                       direct_sum_spaces, elem, full_matrix_space,
-                      cb_norm_lower_search, level_norm, quotient_level_norm,
-                      random_elem, span_space)
+                      cb_norm_levels, cb_norm_lower_search, level_norm,
+                      quotient_level_norm, random_elem, span_space)
 from .quantization import (ell_infty, ell_one, min_level_norm, realize_min,
                            reproduce_l12_nonuniqueness, w2_complex_norm,
                            max_l1_norm_bounds, BanachSpace)
@@ -167,8 +167,8 @@ def suite_opspace(seed: int) -> list[CheckResult]:
     m2 = full_matrix_space(2)
     transpose = CBMap(m2, m2, np.array(
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], float))
-    values = [cb_norm_lower_search(transpose, lvl, restarts=8, seed=seed).value
-              for lvl in (1, 2, 3)]
+    values = [res.value for res in cb_norm_levels(transpose, 3, restarts=8,
+                                                  seed=seed)]
     mono_dev = max(0.0, max(values[i] - values[i + 1] for i in range(2)))
     out.append(_check("amplification bounds grow with the level", mono_dev,
                       0.0, values=values))
@@ -437,18 +437,16 @@ def suite_mideal(seed: int, projection_matrix=None) -> list[CheckResult]:
     out.append(_check("corner maps commute with complexification", dev,
                       1e-12, maps=20))
 
-    taus = []
-    for lvl in (1, 2, 3):
-        taus.append(mideal.tau_u_level_cb(
-            CBMap(m2, m2, DIAG_MULT), lvl, restarts=6, seed=seed))
+    taus = [res.value for res in cb_norm_levels(
+        mideal.tau_map(CBMap(m2, m2, DIAG_MULT)), 3, restarts=6, seed=seed)]
     out.append(_check("corner map of a multiplier stays contractive",
                       max(0.0, max(taus) - 1.0), 1e-9, values=taus))
-    v2 = mideal.tau_u_level_cb(CBMap(m2, m2, 2 * np.eye(4)), 1, restarts=6,
-                               seed=seed)
+    v2 = cb_norm_lower_search(mideal.tau_map(CBMap(m2, m2, 2 * np.eye(4))),
+                              1, restarts=6, seed=seed).value
     out.append(_check("corner map detects a doubled multiplier",
                       max(0.0, 2.0 - v2), 1e-6, value=v2))
-    v1 = mideal.tau_u_level_cb(opspace.identity_map(m2), 2, restarts=6,
-                               seed=seed)
+    v1 = cb_norm_lower_search(mideal.tau_map(opspace.identity_map(m2)), 2,
+                              restarts=6, seed=seed).value
     out.append(_check("corner map of the identity has norm one",
                       abs(v1 - 1.0), 1e-9, value=v1))
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import (MEMBERSHIP_TOL, in_span, is_real_positive, op_norm,
                      relative_residual, span_coefficients)
-from .opspace import (CBMap, MatElem, OpSpace, cb_norm_lower_search,
+from .opspace import (CBMap, MatElem, OpSpace, cb_norm_levels,
                       complex_structure, level_norm, opspace_from_json,
                       opspace_to_json, random_elem, scalar_sandwich)
 from .rng import derived_rng
@@ -377,10 +377,8 @@ def choi_effros_product(algebra: OpAlgebra, phi: CBMap, tol: float = 1e-10,
     dev_sa = np.inf
     if tmat is not None:
         dev_sa = float(np.max(np.abs(pm @ tmat - tmat @ pm)))
-    cc_bounds = []
-    for lvl in (1, 2):
-        cc_bounds.append(cb_norm_lower_search(phi, lvl, restarts=8,
-                                              iters=200, seed=seed).value)
+    cc_bounds = [res.value for res in cb_norm_levels(phi, 2, restarts=8,
+                                                     iters=200, seed=seed)]
     if any(v > 1.0 + 1e-9 for v in cc_bounds):
         failures.append(f"phi is not completely contractive at tested "
                         f"levels (bounds {cc_bounds})")

@@ -6,9 +6,10 @@ from realops.mideal import (build_nu_mu_tau, certify_left_m_projection,
                             column_embed, column_space, is_right_ideal,
                             projection, projection_complexification_consistency,
                             reverify_certification, shuffle_iso,
-                            solve_left_multiplier, tau_map, tau_u_level_cb,
+                            solve_left_multiplier, tau_map,
                             verify_multiplier_witness)
-from realops.opspace import (CBMap, MatElem, cb_norm_lower_search, elem,
+from realops.opspace import (CBMap, MatElem, cb_norm_levels,
+                             cb_norm_lower_search, elem,
                              full_matrix_space, identity_map, level_norm,
                              random_elem, span_space)
 from realops.rng import derived_rng
@@ -239,19 +240,19 @@ class TestMultiplierWitness:
 
 class TestTau:
     def test_orthogonal_corner_multiplier_contractive(self):
-        for lvl in (1, 2, 3):
-            val = tau_u_level_cb(CBMap(M2, M2, DIAG_MULT), lvl, restarts=6,
-                                 seed=4)
-            assert val <= 1.0 + 1e-9
+        for res in cb_norm_levels(tau_map(CBMap(M2, M2, DIAG_MULT)), 3,
+                                  restarts=6, seed=4):
+            assert res.value <= 1.0 + 1e-9
 
     def test_doubled_identity_refuted(self):
-        val = tau_u_level_cb(CBMap(M2, M2, 2.0 * np.eye(4)), 1, restarts=6,
-                             seed=4)
-        assert val >= 2.0 - 1e-6
+        (res,) = cb_norm_levels(tau_map(CBMap(M2, M2, 2.0 * np.eye(4))), 1,
+                                restarts=6, seed=4)
+        assert res.value >= 2.0 - 1e-6
 
     def test_identity_is_one(self):
-        val = tau_u_level_cb(identity_map(M2), 2, restarts=6, seed=4)
-        assert val == pytest.approx(1.0, abs=1e-9)
+        *_, res = cb_norm_levels(tau_map(identity_map(M2)), 2, restarts=6,
+                                 seed=4)
+        assert res.value == pytest.approx(1.0, abs=1e-9)
 
     def test_tau_needs_endomap(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from realops.optim import (SDP_BRACKET, SDP_MAX_ITERS, smoothed_spectral_min,
                            spectral_min_sdp)
 from realops.quantization import ell_one, realize_min
 from realops.opspace import (CBMap, MatElem, check_ruan_axioms,
-                             cbmap_from_json, cbmap_to_json,
+                             cbmap_from_json, cbmap_to_json, cb_norm_levels,
                              cb_norm_lower_search, complexification_norm,
                              complexified_elem, complexify_map,
                              complexify_space, conjugate_elem,
@@ -25,6 +25,10 @@ B_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 TRANSPOSE = CBMap(M2, M2, np.array([[1, 0, 0, 0], [0, 0, 1, 0],
                                     [0, 1, 0, 0], [0, 0, 0, 1]], float))
+UT = span_space([[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]])
+#: the map of TestCbLowerBounds.test_partial_domain_values_are_pinned
+TRIANGULAR_MAP = CBMap(UT, UT, np.array([[1.0, 0.5, 0.0], [0.0, -1.0, 0.3],
+                                         [0.2, 0.0, 0.7]]))
 
 
 def assemble_complex_block(x, y):
@@ -248,6 +252,27 @@ class TestCbLowerBounds:
     def test_nonpositive_restarts_rejected(self, restarts):
         with pytest.raises(ValueError):
             cb_norm_lower_search(TRANSPOSE, 2, restarts=restarts)
+
+    @pytest.mark.parametrize("iters", [0, -5])
+    def test_nonpositive_iters_rejected(self, iters):
+        with pytest.raises(ValueError):
+            cb_norm_lower_search(TRIANGULAR_MAP, 2, iters=iters)
+        with pytest.raises(ValueError):
+            next(cb_norm_levels(TRANSPOSE, 2, iters=iters))
+
+    @pytest.mark.parametrize("u, restarts, iters, seed", [
+        (TRANSPOSE, 6, 500, 9),            # full domain: seesaw
+        (TRIANGULAR_MAP, 4, 150, 3)])      # partial domain: ratio ascent
+    def test_level_sweep_matches_single_searches(self, u, restarts, iters,
+                                                 seed):
+        sweep = list(cb_norm_levels(u, 3, restarts, iters, seed))
+        assert [res.level for res in sweep] == [1, 2, 3]
+        for n, res in enumerate(sweep, start=1):
+            alone = cb_norm_lower_search(u, n, restarts, iters, seed)
+            assert res.value == alone.value
+            assert np.array_equal(res.witness, alone.witness)
+            assert res.restart_values == alone.restart_values
+            assert len(res.restart_values) == restarts
 
     def test_partial_domain_values_are_pinned(self):
         # span{e11, e12, e22} is not all of M2(R), so the search runs the
@@ -478,6 +503,35 @@ class TestSpectralMinSdp:
         assert op_norm((b - k @ w).reshape(rows, cols)) == value
         assert 0.0 <= lower <= value
         assert value - lower_ref <= 1e-9
+
+    @pytest.mark.parametrize("case", range(len(SDP_CASES)))
+    def test_zero_column_keeps_the_lower_bound(self, case):
+        # a zero column of K adds nothing to span K, so the certificate
+        # basis must not grow and the bracket stays that of the plain case
+        b, k, rows, cols, w0 = SDP_CASES[case]
+        _, _, lower_ref, _, _ = spectral_min_sdp(b, k, rows, cols, w0)
+        k = np.concatenate([k, np.zeros((k.shape[0], 1))], axis=1)
+        _, _, lower, _, _ = spectral_min_sdp(b, k, rows, cols,
+                                             np.append(w0, 0.0))
+        assert abs(lower - lower_ref) <= 1e-9
+
+    @pytest.mark.parametrize("case", range(len(SDP_CASES)))
+    def test_dependent_column_keeps_the_certificate_valid(self, case):
+        # a repeated first column ahead of the others: the certificate
+        # still annihilates span K, so the lower bound stays below the
+        # distance (the QR diagonal alone would drop part of span K)
+        b, k, rows, cols, w0 = SDP_CASES[case]
+        value_ref, _, _, _, _ = spectral_min_sdp(b, k, rows, cols, w0)
+        k = np.concatenate([k[:, :1], k], axis=1)
+        _, _, lower, z, _ = spectral_min_sdp(b, k, rows, cols,
+                                             np.append(0.0, w0))
+        assert lower <= value_ref + 1e-9
+        z_ann = z.ravel() - k @ np.linalg.lstsq(k, z.ravel(), rcond=None)[0]
+        if lower > 0:
+            trace_norm = np.linalg.svd(z_ann.reshape(rows, cols),
+                                       compute_uv=False).sum()
+            assert abs(b @ z_ann) / trace_norm == pytest.approx(lower,
+                                                                rel=1e-9)
 
     def test_near_singular_schur_matrix_closes_the_bracket(self):
         # a level-2 element over min ell^1_2 (one of the quotient benchmark

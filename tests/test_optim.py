@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from realops.opspace import CBMap, full_matrix_space, num_den_maps, span_space
-from realops.optim import LinearMatrixMap, ratio_ascent, ratio_eval
+from realops.optim import (LinearMatrixMap, ratio_ascent, ratio_eval,
+                           seesaw_ascent)
 
 M2 = full_matrix_space(2)
 UT = span_space([[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]])
@@ -122,3 +123,78 @@ class TestRatioAscent:
                                                     [1.0, 0.0]]))
         assert np.array_equal(vals, [0.0, 1.0])
         assert np.array_equal(xs, [[0.0, 0.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("iters", [0, -5])
+    def test_nonpositive_iters_rejected(self, iters):
+        num, den = maps("partial")
+        with pytest.raises(ValueError):
+            ratio_ascent(num, den, np.ones((2, num.matrix.shape[1])),
+                         iters=iters)
+
+
+def lone_seesaw(num, den, x0):
+    """Reference: one start at a time, with single-matrix SVDs."""
+    comp = num.matrix @ np.linalg.inv(den.matrix)
+    m = (den.matrix @ x0).reshape(den.rows, den.cols)
+    sm = np.linalg.svd(m, compute_uv=False)[0] if m.any() else 0.0
+    if sm <= 1e-300:
+        return 0.0, x0
+    m = m / sm
+    best_val, best_m = -np.inf, m.copy()
+    for _ in range(80):
+        n = (comp @ m.ravel()).reshape(num.rows, num.cols)
+        if not n.any():
+            break
+        u, s, vt = np.linalg.svd(n)
+        val = s[0] / np.linalg.svd(m, compute_uv=False)[0]
+        if val > best_val + 1e-15:
+            best_val, best_m = val, m.copy()
+        else:
+            if val > best_val:
+                best_val, best_m = val, m.copy()
+            break
+        w = (comp.T @ np.outer(u[:, 0], vt[0]).ravel()).reshape(den.rows,
+                                                                 den.cols)
+        u, _, vt = np.linalg.svd(w)
+        m = u @ np.eye(den.rows, den.cols) @ vt
+    x = np.linalg.solve(den.matrix, best_m.ravel())
+    return (best_val if best_val > -np.inf else 0.0), x
+
+
+class TestSeesawAscent:
+    # each row of a stack ends bit for bit as that start run alone
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_rows_match_lone_runs_bit_for_bit(self, level):
+        rng = np.random.default_rng(24)
+        # a generic map, and one (x -> its e11 entry) whose numerator
+        # vanishes on the e22 corner
+        for mat in (rng.standard_normal((4, 4)), np.diag([1.0, 0, 0, 0])):
+            num, den = num_den_maps(CBMap(M2, M2, mat), level)
+            starts = rng.standard_normal((6, num.matrix.shape[1]))
+            starts[2] = 0.0                     # zero start
+            starts[4] = np.eye(len(starts[4]))[-1]  # zero numerator
+            vals, xs = seesaw_ascent(num, den, starts)
+            assert vals.shape == (6,) and xs.shape == starts.shape
+            for start, val, x in zip(starts, vals, xs):
+                v1, x1 = seesaw_ascent(num, den, start[None])
+                assert v1[0] == val
+                assert np.array_equal(x1[0], x)
+                v1, x1 = lone_seesaw(num, den, start)
+                assert v1 == val
+                assert np.array_equal(x1, x)
+            assert vals[2] == 0.0 and not xs[2].any()
+            if not mat[1:].any():
+                assert vals[4] == 0.0
+
+    def test_seesaw_values_are_ratios_at_their_points(self):
+        num, den = maps("full")
+        starts = np.random.default_rng(25).standard_normal(
+            (5, num.matrix.shape[1]))
+        vals, xs = seesaw_ascent(num, den, starts)
+        assert np.allclose(ratio_eval(num, den, xs), vals, rtol=1e-12,
+                           atol=0)
+
+    def test_needs_a_bijective_denominator(self):
+        num, den = maps("partial")
+        with pytest.raises(ValueError):
+            seesaw_ascent(num, den, np.ones((1, num.matrix.shape[1])))
