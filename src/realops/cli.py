@@ -210,7 +210,8 @@ def _cmd_max_l1(args):
                                           restarts=args.restarts,
                                           seed=args.seed)
     return {"lower": res.lower, "upper": res.upper, "best_m": res.best_m,
-            "witness": res.witness}, None
+            "witness": res.witness,
+            "sdp_iterations": res.sdp_iterations}, None
 
 
 def _cmd_certify_mproj(args):
@@ -313,6 +314,7 @@ def _cmd_reproduce(args):
         return {"min_norm": rep.min_norm, "max_lower": rep.max_lower,
                 "max_upper": rep.max_upper, "gap": rep.gap,
                 "best_m": rep.best_m, "witness": rep.witness,
+                "sdp_iterations": rep.sdp_iterations,
                 "claim": rep.claim}, _verdict(ok)
     scalars = opspace.span_space([[[1.0]]])
     x = opspace.elem(scalars, np.array([[[1.0], [0.0]], [[0.0], [0.0]]]))
@@ -417,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("max-l1",
                        help="maximal-structure norm bracket over ell^1")
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--mmax", type=int, default=4)
+    p.add_argument("--mmax", type=int, default=4,
+                   help="largest test size tried, capped at n")
     p.add_argument("--restarts", type=int, default=64)
 
     p = sub.add_parser("certify-mproj",
@@ -475,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce",
                        help="rerun a bundled numeric counterexample")
     p.add_argument("name", choices=["l12-nonunique", "complex-dual"])
-    p.add_argument("--mmax", type=int, default=4)
+    p.add_argument("--mmax", type=int, default=4,
+                   help="largest test size tried, capped at n")
     p.add_argument("--restarts", type=int, default=64)
 
     p = sub.add_parser("verify", help="run the invariant suites")

@@ -33,10 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (MEMBERSHIP_TOL, as_matrix, clip_contraction,
-                     frobenius_norm, in_span, kron_sum, kron_sum_grad,
-                     kron_sum_matrix, mat_from_json, mat_to_json, op_norm,
-                     span_coefficients)
+from .linalg import (MEMBERSHIP_TOL, as_matrix, clip_contraction, in_span,
+                     kron_sum, kron_sum_grad, kron_sum_matrix, mat_from_json,
+                     mat_to_json, op_norm, span_coefficients)
 from .optim import (LinearMatrixMap, ratio_ascent, ratio_eval, seesaw_ascent,
                     spectral_min_sdp)
 from .rng import derived_rng
@@ -547,13 +546,20 @@ def theta_dual_search(z_re, z_im, m_max: int = 4, restarts: int = 64,
     """Lower bound for the norm of the matrix of functionals Re( . conj(z_kl)).
 
     The norm is the sup over m and contractive complex m x m test matrices
-    of the realized real block norm.  For each m up to m_max the search
-    runs projected ascent from the identity and from ``restarts`` seeded
-    random unitaries, restart r drawn from ``derived_rng(seed, m, r)``.
-    All starts advance in lockstep: each step takes one stacked SVD,
-    gradient and contraction projection over the live starts, and a start
-    retires where a lone ascent would stop (a vanishing gradient).  Each
-    evaluation happens at a feasible (contractive) test matrix, so every
+    of the realized real block norm.  It is the cb norm of a map into M_n
+    for n x n blocks z, which is reached at level n (Smith's lemma; Paulsen,
+    "Completely Bounded Maps and Operator Algebras", 2002, ch. 8), so only
+    m = 1..min(m_max, n) are searched.
+
+    For each such m the search runs an exact alternating (seesaw) ascent
+    from the identity and from ``restarts`` seeded random unitaries,
+    restart r drawn from ``derived_rng(seed, m, r)``, for at most ``iters``
+    rounds.  A round takes the top singular pair (u, v) of the realized
+    matrix M(W) and moves to the contraction maximizing the linearization
+    u^T M(W') v = Re tr(G^* W'): the unitary polar factor of G.  The value
+    never decreases, and a start retires once a round gains no more than
+    1e-15.  All starts advance in lockstep, with two stacked SVDs per
+    round.  Each evaluation happens at a unitary test matrix, so every
     reported value, per restart included, is a true lower bound.  Each start
     keeps its own first strict maximum, and the starts are reduced in order
     with strict ``>``: the first best test matrix wins, and
@@ -577,7 +583,7 @@ def theta_dual_search(z_re, z_im, m_max: int = 4, restarts: int = 64,
     best_m = 1
     best_w = np.eye(1, dtype=complex)
     restart_values = []
-    for m in range(1, m_max + 1):
+    for m in range(1, min(m_max, len(z_re)) + 1):
         g = np.empty((restarts, m, m), dtype=complex)
         for r in range(restarts):
             rng = derived_rng(seed, m, r)
@@ -588,23 +594,20 @@ def theta_dual_search(z_re, z_im, m_max: int = 4, restarts: int = 64,
         run_best = np.zeros(restarts + 1)
         run_w = w.copy()
         live = np.arange(restarts + 1)
-        step = 0.3
-        decay = (1e-10 / step) ** (1.0 / iters)
         for _ in range(iters):
             g_mat = kron_sum(coeffs, np.stack([w.real, w.imag], axis=-3))
             u, s, vt = np.linalg.svd(g_mat)
-            better = s[:, 0] > run_best[live]
+            prev = run_best[live]
+            better = s[:, 0] > prev
             run_best[live[better]] = s[better, 0]
             run_w[live[better]] = w[better]
-            grads = kron_sum_grad(coeffs, u[..., :, 0], vt[..., 0, :])
-            grad = grads[:, 0] + 1j * grads[:, 1]
-            gn = frobenius_norm(grad)
-            keep = gn >= 1e-18
-            w, grad, gn, live = w[keep], grad[keep], gn[keep], live[keep]
+            keep = s[:, 0] > prev + 1e-15
+            w, u, vt, live = w[keep], u[keep], vt[keep], live[keep]
             if not len(live):
                 break
-            w = clip_contraction(w + step * grad / gn[:, None, None])
-            step *= decay
+            grads = kron_sum_grad(coeffs, u[..., :, 0], vt[..., 0, :])
+            pu, _, pvh = np.linalg.svd(grads[:, 0] + 1j * grads[:, 1])
+            w = pu @ pvh
         i = int(np.argmax(run_best))     # the first of equal maxima
         if run_best[i] > best:
             best, best_m, best_w = float(run_best[i]), m, run_w[i]

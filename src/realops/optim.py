@@ -1,6 +1,6 @@
 """Nonsmooth search kernels shared by the norm-certification routines.
 
-Three workhorses and two reference solvers:
+Four workhorses and two reference solvers:
 
 * ``ratio_ascent``: multistart subgradient ascent on a ratio of two largest
   singular values, both linear in the parameter vector.  It takes a stack
@@ -16,16 +16,20 @@ Three workhorses and two reference solvers:
   generic ascent.  It takes a stack of starts like ``ratio_ascent``, with
   three stacked SVDs per round (numerator images, denominator matrices and
   linearized functionals); each start ends exactly as it would alone.
-* ``spectral_min_sdp``: the quotient-norm solver for the convex problem
-  min_w sigma_max(B - K w), written as the small semidefinite program
-  min t s.t. t I - D(B - K w) >= 0 with D(M) = [[0, M], [M^T, 0]], and
-  solved by HKM primal-dual steps with a Mehrotra predictor-corrector
-  (Helmberg-Rendl-Vanderbei-Wolkowicz, SIAM J. Optim. 6, 1996).  Every
-  iterate gives an upper bound sigma_max(B - K w) and, from the primal
-  matrix, a trace-norm certificate Z annihilating span K with
-  |<B, Z>| / ||Z||_1 a lower bound (trace-norm duality; Effros-Ruan,
-  "Operator Spaces", 2000, section 1).
-  It returns the certified bracket.
+* ``sdp_maximize``: the one small SDP kernel, for a dense real SDP in
+  standard dual form (maximize b^T y s.t. C - sum_i y_i A_i >= 0), solved
+  by HKM primal-dual steps with a Mehrotra predictor-corrector
+  (Helmberg-Rendl-Vanderbei-Wolkowicz, SIAM J. Optim. 6, 1996).  The
+  caller turns each iterate into a certified bracket, and the solve stops
+  on the best bracket seen.
+* ``spectral_min_sdp``: its quotient-norm instance, for the convex problem
+  min_w sigma_max(B - K w), written as min t s.t. t I - D(B - K w) >= 0
+  with D(M) = [[0, M], [M^T, 0]].  Every iterate gives an upper bound
+  sigma_max(B - K w) and, from the primal matrix, a trace-norm
+  certificate Z annihilating span K with |<B, Z>| / ||Z||_1 a lower bound
+  (trace-norm duality; Effros-Ruan, "Operator Spaces", 2000, section 1).
+  It returns the certified bracket.  The maximal ell^1 bound of
+  ``quantization`` is the other instance.
 * ``smoothed_spectral_min`` (smoothed-BFGS continuation) and
   ``polyak_minimize`` (adaptive Polyak subgradient descent): reference
   solvers for the same problem.  Nothing in the package calls them; they
@@ -297,90 +301,66 @@ def smoothed_spectral_min(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
     return prev_val, w, float(gap)
 
 
-#: spectral_min_sdp stops once its bracket is at most this times
+#: sdp_maximize stops once its bracket is at most this times
 #: max(1, upper bound)
 SDP_BRACKET = 1e-10
-#: iteration cap of spectral_min_sdp
+#: iteration cap of sdp_maximize
 SDP_MAX_ITERS = 50
 
 
-def spectral_min_sdp(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
-                     cols: int, w0: np.ndarray):
-    """Certified bracket on min_w sigma_max(reshape(b_vec - k_mat w)).
+@dataclass
+class SdpResult:
+    upper: float             # best certified upper bound seen
+    lower: float             # best certified lower bound seen
+    y: np.ndarray | None     # dual iterate that gave ``upper``, if any
+    x: np.ndarray | None     # primal iterate that gave ``lower``, if any
+    iterations: int          # completed steps
 
-    The SDP in standard dual form: maximize -t subject to
-    S = C - t A_0 - sum_j w_j A_j >= 0 with A_0 = -I, A_j = -D(K_j) and
-    C = -D(B); its primal is max <D(B), X> over X >= 0 with tr X = 1 and
-    <D(K_j), X> = 0.  Both sides start strictly feasible, at
-    (t, w) = (sigma_max(B - K w0) + 1, w0) and X = I / N.  Each HKM step
-    solves the Schur system M_ij = tr(A_i X A_j S^-1) twice (Mehrotra
-    predictor, then corrector with sigma = (gap_aff / gap)^3) and moves
-    0.98 of the largest step keeping X and S positive definite, capped
-    at 1.
 
-    After each step, sigma_max(B - K w) is an upper bound.  The
-    off-diagonal block Z of X, projected in the Frobenius norm onto the
-    annihilator of span K, gives the lower bound |<B, Z>| / ||Z||_1,
-    whatever the residuals of X.  The best of each is kept; the solve stops
-    when upper - lower <= SDP_BRACKET * max(1, upper), after SDP_MAX_ITERS
+def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, b: np.ndarray,
+                 x0: np.ndarray, y0: np.ndarray, bracket, upper: float,
+                 lower: float = 0.0) -> SdpResult:
+    """Small dense real SDP in standard dual form: maximize b^T y subject
+    to S = C - sum_i y_i A_i >= 0, with primal min <C, X> over X >= 0 with
+    <A_i, X> = b_i.  ``a`` is the (m, N, N) stack of symmetric A_i and
+    ``c_mat`` the symmetric N x N matrix C; a block-diagonal problem puts
+    its blocks on the diagonal of one N x N matrix.
+
+    The solve starts at the strictly feasible dual point ``y0`` and the
+    positive definite ``x0``; X need not be primal feasible, as each step
+    also reduces the primal residual b - A(X).  Each HKM step
+    (Helmberg-Rendl-Vanderbei-Wolkowicz, SIAM J. Optim. 6, 1996) solves the
+    Schur system M_ij = tr(A_i X A_j S^-1) twice (Mehrotra predictor, then
+    corrector with sigma = (gap_aff / gap)^3) and moves 0.98 of the largest
+    step keeping X and S positive definite, capped at 1.  A Schur matrix
+    that is numerically singular gives its step by least squares.
+
+    After each step ``bracket(x, y)`` turns the iterate into a certified
+    (upper, lower) pair for the caller's value, the minimum -max b^T y, so
+    that dual points y give its upper bounds and primal points x its lower
+    bounds; it must not rely on the iterate being exactly feasible.  The
+    least upper (with its y) and the greatest lower (with its x) seen are
+    kept, starting from ``upper`` and ``lower``, and the solve stops once
+    upper - lower <= SDP_BRACKET * max(1, upper), after SDP_MAX_ITERS
     steps, or on a LinAlgError of a Cholesky factor of X or S near the
-    optimum, which ends the solve with the bounds reached so far.  A Schur
-    matrix that is numerically singular there gives its step by least
-    squares instead.
-
-    Returns (value, w, lower, z, iterations): value = sigma_max at w, the
-    least of w0, w = 0 and every iterate; lower <= the infimum <= value;
-    z is the unprojected off-diagonal block of the X that gave ``lower``
-    (zero when no step was made); iterations counts completed steps.
+    optimum, which ends the solve with the bounds reached so far.
     """
-    side = rows + cols
-    nvar = k_mat.shape[1]
-
-    def dilations(vecs):
-        m = vecs.reshape(-1, rows, cols)
-        d = np.zeros((m.shape[0], side, side))
-        d[:, :rows, rows:] = m
-        d[:, rows:, :rows] = m.transpose(0, 2, 1)
-        return d
-
-    def norm_at(w):
-        m = (b_vec - k_mat @ w).reshape(rows, cols)
-        return float(np.linalg.svd(m, compute_uv=False)[0])
-
-    # A_0 = -I and A_j = -D(K_j), one flattened matrix per row of a_f
-    a = np.concatenate([-np.eye(side)[None], -dilations(k_mat.T)])
-    a_f = a.reshape(1 + nvar, -1)
-    c_mat = -dilations(b_vec)[0]
-    c_vec = np.zeros(1 + nvar)
-    c_vec[0] = -1.0
-    # orthonormal basis of span K.  A zero or dependent column gives Q an
-    # arbitrary extra direction (and one before an independent column also
-    # leaves part of span K out), so a rank-deficient K takes the left
-    # singular vectors of its nonzero singular values instead.
-    basis, r_mat = np.linalg.qr(k_mat)
-    r_diag = np.abs(np.diag(r_mat))
-    if not (r_diag > 1e-12 * r_diag.max(initial=0.0)).all():
-        u, sv, _ = np.linalg.svd(k_mat, full_matrices=False)
-        basis = u[:, sv > 1e-12 * sv.max(initial=0.0)]
-
-    w0 = np.asarray(w0, dtype=float)
-    start, origin = norm_at(w0), norm_at(np.zeros(nvar))
-    value, w_best = (origin, np.zeros(nvar)) if origin < start \
-        else (start, w0.copy())
-    lower, z_best = 0.0, np.zeros((rows, cols))
-    y = np.concatenate([[start + 1.0], w0])
-    x = np.eye(side) / side
+    side = len(c_mat)
+    a_f = a.reshape(len(a), -1)
+    y_best = x_best = None
+    y = np.asarray(y0, dtype=float)
+    x = x0
     s = c_mat - (y @ a_f).reshape(side, side)
     iterations = 0
     try:
         while iterations < SDP_MAX_ITERS and \
-                value - lower > SDP_BRACKET * max(1.0, value):
+                upper - lower > SDP_BRACKET * max(1.0, upper):
             x_ci = np.linalg.inv(np.linalg.cholesky(x))
             s_ci = np.linalg.inv(np.linalg.cholesky(s))
             s_inv = s_ci.T @ s_ci
-            r_p = c_vec - a_f @ x.ravel()
+            r_p = b - a_f @ x.ravel()
             r_d = c_mat - s - (y @ a_f).reshape(side, side)
-            schur = a_f @ (x @ a @ s_inv).reshape(1 + nvar, -1).T
+            schur = a_f @ (x @ a @ s_inv).reshape(len(a), -1).T
 
             def direction(target):
                 rhs = r_p - a_f @ (target - x @ r_d @ s_inv).ravel()
@@ -411,18 +391,91 @@ def spectral_min_sdp(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
             y = y + ad * dy
             s = s + ad * ds
             iterations += 1
-
-            # one stacked SVD: sigma_max(B - K w) and ||Z||_1
-            z = x[:rows, rows:].ravel()
-            z_ann = z - basis @ (basis.T @ z)
-            sv = np.linalg.svd(np.stack([b_vec - k_mat @ y[1:], z_ann])
-                               .reshape(2, rows, cols), compute_uv=False)
-            if sv[0, 0] < value:
-                value, w_best = float(sv[0, 0]), y[1:].copy()
-            trace_norm = sv[1].sum()
-            if trace_norm > 0 and abs(b_vec @ z_ann) / trace_norm > lower:
-                lower = float(abs(b_vec @ z_ann) / trace_norm)
-                z_best = z.reshape(rows, cols)
+            hi, lo = bracket(x, y)
+            if hi < upper:
+                upper, y_best = hi, y
+            if lo > lower:
+                lower, x_best = lo, x
     except np.linalg.LinAlgError:
         pass
-    return value, w_best, lower, z_best, iterations
+    return SdpResult(upper, lower, y_best, x_best, iterations)
+
+
+def spectral_min_sdp(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
+                     cols: int, w0: np.ndarray):
+    """Certified bracket on min_w sigma_max(reshape(b_vec - k_mat w)).
+
+    The instance of ``sdp_maximize``: maximize -t subject to
+    S = C - t A_0 - sum_j w_j A_j >= 0 with A_0 = -I, A_j = -D(K_j) and
+    C = -D(B); its primal is max <D(B), X> over X >= 0 with tr X = 1 and
+    <D(K_j), X> = 0.  Both sides start strictly feasible, at
+    (t, w) = (sigma_max(B - K w0) + 1, w0) and X = I / N.
+
+    After each step, sigma_max(B - K w) is an upper bound.  The
+    off-diagonal block Z of X, projected in the Frobenius norm onto the
+    annihilator of span K, gives the lower bound |<B, Z>| / ||Z||_1,
+    whatever the residuals of X.  When K has dependent columns, the solve
+    runs in the independent variables v of the orthonormal basis U of
+    span K from its SVD K = U s V^T (w = V v / s), so that no iterate can
+    drift along the null space of K.
+
+    Returns (value, w, lower, z, iterations): value = sigma_max at w, the
+    least of w0, w = 0 and every iterate; lower <= the infimum <= value;
+    z is the unprojected off-diagonal block of the X that gave ``lower``
+    (zero when no step was made); iterations counts completed steps.
+    """
+    side = rows + cols
+
+    def dilations(vecs):
+        m = vecs.reshape(-1, rows, cols)
+        d = np.zeros((m.shape[0], side, side))
+        d[:, :rows, rows:] = m
+        d[:, rows:, :rows] = m.transpose(0, 2, 1)
+        return d
+
+    def norm_at(w):
+        m = (b_vec - k_mat @ w).reshape(rows, cols)
+        return float(np.linalg.svd(m, compute_uv=False)[0])
+
+    # orthonormal basis of span K.  A zero or dependent column gives Q an
+    # arbitrary extra direction (and one before an independent column also
+    # leaves part of span K out), so a rank-deficient K takes the left
+    # singular vectors of its nonzero singular values instead, and the
+    # solve runs over that basis
+    w0 = np.asarray(w0, dtype=float)
+    basis, r_mat = np.linalg.qr(k_mat)
+    r_diag = np.abs(np.diag(r_mat))
+    k_sdp, v0, to_w = k_mat, w0, None
+    if not (r_diag > 1e-12 * r_diag.max(initial=0.0)).all():
+        u, sv, vt = np.linalg.svd(k_mat, full_matrices=False)
+        keep = sv > 1e-12 * sv.max(initial=0.0)
+        basis = k_sdp = u[:, keep]
+        v0, to_w = sv[keep] * (vt[keep] @ w0), vt[keep].T / sv[keep]
+
+    def w_of(v):
+        return v if to_w is None else to_w @ v
+
+    def bracket(x, y):
+        # one stacked SVD: sigma_max(B - K w) and ||Z||_1
+        z = x[:rows, rows:].ravel()
+        z_ann = z - basis @ (basis.T @ z)
+        sv = np.linalg.svd(np.stack([b_vec - k_mat @ w_of(y[1:]), z_ann])
+                           .reshape(2, rows, cols), compute_uv=False)
+        trace_norm = sv[1].sum()
+        return float(sv[0, 0]), \
+            float(abs(b_vec @ z_ann) / trace_norm) if trace_norm > 0 else 0.0
+
+    # A_0 = -I and A_j = -D(K_j)
+    a = np.concatenate([-np.eye(side)[None], -dilations(k_sdp.T)])
+    obj = np.zeros(len(a))
+    obj[0] = -1.0
+    start, origin = norm_at(w0), norm_at(np.zeros(len(w0)))
+    value, w_best = (origin, np.zeros(len(w0))) if origin < start \
+        else (start, w0.copy())
+    res = sdp_maximize(a, -dilations(b_vec)[0], obj, np.eye(side) / side,
+                       np.concatenate([[start + 1.0], v0]), bracket, value)
+    if res.y is not None:
+        w_best = w_of(res.y[1:])
+    z_best = np.zeros((rows, cols)) if res.x is None \
+        else res.x[:rows, rows:].copy()
+    return res.upper, w_best, res.lower, z_best, res.iterations

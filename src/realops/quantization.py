@@ -4,9 +4,9 @@ real Banach spaces.
 Banach spaces are given by a finite symmetric list of functionals (the
 dual ball is a polytope), which makes the minimal matrix norms and the
 circled complexification norm exact finite maxima.  The maximal structure
-is implemented for ell^1 coordinates through its explicit formula as a
-sup over tuples of contractive matrices; the search reports an honest
-(lower, upper) bracket since no finite test size is known to suffice.
+is implemented for ell^1 coordinates: a search over tuples of contractive
+test matrices gives a witnessed lower bound, and Haagerup's factorization
+SDP gives a certified upper bound.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .linalg import (as_matrix, clip_contraction, frobenius_norm, kron_sum,
                      kron_sum_grad, op_norm)
 from .opspace import (OpSpace, complexified_elem, complexify_space, elem,
                       level_norm)
+from .optim import sdp_maximize
 from .rng import derived_rng
 
 
@@ -164,10 +165,17 @@ class MaxL1Result:
     upper: float
     best_m: int
     witness: list[np.ndarray]     # the contraction tuple attaining lower
+    sdp_iterations: int           # Haagerup SDP steps (0: not needed)
+    #: (t, X, Y), (d, n, n) stacks X_k, Y_k with [[X_k, a_k], [a_k^T, Y_k]]
+    #: >= 0 and sum X_k, sum Y_k <= t I, so that upper = t
+    certificate: tuple[float, np.ndarray, np.ndarray]
 
 
 #: signed-permutation tuples scored per stacked call
 CANDIDATE_SLICE = 256
+#: a witnessed lower bound more than this times max(1, upper) above the
+#: certified upper bound is a defect, raised rather than clipped
+INVERSION_TOL = 1e-9
 
 
 def _signed_permutations(m: int) -> np.ndarray:
@@ -185,11 +193,105 @@ def _tuple_norms(coeffs: np.ndarray, ds: np.ndarray) -> np.ndarray:
     return np.linalg.svd(kron_sum(coeffs, ds), compute_uv=False)[..., 0]
 
 
+def _haagerup_sdp(mats: list[np.ndarray], lower: float):
+    """Certified bracket on the cb norm of psi: MIN ell^inf_d -> M_n,
+    e_k -> a_k, from Haagerup's factorization SDP: the least t with
+    [[X_k, a_k], [a_k^T, Y_k]] >= 0, sum X_k <= t I and sum Y_k <= t I
+    (Paulsen, "Completely Bounded Maps and Operator Algebras", 2002, ch. 8;
+    the proof holds over the reals, as real B(H) is injective).
+
+    One ``sdp_maximize`` solve of maximize -t, with the d blocks of size 2n
+    and the two n x n blocks t I - sum X_k, t I - sum Y_k on the diagonal
+    of S.  It starts at X_k = Y_k = (||a_k|| + mu) I and
+    t = sum (||a_k|| + mu) + mu with mu = max(1, sum ||a_k||), so that the
+    start stays strictly feasible at any scale, from the bracket of the
+    triangle bound
+    sum ||a_k|| (the point X_k = Y_k = ||a_k|| I) and the witnessed
+    ``lower``, and stops when the two sides meet.
+
+    Each iterate gives both sides.  Upper: every 2n-block of the dual point
+    is shifted by its most negative eigenvalue, and the bound is
+    max(lambda_max sum X_k, lambda_max sum Y_k) at the shifted point.
+    Lower: each 2n-block [[P_k, R_k], [R_k^T, Q_k]] of the primal matrix is
+    positive definite, so C_k = P_k^-1/2 R_k Q_k^-1/2 is a contraction (up
+    to roundoff, which a clip removes), and || sum_k a_k kron C_k || is a
+    witnessed lower bound at test size n.
+
+    Returns (certificate, lower, witness, iterations): the best
+    certificate (t, X, Y) with X, Y as (d, n, n) stacks, the best lower
+    bound and its tuple of contractions (None when ``lower`` was not
+    beaten), and the steps taken.
+    """
+    d, n = len(mats), len(mats[0])
+    coeffs = np.stack(mats)
+    norms = [op_norm(a) for a in mats]
+    margin = max(1.0, sum(norms))
+    eye = np.eye(n)
+    # symmetric unit matrices E_pq (p <= q), n(n+1)/2 of them
+    iu = np.triu_indices(n)
+    sym = np.zeros((len(iu[0]), n, n))
+    sym[np.arange(len(sym)), iu[0], iu[1]] = 1.0
+    sym[np.arange(len(sym)), iu[1], iu[0]] = 1.0
+    nb, tail = len(sym), 2 * n * d
+    # y = (t, X_1..X_d, Y_1..Y_d) over the E_pq; S = C - sum_i y_i A_i
+    a = np.zeros((1 + 2 * d * nb, tail + 2 * n, tail + 2 * n))
+    a[0, tail:, tail:] = -np.eye(2 * n)
+    c_mat = np.zeros(a.shape[1:])
+    y0 = np.zeros(len(a))
+    y0[0] = sum(norms) + (d + 1) * margin
+    for k in range(d):
+        o = 2 * n * k
+        c_mat[o:o + n, o + n:o + 2 * n] = mats[k]
+        c_mat[o + n:o + 2 * n, o:o + n] = mats[k].T
+        for half in (0, 1):
+            i, p, q = 1 + (half * d + k) * nb, o + half * n, tail + half * n
+            a[i:i + nb, p:p + n, p:p + n] = -sym
+            a[i:i + nb, q:q + n, q:q + n] = sym
+            y0[i + np.flatnonzero(iu[0] == iu[1])] = norms[k] + margin
+    obj = np.zeros(len(a))
+    obj[0] = -1.0
+
+    def certificate(y):
+        xy = np.tensordot(y[1:].reshape(2, d, nb), sym, axes=1)
+        blocks = np.block([[xy[0], coeffs], [coeffs.transpose(0, 2, 1),
+                                             xy[1]]])
+        shift = np.maximum(0.0, -np.linalg.eigvalsh(blocks)[:, 0])
+        xy = xy + shift[:, None, None] * eye
+        return float(np.linalg.eigvalsh(xy.sum(axis=1))[:, -1].max()), xy
+
+    def witness(x):
+        ar = np.arange(d)
+        z = x[:tail, :tail].reshape(d, 2 * n, d, 2 * n)[ar, :, ar, :]
+        lam, vec = np.linalg.eigh(np.concatenate([z[:, :n, :n],
+                                                  z[:, n:, n:]]))
+        lam = np.maximum(lam, 1e-14 * lam[:, -1:])
+        root = (vec / np.sqrt(lam)[:, None, :]) @ vec.transpose(0, 2, 1)
+        ds = clip_contraction(root[:d] @ z[:, :n, n:] @ root[d:])
+        return float(_tuple_norms(coeffs.transpose(1, 2, 0), ds)), ds
+
+    res = sdp_maximize(a, c_mat, obj, np.eye(len(c_mat)) / (2 * n), y0,
+                       lambda x, y: (certificate(y)[0], witness(x)[0]),
+                       float(sum(norms)), lower)
+    if res.y is None:
+        xy = np.array(norms)[:, None, None] * np.stack([eye, eye])[:, None]
+    else:
+        xy = certificate(res.y)[1]
+    return ((res.upper, xy[0], xy[1]), res.lower,
+            None if res.x is None else witness(res.x)[1], res.iterations)
+
+
 def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
                        iters: int = 80, seed: int = 0) -> MaxL1Result:
-    """Bracket for the maximal-quantization norm of a tuple over ell^1_d:
+    """Certified bracket for the maximal-quantization norm of a tuple of
+    n x n matrices over ell^1_d:
 
-        sup over m and contractions D_1..D_d of  || sum_k a_k kron D_k ||.
+        sup over m and contractions D_1..D_d of  || sum_k a_k kron D_k ||,
+
+    the cb norm of psi: MIN ell^inf_d -> M_n, e_k -> a_k, by the duality
+    (MIN E)* = MAX E* (Effros-Ruan, "Operator Spaces", 2000, section 3.3).
+    Maps into M_n reach their cb norm at level n (Smith's lemma; Paulsen,
+    "Completely Bounded Maps and Operator Algebras", 2002, ch. 8), so only
+    test sizes m = 1..min(m_max, n) are searched.
 
     The objective is convex in each D_k, so the sup is attained at tuples
     of orthogonal matrices.  For each test size m the search scores the
@@ -203,8 +305,13 @@ def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
     tuple is clipped to contractions first.  Each restart keeps its own
     first strict maximum; the candidates and then the restarts are reduced
     in order with strict ``>``, so the first best tuple wins and a restart's
-    result does not depend on how many others run.  upper = sum ||a_k|| by
-    the triangle inequality, so lower <= true value <= upper always.
+    result does not depend on how many others run.
+
+    ``upper`` is the lesser of the triangle bound sum ||a_k|| and the
+    Haagerup SDP bound of ``_haagerup_sdp``, with its certificate; the
+    SDP is skipped (``sdp_iterations`` 0) when the triangle bound already
+    meets the witnessed lower bound.  A lower bound more than INVERSION_TOL
+    (relative) above the upper bound raises ``RuntimeError``.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
@@ -220,7 +327,6 @@ def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
     for a in mats:
         if a.shape != (n, n):
             raise ValueError("coefficient matrices must share a square shape")
-    upper = float(sum(op_norm(a) for a in mats))
     coeffs = np.stack(mats, axis=-1)
     best = 0.0
     best_m = 1
@@ -234,7 +340,7 @@ def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
             best, best_m, best_tuple = (float(values[i]), m,
                                         [x.copy() for x in tuples[i]])
 
-    for m in range(1, m_max + 1):
+    for m in range(1, min(m_max, n) + 1):
         # deterministic extremal candidates
         count = 2 ** m * math.factorial(m)
         if count ** d <= 4096:
@@ -285,10 +391,14 @@ def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
             run_tuple[live[better]] = clipped[better]
             step *= decay
         offer(run_best, run_tuple, m)
-    # both brackets are exact up to floating point; never report an
-    # inverted interval
-    best = min(best, upper)
-    return MaxL1Result(best, upper, best_m, best_tuple)
+    cert, low, tup, sdp_iterations = _haagerup_sdp(mats, best)
+    if tup is not None:
+        best, best_m, best_tuple = low, n, list(tup)
+    upper = cert[0]
+    if best > upper + INVERSION_TOL * max(1.0, upper):
+        raise RuntimeError(f"witnessed lower bound {best!r} exceeds the "
+                           f"certified upper bound {upper!r}")
+    return MaxL1Result(best, upper, best_m, best_tuple, sdp_iterations, cert)
 
 
 # ----------------------------------------------------------------------
@@ -307,6 +417,7 @@ class L1NonuniquenessReport:
     gap: float
     best_m: int
     witness: list[np.ndarray]
+    sdp_iterations: int
     passed: bool
     claim: str = ("two-dimensional ell^1 carries at least two operator "
                   "space structures: the level-2 pair (diag(1,-1), flip) "
@@ -323,7 +434,8 @@ def reproduce_l12_nonuniqueness(seed: int = 0, m_max: int = 4,
                             seed=seed)
     gap = mx.lower - mn
     return L1NonuniquenessReport(mn, mx.lower, mx.upper, gap, mx.best_m,
-                                 mx.witness, passed=bool(gap >= 0.5))
+                                 mx.witness, mx.sdp_iterations,
+                                 passed=bool(gap >= 0.5))
 
 
 def banach_to_json(space: BanachSpace) -> dict:

@@ -489,10 +489,10 @@ class TestSpectralMinSdp:
         assert (v1, lo1, it1) == (v2, lo2, it2)
         assert w1.tobytes() == w2.tobytes() and z1.tobytes() == z2.tobytes()
 
-    def test_singular_schur_matrix_steps_by_least_squares(self):
-        # a zero column of K makes every Schur matrix singular: each step
-        # takes its dy from least squares, and the solve still reaches the
-        # distance bracketed without that column
+    def test_zero_column_solves_in_the_independent_variables(self):
+        # a zero column of K would make every Schur matrix singular; the
+        # solve runs over an orthonormal basis of span K instead and still
+        # reaches the distance bracketed without that column
         b, k, rows, cols, w0 = SDP_CASES[0]
         _, _, lower_ref, _, _ = spectral_min_sdp(b, k, rows, cols, w0)
         k = np.concatenate([k, np.zeros((k.shape[0], 1))], axis=1)
@@ -532,6 +532,20 @@ class TestSpectralMinSdp:
                                        compute_uv=False).sum()
             assert abs(b @ z_ann) / trace_norm == pytest.approx(lower,
                                                                 rel=1e-9)
+
+    @pytest.mark.parametrize("case", range(len(SDP_CASES)))
+    def test_dependent_column_keeps_the_value(self, case):
+        # a repeated column: the iterate stays off the null space of K, so
+        # the value is the plain case's distance and the bracket closes
+        b, k, rows, cols, w0 = SDP_CASES[case]
+        value_ref, _, lower_ref, _, _ = spectral_min_sdp(b, k, rows, cols, w0)
+        k = np.concatenate([k[:, :1], k], axis=1)
+        value, w, lower, _, _ = spectral_min_sdp(b, k, rows, cols,
+                                                 np.append(0.0, w0))
+        assert abs(value - value_ref) <= 1e-9
+        assert 0.0 <= lower <= value
+        assert value - lower <= 1e-9
+        assert op_norm((b - k @ w).reshape(rows, cols)) == value
 
     def test_near_singular_schur_matrix_closes_the_bracket(self):
         # a level-2 element over min ell^1_2 (one of the quotient benchmark
@@ -600,9 +614,9 @@ class TestThetaDual:
         z = ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]])
         few = theta_dual_search(*z, m_max=4, restarts=16, seed=0xC0FFEE)
         many = theta_dual_search(*z, m_max=4, restarts=32, seed=0xC0FFEE)
-        assert len(few.restart_values) == 4 * 16
-        assert len(many.restart_values) == 4 * 32
-        for m in range(4):
+        assert len(few.restart_values) == 2 * 16
+        assert len(many.restart_values) == 2 * 32
+        for m in range(2):
             assert few.restart_values[16 * m:16 * (m + 1)] == \
                 many.restart_values[32 * m:32 * m + 16]
 
@@ -626,3 +640,15 @@ class TestThetaDual:
     def test_out_of_range_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             theta_dual_search([[1.0]], [[0.0]], **kwargs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sizes_above_n_are_not_searched(self, n):
+        # Smith's lemma: m_max beyond n gives exactly the m_max = n result
+        rng = np.random.default_rng(40 + n)
+        z = rng.standard_normal((2, n, n))
+        capped = theta_dual_search(*z, m_max=n, restarts=4, seed=3)
+        res = theta_dual_search(*z, m_max=4, restarts=4, seed=3)
+        assert (res.lower, res.best_m, res.restart_values) == \
+            (capped.lower, capped.best_m, capped.restart_values)
+        assert np.array_equal(res.witness_re, capped.witness_re)
+        assert np.array_equal(res.witness_im, capped.witness_im)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from realops.opspace import CBMap, full_matrix_space, num_den_maps, span_space
-from realops.optim import (LinearMatrixMap, ratio_ascent, ratio_eval,
+from realops.optim import (SDP_BRACKET, SDP_MAX_ITERS, LinearMatrixMap,
+                           ratio_ascent, ratio_eval, sdp_maximize,
                            seesaw_ascent)
 
 M2 = full_matrix_space(2)
@@ -198,3 +199,44 @@ class TestSeesawAscent:
         num, den = maps("partial")
         with pytest.raises(ValueError):
             seesaw_ascent(num, den, np.ones((1, num.matrix.shape[1])))
+
+
+class TestSdpMaximize:
+    """lambda_max(C) = min t s.t. t I - C >= 0, for a block-diagonal C:
+    in dual form, maximize -t with S = -C - t (-I).  A strictly feasible t
+    is an upper bound, and <C, X> / tr X a lower bound for any X > 0."""
+
+    @staticmethod
+    def problem(seed):
+        rng = np.random.default_rng(seed)
+        blocks = [rng.standard_normal((k, k)) for k in (2, 3)]
+        c = np.zeros((5, 5))
+        c[:2, :2] = blocks[0] + blocks[0].T
+        c[2:, 2:] = blocks[1] + blocks[1].T
+        return c
+
+    @staticmethod
+    def bracket(c):
+        return lambda x, y: (float(y[0]), float(np.vdot(c, x) / np.trace(x)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bracket_closes_on_the_largest_eigenvalue(self, seed):
+        c = self.problem(seed)
+        t0 = np.abs(c).sum() + 1.0
+        res = sdp_maximize(-np.eye(5)[None], -c, np.array([-1.0]),
+                           np.eye(5) / 5, np.array([t0]), self.bracket(c),
+                           t0, float(np.trace(c)) / 5)
+        assert 0 < res.iterations <= SDP_MAX_ITERS
+        assert res.upper - res.lower <= SDP_BRACKET * max(1.0, res.upper)
+        top = np.linalg.eigvalsh(c)[-1]
+        assert res.lower - 1e-12 <= top <= res.upper + 1e-12
+        # the kept iterates reproduce the bracket
+        assert self.bracket(c)(res.x, res.y) == (res.upper, res.lower)
+
+    def test_closed_start_bracket_takes_no_step(self):
+        c = self.problem(0)
+        res = sdp_maximize(-np.eye(5)[None], -c, np.array([-1.0]),
+                           np.eye(5) / 5, np.array([9.0]), self.bracket(c),
+                           2.0, 2.0)
+        assert (res.upper, res.lower, res.iterations) == (2.0, 2.0, 0)
+        assert res.x is None and res.y is None

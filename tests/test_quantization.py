@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from realops import quantization
 from realops.linalg import kron_sum, op_norm
 from realops.opspace import elem, level_norm, random_elem
 from realops.quantization import (PAIR_A, PAIR_B, BanachSpace,
@@ -152,11 +153,19 @@ class TestMaxL1:
         assert res.upper == pytest.approx(2.0, abs=1e-12)
 
     def test_bracket_is_ordered(self):
+        # the lower bound is not clipped: only roundoff may invert it
         rng = np.random.default_rng(9)
         for t in range(5):
             mats = [rng.standard_normal((2, 2)) for _ in range(2)]
             res = max_l1_norm_bounds(mats, m_max=2, restarts=8, seed=t)
-            assert res.lower <= res.upper
+            assert res.lower <= res.upper + 1e-12 * max(1.0, res.upper)
+
+    def test_bracket_closes(self):
+        rng = np.random.default_rng(9)
+        for t in range(5):
+            mats = [rng.standard_normal((2, 2)) for _ in range(2)]
+            res = max_l1_norm_bounds(mats, m_max=2, restarts=8, seed=t)
+            assert res.upper - res.lower <= 1e-9 * max(1.0, res.upper)
 
     @pytest.mark.parametrize("seed", [0xC0FFEE, 1])
     def test_witness_is_feasible_and_reproduces_lower(self, seed):
@@ -187,14 +196,78 @@ class TestMaxL1:
         with pytest.raises(ValueError):
             max_l1_norm_bounds([PAIR_A, PAIR_B], **kwargs)
 
-    def test_monotone_refinement(self):
-        small = max_l1_norm_bounds([PAIR_A, PAIR_B], m_max=2, restarts=8,
-                                   seed=5).lower
-        more_m = max_l1_norm_bounds([PAIR_A, PAIR_B], m_max=4, restarts=8,
-                                    seed=5).lower
-        more_r = max_l1_norm_bounds([PAIR_A, PAIR_B], m_max=4, restarts=16,
-                                    seed=5).lower
-        assert small <= more_m <= more_r + 1e-15
+    @pytest.mark.parametrize("n, d", [(1, 3), (2, 2), (2, 3), (3, 2)])
+    def test_sizes_above_n_are_not_searched(self, n, d):
+        # Smith's lemma: m_max beyond n gives exactly the m_max = n result
+        rng = np.random.default_rng(30 + n)
+        mats = [rng.standard_normal((n, n)) for _ in range(d)]
+        capped = max_l1_norm_bounds(mats, m_max=n, restarts=4, seed=6)
+        res = max_l1_norm_bounds(mats, m_max=4, restarts=4, seed=6)
+        assert (res.lower, res.upper, res.best_m, res.sdp_iterations) == \
+            (capped.lower, capped.upper, capped.best_m,
+             capped.sdp_iterations)
+        assert all(np.array_equal(w, v)
+                   for w, v in zip(res.witness, capped.witness))
+
+
+def certificate_defect(mats, res):
+    """(PSD defect of the blocks, excess of sum X_k and sum Y_k over t I),
+    both relative to t, recomputed by an independent eigvalsh."""
+    t, xs, ys = res.certificate
+    assert t == res.upper
+    psd = 0.0
+    for a, x, y in zip(mats, xs, ys):
+        block = np.block([[x, a], [a.T, y]])
+        psd = max(psd, -np.linalg.eigvalsh((block + block.T) / 2)[0])
+    excess = max(np.linalg.eigvalsh(sum(xs))[-1],
+                 np.linalg.eigvalsh(sum(ys))[-1]) - t
+    return psd / t, excess / t
+
+
+def random_tuples():
+    """Four random tuples at each n = 2, 3 and d = 2, 3."""
+    rng = np.random.default_rng(0)
+    return [[rng.standard_normal((n, n)) for _ in range(d)]
+            for n in (2, 3) for d in (2, 3) for _ in range(4)]
+
+
+class TestHaagerupCertificate:
+    @pytest.mark.parametrize("case", range(16))
+    def test_random_tuples_close_with_a_valid_certificate(self, case):
+        mats = random_tuples()[case]
+        res = max_l1_norm_bounds(mats, restarts=4, seed=case)
+        assert res.upper - res.lower <= 1e-9 * max(1.0, res.upper)
+        assert res.upper < sum(op_norm(a) for a in mats)
+        assert res.sdp_iterations > 0
+        psd, excess = certificate_defect(mats, res)
+        assert psd <= 1e-12 and excess <= 1e-12
+        # the lower bound is witnessed at a test size m <= n
+        assert res.best_m <= len(mats[0])
+        assert all(op_norm(w) <= 1.0 + 1e-12 for w in res.witness)
+        value = op_norm(kron_sum(np.stack(mats, axis=-1),
+                                 np.stack(res.witness)))
+        assert value == pytest.approx(res.lower, abs=1e-12)
+
+    def test_witness_pair_needs_no_solve(self):
+        res = max_l1_norm_bounds([PAIR_A, PAIR_B], restarts=16, seed=0)
+        assert abs(res.upper - 2.0) <= 1e-12
+        assert res.sdp_iterations == 0
+        assert certificate_defect([PAIR_A, PAIR_B], res) == (0.0, 0.0)
+
+    def test_scalars_give_the_l1_norm(self):
+        rng = np.random.default_rng(12)
+        for d in (1, 2, 5):
+            mats = [rng.standard_normal((1, 1)) for _ in range(d)]
+            res = max_l1_norm_bounds(mats, restarts=4, seed=d)
+            assert res.upper == sum(abs(float(a[0, 0])) for a in mats)
+
+    def test_lower_above_the_certified_upper_bound_raises(self, monkeypatch):
+        def too_low(mats, lower):
+            xs = np.stack([np.eye(len(mats[0]))] * len(mats))
+            return (1.5, xs, xs.copy()), lower, None, 3
+        monkeypatch.setattr(quantization, "_haagerup_sdp", too_low)
+        with pytest.raises(RuntimeError):
+            max_l1_norm_bounds([PAIR_A, PAIR_B], restarts=4, seed=0)
 
 
 class TestReproduceL12:
