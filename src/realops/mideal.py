@@ -4,20 +4,26 @@ An idempotent P on a space X is a complete left M-projection when
 x -> [P(x); x - P(x)] is a complete isometry into the column space
 C_2(X).  This module builds the three associated maps (the column
 embedding nu, its left inverse mu, and the corner map tau), certifies or
-refutes the M-projection property at finitely many matrix levels, checks
-left-multiplier witnesses, and verifies the complexification
-compatibility of the whole picture through an explicit shuffle
-permutation.
+refutes the M-projection property, checks left-multiplier witnesses, and
+verifies the complexification compatibility of the whole picture through
+an explicit shuffle permutation.
 
 C_2(X) is realized concretely by vertical stacking in a (2p, q) ambient;
 its basis is ordered [upper copies of the basis..., lower copies...].
-"Certified" verdicts are explicitly level- and sample-bounded: they
-certify the absence of violations up to the checked level, not the full
-(all-levels) property.  At each level the isometry search scores a seeded
-pool of elements in one stacked evaluation, then refines the pool's best
-point from several jittered starts that run in lockstep through one
-stacked ``ratio_ascent``.  The checks of mu and tau advance one lazy
-``opspace.cb_norm_levels`` sweep per map, a level at a time.
+
+A "certified" verdict comes in two strengths.  When P is left
+multiplication by an ambient matrix a that makes all three maps
+contractions of the right kind (an orthogonal projection does; the real
+form of Blecher-Effros-Zarikian, "One-sided M-ideals and multipliers in
+operator spaces, I", Pacific J. Math. 206, 2002), the verdict holds at
+all matrix levels, with the multiplier certificate as proof.  Otherwise
+it is level- and sample-bounded: it certifies the absence of violations
+up to the checked level, not the full property.  At each level the
+isometry search scores a seeded pool of elements in one stacked
+evaluation, then refines the pool's best point from several jittered
+starts that run in lockstep through one stacked ``ratio_ascent``.  The
+checks of mu and tau advance one lazy ``opspace.cb_norm_levels`` sweep
+per map, a level at a time.
 """
 
 from __future__ import annotations
@@ -26,11 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import MEMBERSHIP_TOL, as_matrix, in_span, span_coefficients
+from .linalg import (MEMBERSHIP_TOL, as_matrix, in_span, op_norm,
+                     span_coefficients)
 from .opspace import (CBMap, MatElem, OpSpace, complexify_map,
                       complexify_space, cb_norm_levels, level_norm,
                       num_den_maps)
-from .optim import ratio_ascent, ratio_eval
+from .optim import ratio_ascent, ratio_eval, seesaw_ascent
 from .rng import derived_rng
 
 IDEMPOTENCY_TOL = 1e-10
@@ -121,6 +128,22 @@ def tau_map(u: CBMap) -> CBMap:
 # ----------------------------------------------------------------------
 
 @dataclass
+class MultiplierCertificate:
+    """All-level bounds for a projection P that is, up to a residual map
+    E(x) = P(x) - a x of cb norm at most ``epsilon``, left multiplication
+    by the ambient matrix ``a``.  With V = [a; I - a], W = [a, I - a] and
+    delta = ||V^T V - I||, at every level |norm(nu x)/norm(x) - 1| is at
+    most delta + 2 epsilon, and the norms of mu and tau are at most
+    ``mu_bound`` and ``tau_bound``."""
+
+    a: np.ndarray
+    delta: float
+    epsilon: float
+    mu_bound: float              # ||W|| + 2 epsilon
+    tau_bound: float             # max(||a||, 1) + epsilon
+
+
+@dataclass
 class Certification:
     verdict: str                 # "certified" | "refuted"
     levels_checked: int
@@ -132,10 +155,48 @@ class Certification:
     witness_in_column_space: bool = False
     observed: float | None = None
     expected: float | None = None
+    all_levels: bool = False     # certified at every level, by ``certificate``
+    certificate: MultiplierCertificate | None = None
 
     @property
     def certified(self) -> bool:
         return self.verdict == "certified"
+
+
+def _multiplier_certificate(p: Projection,
+                            tol: float) -> MultiplierCertificate | None:
+    """The multiplier certificate of P when it proves the M-projection
+    property at every level within ``tol``, else None.
+
+    The witness a is the least-squares solution of a B_k = P(B_k), kept
+    only when ``verify_multiplier_witness`` accepts it.  At level n the
+    three maps are x -> (I_n (x) V) X, z -> (I_n (x) W) Z and
+    z -> (I_n (x) diag(a, I)) Z on the realizations, plus the amplified
+    residual E(x) = P(x) - a x in one or both rows.  E is
+    sum_k c_k(x) R_k with R_k = P(B_k) - a B_k and c_k the coordinate
+    functionals, so ||E||_cb <= sum_k ||c_k|| ||R_k|| (a functional's cb
+    norm is its norm).  c_k is the trace pairing with the dual basis
+    element D_k, whose Frobenius norm is sqrt((Gamma^-1)_kk) for the trace
+    Gram matrix Gamma of the basis, so ||c_k|| <= ||D_k||_1 <=
+    sqrt(min(p, q) (Gamma^-1)_kk).
+    """
+    space, u = p.space, p.underlying
+    a, _ = solve_left_multiplier(space, u)
+    if not verify_multiplier_witness(space, u, a):
+        return None
+    eye = np.eye(len(a))
+    v = np.vstack([a, eye - a])
+    vecs = space.basis.reshape(space.dim, -1)
+    coord = np.sqrt(min(space.ambient) *
+                    np.diag(np.linalg.inv(vecs @ vecs.T)))
+    resid = _images(space, u) - a @ space.basis
+    eps = float(coord @ np.linalg.norm(resid, 2, axis=(1, 2)))
+    delta = op_norm(v.T @ v - eye)
+    mu_bound = op_norm(np.hstack([a, eye - a])) + 2 * eps
+    tau_bound = max(op_norm(a), 1.0) + eps
+    if delta + 2 * eps <= tol and max(mu_bound, tau_bound) <= 1 + tol:
+        return MultiplierCertificate(a, delta, eps, mu_bound, tau_bound)
+    return None
 
 
 def _isometry_violation_search(nu: CBMap, level: int, samples: int,
@@ -149,7 +210,10 @@ def _isometry_violation_search(nu: CBMap, level: int, samples: int,
     pool's best point, jittered by ``derived_rng(seed, 12, level, j)``
     (1e-8 for j = 0, 0.05 otherwise), and all of them run as one lockstep
     ``ratio_ascent``, ascending away from 1 on the side of the pool's best
-    ratio; their results are reduced in order with strict ``>``.
+    ratio; their results are reduced in order with strict ``>``.  When
+    that side is upward and nu's domain fills its ambient space, one exact
+    ``seesaw_ascent`` row then polishes the best point, which it replaces
+    only when strictly better.
     """
     d = nu.domain.dim
     num, den = num_den_maps(nu, level)
@@ -172,6 +236,10 @@ def _isometry_violation_search(nu: CBMap, level: int, samples: int,
     j = int(np.argmax(np.abs(ratios - 1.0)))
     if abs(ratios[j] - 1.0) > best_viol:
         best_c, best_r = xs[j], float(ratios[j])
+    if sign > 0 and den.matrix.shape[0] == den.matrix.shape[1]:
+        (val,), (x,) = seesaw_ascent(num, den, best_c[None])
+        if val > best_r:
+            best_c, best_r = x, float(val)
     sd = den.sigma(best_c[None])[0]
     if sd > 0:
         best_c = best_c / sd          # report a unit-norm witness
@@ -182,16 +250,23 @@ def _isometry_violation_search(nu: CBMap, level: int, samples: int,
 def certify_left_m_projection(p: Projection, max_level: int = 3,
                               samples: int = 200, restarts: int = 16,
                               seed: int = 0, tol: float = 1e-9) -> Certification:
-    """Level-bounded certificate that P is a complete left M-projection.
+    """Certificate that P is a complete left M-projection, or a refutation.
 
-    Per level: (a) search for isometry violations of nu, over ``samples``
-    seeded elements and then min(restarts, 16) ascent refinements, which
-    all start from the best sampled element and run in lockstep; (b)
-    refute contractivity of mu and tau through the next level of their
-    ``cb_norm_levels`` sweeps (cb-norm lower bounds).  Any
-    violation yields a refuted verdict with a concrete re-verifiable
-    witness; otherwise the projection is certified at the checked levels
-    (not a proof of the full completely isometric property).
+    After the parameters are validated, ``_multiplier_certificate`` is
+    tried first: when P is left multiplication by a matrix a that makes
+    nu an isometry and mu and tau contractions within ``tol``, the verdict
+    is ``certified`` at all levels (``all_levels``, with the bounds in
+    ``certificate``) and nothing is searched.
+
+    Otherwise the check is level-bounded.  Per level: (a) search for
+    isometry violations of nu, over ``samples`` seeded elements and then
+    min(restarts, 16) ascent refinements, which all start from the best
+    sampled element and run in lockstep; (b) refute contractivity of mu
+    and tau through the next level of their ``cb_norm_levels`` sweeps
+    (cb-norm lower bounds).  Any violation yields a refuted verdict with a
+    concrete re-verifiable witness; otherwise the projection is certified
+    at the checked levels (not a proof of the full completely isometric
+    property).
     """
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
@@ -199,6 +274,10 @@ def certify_left_m_projection(p: Projection, max_level: int = 3,
         raise ValueError("samples must be nonnegative")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    cert = _multiplier_certificate(p, tol)
+    if cert is not None:
+        return Certification("certified", max_level, samples, tol,
+                             all_levels=True, certificate=cert)
     nu, mu, tau = build_nu_mu_tau(p)
     sweeps = [(name, cb_norm_levels(mp, max_level, restarts=restarts,
                                     iters=300, seed=seed + 1))

@@ -305,7 +305,10 @@ def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
     tuple is clipped to contractions first.  Each restart keeps its own
     first strict maximum; the candidates and then the restarts are reduced
     in order with strict ``>``, so the first best tuple wins and a restart's
-    result does not depend on how many others run.
+    result does not depend on how many others run.  The search sees the
+    tuple scaled by 2^-e, e = ``math.frexp(sum ||a_k||)[1]``, so that
+    sum ||a_k|| lies in [1/2, 1) and no squared entry overflows, and its
+    value is scaled back; a power-of-two scaling is exact.
 
     ``upper`` is the lesser of the triangle bound sum ||a_k|| and the
     Haagerup SDP bound of ``_haagerup_sdp``, with its certificate; the
@@ -327,7 +330,8 @@ def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
     for a in mats:
         if a.shape != (n, n):
             raise ValueError("coefficient matrices must share a square shape")
-    coeffs = np.stack(mats, axis=-1)
+    e = math.frexp(sum(op_norm(a) for a in mats))[1]
+    coeffs = np.ldexp(np.stack(mats, axis=-1), -e)
     best = 0.0
     best_m = 1
     best_tuple = [np.ones((1, 1)) for _ in mats]
@@ -391,6 +395,7 @@ def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
             run_tuple[live[better]] = clipped[better]
             step *= decay
         offer(run_best, run_tuple, m)
+    best = math.ldexp(best, e)
     cert, low, tup, sdp_iterations = _haagerup_sdp(mats, best)
     if tup is not None:
         best, best_m, best_tuple = low, n, list(tup)

@@ -124,6 +124,10 @@ class TestExitCodes:
                                       "--restarts", "6"])
         assert code == 0
         assert rep["result"]["verdict"] == "certified"
+        assert rep["result"]["all_levels"] is True
+        assert rep["result"]["levels_checked"] == 2
+        assert set(rep["result"]["certificate"]) == \
+            {"a", "delta", "epsilon", "mu_bound", "tau_bound"}
 
     def test_refuted_projection(self, files, capsys):
         code, rep = run_json(capsys, ["certify-mproj", "--space",
@@ -135,6 +139,8 @@ class TestExitCodes:
         assert rep["result"]["verdict"] == "refuted"
         assert rep["result"]["observed"] == pytest.approx(np.sqrt(0.5),
                                                           abs=1e-9)
+        assert rep["result"]["all_levels"] is False
+        assert rep["result"]["certificate"] is None
 
     def test_corrupt_projection_is_an_input_error(self, files, capsys):
         code = cli.run(["--json", "certify-mproj", "--space",

@@ -9,7 +9,7 @@ from realops.mideal import (build_nu_mu_tau, certify_left_m_projection,
                             solve_left_multiplier, tau_map,
                             verify_multiplier_witness)
 from realops.opspace import (CBMap, MatElem, cb_norm_levels,
-                             cb_norm_lower_search, elem,
+                             cb_norm_lower_search, complexify_map, elem,
                              full_matrix_space, identity_map, level_norm,
                              random_elem, span_space)
 from realops.rng import derived_rng
@@ -64,13 +64,37 @@ class TestNuMuTau:
         assert level_norm(col) == pytest.approx(op_norm(stacked), abs=1e-14)
 
 
+def _oblique_draws():
+    """The ten oblique rank-2 idempotents of the mideal suite at seed
+    0xC0FFEE."""
+    rng = derived_rng(0xC0FFEE, 131)
+    out = []
+    for _ in range(10):
+        a, _ = np.linalg.qr(rng.standard_normal((4, 2)))
+        c = rng.standard_normal((2, 4))
+        out.append(a @ (a.T + c @ (np.eye(4) - a @ a.T)))
+    return out
+
+
 class TestCertification:
     def test_corner_multiplication_certifies(self):
-        cert = certify_left_m_projection(projection(M2, DIAG_MULT),
-                                         max_level=3, samples=200,
+        p = projection(M2, DIAG_MULT)
+        cert = certify_left_m_projection(p, max_level=3, samples=200,
                                          restarts=8, seed=0xC0FFEE, tol=1e-9)
-        assert cert.certified
+        assert cert.certified and cert.all_levels
         assert cert.levels_checked == 3
+        assert np.allclose(cert.certificate.a, np.diag([1.0, 0.0]),
+                           atol=1e-12)
+        # the multiplier certificate holds beyond max_level
+        nu, mu, tau = build_nu_mu_tau(p)
+        rng = np.random.default_rng(21)
+        for level in (4, 5):
+            for _ in range(5):
+                x = random_elem(M2, level, rng)
+                assert abs(level_norm(nu(x)) / level_norm(x) - 1.0) <= 1e-12
+                z = random_elem(mu.domain, level, rng)
+                for mp in (mu, tau):
+                    assert level_norm(mp(z)) <= (1 + 1e-12) * level_norm(z)
 
     @pytest.mark.parametrize("restarts", [0, -3])
     def test_nonpositive_restarts_rejected(self, restarts):
@@ -95,27 +119,38 @@ class TestCertification:
         cert = certify_left_m_projection(projection(M2, pm), max_level=2,
                                          samples=100, restarts=6,
                                          seed=0xC0FFEE, tol=1e-9)
-        assert cert.certified
+        assert cert.certified and cert.all_levels
+        # the certificate's bounds, re-checked by eigvalsh
+        c = cert.certificate
+        a, eye = c.a, np.eye(2)
+        v = np.vstack([a, eye - a])
+        w = np.hstack([a, eye - a])
+        delta = np.max(np.abs(np.linalg.eigvalsh(v.T @ v - eye)))
+        w_norm = np.sqrt(np.linalg.eigvalsh(w @ w.T)[-1])
+        a_norm = np.sqrt(max(np.linalg.eigvalsh(a.T @ a)[-1], 0.0))
+        assert abs(c.delta - delta) <= 1e-12
+        assert abs(c.mu_bound - (w_norm + 2 * c.epsilon)) <= 1e-12
+        assert abs(c.tau_bound - (max(a_norm, 1.0) + c.epsilon)) <= 1e-12
+        assert c.delta + 2 * c.epsilon <= 1e-9
+        assert max(c.mu_bound, c.tau_bound) <= 1 + 1e-9
 
     def test_oblique_idempotents_refute_at_level_one(self):
-        # the ten oblique rank-2 idempotents of the mideal suite at seed
-        # 0xC0FFEE; nu's level-1 norm exceeds 1, and the seesaw ascent
-        # (exact on the full domain M2(R)) gives it to compare with
-        rng = derived_rng(0xC0FFEE, 131)
-        for _ in range(10):
-            a, _ = np.linalg.qr(rng.standard_normal((4, 2)))
-            c = rng.standard_normal((2, 4))
-            p = projection(M2, a @ (a.T + c @ (np.eye(4) - a @ a.T)))
+        # nu's level-1 norm exceeds 1, and the seesaw ascent (exact on
+        # the full domain M2(R)) gives it to compare with; no draw is a
+        # left multiplier, so the multiplier certificate declines
+        for pm in _oblique_draws():
+            p = projection(M2, pm)
             cert = certify_left_m_projection(p, max_level=3, samples=200,
                                              restarts=8, seed=0xC0FFEE)
             assert (cert.verdict, cert.check, cert.refuted_level) == \
                 ("refuted", "nu_isometry", 1)
+            assert (cert.all_levels, cert.certificate) == (False, None)
             assert abs(reverify_certification(p, cert) - cert.observed) \
                 <= 1e-12
             seesaw = cb_norm_lower_search(build_nu_mu_tau(p)[0], 1).value
-            # 400 subgradient steps end up to 3.7e-4 (relative) below the
-            # seesaw value on these draws
-            assert abs(cert.observed - seesaw) <= 1e-3 * seesaw
+            # the exact seesaw polish closes the up to 4.3e-4 (relative)
+            # that 400 subgradient steps alone leave on these draws
+            assert abs(cert.observed - seesaw) <= 1e-12 * seesaw
 
     def test_symmetrization_refutes_at_level_one(self):
         # direct oracle: nu(e12) stacks S = (e12+e21)/2 and K = (e12-e21)/2,
@@ -130,6 +165,7 @@ class TestCertification:
         assert cert.refuted_level == 1
         assert cert.check == "nu_isometry"
         assert cert.observed == pytest.approx(np.sqrt(0.5), abs=1e-9)
+        assert (cert.all_levels, cert.certificate) == (False, None)
 
     def test_witness_reverifies_deterministically(self):
         p = projection(M2, SYMMETRIZATION)
@@ -160,6 +196,31 @@ class TestCertification:
             y = random_elem(M2, 2, rng)
             col = column_embed(x, y, mu.domain)
             assert level_norm(mu(col)) <= level_norm(col) + 1e-10
+
+
+class TestMultiplierCertificate:
+    def test_complexified_multiplier_certifies(self):
+        u = complexify_map(CBMap(M2, M2, DIAG_MULT))
+        cert = certify_left_m_projection(projection(u.domain, u.matrix),
+                                         max_level=2, samples=100,
+                                         restarts=6, seed=0xC0FFEE)
+        assert cert.certified and cert.all_levels
+        assert np.allclose(cert.certificate.a, np.diag([1.0, 0, 1, 0]),
+                           atol=1e-12)
+        assert cert.certificate.epsilon <= 1e-12
+
+    def test_declines_on_an_oblique_multiplier(self):
+        # x -> a x is a projection but V = [a; I - a] is not isometric
+        a = np.array([[1.0, 1.0], [0.0, 0.0]])
+        p = projection(M2, np.kron(a, np.eye(2)))
+        found, residual = solve_left_multiplier(M2, p.underlying)
+        assert residual <= 1e-12 and np.allclose(found, a, atol=1e-12)
+        cert = certify_left_m_projection(p, max_level=3, samples=200,
+                                         restarts=8, seed=0xC0FFEE)
+        assert (cert.verdict, cert.check, cert.refuted_level) == \
+            ("refuted", "nu_isometry", 1)
+        assert abs(reverify_certification(p, cert) - cert.observed) <= 1e-12
+        assert (cert.all_levels, cert.certificate) == (False, None)
 
 
 class TestShuffle:

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -151,6 +154,22 @@ class TestMaxL1:
                                  seed=2)
         assert res.lower >= 2.0 - 1e-6
         assert res.upper == pytest.approx(2.0, abs=1e-12)
+
+    def test_huge_entries_scale_exactly(self):
+        # the search runs on the tuple scaled by a power of two, so the
+        # squares of entries near 1e181 do not overflow and the result
+        # is the unscaled one scaled back exactly
+        base = max_l1_norm_bounds([PAIR_A, PAIR_B], m_max=2, restarts=8,
+                                  seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = max_l1_norm_bounds([2.0 ** 600 * PAIR_A,
+                                      2.0 ** 600 * PAIR_B], m_max=2,
+                                     restarts=8, seed=3)
+        assert big.lower == math.ldexp(base.lower, 600)
+        assert big.upper == math.ldexp(base.upper, 600)
+        for w, w0 in zip(big.witness, base.witness):
+            assert np.array_equal(w, w0)
 
     def test_bracket_is_ordered(self):
         # the lower bound is not clipped: only roundoff may invert it
