@@ -211,7 +211,8 @@ def _cmd_max_l1(args):
                                           seed=args.seed)
     return {"lower": res.lower, "upper": res.upper, "best_m": res.best_m,
             "witness": res.witness,
-            "sdp_iterations": res.sdp_iterations}, None
+            "sdp_iterations": res.sdp_iterations,
+            "search_rounds": res.search_rounds}, None
 
 
 def _cmd_certify_mproj(args):
@@ -315,6 +316,7 @@ def _cmd_reproduce(args):
                 "max_upper": rep.max_upper, "gap": rep.gap,
                 "best_m": rep.best_m, "witness": rep.witness,
                 "sdp_iterations": rep.sdp_iterations,
+                "search_rounds": rep.search_rounds,
                 "claim": rep.claim}, _verdict(ok)
     scalars = opspace.span_space([[[1.0]]])
     x = opspace.elem(scalars, np.array([[[1.0], [0.0]], [[0.0], [0.0]]]))

@@ -146,8 +146,8 @@ class MultiplierCertificate:
 @dataclass
 class Certification:
     verdict: str                 # "certified" | "refuted"
-    levels_checked: int
-    samples: int
+    levels_checked: int          # 0 when certified by ``certificate``
+    samples: int                 # 0 when certified by ``certificate``
     tolerance: float
     refuted_level: int | None = None
     check: str | None = None     # "nu_isometry" | "mu_contraction" | "tau_contraction"
@@ -256,7 +256,8 @@ def certify_left_m_projection(p: Projection, max_level: int = 3,
     tried first: when P is left multiplication by a matrix a that makes
     nu an isometry and mu and tau contractions within ``tol``, the verdict
     is ``certified`` at all levels (``all_levels``, with the bounds in
-    ``certificate``) and nothing is searched.
+    ``certificate``) and nothing is searched: ``levels_checked`` and
+    ``samples`` are then 0.
 
     Otherwise the check is level-bounded.  Per level: (a) search for
     isometry violations of nu, over ``samples`` seeded elements and then
@@ -276,8 +277,8 @@ def certify_left_m_projection(p: Projection, max_level: int = 3,
         raise ValueError("restarts must be at least 1")
     cert = _multiplier_certificate(p, tol)
     if cert is not None:
-        return Certification("certified", max_level, samples, tol,
-                             all_levels=True, certificate=cert)
+        return Certification("certified", 0, 0, tol, all_levels=True,
+                             certificate=cert)
     nu, mu, tau = build_nu_mu_tau(p)
     sweeps = [(name, cb_norm_levels(mp, max_level, restarts=restarts,
                                     iters=300, seed=seed + 1))

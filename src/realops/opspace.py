@@ -34,10 +34,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (MEMBERSHIP_TOL, as_matrix, clip_contraction, in_span,
-                     kron_sum, kron_sum_grad, kron_sum_matrix, mat_from_json,
-                     mat_to_json, op_norm, span_coefficients)
-from .optim import (LinearMatrixMap, ratio_ascent, ratio_eval, seesaw_ascent,
-                    spectral_min_sdp)
+                     kron_sum, kron_sum_matrix, mat_from_json, mat_to_json,
+                     op_norm, span_coefficients)
+from .optim import (LinearMatrixMap, polar_seesaw, ratio_ascent, ratio_eval,
+                    seesaw_ascent, spectral_min_sdp)
 from .rng import derived_rng
 
 #: singular-value threshold below which a basis is rejected as degenerate
@@ -558,11 +558,12 @@ def theta_dual_search(z_re, z_im, m_max: int = 4, restarts: int = 64,
     matrix M(W) and moves to the contraction maximizing the linearization
     u^T M(W') v = Re tr(G^* W'): the unitary polar factor of G.  The value
     never decreases, and a start retires once a round gains no more than
-    1e-15.  All starts advance in lockstep, with two stacked SVDs per
-    round.  Each evaluation happens at a unitary test matrix, so every
-    reported value, per restart included, is a true lower bound.  Each start
-    keeps its own first strict maximum, and the starts are reduced in order
-    with strict ``>``: the first best test matrix wins, and
+    1e-15.  All starts advance in lockstep through ``optim.polar_seesaw``,
+    with two stacked SVDs per round.  Each evaluation happens at a unitary
+    test matrix, so every reported value, per restart included, is a true
+    lower bound.  Each start keeps its own first strict maximum, and the
+    starts are reduced in order with strict ``>``: the first best test
+    matrix wins, and
     ``restart_values`` (m ascending, then r) do not depend on how many
     restarts run.
     """
@@ -581,8 +582,14 @@ def theta_dual_search(z_re, z_im, m_max: int = 4, restarts: int = 64,
     coeffs = np.stack([z_re, z_im], axis=-1)
     best = 0.0
     best_m = 1
-    best_w = np.eye(1, dtype=complex)
+    best_w = np.stack([np.eye(1), np.zeros((1, 1))])
     restart_values = []
+
+    def polar(grads):
+        u, _, vh = np.linalg.svd(grads[:, 0] + 1j * grads[:, 1])
+        w = u @ vh
+        return np.stack([w.real, w.imag], axis=-3)
+
     for m in range(1, min(m_max, len(z_re)) + 1):
         g = np.empty((restarts, m, m), dtype=complex)
         for r in range(restarts):
@@ -591,29 +598,14 @@ def theta_dual_search(z_re, z_im, m_max: int = 4, restarts: int = 64,
                 1j * rng.standard_normal((m, m))
         w = clip_contraction(np.concatenate(
             [np.eye(m, dtype=complex)[None], np.linalg.qr(g)[0]]))
-        run_best = np.zeros(restarts + 1)
-        run_w = w.copy()
-        live = np.arange(restarts + 1)
-        for _ in range(iters):
-            g_mat = kron_sum(coeffs, np.stack([w.real, w.imag], axis=-3))
-            u, s, vt = np.linalg.svd(g_mat)
-            prev = run_best[live]
-            better = s[:, 0] > prev
-            run_best[live[better]] = s[better, 0]
-            run_w[live[better]] = w[better]
-            keep = s[:, 0] > prev + 1e-15
-            w, u, vt, live = w[keep], u[keep], vt[keep], live[keep]
-            if not len(live):
-                break
-            grads = kron_sum_grad(coeffs, u[..., :, 0], vt[..., 0, :])
-            pu, _, pvh = np.linalg.svd(grads[:, 0] + 1j * grads[:, 1])
-            w = pu @ pvh
+        run_best, run_w, _ = polar_seesaw(
+            coeffs, np.stack([w.real, w.imag], axis=-3), iters, polar)
         i = int(np.argmax(run_best))     # the first of equal maxima
         if run_best[i] > best:
             best, best_m, best_w = float(run_best[i]), m, run_w[i]
         restart_values.extend(run_best[1:].tolist())
-    return ThetaSearchResult(best, best_m, restart_values,
-                             best_w.real.copy(), best_w.imag.copy())
+    return ThetaSearchResult(best, best_m, restart_values, best_w[0].copy(),
+                             best_w[1].copy())
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Nonsmooth search kernels shared by the norm-certification routines.
 
-Four workhorses and two reference solvers:
+Five workhorses and two reference solvers:
 
 * ``ratio_ascent``: multistart subgradient ascent on a ratio of two largest
   singular values, both linear in the parameter vector.  It takes a stack
@@ -16,6 +16,11 @@ Four workhorses and two reference solvers:
   generic ascent.  It takes a stack of starts like ``ratio_ascent``, with
   three stacked SVDs per round (numerator images, denominator matrices and
   linearized functionals); each start ends exactly as it would alone.
+* ``polar_seesaw``: the same exact alternation for the norm of a
+  block-Kronecker sum over tuples of contractions (the maximal ell^1
+  bound of ``quantization`` and the dual search of ``opspace``): the
+  linearized subproblem is solved by a polar factor of the gradient, which
+  only the caller knows how to take.
 * ``sdp_maximize``: the one small SDP kernel, for a dense real SDP in
   standard dual form (maximize b^T y s.t. C - sum_i y_i A_i >= 0), solved
   by HKM primal-dual steps with a Mehrotra predictor-corrector
@@ -44,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .linalg import frobenius_norm
+from .linalg import frobenius_norm, kron_sum, kron_sum_grad
 
 
 def top_singular_triple(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -190,6 +195,39 @@ def seesaw_ascent(num: LinearMatrixMap, den: LinearMatrixMap,
     x_best[start] = np.linalg.solve(
         dmat, best_m[start].reshape(-1, len(dmat), 1))[..., 0]
     return np.where(best_val > -np.inf, best_val, 0.0), x_best
+
+
+def polar_seesaw(coeffs: np.ndarray, starts: np.ndarray, iters: int,
+                 polar) -> tuple[np.ndarray, np.ndarray, int]:
+    """Exact alternating maximization of || kron_sum(coeffs, D) || over
+    tuples D of contractions, from each (d, m, m) tuple of the
+    (r, d, m, m) stack ``starts``, for at most ``iters`` rounds; returns
+    the (r,) best values, the (r, d, m, m) best tuples and the number of
+    rounds taken.
+
+    A round takes the top singular pair (u, v) of each realization and
+    moves to ``polar(G)`` of the stacked gradient blocks
+    G = kron_sum_grad(coeffs, u, v): the tuple of contractions maximizing
+    the linearization u^T kron_sum(coeffs, D') v, which never lowers the
+    value.  All starts advance in lockstep, with one stacked SVD of the
+    realizations and the one of ``polar`` per round.  A start retires once
+    a round gains no more than 1e-15 (a zero realization at once), and
+    keeps its first strict maximum, so it ends exactly as it would alone.
+    """
+    ds, live = starts, np.arange(len(starts))
+    best_val, best = np.zeros(len(starts)), starts.copy()
+    rounds = 0
+    while live.size and rounds < iters:
+        if rounds:
+            ds = polar(kron_sum_grad(coeffs, u[..., :, 0], vt[..., 0, :]))
+        rounds += 1
+        u, s, vt = np.linalg.svd(kron_sum(coeffs, ds))
+        prev = best_val[live]
+        better = s[:, 0] > prev
+        best_val[live[better]], best[live[better]] = s[better, 0], ds[better]
+        keep = s[:, 0] > prev + 1e-15
+        ds, u, vt, live = ds[keep], u[keep], vt[keep], live[keep]
+    return best_val, best, rounds
 
 
 def polyak_minimize(b_vec: np.ndarray, k_mat: np.ndarray, rows: int, cols: int,

@@ -16,13 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .linalg import (as_matrix, clip_contraction, frobenius_norm, kron_sum,
-                     kron_sum_grad, op_norm)
+from .linalg import as_matrix, clip_contraction, kron_sum, op_norm
 from .opspace import (OpSpace, complexified_elem, complexify_space, elem,
                       level_norm)
-from .optim import sdp_maximize
+from .optim import polar_seesaw, sdp_maximize
 from .rng import derived_rng
 
 
@@ -166,6 +164,7 @@ class MaxL1Result:
     best_m: int
     witness: list[np.ndarray]     # the contraction tuple attaining lower
     sdp_iterations: int           # Haagerup SDP steps (0: not needed)
+    search_rounds: int            # seesaw rounds, summed over test sizes
     #: (t, X, Y), (d, n, n) stacks X_k, Y_k with [[X_k, a_k], [a_k^T, Y_k]]
     #: >= 0 and sum X_k, sum Y_k <= t I, so that upper = t
     certificate: tuple[float, np.ndarray, np.ndarray]
@@ -296,19 +295,21 @@ def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
     The objective is convex in each D_k, so the sup is attained at tuples
     of orthogonal matrices.  For each test size m the search scores the
     signed-permutation tuples (when there are at most 4096 of them, else
-    the identity tuple), then ascends from ``restarts`` random orthogonal
-    tuples, restart r drawn from ``derived_rng(seed, 3, m, r)``, along
-    skew-symmetric exponential retractions.  The restarts advance in
-    lockstep: each step takes one stacked SVD, gradient and ``expm`` over
-    the live restarts, and a restart retires where a lone ascent would
-    stop (a zero realization, or no factor left to move).  Every scored
-    tuple is clipped to contractions first.  Each restart keeps its own
-    first strict maximum; the candidates and then the restarts are reduced
-    in order with strict ``>``, so the first best tuple wins and a restart's
-    result does not depend on how many others run.  The search sees the
-    tuple scaled by 2^-e, e = ``math.frexp(sum ||a_k||)[1]``, so that
-    sum ||a_k|| lies in [1/2, 1) and no squared entry overflows, and its
-    value is scaled back; a power-of-two scaling is exact.
+    the identity tuple), then runs the exact seesaw ``optim.polar_seesaw``
+    from ``restarts`` random orthogonal tuples, clipped to contractions,
+    restart r drawn from ``derived_rng(seed, 3, m, r)``, for at most
+    ``iters`` rounds.  A round takes the top singular pair (u, v) of
+    sum_k a_k kron D_k and moves every D_k to the orthogonal polar factor
+    of its gradient block, which maximizes the linearization.  The
+    restarts advance in lockstep, and a restart retires once a round gains
+    no more than 1e-15.  ``search_rounds`` sums the rounds over the test
+    sizes.  Each restart keeps its own first strict maximum; the
+    candidates and then the restarts are reduced in order with strict
+    ``>``, so the first best tuple wins and a restart's result does not
+    depend on how many others run.  The search sees the tuple scaled by
+    2^-e, e = ``math.frexp(sum ||a_k||)[1]``, so that sum ||a_k|| lies in
+    [1/2, 1) and no squared entry overflows, and its value is scaled back;
+    a power-of-two scaling is exact.
 
     ``upper`` is the lesser of the triangle bound sum ||a_k|| and the
     Haagerup SDP bound of ``_haagerup_sdp``, with its certificate; the
@@ -335,6 +336,11 @@ def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
     best = 0.0
     best_m = 1
     best_tuple = [np.ones((1, 1)) for _ in mats]
+    search_rounds = 0
+
+    def polar(grads):
+        u, _, vt = np.linalg.svd(grads)
+        return u @ vt
 
     def offer(values, tuples, m):
         """Take the first of the best of ``values`` if it beats ``best``."""
@@ -363,37 +369,9 @@ def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
             rng = derived_rng(seed, 3, m, r)
             for k in range(d):
                 g[r, k] = rng.standard_normal((m, m))
-        ds, _ = np.linalg.qr(g)
-        clipped = clip_contraction(ds)
-        run_best = _tuple_norms(coeffs, clipped)
-        run_tuple = clipped
-        live = np.arange(restarts)
-        step = 0.3
-        decay = (1e-8 / step) ** (1.0 / iters)
-        for _ in range(iters):
-            total = kron_sum(coeffs, ds)
-            keep = total.reshape(len(live), -1).any(axis=-1)
-            ds, total, live = ds[keep], total[keep], live[keep]
-            if not len(live):
-                break
-            u, _, vt = np.linalg.svd(total)
-            euc = kron_sum_grad(coeffs, u[..., :, 0], vt[..., 0, :])
-            riem = np.swapaxes(ds, -1, -2) @ euc
-            skew = (riem - np.swapaxes(riem, -1, -2)) / 2.0
-            sn = frobenius_norm(skew)
-            moves = sn >= 1e-18
-            if not moves.any():
-                break
-            ds[moves] = ds[moves] @ scipy.linalg.expm(
-                (step / sn[moves])[:, None, None] * skew[moves])
-            keep = moves.any(axis=-1)
-            ds, live = ds[keep], live[keep]
-            clipped = clip_contraction(ds)
-            v = _tuple_norms(coeffs, clipped)
-            better = v > run_best[live]
-            run_best[live[better]] = v[better]
-            run_tuple[live[better]] = clipped[better]
-            step *= decay
+        run_best, run_tuple, rounds = polar_seesaw(
+            coeffs, clip_contraction(np.linalg.qr(g)[0]), iters, polar)
+        search_rounds += rounds
         offer(run_best, run_tuple, m)
     best = math.ldexp(best, e)
     cert, low, tup, sdp_iterations = _haagerup_sdp(mats, best)
@@ -403,7 +381,8 @@ def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
     if best > upper + INVERSION_TOL * max(1.0, upper):
         raise RuntimeError(f"witnessed lower bound {best!r} exceeds the "
                            f"certified upper bound {upper!r}")
-    return MaxL1Result(best, upper, best_m, best_tuple, sdp_iterations, cert)
+    return MaxL1Result(best, upper, best_m, best_tuple, sdp_iterations,
+                       search_rounds, cert)
 
 
 # ----------------------------------------------------------------------
@@ -423,6 +402,7 @@ class L1NonuniquenessReport:
     best_m: int
     witness: list[np.ndarray]
     sdp_iterations: int
+    search_rounds: int
     passed: bool
     claim: str = ("two-dimensional ell^1 carries at least two operator "
                   "space structures: the level-2 pair (diag(1,-1), flip) "
@@ -440,7 +420,7 @@ def reproduce_l12_nonuniqueness(seed: int = 0, m_max: int = 4,
     gap = mx.lower - mn
     return L1NonuniquenessReport(mn, mx.lower, mx.upper, gap, mx.best_m,
                                  mx.witness, mx.sdp_iterations,
-                                 passed=bool(gap >= 0.5))
+                                 mx.search_rounds, passed=bool(gap >= 0.5))
 
 
 def banach_to_json(space: BanachSpace) -> dict:

@@ -104,6 +104,9 @@ class TestBasicCommands:
         assert code == 0
         assert rep["result"]["lower"] >= 2 - 1e-6
         assert rep["result"]["upper"] == pytest.approx(2.0, abs=1e-12)
+        keys = list(rep["result"])
+        assert keys.index("search_rounds") == keys.index("sdp_iterations") + 1
+        assert rep["result"]["search_rounds"] > 0
 
     def test_quotient_norm(self, files, capsys):
         code, rep = run_json(capsys, ["quotient-norm", "--space",
@@ -125,7 +128,9 @@ class TestExitCodes:
         assert code == 0
         assert rep["result"]["verdict"] == "certified"
         assert rep["result"]["all_levels"] is True
-        assert rep["result"]["levels_checked"] == 2
+        # nothing was drawn or searched on the all-level path
+        assert rep["result"]["levels_checked"] == 0
+        assert rep["result"]["samples"] == 0
         assert set(rep["result"]["certificate"]) == \
             {"a", "delta", "epsilon", "mu_bound", "tau_bound"}
 
@@ -437,6 +442,16 @@ class TestReproductions:
         assert r["max_upper"] == pytest.approx(2.0, abs=1e-12)
         assert r["gap"] >= 0.58
         assert "claim" in r
+        keys = list(r)
+        assert keys.index("search_rounds") == keys.index("sdp_iterations") + 1
+        assert r["search_rounds"] > 0
+
+    def test_l12_nonunique_is_byte_identical(self, capsys):
+        argv = ["--json", "reproduce", "l12-nonunique", "--restarts", "8"]
+        cli.run(argv)
+        first = capsys.readouterr().out
+        cli.run(argv)
+        assert capsys.readouterr().out == first
 
     def test_complex_dual(self, capsys):
         code, rep = run_json(capsys, ["reproduce", "complex-dual",

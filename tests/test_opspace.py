@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from realops import opspace
-from realops.linalg import kron_sum, op_norm
+from realops.linalg import clip_contraction, kron_sum, kron_sum_grad, op_norm
 from realops.optim import (SDP_BRACKET, SDP_MAX_ITERS, smoothed_spectral_min,
                            spectral_min_sdp)
 from realops.quantization import ell_one, realize_min
@@ -17,6 +17,7 @@ from realops.opspace import (CBMap, MatElem, check_ruan_axioms,
                              opspace_to_json, quotient_level_norm,
                              random_elem, scalar_sandwich, span_space,
                              theta_dual_search)
+from realops.rng import derived_rng
 
 M2 = full_matrix_space(2)
 R1 = span_space([[[1.0]]])
@@ -592,7 +593,68 @@ class TestDirectSums:
             direct_sum_spaces([])
 
 
+def inline_theta_search(z_re, z_im, m_max, restarts, seed, iters=150):
+    """The dual search with its own lockstep seesaw loop, as it was before
+    the loop moved into ``optim.polar_seesaw``: (lower, best_m,
+    restart_values, witness)."""
+    z_re, z_im = np.asarray(z_re, float), np.asarray(z_im, float)
+    coeffs = np.stack([z_re, z_im], axis=-1)
+    best, best_m, best_w, restart_values = 0.0, 1, np.eye(1), []
+    for m in range(1, min(m_max, len(z_re)) + 1):
+        g = np.empty((restarts, m, m), dtype=complex)
+        for r in range(restarts):
+            rng = derived_rng(seed, m, r)
+            g[r] = rng.standard_normal((m, m)) + \
+                1j * rng.standard_normal((m, m))
+        w = clip_contraction(np.concatenate(
+            [np.eye(m, dtype=complex)[None], np.linalg.qr(g)[0]]))
+        run_best = np.zeros(restarts + 1)
+        run_w = w.copy()
+        live = np.arange(restarts + 1)
+        for _ in range(iters):
+            u, s, vt = np.linalg.svd(
+                kron_sum(coeffs, np.stack([w.real, w.imag], axis=-3)))
+            prev = run_best[live]
+            better = s[:, 0] > prev
+            run_best[live[better]] = s[better, 0]
+            run_w[live[better]] = w[better]
+            keep = s[:, 0] > prev + 1e-15
+            w, u, vt, live = w[keep], u[keep], vt[keep], live[keep]
+            if not len(live):
+                break
+            grads = kron_sum_grad(coeffs, u[..., :, 0], vt[..., 0, :])
+            pu, _, pvh = np.linalg.svd(grads[:, 0] + 1j * grads[:, 1])
+            w = pu @ pvh
+        i = int(np.argmax(run_best))
+        if run_best[i] > best:
+            best, best_m, best_w = float(run_best[i]), m, run_w[i]
+        restart_values.extend(run_best[1:].tolist())
+    return best, best_m, restart_values, best_w
+
+
+THETA_FIXTURES = [
+    ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]], 4, 64, 0xC0FFEE),
+    ([[1.0]], [[0.0]], 2, 8, 1),
+    ([[0.6]], [[0.8]], 2, 8, 1),
+    ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]], 3, 16, 7),
+    ([[0.3, -1.2], [0.5, 0.9]], [[-0.7, 0.1], [1.1, 0.4]], 3, 16, 7),
+] + [(*np.random.default_rng(40 + n).standard_normal((2, n, n)), 4, 4, 3)
+     for n in (1, 2, 3)]
+
+
 class TestThetaDual:
+    @pytest.mark.parametrize("case", range(len(THETA_FIXTURES)))
+    def test_shared_seesaw_matches_the_inline_loop_bit_for_bit(self, case):
+        z_re, z_im, m_max, restarts, seed = THETA_FIXTURES[case]
+        res = theta_dual_search(z_re, z_im, m_max=m_max, restarts=restarts,
+                                seed=seed)
+        lower, best_m, values, w = inline_theta_search(z_re, z_im, m_max,
+                                                       restarts, seed)
+        assert (res.lower, res.best_m, res.restart_values) == \
+            (lower, best_m, values)
+        assert np.array_equal(res.witness_re, w.real)
+        assert np.array_equal(res.witness_im, w.imag)
+
     def test_row_with_imaginary_entry(self):
         res = theta_dual_search([[1.0, 0.0], [0.0, 0.0]],
                                 [[0.0, 1.0], [0.0, 0.0]],

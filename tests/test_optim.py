@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from realops.linalg import kron_sum
 from realops.opspace import CBMap, full_matrix_space, num_den_maps, span_space
 from realops.optim import (SDP_BRACKET, SDP_MAX_ITERS, LinearMatrixMap,
-                           ratio_ascent, ratio_eval, sdp_maximize,
-                           seesaw_ascent)
+                           polar_seesaw, ratio_ascent, ratio_eval,
+                           sdp_maximize, seesaw_ascent)
 
 M2 = full_matrix_space(2)
 UT = span_space([[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]])
@@ -199,6 +200,51 @@ class TestSeesawAscent:
         num, den = maps("partial")
         with pytest.raises(ValueError):
             seesaw_ascent(num, den, np.ones((1, num.matrix.shape[1])))
+
+
+def real_polar(grads):
+    u, _, vt = np.linalg.svd(grads)
+    return u @ vt
+
+
+class TestPolarSeesaw:
+    def starts(self, m=2):
+        rng = np.random.default_rng(26)
+        coeffs = rng.standard_normal((2, 2, 3))
+        ds = np.linalg.qr(rng.standard_normal((5, 3, m, m)))[0]
+        ds[3] = 0.0                              # zero realization
+        return coeffs, ds
+
+    def test_rows_match_lone_runs_bit_for_bit(self):
+        coeffs, ds = self.starts()
+        vals, best, rounds = polar_seesaw(coeffs, ds, 80, real_polar)
+        assert vals.shape == (5,) and best.shape == ds.shape
+        lone_rounds = 0
+        for start, val, tup in zip(ds, vals, best):
+            v1, t1, r1 = polar_seesaw(coeffs, start[None], 80, real_polar)
+            assert v1[0] == val and np.array_equal(t1[0], tup)
+            lone_rounds = max(lone_rounds, r1)
+        assert rounds == lone_rounds
+        assert vals[3] == 0.0 and not best[3].any()
+
+    def test_values_are_norms_at_contractive_tuples(self):
+        coeffs, ds = self.starts(3)
+        start = np.linalg.svd(kron_sum(coeffs, ds), compute_uv=False)[:, 0]
+        vals, best, _ = polar_seesaw(coeffs, ds, 80, real_polar)
+        assert np.all(vals >= start - 1e-15)
+        assert np.linalg.svd(best, compute_uv=False)[..., 0].max() <= \
+            1.0 + 1e-12
+        assert np.allclose(np.linalg.svd(kron_sum(coeffs, best),
+                                         compute_uv=False)[:, 0], vals,
+                           rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("iters", [1, 3])
+    def test_rounds_are_capped(self, iters):
+        coeffs, ds = self.starts()
+        vals, best, rounds = polar_seesaw(coeffs, ds, iters, real_polar)
+        assert rounds == iters
+        if iters == 1:
+            assert np.array_equal(best, ds)
 
 
 class TestSdpMaximize:

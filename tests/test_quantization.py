@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from realops import quantization
 from realops.linalg import kron_sum, op_norm
@@ -248,6 +249,52 @@ def random_tuples():
     rng = np.random.default_rng(0)
     return [[rng.standard_normal((n, n)) for _ in range(d)]
             for n in (2, 3) for d in (2, 3) for _ in range(4)]
+
+
+class TestSeesawSearch:
+    def test_no_matrix_exponential(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the max-l1 search took an expm")
+        monkeypatch.setattr(scipy.linalg, "expm", forbidden)
+        res = max_l1_norm_bounds([PAIR_A, PAIR_B], restarts=16, seed=2)
+        assert res.lower >= 2.0 - 1e-12
+        max_l1_norm_bounds(random_tuples()[5], restarts=4, seed=5)
+
+    # exact values, so that a search change that moves the bracket shows
+    @pytest.mark.parametrize("restarts, lower", [(16, 2.0000000000000004),
+                                                 (64, 2.000000000000001)])
+    def test_witness_pair_values_are_pinned(self, restarts, lower):
+        rep = reproduce_l12_nonuniqueness(seed=0xC0FFEE, restarts=restarts)
+        assert rep.max_lower == lower
+        assert rep.max_upper == 2.0
+        assert rep.best_m == 2
+        assert rep.sdp_iterations == 0
+
+    @pytest.mark.parametrize("case", range(17))
+    def test_search_witnesses_are_contractions(self, case, monkeypatch):
+        # with the SDP reduced to the triangle bound, the reported witness
+        # is the search's own tuple
+        def triangle(mats, lower):
+            xs = np.stack([op_norm(a) * np.eye(len(a)) for a in mats])
+            return (float(sum(op_norm(a) for a in mats)), xs, xs.copy()), \
+                lower, None, 0
+        monkeypatch.setattr(quantization, "_haagerup_sdp", triangle)
+        mats = (random_tuples() + [[PAIR_A, PAIR_B]])[case]
+        res = max_l1_norm_bounds(mats, restarts=4, seed=case)
+        assert res.search_rounds > 0
+        assert all(np.linalg.svd(w, compute_uv=False)[0] <= 1.0 + 1e-12
+                   for w in res.witness)
+        value = op_norm(kron_sum(np.stack(mats, axis=-1),
+                                 np.stack(res.witness)))
+        assert value == pytest.approx(res.lower, rel=1e-13)
+
+    def test_search_rounds_are_deterministic_and_capped(self):
+        mats = random_tuples()[5]
+        runs = [max_l1_norm_bounds(mats, restarts=4, seed=5, iters=7)
+                for _ in range(2)]
+        assert runs[0].search_rounds == runs[1].search_rounds
+        # at most 7 rounds at each of the test sizes m = 1, 2
+        assert 2 <= runs[0].search_rounds <= 14
 
 
 class TestHaagerupCertificate:
