@@ -9,12 +9,16 @@ fixes the block layout, and ``span_coefficients`` with ``in_span``: the
 least-squares solve and the one rule behind every span-membership test.
 
 Matrices are plain 2-D float ndarrays throughout; ``as_matrix`` is the
-single validation gate.  The search kernels (``clip_contraction``,
+single validation gate, and ``as_matrices`` its form for stacks.  The
+norm and positivity kernels (``op_norm``, ``sym_eig_min``,
+``is_real_positive``, ``contraction_block``,
+``contraction_iff_positive``), the search kernels (``clip_contraction``,
 ``frobenius_norm``, ``kron_sum``, ``kron_sum_grad``) and the membership
 kernel also take stacks with leading axes, so one call serves every
-restart of a multistart search or every product of a closure check; each
-matrix of a stack comes out bit for bit as it would alone.  All functions
-are pure.
+restart of a multistart search, every product of a closure check or every
+sample of an invariant check; each matrix of a stack comes out bit for bit
+as it would alone.  ``map_by_shape`` runs a stack kernel over a list of
+matrices of several shapes, one call per shape.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -29,62 +33,111 @@ EXACT_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-10
 
 
+def as_matrices(m) -> np.ndarray:
+    """Validate and return ``m`` as a float matrix or a (..., p, q) stack of
+    them, with positive p and q and finite entries."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got "
+                         f"ndim={a.ndim}")
+    if a.shape[-2] < 1 or a.shape[-1] < 1:
+        raise ValueError(f"matrix must have positive shape, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    return a
+
+
 def as_matrix(m) -> np.ndarray:
     """Validate and return ``m`` as a 2-D float array with finite entries."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"matrix must have positive shape, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    return as_matrices(a)
+
+
+def _as_square(m, what: str) -> np.ndarray:
+    a = as_matrices(m)
+    if a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"{what} requires a square matrix")
     return a
 
 
-def op_norm(m) -> float:
-    """Largest singular value of ``m`` (0 for the zero matrix)."""
-    a = as_matrix(m)
-    if not a.any():
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+def map_by_shape(fn, mats, *per_item) -> np.ndarray:
+    """``fn`` over a list of arrays (matrices, coefficient tensors) of
+    several shapes, as one call of ``fn`` on the stack of each shape;
+    results come back in list order.
+
+    ``fn`` maps a stack of k arrays to k results.  Each ``per_item`` array
+    holds one value per list entry and is passed to ``fn`` split the same
+    way.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, m in enumerate(mats):
+        groups.setdefault(np.shape(m), []).append(i)
+    out = np.empty(0)
+    for idx in groups.values():
+        vals = np.asarray(fn(np.stack([mats[i] for i in idx]),
+                             *(np.asarray(v)[idx] for v in per_item)))
+        if out.size == 0:
+            out = np.empty(len(mats), vals.dtype)
+        out[idx] = vals
+    return out
 
 
-def sym_eig_min(m: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetrization (m + m^T)/2."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("eigenvalue bound requires a square matrix")
-    return float(np.linalg.eigvalsh((a + a.T) / 2.0)[0])
+def op_norm(m):
+    """Largest singular value of ``m`` (0 for the zero matrix); for a
+    (..., p, q) stack, the array of them."""
+    a = as_matrices(m)
+    if a.ndim == 2:
+        if not a.any():
+            return 0.0
+        return float(np.linalg.svd(a, compute_uv=False)[0])
+    top = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return np.where(a.any(axis=(-2, -1)), top, 0.0)
 
 
-def is_real_positive(m, tol: float = CLASSIFY_TOL) -> bool:
+def sym_eig_min(m):
+    """Smallest eigenvalue of the symmetrization (m + m^T)/2, or of each
+    matrix of a stack."""
+    a = _as_square(m, "eigenvalue bound")
+    low = np.linalg.eigvalsh((a + np.swapaxes(a, -1, -2)) / 2.0)[..., 0]
+    return float(low) if a.ndim == 2 else low
+
+
+def is_real_positive(m, tol=CLASSIFY_TOL):
     """Positivity in the real sense: symmetric within ``tol`` entrywise and
-    smallest eigenvalue >= -tol.
+    smallest eigenvalue >= -tol.  For a stack, a boolean array; ``tol`` may
+    then hold one tolerance per matrix.
 
     Both parts are required: a nonsymmetric real matrix can have a
     nonnegative quadratic form (e.g. [[2, -1], [1, 2]]) yet is not positive.
     """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("positivity requires a square matrix")
-    if np.max(np.abs(a - a.T)) > tol:
-        return False
-    return sym_eig_min(a) >= -tol
+    a = _as_square(m, "positivity")
+    asym = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1))
+    positive = (asym <= tol) & (sym_eig_min(a) >= -tol)
+    return bool(positive) if a.ndim == 2 else positive
 
 
 def contraction_block(x: np.ndarray) -> np.ndarray:
-    """The (p+q) x (p+q) block matrix [[I_p, x], [x^T, I_q]]."""
-    a = as_matrix(x)
-    p, q = a.shape
-    return np.block([[np.eye(p), a], [a.T, np.eye(q)]])
+    """The (p+q) x (p+q) block matrix [[I_p, x], [x^T, I_q]], or the stack
+    of them for a stack of x."""
+    a = as_matrices(x)
+    p, q = a.shape[-2:]
+    blk = np.zeros((*a.shape[:-2], p + q, p + q))
+    blk[..., :p, :p] = np.eye(p)
+    blk[..., p:, p:] = np.eye(q)
+    blk[..., :p, p:] = a
+    blk[..., p:, :p] = np.swapaxes(a, -1, -2)
+    return blk
 
 
-def contraction_iff_positive(x, tol: float = CLASSIFY_TOL) -> tuple[bool, bool]:
-    """Return (op_norm(x) <= 1 + tol, real-positivity of [[I, x], [x^T, I]]).
+def contraction_iff_positive(x, tol: float = CLASSIFY_TOL):
+    """Return (op_norm(x) <= 1 + tol, real-positivity of [[I, x], [x^T, I]]),
+    as two boolean arrays for a stack.
 
     The two booleans agree for every matrix; callers assert the agreement.
     """
-    a = as_matrix(x)
+    a = as_matrices(x)
     return op_norm(a) <= 1.0 + tol, is_real_positive(contraction_block(a), tol)
 
 
@@ -137,12 +190,12 @@ def in_span(residuals: np.ndarray, mats: np.ndarray,
 
 
 def kron_sum(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[:, :, k] kron mats[k] for an (n, m, d) coefficient
-    tensor and a (..., d, p, q) stack, as an (..., n p, m q) array."""
-    n, m, _ = coeffs.shape
-    p, q = mats.shape[-2:]
-    return np.einsum("ijk,...kpq->...ipjq", coeffs, mats).reshape(
-        *mats.shape[:-3], n * p, m * q)
+    """sum_k coeffs[..., :, :, k] kron mats[..., k] for an (..., n, m, d)
+    coefficient stack and a (..., d, p, q) stack, as an (..., n p, m q)
+    array; the leading axes of the two broadcast."""
+    out = np.einsum("...ijk,...kpq->...ipjq", coeffs, mats)
+    n, p, m, q = out.shape[-4:]
+    return out.reshape(*out.shape[:-4], n * p, m * q)
 
 
 def kron_sum_grad(coeffs: np.ndarray, u: np.ndarray,

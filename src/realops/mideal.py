@@ -32,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (MEMBERSHIP_TOL, as_matrix, in_span, op_norm,
-                     span_coefficients)
+from .linalg import (MEMBERSHIP_TOL, as_matrix, in_span, map_by_shape,
+                     op_norm, span_coefficients)
 from .opspace import (CBMap, MatElem, OpSpace, complexify_map,
                       complexify_space, cb_norm_levels, level_norm,
-                      num_den_maps)
+                      level_norms, num_den_maps)
 from .optim import ratio_ascent, ratio_eval, seesaw_ascent
 from .rng import derived_rng
 
@@ -343,10 +343,13 @@ def shuffle_iso(space: OpSpace, samples: int = 50,
     C_2(X_c) orders them (up/low, re/im, k); the permutation swaps the two
     outer labels and is its own inverse.  On ambient matrices it permutes
     the four p-row blocks (1,2,3,4) -> (1,3,2,4), a norm-preserving row
-    permutation.
+    permutation.  The ``samples`` seeded elements, at levels 1 and 2, are
+    compared through stacked level norms, one call per level and side.
     """
     if space.is_complexified:
         raise ValueError("shuffle certificate is built from a real space")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     d = space.dim
     p, _ = space.ambient
     lhs = complexify_space(column_space(space))
@@ -361,14 +364,14 @@ def shuffle_iso(space: OpSpace, samples: int = 50,
         rhs_mat = rhs.basis[perm[a]]
         dev = max(dev, float(np.max(np.abs(lhs_mat - rhs_mat))))
     rng = derived_rng(seed, 21)
-    norm_dev = 0.0
+    cs = []
     for _ in range(samples):
         n = int(rng.integers(1, 3))
-        c = rng.standard_normal((n, n, 4 * d))
-        norm_dev = max(norm_dev, abs(
-            level_norm(MatElem(lhs, c)) -
-            level_norm(MatElem(rhs, c[:, :, perm]))))
-    return ShuffleCertificate(perm, row_perm, dev, norm_dev, samples)
+        cs.append(rng.standard_normal((n, n, 4 * d)))
+    norm_dev = np.abs(level_norms(lhs, cs) -
+                      level_norms(rhs, [c[..., perm] for c in cs]))
+    return ShuffleCertificate(perm, row_perm, dev, float(np.max(norm_dev)),
+                              samples)
 
 
 def _permutation_matrix(perm: np.ndarray) -> np.ndarray:
@@ -381,9 +384,12 @@ def _permutation_matrix(perm: np.ndarray) -> np.ndarray:
 def projection_complexification_consistency(u: CBMap, samples: int = 20,
                                             seed: int = 0) -> float:
     """Max deviation of shuffle . (tau_u)_c . shuffle^{-1} from tau_{u_c}
-    on sampled elements.  The identity is linear-algebraic and holds for
-    any linear endomap, so the deviation is zero up to float roundoff.
+    on sampled elements, at levels 1 and 2, through stacked level norms.
+    The identity is linear-algebraic and holds for any linear endomap, so
+    the deviation is zero up to float roundoff.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     space = u.domain
     s_mat = _permutation_matrix(_coeff_shuffle(space.dim))
     lhs_mat = s_mat @ complexify_map(tau_map(u)).matrix @ s_mat.T
@@ -392,13 +398,13 @@ def projection_complexification_consistency(u: CBMap, samples: int = 20,
     c2xc = column_space(complexify_space(space))
     diff = lhs_mat - rhs_mat
     rng = derived_rng(seed, 22)
-    dev = 0.0
+    cs = []
     for _ in range(samples):
         n = int(rng.integers(1, 3))
-        c = rng.standard_normal((n, n, diff.shape[1]))
-        img = np.einsum("mk,ijk->ijm", diff, c)
-        dev = max(dev, level_norm(MatElem(c2xc, img)))
-    return dev
+        cs.append(rng.standard_normal((n, n, diff.shape[1])))
+    return float(np.max(map_by_shape(
+        lambda c: level_norms(c2xc, np.einsum("mk,...ijk->...ijm", diff, c)),
+        cs)))
 
 
 # ----------------------------------------------------------------------

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (MEMBERSHIP_TOL, as_matrix, clip_contraction, in_span,
-                     kron_sum, kron_sum_matrix, mat_from_json, mat_to_json,
-                     op_norm, span_coefficients)
+                     kron_sum, kron_sum_matrix, map_by_shape, mat_from_json,
+                     mat_to_json, op_norm, span_coefficients)
 from .optim import (LinearMatrixMap, polar_seesaw, ratio_ascent, ratio_eval,
                     seesaw_ascent, spectral_min_sdp)
 from .rng import derived_rng
@@ -190,6 +190,21 @@ def level_norm(x: MatElem) -> float:
     return op_norm(x.realization())
 
 
+def level_norms(space: OpSpace, coeffs) -> np.ndarray:
+    """``level_norm`` of each element of an (..., n, n, d) coefficient
+    stack over ``space``, through one ``kron_sum`` and one stacked SVD, or
+    of each tensor of a list of mixed levels, one such call per level;
+    each equals its lone ``level_norm`` bit for bit."""
+    if isinstance(coeffs, list):
+        return map_by_shape(lambda c: level_norms(space, c), coeffs)
+    c = np.asarray(coeffs, dtype=float)
+    if c.ndim < 3 or c.shape[-3] != c.shape[-2] or \
+            c.shape[-1] != space.dim:
+        raise ValueError(f"expected (..., n, n, {space.dim}) coefficients, "
+                         f"got shape {c.shape}")
+    return op_norm(kron_sum(c, space.basis))
+
+
 def elem(space: OpSpace, coeffs) -> MatElem:
     c = np.asarray(coeffs, dtype=float)
     if c.ndim == 1:
@@ -242,8 +257,13 @@ class CBMap:
         if x.space is not self.domain and \
                 not np.array_equal(x.space.basis, self.domain.basis):
             raise ValueError("element does not live in the map's domain")
-        return MatElem(self.codomain,
-                       np.einsum("mk,ijk->ijm", self.matrix, x.coeffs))
+        return MatElem(self.codomain, self.amplify(x.coeffs))
+
+    def amplify(self, coeffs: np.ndarray) -> np.ndarray:
+        """The map applied coefficientwise to an (..., n, n, d) coefficient
+        stack of domain elements; each image equals its lone one bit for
+        bit."""
+        return np.einsum("mk,...ijk->...ijm", self.matrix, coeffs)
 
 
 def identity_map(space: OpSpace) -> CBMap:

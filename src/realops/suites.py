@@ -13,12 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, mideal, opspace, quantization, systems
-from .linalg import contraction_iff_positive, is_real_positive, op_norm
+from .linalg import (contraction_iff_positive, is_real_positive,
+                     map_by_shape, op_norm)
 from .opspace import (CBMap, MatElem, OpSpace, check_ruan_axioms,
                       complexified_elem, complexify_map, complexify_space,
                       direct_sum_spaces, elem, full_matrix_space,
                       cb_norm_levels, cb_norm_lower_search, level_norm,
-                      quotient_level_norm, random_elem, span_space)
+                      level_norms, quotient_level_norm, random_elem,
+                      span_space)
 from .quantization import (ell_infty, ell_one, min_level_norm, realize_min,
                            reproduce_l12_nonuniqueness, w2_complex_norm,
                            max_l1_norm_bounds, BanachSpace)
@@ -51,24 +53,45 @@ def _scalar_space() -> OpSpace:
 # linalg
 # ----------------------------------------------------------------------
 
+def _scaled_samples(rng, count: int, sides: int, lo: float,
+                    hi: float) -> list[np.ndarray]:
+    """``count`` draws of a p x q matrix, 1 <= p, q < ``sides``, each
+    rescaled to an operator norm drawn uniformly from [lo, hi); a matrix
+    of norm below 1e-14 is dropped before its norm is drawn.  The norms
+    come from one stacked SVD per shape after the draws."""
+    mats, targets = [], []
+    for _ in range(count):
+        p, q = int(rng.integers(1, sides)), int(rng.integers(1, sides))
+        m = rng.standard_normal((p, q))
+        # op_norm(m) >= max |m_ij| up to roundoff, so only a matrix of tiny
+        # entries needs its norm before the next draw
+        if np.abs(m).max() < 1e-13 and op_norm(m) < 1e-14:
+            continue
+        mats.append(m)
+        targets.append(float(rng.uniform(lo, hi)))
+    norms = map_by_shape(op_norm, mats)
+    return [m * (t / n) for m, t, n in zip(mats, targets, norms)]
+
+
 def suite_linalg(seed: int) -> list[CheckResult]:
+    """Every row draws its samples first, in the order of a per-sample loop,
+    then checks them through one stacked kernel call per matrix shape."""
     rng = derived_rng(seed, 101)
     out = []
 
-    dev = 0.0
+    mats, alphas = [], []
     for _ in range(200):
         p, q = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        m = rng.standard_normal((p, q))
-        alpha = float(rng.uniform(-100.0, 100.0))
-        base = op_norm(m)
-        if base < 1e-14:
-            continue
-        dev = max(dev, abs(op_norm(alpha * m) - abs(alpha) * base) /
-                  (abs(alpha) * base + 1e-300))
-    out.append(_check("operator norm is absolutely homogeneous", dev, 1e-12,
-                      samples=200))
+        mats.append(rng.standard_normal((p, q)))
+        alphas.append(float(rng.uniform(-100.0, 100.0)))
+    base = map_by_shape(op_norm, mats)
+    scaled = map_by_shape(op_norm, [a * m for a, m in zip(alphas, mats)])
+    expect = np.abs(alphas) * base
+    dev = (np.abs(scaled - expect) / (expect + 1e-300))[base >= 1e-14]
+    out.append(_check("operator norm is absolutely homogeneous",
+                      np.max(dev, initial=0.0), 1e-12, samples=200))
 
-    dev = 0.0
+    firsts, seconds, blocks = [], [], []
     for _ in range(200):
         p, q = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         m1 = rng.standard_normal((p, q))
@@ -77,36 +100,37 @@ def suite_linalg(seed: int) -> list[CheckResult]:
         blk = np.zeros((m1.shape[0] + m2.shape[0], m1.shape[1] + m2.shape[1]))
         blk[:m1.shape[0], :m1.shape[1]] = m1
         blk[m1.shape[0]:, m1.shape[1]:] = m2
-        dev = max(dev, abs(op_norm(blk) - max(op_norm(m1), op_norm(m2))))
-    out.append(_check("block-diagonal norm is the max of the blocks", dev,
-                      1e-12, samples=200))
+        firsts.append(m1)
+        seconds.append(m2)
+        blocks.append(blk)
+    dev = np.abs(map_by_shape(op_norm, blocks) -
+                 np.maximum(map_by_shape(op_norm, firsts),
+                            map_by_shape(op_norm, seconds)))
+    out.append(_check("block-diagonal norm is the max of the blocks",
+                      np.max(dev), 1e-12, samples=200))
+
+    def agree(stack):
+        by_norm, by_positivity = contraction_iff_positive(stack, tol=1e-9)
+        return by_norm == by_positivity
 
     for lo, hi, label in [(0.9, 1.1, "near the contraction boundary"),
                           (0.5, 1.5, "across norms in [0.5, 1.5]")]:
-        disagreements = 0
-        for _ in range(500):
-            p, q = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            m = rng.standard_normal((p, q))
-            base = op_norm(m)
-            if base < 1e-14:
-                continue
-            m *= float(rng.uniform(lo, hi)) / base
-            by_norm, by_positivity = contraction_iff_positive(m, tol=1e-9)
-            if by_norm != by_positivity:
-                disagreements += 1
+        agreed = map_by_shape(agree, _scaled_samples(rng, 500, 5, lo, hi))
         out.append(_check(f"contraction iff block positivity, {label}",
-                          disagreements, 0.0, samples=500, tol_used=1e-9))
+                          np.sum(~agreed), 0.0, samples=500, tol_used=1e-9))
 
-    failures = 0
+    factors, congruent = [], []
     for _ in range(100):
         n = int(rng.integers(1, 5))
         b = rng.standard_normal((n, n))
         m = b.T @ b
         a = rng.standard_normal((n, n))
-        if not is_real_positive(a.T @ m @ a, tol=1e-9 * (1 + op_norm(a)) ** 2):
-            failures += 1
-    out.append(_check("congruence preserves real positivity", failures, 0.0,
-                      samples=100))
+        factors.append(a)
+        congruent.append(a.T @ m @ a)
+    tols = 1e-9 * (1 + map_by_shape(op_norm, factors)) ** 2
+    positive = map_by_shape(is_real_positive, congruent, tols)
+    out.append(_check("congruence preserves real positivity",
+                      np.sum(~positive), 0.0, samples=100))
     return out
 
 
@@ -376,7 +400,7 @@ def suite_mideal(seed: int, projection_matrix=None) -> list[CheckResult]:
                           1e-12))
 
     rng = derived_rng(seed, 131)
-    dom_dev = 0.0
+    parts, rests, columns = [], [], []
     for _ in range(10):
         # every rank-2 idempotent is a (a^T + c (I - a a^T)) with a
         # orthonormal columns; this form stays well conditioned
@@ -386,25 +410,27 @@ def suite_mideal(seed: int, projection_matrix=None) -> list[CheckResult]:
         proj = mideal.projection(m2, pm)
         nu, _, _ = mideal.build_nu_mu_tau(proj)
         for _ in range(5):
-            x = random_elem(m2, int(rng.integers(1, 3)), rng)
-            px = proj.underlying(x)
-            rest = MatElem(m2, x.coeffs - px.coeffs)
-            dom_dev = max(dom_dev, max(level_norm(px), level_norm(rest)) -
-                          level_norm(nu(x)))
+            x = random_elem(m2, int(rng.integers(1, 3)), rng).coeffs
+            px = proj.underlying.amplify(x)
+            parts.append(px)
+            rests.append(x - px)
+            columns.append(nu.amplify(x))
+    dom_dev = np.maximum(level_norms(m2, parts), level_norms(m2, rests)) - \
+        level_norms(nu.codomain, columns)
     out.append(_check("column embedding dominates both column norms",
-                      max(0.0, dom_dev), 1e-12, projections=10))
+                      max(0.0, np.max(dom_dev)), 1e-12, projections=10))
 
     _, mu_good, _ = mideal.build_nu_mu_tau(p_good)
     c2 = mu_good.domain
-    ineq_dev = 0.0
-    for _ in range(50):
+    cols = np.empty((50, 2, 2, c2.dim))
+    for t in range(50):
         x = random_elem(m2, 2, rng)
         y = random_elem(m2, 2, rng)
-        col = mideal.column_embed(x, y, c2)
-        ineq_dev = max(ineq_dev,
-                       level_norm(mu_good(col)) - level_norm(col))
+        cols[t] = mideal.column_embed(x, y, c2).coeffs
+    ineq_dev = level_norms(mu_good.codomain, mu_good.amplify(cols)) - \
+        level_norms(c2, cols)
     out.append(_check("certified projections average columns contractively",
-                      max(0.0, ineq_dev), 1e-10, samples=50))
+                      max(0.0, np.max(ineq_dev)), 1e-10, samples=50))
 
     bad = 0
     for e in (np.diag([1.0, 0.0]), np.eye(2), np.zeros((2, 2)),
@@ -503,15 +529,16 @@ def suite_systems(seed: int) -> list[CheckResult]:
     dims_dev += abs(a1c.dim - ac1.dim) + abs(a1c.dim - 2 * u1.dim)
     perm = [0, 2, 1, 3]
     rng = derived_rng(seed, 141)
-    norm_dev = 0.0
+    cs, ccs = [], []
     for _ in range(100):
         n = int(rng.integers(1, 3))
         c = rng.standard_normal((n, n, 4))
         cc = np.zeros_like(c)
-        for i, j in enumerate(perm):
-            cc[:, :, j] = c[:, :, i]
-        norm_dev = max(norm_dev, abs(level_norm(MatElem(a1c, c)) -
-                                     level_norm(MatElem(ac1.space, cc))))
+        cc[:, :, perm] = c
+        cs.append(c)
+        ccs.append(cc)
+    norm_dev = float(np.max(np.abs(level_norms(a1c, cs) -
+                                   level_norms(ac1.space, ccs))))
     out.append(_check("unitization commutes with complexification",
                       dims_dev + (0.0 if norm_dev <= 1e-12 else norm_dev),
                       0.0, norm_agreements=100, norm_deviation=norm_dev))
@@ -599,31 +626,20 @@ def suite_systems(seed: int) -> list[CheckResult]:
     sh_dev = float(np.max(np.abs(g.matrix - np.array([[0.0, 1.0],
                                                       [0.0, 0.0]]))))
     rng = derived_rng(seed, 142)
-    psd_failures = 0
-    for _ in range(100):
-        y = elem(corner, rng.standard_normal(2))
-        gy = systems.shilov_inner_product(tro_corner, y, y)
-        if not is_real_positive(gy.matrix, tol=1e-9):
-            psd_failures += 1
-        if not gy.in_span:
-            psd_failures += 1
+    ys = np.array([rng.standard_normal(2) for _ in range(100)])
+    gy = systems.shilov_inner_products(tro_corner, ys, ys)
+    psd_failures = int(np.sum(~is_real_positive(gy.matrix, tol=1e-9)) +
+                       np.sum(~gy.in_span))
     out.append(_check("concrete inner products are positive and stay in "
                       "the product span", sh_dev + psd_failures, 1e-12,
                       samples=100))
 
     rng = derived_rng(seed, 143)
-    eqn1_failures = 0
-    for _ in range(100):
-        p, q = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        x = rng.standard_normal((p, q))
-        nx = op_norm(x)
-        if nx < 1e-14:
-            continue
-        x *= float(rng.uniform(0.0, 1.0)) / nx
-        if not is_real_positive(linalg.contraction_block(x), tol=1e-9):
-            eqn1_failures += 1
+    positive = map_by_shape(
+        lambda xs: is_real_positive(linalg.contraction_block(xs), tol=1e-9),
+        _scaled_samples(rng, 100, 4, 0.0, 1.0))
     out.append(_check("contractions produce positive block extensions",
-                      eqn1_failures, 0.0, samples=100))
+                      np.sum(~positive), 0.0, samples=100))
     return out
 
 

@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (MEMBERSHIP_TOL, in_span, is_real_positive, op_norm,
-                     relative_residual, span_coefficients)
+from .linalg import (MEMBERSHIP_TOL, in_span, is_real_positive, kron_sum,
+                     op_norm, relative_residual, span_coefficients,
+                     sym_eig_min)
 from .opspace import (CBMap, MatElem, OpSpace, cb_norm_levels,
-                      complex_structure, level_norm, opspace_from_json,
-                      opspace_to_json, random_elem, scalar_sandwich)
+                      complex_structure, level_norms, opspace_from_json,
+                      opspace_to_json, random_elem)
 from .rng import derived_rng
 
 
@@ -79,9 +80,9 @@ class OpAlgebra:
         return self.space.dim
 
     def product_coeffs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Coefficient tensors of M_n(A) multiplied through the structure
-        tensor."""
-        return np.einsum("ilr,ljs,rsm->ijm", a, b, self.structure)
+        """Coefficient tensors of M_n(A), or stacks of them, multiplied
+        through the structure tensor."""
+        return np.einsum("...ilr,...ljs,rsm->...ijm", a, b, self.structure)
 
     def unit_coeffs(self, tol: float = MEMBERSHIP_TOL) -> np.ndarray | None:
         eye = np.eye(self.space.ambient[0])
@@ -112,7 +113,12 @@ class BrsReport:
 def check_brs_level(algebra: OpAlgebra, level: int = 2, samples: int = 100,
                     seed: int = 0, tol: float = 1e-10) -> BrsReport:
     """Sampled submultiplicativity of M_n(A) under the structure product:
-    reports max(0, norm(ab) - norm(a) norm(b))."""
+    reports max(0, norm(ab) - norm(a) norm(b)).
+
+    The pairs (the d^2 canonical ones, then ``samples`` seeded draws) are
+    scored through stacked level norms; the witness is the first pair of
+    largest positive violation.
+    """
     if level < 1:
         raise ValueError("level must be at least 1")
     if samples < 0:
@@ -120,31 +126,23 @@ def check_brs_level(algebra: OpAlgebra, level: int = 2, samples: int = 100,
     d = algebra.dim
     space = algebra.space
     rng = derived_rng(seed, 31, level)
-    pairs = []
-    for j in range(d):          # canonical pairs hit exact violations
-        for k in range(d):
-            ca = np.zeros((level, level, d))
-            cb = np.zeros((level, level, d))
-            ca[0, 0, j] = 1.0
-            cb[0, 0, k] = 1.0
-            pairs.append((ca, cb))
-    for _ in range(samples):
-        pairs.append((rng.standard_normal((level, level, d)),
-                      rng.standard_normal((level, level, d))))
-    worst = 0.0
-    witness = None
-    for ca, cb in pairs:
-        na = level_norm(MatElem(space, ca))
-        nb = level_norm(MatElem(space, cb))
-        if na < 1e-14 or nb < 1e-14:
-            continue
-        nab = level_norm(MatElem(space, algebra.product_coeffs(ca, cb)))
-        viol = nab - na * nb
-        if viol > worst:
-            worst = viol
-            witness = (ca, cb)
-    return BrsReport(level, samples, max(0.0, worst), tol,
-                     passed=(worst <= tol), witness=witness)
+    ca = np.zeros((d * d + samples, level, level, d))
+    cb = np.zeros_like(ca)
+    # canonical pairs (B_j, B_k) first: they hit exact violations
+    ca[:d * d, 0, 0] = np.repeat(np.eye(d), d, axis=0)
+    cb[:d * d, 0, 0] = np.tile(np.eye(d), (d, 1))
+    for t in range(d * d, d * d + samples):
+        ca[t] = rng.standard_normal((level, level, d))
+        cb[t] = rng.standard_normal((level, level, d))
+    na = level_norms(space, ca)
+    nb = level_norms(space, cb)
+    nab = level_norms(space, algebra.product_coeffs(ca, cb))
+    viol = np.where((na < 1e-14) | (nb < 1e-14), -np.inf, nab - na * nb)
+    i = int(np.argmax(viol))             # the first of equal maxima
+    if viol[i] > 0.0:
+        return BrsReport(level, samples, float(viol[i]), tol,
+                         passed=bool(viol[i] <= tol), witness=(ca[i], cb[i]))
+    return BrsReport(level, samples, 0.0, tol, passed=True, witness=None)
 
 
 # ----------------------------------------------------------------------
@@ -213,9 +211,10 @@ def build_paulsen_system(space: OpSpace) -> PaulsenSystem:
         basis[2 + d + k, p:, :p] = space.basis[k].T    # lower corner
     sys_space = OpSpace(basis)
     # selfadjointness and the unit are structural; verify exactly
-    for k in range(d):
-        assert np.array_equal(basis[2 + k].T, basis[2 + d + k])
-    assert sys_space.contains(np.eye(side), tol=1e-12)
+    if not np.array_equal(np.swapaxes(basis[2:2 + d], 1, 2), basis[2 + d:]):
+        raise RuntimeError("Paulsen system corners are not adjoint")
+    if not sys_space.contains(np.eye(side), tol=1e-12):
+        raise RuntimeError("Paulsen system does not contain the unit")
     return PaulsenSystem(sys_space, 0, 1, tuple(range(2, 2 + d)),
                          tuple(range(2 + d, 2 + 2 * d)), d)
 
@@ -247,32 +246,46 @@ class PaulsenTransferReport:
 
 
 def _positive_system_sample(system: PaulsenSystem, x_space: OpSpace,
-                            level: int, rng, style: str,
-                            rho: float) -> np.ndarray:
-    """A real-positive element of M_n(S(X)) with x-block scaled to reach
-    contraction ratio rho inside the Schur condition."""
+                            level: int, samples: int, rng) -> np.ndarray:
+    """A seeded sample of ``samples`` real-positive elements of M_n(S(X))
+    at n = ``level``, as a (samples, n, n, 2 d + 2) coefficient stack.
+
+    Sample i has identity corners for even i and random Gram corners for
+    odd i, and its x-block is scaled to the contraction ratio rho inside
+    the Schur condition: rho = 1 for the first two samples, uniform in
+    [0, 1) after.  The draws of each sample (rho, the Gram factors, then
+    x) come in that order; the scales come after, from stacked level
+    norms of the sandwiches lam^(-1/2) x mu^(-1/2).
+    """
     n = level
     d = system.source_dim
-    if style == "unit":
-        lam = np.eye(n)
-        mu = np.eye(n)
-    else:
-        g = rng.standard_normal((n, n))
-        lam = g @ g.T + 0.1 * np.eye(n)
-        h = rng.standard_normal((n, n))
-        mu = h @ h.T + 0.1 * np.eye(n)
-    x = random_elem(x_space, n, rng)
+    rho = np.ones(samples)
+    lam = np.broadcast_to(np.eye(n), (samples, n, n)).copy()
+    mu = lam.copy()
+    x = np.empty((samples, n, n, d))
+    for i in range(samples):
+        if i >= 2:
+            rho[i] = rng.uniform(0.0, 1.0)
+        if i % 2:
+            g = rng.standard_normal((n, n))
+            lam[i] = g @ g.T + 0.1 * np.eye(n)
+            h = rng.standard_normal((n, n))
+            mu[i] = h @ h.T + 0.1 * np.eye(n)
+        x[i] = random_elem(x_space, n, rng).coeffs
     lam_half_inv = np.linalg.inv(np.linalg.cholesky(lam))
     mu_half_inv = np.linalg.inv(np.linalg.cholesky(mu))
-    s = level_norm(scalar_sandwich(lam_half_inv, x, mu_half_inv.T))
-    xc = x.coeffs * (rho / s) if s > 1e-14 else x.coeffs * 0.0
-    coeffs = np.zeros((n, n, 2 * d + 2))
-    coeffs[:, :, system.lam_index] = lam
-    coeffs[:, :, system.mu_index] = mu
-    for k in range(d):
-        coeffs[:, :, system.upper_indices[k]] = xc[:, :, k]
-        # the adjoint corner carries the level-transposed coefficients
-        coeffs[:, :, system.lower_indices[k]] = xc[:, :, k].T
+    # the Ruan action lam^(-1/2) x mu^(-1/2)^T of ``scalar_sandwich``
+    s = level_norms(x_space, np.einsum(
+        "...ia,...abk,...bj->...ijk", lam_half_inv, x,
+        np.swapaxes(mu_half_inv, -1, -2)))
+    scale = np.divide(rho, s, out=np.zeros(samples), where=s > 1e-14)
+    xc = x * scale[:, None, None, None]
+    coeffs = np.zeros((samples, n, n, 2 * d + 2))
+    coeffs[..., system.lam_index] = lam
+    coeffs[..., system.mu_index] = mu
+    coeffs[..., list(system.upper_indices)] = xc
+    # the adjoint corner carries the level-transposed coefficients
+    coeffs[..., list(system.lower_indices)] = np.swapaxes(xc, 1, 2)
     return coeffs
 
 
@@ -283,31 +296,31 @@ def paulsen_positivity_transfer(u: CBMap, levels: int = 2, samples: int = 50,
     check that their images under the block map stay real-positive.
 
     A (completely) contractive u must pass; an expansive u produces a
-    witness.  Half the samples sit on the positivity boundary (Schur ratio
-    one), half in the interior, mixing identity corners with random Gram
-    corners.
+    witness, the first failing sample.  Half the samples sit on the
+    positivity boundary (Schur ratio one), half in the interior, mixing
+    identity corners with random Gram corners.  Each level's samples are
+    checked through stacked realizations and one stacked positivity test.
     """
+    if levels < 1:
+        raise ValueError("levels must be at least 1")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     phi, s_dom, s_cod = paulsen_map(u)
     failures = 0
     witness = None
     for lvl in range(1, levels + 1):
-        rng = derived_rng(seed, 41, lvl)
-        for i in range(samples):
-            style = "unit" if i % 2 == 0 else "gram"
-            rho = 1.0 if i < 2 else float(rng.uniform(0.0, 1.0))
-            coeffs = _positive_system_sample(s_dom, u.domain, lvl, rng,
-                                             style, rho)
-            sample = MatElem(s_dom.space, coeffs)
-            assert is_real_positive(sample.realization(), tol), \
-                "sample generator must produce positive elements"
-            image = phi(sample)
-            img_mat = image.realization()
-            if not is_real_positive(img_mat, tol):
-                failures += 1
-                if witness is None:
-                    eig = float(np.linalg.eigvalsh(
-                        (img_mat + img_mat.T) / 2.0)[0])
-                    witness = (lvl, coeffs, eig)
+        coeffs = _positive_system_sample(s_dom, u.domain, lvl, samples,
+                                         derived_rng(seed, 41, lvl))
+        if not is_real_positive(kron_sum(coeffs, s_dom.space.basis),
+                                tol).all():
+            raise RuntimeError("sample generator produced a non-positive "
+                               "element")
+        img_mats = kron_sum(phi.amplify(coeffs), s_cod.space.basis)
+        bad = np.flatnonzero(~is_real_positive(img_mats, tol))
+        failures += bad.size
+        if witness is None and bad.size:
+            i = bad[0]
+            witness = (lvl, coeffs[i], sym_eig_min(img_mats[i]))
     return PaulsenTransferReport(
         levels, samples, failures, failures == 0,
         witness[0] if witness else None,
@@ -345,6 +358,11 @@ def choi_effros_product(algebra: OpAlgebra, phi: CBMap, tol: float = 1e-10,
     with unit, involution and the multiplicative norm identity under the
     re-product r o s = phi(r s), all with the original norm.
 
+    ``trials`` seeded range elements r check the norm identity
+    |r^* o r| = |r|^2 and the bimodule law phi(a r) = phi(phi(a) r), and
+    the mirrored one, with algebra elements a; each check runs on the
+    whole stack of trials at once.
+
     Preconditions: the algebra is unital and transpose closed; phi fixes
     the unit, is idempotent, and is completely contractive at levels 1-2
     (refutation-only check through cb lower bounds).  Selfadjointness of
@@ -352,6 +370,8 @@ def choi_effros_product(algebra: OpAlgebra, phi: CBMap, tol: float = 1e-10,
     holds the report runs in "selfadjoint" mode, otherwise contractivity
     alone backs the construction and the mode records that.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     space = algebra.space
     d = algebra.dim
     failures: list[str] = []
@@ -394,12 +414,16 @@ def choi_effros_product(algebra: OpAlgebra, phi: CBMap, tol: float = 1e-10,
     rank = int(np.sum(s_svd > 1e-10))
     rbasis = u_svd[:, :rank].T          # (rank, d) rows
 
+    def apply(mat: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """mat @ c for a coefficient vector c, or each vector of a stack."""
+        return (mat @ c[..., None])[..., 0]
+
     def circ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        prod = np.einsum("r,s,rsm->m", a, b, algebra.structure)
-        return pm @ prod
+        return apply(pm, np.einsum("...r,...s,rsm->...m", a, b,
+                                   algebra.structure))
 
     def realize(c: np.ndarray) -> np.ndarray:
-        return np.einsum("m,mpq->pq", c, space.basis)
+        return np.einsum("...m,mpq->...pq", c, space.basis)
 
     dev_assoc = 0.0
     dev_invol = 0.0
@@ -424,23 +448,22 @@ def choi_effros_product(algebra: OpAlgebra, phi: CBMap, tol: float = 1e-10,
             float(np.max(np.abs(realize(circ(a_i, unit) - a_i)))))
 
     rng = derived_rng(seed, 51)
+    draws = np.empty((trials, rank))
+    a = np.empty((trials, d))
+    for t in range(trials):
+        draws[t] = rng.standard_normal(rank)
+        a[t] = rng.standard_normal(d)
+    r = apply(rbasis.T, draws)
     dev_cstar = 0.0
-    dev_bimod = 0.0
-    for _ in range(trials):
-        r = rbasis.T @ rng.standard_normal(rank)
-        if tmat is not None:
-            rtr = circ(tmat @ r, r)
-            dev_cstar = max(dev_cstar, abs(op_norm(realize(rtr)) -
-                                           op_norm(realize(r)) ** 2))
-        a = rng.standard_normal(d)
-        prod = np.einsum("r,s,rsm->m", a, r, algebra.structure)
-        via = np.einsum("r,s,rsm->m", pm @ a, r, algebra.structure)
-        dev_bimod = max(dev_bimod,
-                        float(np.max(np.abs(realize(pm @ prod - pm @ via)))))
-        prod = np.einsum("r,s,rsm->m", r, a, algebra.structure)
-        via = np.einsum("r,s,rsm->m", r, pm @ a, algebra.structure)
-        dev_bimod = max(dev_bimod,
-                        float(np.max(np.abs(realize(pm @ prod - pm @ via)))))
+    if tmat is not None:
+        rtr = circ(apply(tmat, r), r)
+        # squared as Python floats, as a lone op_norm value is
+        squares = np.array([v ** 2 for v in op_norm(realize(r)).tolist()])
+        dev_cstar = float(np.max(np.abs(op_norm(realize(rtr)) - squares)))
+    pa = apply(pm, a)
+    dev_bimod = max(
+        float(np.max(np.abs(realize(circ(a, r) - circ(pa, r))))),
+        float(np.max(np.abs(realize(circ(r, a) - circ(r, pa))))))
     passed = (dev_assoc <= tol and dev_unit_law <= tol and
               dev_invol <= tol and dev_cstar <= tol and dev_bimod <= tol)
     return ChoiEffrosReport(True, [], mode, rank, dev_unital, dev_idem,
@@ -534,9 +557,9 @@ def generated_subtriple(space: OpSpace, tol: float = 1e-10) -> OpSpace:
 
 @dataclass
 class ShilovResult:
-    matrix: np.ndarray            # q x q product y^T z
-    membership_residual: float
-    in_span: bool
+    matrix: np.ndarray            # q x q product y^T z, or a stack of them
+    membership_residual: float    # an array for a stack
+    in_span: bool                 # an array for a stack
 
 
 def shilov_inner_product(tro: TROSpace, y: MatElem, z: MatElem,
@@ -545,12 +568,23 @@ def shilov_inner_product(tro: TROSpace, y: MatElem, z: MatElem,
     the pairwise products B_a^T B_b."""
     if y.level != 1 or z.level != 1:
         raise ValueError("the inner product is defined on level-1 elements")
+    res = shilov_inner_products(tro, y.coeffs[0, 0], z.coeffs[0, 0], tol)
+    return ShilovResult(res.matrix, float(res.membership_residual),
+                        bool(res.in_span))
+
+
+def shilov_inner_products(tro: TROSpace, ys: np.ndarray, zs: np.ndarray,
+                          tol: float = MEMBERSHIP_TOL) -> ShilovResult:
+    """``shilov_inner_product`` of each pair of an (..., d) stack of
+    level-1 coefficient vectors, as one result holding stacks; each pair
+    comes out bit for bit as it would alone."""
     basis = tro.space.basis
-    g = y.realization().T @ z.realization()
+    y_mats = kron_sum(np.asarray(ys, dtype=float)[..., None, None, :], basis)
+    z_mats = kron_sum(np.asarray(zs, dtype=float)[..., None, None, :], basis)
+    g = np.swapaxes(y_mats, -1, -2) @ z_mats
     pairs = np.swapaxes(basis, 1, 2)[:, None] @ basis[None]   # B_a^T B_b
-    _, res = span_coefficients(pairs.reshape(-1, *g.shape), g)
-    return ShilovResult(g, float(relative_residual(res, g)),
-                        bool(in_span(res, g, tol)))
+    _, res = span_coefficients(pairs.reshape(-1, *g.shape[-2:]), g)
+    return ShilovResult(g, relative_residual(res, g), in_span(res, g, tol))
 
 
 # ----------------------------------------------------------------------

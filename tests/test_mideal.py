@@ -242,6 +242,11 @@ class TestShuffle:
         twice = cert.coeff_perm[cert.coeff_perm]
         assert np.array_equal(twice, np.arange(16))
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_invalid_samples_rejected(self, samples):
+        with pytest.raises(ValueError):
+            shuffle_iso(M2, samples=samples)
+
     def test_complexified_input_rejected(self):
         from realops.opspace import complexify_space
         with pytest.raises(ValueError):
@@ -249,6 +254,12 @@ class TestShuffle:
 
 
 class TestProjectionComplexification:
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_invalid_samples_rejected(self, samples):
+        with pytest.raises(ValueError):
+            projection_complexification_consistency(identity_map(M2),
+                                                    samples=samples)
+
     def test_identity_map(self):
         assert projection_complexification_consistency(
             identity_map(M2), samples=10, seed=2) == 0.0

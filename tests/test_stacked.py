@@ -1,0 +1,588 @@
+"""Stacked kernels against lone calls, and the stacked invariant checks
+against per-sample reference loops.
+
+Each reference below is the per-sample form of a sampled check: it draws
+the same inputs in the same order and evaluates them one matrix at a
+time through lone kernel calls.  The stacked code must give the same
+values bit for bit, so the comparisons use ``==``.
+"""
+
+import numpy as np
+import pytest
+
+from realops import mideal, suites, systems
+from realops.linalg import (contraction_block, contraction_iff_positive,
+                            is_real_positive, kron_sum, map_by_shape,
+                            op_norm, sym_eig_min)
+from realops.opspace import (CBMap, MatElem, complexify_map,
+                             complexify_space, elem, full_matrix_space,
+                             identity_map, level_norm, level_norms,
+                             random_elem, scalar_sandwich, span_space)
+from realops.rng import derived_rng
+
+SEEDS = [0xC0FFEE, 1]
+M2 = full_matrix_space(2)
+R1 = span_space([[[1.0]]])
+
+
+# ----------------------------------------------------------------------
+# Kernels
+# ----------------------------------------------------------------------
+
+SIDES = range(1, 9)
+
+
+class TestStackedKernels:
+    @pytest.mark.parametrize("p", SIDES)
+    def test_op_norm_equals_lone_calls(self, p):
+        rng = np.random.default_rng(p)
+        for q in SIDES:
+            stack = rng.standard_normal((7, p, q))
+            stack[3] = 0.0
+            stack[5] *= 1e-20
+            norms = op_norm(stack)
+            assert norms.shape == (7,)
+            assert norms[3] == 0.0
+            for i in range(7):
+                assert norms[i] == op_norm(stack[i])
+
+    def test_op_norm_keeps_leading_axes(self):
+        stack = np.random.default_rng(0).standard_normal((2, 3, 4, 5))
+        norms = op_norm(stack)
+        assert norms.shape == (2, 3)
+        assert norms[1, 2] == op_norm(stack[1, 2])
+        assert op_norm(np.zeros((2, 3, 3))).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("n", SIDES)
+    def test_positivity_equals_lone_calls(self, n):
+        rng = np.random.default_rng(10 + n)
+        g = rng.standard_normal((8, n, n))
+        stack = g @ np.swapaxes(g, 1, 2)                    # positive
+        stack[1] -= 2.0 * np.eye(n) * sym_eig_min(stack[1])  # ...or not
+        stack[2] = rng.standard_normal((n, n))              # nonsymmetric
+        stack[3] = 0.0
+        stack[4] = stack[4] - (sym_eig_min(stack[4]) + 1e-10) * np.eye(n)
+        stack[5] = stack[5] - (sym_eig_min(stack[5]) + 1e-8) * np.eye(n)
+        flags = is_real_positive(stack, tol=1e-9)
+        lows = sym_eig_min(stack)
+        assert flags.dtype == bool and flags.shape == (8,)
+        assert flags[0] and flags[3] and flags[4]
+        assert not flags[5]
+        for i in range(8):
+            assert flags[i] == is_real_positive(stack[i], tol=1e-9)
+            assert lows[i] == sym_eig_min(stack[i])
+
+    def test_positivity_takes_one_tolerance_per_matrix(self):
+        stack = np.stack([np.diag([1.0, -1e-6]), np.diag([1.0, -1e-6])])
+        assert is_real_positive(stack, tol=np.array([1e-9, 1e-5])).tolist() \
+            == [False, True]
+
+    @pytest.mark.parametrize("p", SIDES)
+    def test_contraction_blocks_equal_lone_calls(self, p):
+        rng = np.random.default_rng(20 + p)
+        for q in SIDES:
+            stack = rng.standard_normal((5, p, q))
+            stack /= op_norm(stack)[:, None, None]
+            stack *= rng.uniform(0.9, 1.1, size=5)[:, None, None]
+            by_norm, by_positivity = contraction_iff_positive(stack)
+            blocks = contraction_block(stack)
+            for i in range(5):
+                assert np.array_equal(blocks[i], contraction_block(stack[i]))
+                assert (by_norm[i], by_positivity[i]) == \
+                    contraction_iff_positive(stack[i])
+
+    @pytest.mark.parametrize("space", [M2, full_matrix_space(1, 2),
+                                       complexify_space(M2)],
+                             ids=["M2(R)", "M_{1,2}(R)", "complexified M2"])
+    def test_level_norms_equal_lone_level_norms(self, space):
+        rng = np.random.default_rng(space.dim)
+        for n in SIDES:
+            coeffs = rng.standard_normal((4, n, n, space.dim))
+            coeffs[2] = 0.0
+            norms = level_norms(space, coeffs)
+            assert norms[2] == 0.0
+            real = kron_sum(coeffs, space.basis)
+            for i in range(4):
+                x = MatElem(space, coeffs[i])
+                assert norms[i] == level_norm(x)
+                assert np.array_equal(real[i], x.realization())
+
+    def test_level_norms_reject_wrong_shapes(self):
+        with pytest.raises(ValueError):
+            level_norms(M2, np.zeros((3, 2, 2, 3)))
+        with pytest.raises(ValueError):
+            level_norms(M2, np.zeros((3, 2, 1, 4)))
+        with pytest.raises(ValueError):
+            level_norms(M2, np.zeros((2, 4)))
+
+    def test_map_by_shape_keeps_list_order(self):
+        rng = np.random.default_rng(3)
+        mats = [rng.standard_normal((int(p), int(q)))
+                for p, q in rng.integers(1, 4, size=(40, 2))]
+        norms = map_by_shape(op_norm, mats)
+        assert norms.tolist() == [op_norm(m) for m in mats]
+        flags = map_by_shape(lambda s: op_norm(s) > 1.5, mats)
+        assert flags.dtype == bool
+        assert flags.tolist() == [op_norm(m) > 1.5 for m in mats]
+
+
+class TestStackValidation:
+    @pytest.mark.parametrize("bad", [
+        np.array([[[1.0, 0.0], [0.0, np.nan]], [[1.0, 0.0], [0.0, 1.0]]]),
+        np.array([[[1.0, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]]),
+        np.ones(3),
+        np.float64(1.0),
+        np.ones((4, 2, 3)),
+        np.ones((4, 0, 0)),
+    ], ids=["nan", "inf", "ndim 1", "ndim 0", "non-square", "empty"])
+    def test_positivity_rejects(self, bad):
+        with pytest.raises(ValueError):
+            is_real_positive(bad)
+
+    def test_op_norm_rejects_a_nonfinite_stack_entry(self):
+        stack = np.ones((3, 2, 2))
+        stack[2, 1, 0] = np.nan
+        with pytest.raises(ValueError):
+            op_norm(stack)
+
+
+# ----------------------------------------------------------------------
+# Per-sample references
+# ----------------------------------------------------------------------
+
+def ref_suite_linalg(seed):
+    """The per-sample form of ``suites.suite_linalg``."""
+    rng = derived_rng(seed, 101)
+    out = []
+    dev = 0.0
+    for _ in range(200):
+        p, q = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        m = rng.standard_normal((p, q))
+        alpha = float(rng.uniform(-100.0, 100.0))
+        base = op_norm(m)
+        if base < 1e-14:
+            continue
+        dev = max(dev, abs(op_norm(alpha * m) - abs(alpha) * base) /
+                  (abs(alpha) * base + 1e-300))
+    out.append(suites._check("operator norm is absolutely homogeneous", dev,
+                             1e-12, samples=200))
+    dev = 0.0
+    for _ in range(200):
+        p, q = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        m1 = rng.standard_normal((p, q))
+        m2 = rng.standard_normal((int(rng.integers(1, 5)),
+                                  int(rng.integers(1, 5))))
+        blk = np.zeros((m1.shape[0] + m2.shape[0], m1.shape[1] + m2.shape[1]))
+        blk[:m1.shape[0], :m1.shape[1]] = m1
+        blk[m1.shape[0]:, m1.shape[1]:] = m2
+        dev = max(dev, abs(op_norm(blk) - max(op_norm(m1), op_norm(m2))))
+    out.append(suites._check("block-diagonal norm is the max of the blocks",
+                             dev, 1e-12, samples=200))
+    for lo, hi, label in [(0.9, 1.1, "near the contraction boundary"),
+                          (0.5, 1.5, "across norms in [0.5, 1.5]")]:
+        disagreements = 0
+        for _ in range(500):
+            p, q = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            m = rng.standard_normal((p, q))
+            base = op_norm(m)
+            if base < 1e-14:
+                continue
+            m *= float(rng.uniform(lo, hi)) / base
+            by_norm, by_positivity = contraction_iff_positive(m, tol=1e-9)
+            if by_norm != by_positivity:
+                disagreements += 1
+        out.append(suites._check(f"contraction iff block positivity, {label}",
+                                 disagreements, 0.0, samples=500,
+                                 tol_used=1e-9))
+    failures = 0
+    for _ in range(100):
+        n = int(rng.integers(1, 5))
+        b = rng.standard_normal((n, n))
+        m = b.T @ b
+        a = rng.standard_normal((n, n))
+        if not is_real_positive(a.T @ m @ a, tol=1e-9 * (1 + op_norm(a)) ** 2):
+            failures += 1
+    out.append(suites._check("congruence preserves real positivity", failures,
+                             0.0, samples=100))
+    return out
+
+
+def ref_check_brs_level(algebra, level, samples, seed, tol=1e-10):
+    d = algebra.dim
+    space = algebra.space
+    rng = derived_rng(seed, 31, level)
+    pairs = []
+    for j in range(d):
+        for k in range(d):
+            ca = np.zeros((level, level, d))
+            cb = np.zeros((level, level, d))
+            ca[0, 0, j] = 1.0
+            cb[0, 0, k] = 1.0
+            pairs.append((ca, cb))
+    for _ in range(samples):
+        pairs.append((rng.standard_normal((level, level, d)),
+                      rng.standard_normal((level, level, d))))
+    worst = 0.0
+    witness = None
+    for ca, cb in pairs:
+        na = level_norm(MatElem(space, ca))
+        nb = level_norm(MatElem(space, cb))
+        if na < 1e-14 or nb < 1e-14:
+            continue
+        nab = level_norm(MatElem(space, algebra.product_coeffs(ca, cb)))
+        viol = nab - na * nb
+        if viol > worst:
+            worst = viol
+            witness = (ca, cb)
+    return max(0.0, worst), worst <= tol, witness
+
+
+def ref_positive_system_sample(system, x_space, level, rng, style, rho):
+    n = level
+    d = system.source_dim
+    if style == "unit":
+        lam = np.eye(n)
+        mu = np.eye(n)
+    else:
+        g = rng.standard_normal((n, n))
+        lam = g @ g.T + 0.1 * np.eye(n)
+        h = rng.standard_normal((n, n))
+        mu = h @ h.T + 0.1 * np.eye(n)
+    x = random_elem(x_space, n, rng)
+    lam_half_inv = np.linalg.inv(np.linalg.cholesky(lam))
+    mu_half_inv = np.linalg.inv(np.linalg.cholesky(mu))
+    s = level_norm(scalar_sandwich(lam_half_inv, x, mu_half_inv.T))
+    xc = x.coeffs * (rho / s) if s > 1e-14 else x.coeffs * 0.0
+    coeffs = np.zeros((n, n, 2 * d + 2))
+    coeffs[:, :, system.lam_index] = lam
+    coeffs[:, :, system.mu_index] = mu
+    for k in range(d):
+        coeffs[:, :, system.upper_indices[k]] = xc[:, :, k]
+        coeffs[:, :, system.lower_indices[k]] = xc[:, :, k].T
+    return coeffs
+
+
+def ref_paulsen_positivity_transfer(u, levels, samples, seed, tol=1e-9):
+    phi, s_dom, _ = systems.paulsen_map(u)
+    failures = 0
+    witness = None
+    for lvl in range(1, levels + 1):
+        rng = derived_rng(seed, 41, lvl)
+        for i in range(samples):
+            style = "unit" if i % 2 == 0 else "gram"
+            rho = 1.0 if i < 2 else float(rng.uniform(0.0, 1.0))
+            coeffs = ref_positive_system_sample(s_dom, u.domain, lvl, rng,
+                                                style, rho)
+            sample = MatElem(s_dom.space, coeffs)
+            assert is_real_positive(sample.realization(), tol)
+            img_mat = phi(sample).realization()
+            if not is_real_positive(img_mat, tol):
+                failures += 1
+                if witness is None:
+                    eig = float(np.linalg.eigvalsh(
+                        (img_mat + img_mat.T) / 2.0)[0])
+                    witness = (lvl, coeffs, eig)
+    return failures, witness
+
+
+def ref_choi_effros_trials(algebra, phi, trials, seed):
+    """(cstar, bimodule) deviations of the trial loop of
+    ``choi_effros_product``, for a transpose-closed algebra."""
+    space = algebra.space
+    pm = phi.matrix
+    t_coeffs, _ = space.coefficients(np.swapaxes(space.basis, 1, 2))
+    tmat = np.ascontiguousarray(t_coeffs.T)
+    u_svd, s_svd, _ = np.linalg.svd(pm)
+    rank = int(np.sum(s_svd > 1e-10))
+    rbasis = u_svd[:, :rank].T
+
+    def circ(a, b):
+        return pm @ np.einsum("r,s,rsm->m", a, b, algebra.structure)
+
+    def realize(c):
+        return np.einsum("m,mpq->pq", c, space.basis)
+
+    rng = derived_rng(seed, 51)
+    dev_cstar = 0.0
+    dev_bimod = 0.0
+    for _ in range(trials):
+        r = rbasis.T @ rng.standard_normal(rank)
+        rtr = circ(tmat @ r, r)
+        dev_cstar = max(dev_cstar, abs(op_norm(realize(rtr)) -
+                                       op_norm(realize(r)) ** 2))
+        a = rng.standard_normal(space.dim)
+        prod = np.einsum("r,s,rsm->m", a, r, algebra.structure)
+        via = np.einsum("r,s,rsm->m", pm @ a, r, algebra.structure)
+        dev_bimod = max(dev_bimod,
+                        float(np.max(np.abs(realize(pm @ prod - pm @ via)))))
+        prod = np.einsum("r,s,rsm->m", r, a, algebra.structure)
+        via = np.einsum("r,s,rsm->m", r, pm @ a, algebra.structure)
+        dev_bimod = max(dev_bimod,
+                        float(np.max(np.abs(realize(pm @ prod - pm @ via)))))
+    return dev_cstar, dev_bimod
+
+
+def ref_shuffle_norm_deviation(space, samples, seed):
+    lhs = complexify_space(mideal.column_space(space))
+    rhs = mideal.column_space(complexify_space(space))
+    perm = mideal._coeff_shuffle(space.dim)
+    rng = derived_rng(seed, 21)
+    norm_dev = 0.0
+    for _ in range(samples):
+        n = int(rng.integers(1, 3))
+        c = rng.standard_normal((n, n, 4 * space.dim))
+        norm_dev = max(norm_dev, abs(
+            level_norm(MatElem(lhs, c)) -
+            level_norm(MatElem(rhs, c[:, :, perm]))))
+    return norm_dev
+
+
+def ref_projection_complexification(u, samples, seed):
+    space = u.domain
+    s_mat = mideal._permutation_matrix(mideal._coeff_shuffle(space.dim))
+    lhs_mat = s_mat @ complexify_map(mideal.tau_map(u)).matrix @ s_mat.T
+    rhs_mat = mideal.tau_map(complexify_map(u)).matrix
+    c2xc = mideal.column_space(complexify_space(space))
+    diff = lhs_mat - rhs_mat
+    rng = derived_rng(seed, 22)
+    dev = 0.0
+    for _ in range(samples):
+        n = int(rng.integers(1, 3))
+        c = rng.standard_normal((n, n, diff.shape[1]))
+        img = np.einsum("mk,ijk->ijm", diff, c)
+        dev = max(dev, level_norm(MatElem(c2xc, img)))
+    return dev
+
+
+def ref_mideal_column_rows(seed):
+    """Deviations of the column-embedding and column-averaging rows."""
+    rng = derived_rng(seed, 131)
+    dom_dev = 0.0
+    for _ in range(10):
+        a, _ = np.linalg.qr(rng.standard_normal((4, 2)))
+        c = rng.standard_normal((2, 4))
+        pm = a @ (a.T + c @ (np.eye(4) - a @ a.T))
+        proj = mideal.projection(M2, pm)
+        nu, _, _ = mideal.build_nu_mu_tau(proj)
+        for _ in range(5):
+            x = random_elem(M2, int(rng.integers(1, 3)), rng)
+            px = proj.underlying(x)
+            rest = MatElem(M2, x.coeffs - px.coeffs)
+            dom_dev = max(dom_dev, max(level_norm(px), level_norm(rest)) -
+                          level_norm(nu(x)))
+    p_good = mideal.projection(M2, suites.DIAG_MULT)
+    _, mu_good, _ = mideal.build_nu_mu_tau(p_good)
+    c2 = mu_good.domain
+    ineq_dev = 0.0
+    for _ in range(50):
+        x = random_elem(M2, 2, rng)
+        y = random_elem(M2, 2, rng)
+        col = mideal.column_embed(x, y, c2)
+        ineq_dev = max(ineq_dev, level_norm(mu_good(col)) - level_norm(col))
+    return max(0.0, dom_dev), max(0.0, ineq_dev)
+
+
+def ref_systems_rows(seed):
+    """Unitization norm deviation, Shilov failures and contraction-block
+    failures of ``suite_systems``."""
+    e12 = span_space([[[0, 1], [0, 0]]])
+    a1c = complexify_space(systems.unitize(systems.op_algebra(e12)).space)
+    ac1 = systems.unitize(systems.op_algebra(complexify_space(e12)))
+    perm = [0, 2, 1, 3]
+    rng = derived_rng(seed, 141)
+    norm_dev = 0.0
+    for _ in range(100):
+        n = int(rng.integers(1, 3))
+        c = rng.standard_normal((n, n, 4))
+        cc = np.zeros_like(c)
+        for i, j in enumerate(perm):
+            cc[:, :, j] = c[:, :, i]
+        norm_dev = max(norm_dev, abs(level_norm(MatElem(a1c, c)) -
+                                     level_norm(MatElem(ac1.space, cc))))
+    corner = span_space([[[1, 0], [0, 0]], [[0, 1], [0, 0]]])
+    tro_corner = systems.TROSpace(corner)
+    rng = derived_rng(seed, 142)
+    psd_failures = 0
+    for _ in range(100):
+        y = elem(corner, rng.standard_normal(2))
+        gy = systems.shilov_inner_product(tro_corner, y, y)
+        if not is_real_positive(gy.matrix, tol=1e-9):
+            psd_failures += 1
+        if not gy.in_span:
+            psd_failures += 1
+    rng = derived_rng(seed, 143)
+    eqn1_failures = 0
+    for _ in range(100):
+        p, q = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        x = rng.standard_normal((p, q))
+        nx = op_norm(x)
+        if nx < 1e-14:
+            continue
+        x *= float(rng.uniform(0.0, 1.0)) / nx
+        if not is_real_positive(contraction_block(x), tol=1e-9):
+            eqn1_failures += 1
+    return norm_dev, psd_failures, eqn1_failures
+
+
+EXPECTATIONS = {
+    "diagonal": np.diag([1.0, 0.0, 0.0, 1.0]),
+    "trace": np.array([[.5, 0, 0, .5], [0, 0, 0, 0], [0, 0, 0, 0],
+                       [.5, 0, 0, .5]]),
+}
+
+
+def check_choi_effros_trials(expectation, trials, seed):
+    phi = CBMap(M2, M2, EXPECTATIONS[expectation])
+    alg = systems.op_algebra(M2)
+    rep = systems.choi_effros_product(alg, phi, trials=trials, seed=seed)
+    assert (rep.cstar_identity_deviation, rep.bimodule_deviation) == \
+        ref_choi_effros_trials(alg, phi, trials, seed)
+
+
+@pytest.mark.parametrize("expectation, seed", [("diagonal", 225),
+                                               ("trace", 219)])
+def test_choi_effros_squares_norms_as_lone_calls(expectation, seed):
+    # at these seeds, squaring the stacked norms as x * x rather than with
+    # Python's float power moves the C*-identity deviation by an ulp
+    check_choi_effros_trials(expectation, 200, seed)
+
+
+def test_scaled_samples_match_per_sample_scaling():
+    rng, ref_rng = derived_rng(5, 0), derived_rng(5, 0)
+    mats = suites._scaled_samples(rng, 300, 5, 0.5, 1.5)
+    assert len(mats) == 300
+    for m in mats:
+        p, q = int(ref_rng.integers(1, 5)), int(ref_rng.integers(1, 5))
+        x = ref_rng.standard_normal((p, q))
+        x *= float(ref_rng.uniform(0.5, 1.5)) / op_norm(x)
+        assert np.array_equal(m, x)
+
+
+class ScriptedRng:
+    """Draws the given matrices in turn (their shapes as the integer draws)
+    and 1.0 for every norm draw, which it counts."""
+
+    def __init__(self, mats):
+        self.mats = list(mats)
+        self.sides = [side for m in self.mats for side in m.shape]
+        self.uniform_draws = 0
+
+    def integers(self, lo, hi):
+        return self.sides.pop(0)
+
+    def standard_normal(self, shape):
+        m = self.mats.pop(0)
+        assert m.shape == shape
+        return m.copy()
+
+    def uniform(self, lo, hi):
+        self.uniform_draws += 1
+        return 1.0
+
+
+def test_scaled_samples_drop_only_norms_below_the_cut():
+    # entries of 5e-14 fall below the cheap 1e-13 test, but the norm
+    # 5e-14 sqrt(3) clears the 1e-14 cut, so that matrix stays
+    rng = ScriptedRng([np.ones((2, 2)), np.full((1, 1), 1e-15),
+                       np.full((1, 3), 5e-14), np.zeros((2, 1))])
+    mats = suites._scaled_samples(rng, 4, 5, 0.5, 1.5)
+    assert rng.uniform_draws == 2
+    assert [m.shape for m in mats] == [(2, 2), (1, 3)]
+    assert [op_norm(m) for m in mats] == pytest.approx([1.0, 1.0], abs=1e-15)
+
+
+def test_brs_witness_is_the_first_of_equal_maxima():
+    # e_j e_k = delta_jk e_j on diag(1/2, 0), diag(0, 1/2): both canonical
+    # squares violate submultiplicativity by exactly 1/4
+    space = span_space([np.diag([0.5, 0.0]), np.diag([0.0, 0.5])])
+    structure = np.zeros((2, 2, 2))
+    structure[0, 0, 0] = structure[1, 1, 1] = 1.0
+    rep = systems.check_brs_level(systems.op_algebra(space, structure),
+                                  level=1, samples=0)
+    assert rep.max_violation == 0.25
+    assert rep.witness[0].ravel().tolist() == [1.0, 0.0]
+    assert rep.witness[1].ravel().tolist() == [1.0, 0.0]
+
+
+def _row(rows, name):
+    (row,) = [r for r in rows if r.name == name]
+    return row
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+class TestAgainstPerSampleLoops:
+    def test_suite_linalg(self, seed):
+        assert suites.suite_linalg(seed) == ref_suite_linalg(seed)
+
+    @pytest.mark.parametrize("case", ["M2(R)", "triangular", "rescaled",
+                                      "M2(R) level 3"])
+    def test_check_brs_level(self, seed, case):
+        structure = [[[1.0]]] if case == "rescaled" else None
+        space = {"M2(R)": M2, "M2(R) level 3": M2, "rescaled":
+                 span_space([[[0.5]]]), "triangular": span_space(
+                     [[[1, 0], [0, 0]], [[0, 1], [0, 0]],
+                      [[0, 0], [0, 1]]])}[case]
+        alg = systems.op_algebra(space, structure)
+        level = {"rescaled": 1, "M2(R) level 3": 3}.get(case, 2)
+        rep = systems.check_brs_level(alg, level=level, samples=60, seed=seed)
+        worst, passed, witness = ref_check_brs_level(alg, level, 60, seed)
+        assert (rep.max_violation, rep.passed) == (worst, passed)
+        if witness is None:
+            assert rep.witness is None
+        else:
+            assert np.array_equal(rep.witness[0], witness[0])
+            assert np.array_equal(rep.witness[1], witness[1])
+
+    @pytest.mark.parametrize("u, levels", [
+        (identity_map(R1), 2), (CBMap(R1, R1, [[0.5]]), 2),
+        (CBMap(R1, R1, [[2.0]]), 2), (identity_map(M2), 3),
+        (CBMap(M2, M2, np.array([[1, 0, 0, 0], [0, 0, 1, 0],
+                                 [0, 1, 0, 0], [0, 0, 0, 1]], float)), 2)],
+        ids=["identity", "half", "double", "M2 identity", "M2 transpose"])
+    def test_paulsen_positivity_transfer(self, seed, u, levels):
+        rep = systems.paulsen_positivity_transfer(u, levels=levels,
+                                                  samples=30, seed=seed)
+        failures, witness = ref_paulsen_positivity_transfer(u, levels, 30,
+                                                            seed)
+        assert rep.failures == failures
+        if witness is None:
+            assert rep.witness_level is None
+        else:
+            assert rep.witness_level == witness[0]
+            assert np.array_equal(rep.witness_coeffs, witness[1])
+            assert rep.witness_min_eig == witness[2]
+
+    @pytest.mark.parametrize("expectation", ["diagonal", "trace"])
+    def test_choi_effros_trials(self, seed, expectation):
+        check_choi_effros_trials(expectation, 300, seed)
+
+    @pytest.mark.parametrize("space", [R1, M2], ids=["scalars", "M2(R)"])
+    def test_shuffle_iso(self, seed, space):
+        assert mideal.shuffle_iso(space, samples=50,
+                                  seed=seed).sample_norm_deviation == \
+            ref_shuffle_norm_deviation(space, 50, seed)
+
+    def test_projection_complexification_consistency(self, seed):
+        for t in range(4):
+            u = CBMap(M2, M2, derived_rng(seed, 132, t).standard_normal((4, 4)))
+            assert mideal.projection_complexification_consistency(
+                u, samples=10, seed=seed) == \
+                ref_projection_complexification(u, 10, seed)
+
+    def test_suite_mideal_column_rows(self, seed):
+        rows = suites.suite_mideal(seed)
+        dom, ineq = ref_mideal_column_rows(seed)
+        assert _row(rows, "column embedding dominates both column "
+                    "norms").deviation == dom
+        assert _row(rows, "certified projections average columns "
+                    "contractively").deviation == ineq
+
+    def test_suite_systems_sampled_rows(self, seed):
+        rows = suites.suite_systems(seed)
+        norm_dev, psd_failures, eqn1_failures = ref_systems_rows(seed)
+        unit_row = _row(rows, "unitization commutes with complexification")
+        assert unit_row.details["norm_deviation"] == norm_dev
+        assert _row(rows, "concrete inner products are positive and stay in "
+                    "the product span").deviation == psd_failures
+        assert _row(rows, "contractions produce positive block "
+                    "extensions").deviation == eqn1_failures

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from realops import systems
 from realops.linalg import is_real_positive, op_norm
 from realops.opspace import (CBMap, MatElem, complexify_space, elem,
                              full_matrix_space, identity_map, level_norm,
@@ -153,6 +154,27 @@ class TestPaulsen:
         assert not rep.passed
         assert rep.witness_min_eig == pytest.approx(-1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("levels, samples", [(0, 30), (-1, 30), (1, 0),
+                                                 (2, -5)])
+    def test_invalid_counts_rejected(self, levels, samples):
+        # a vacuous run would report passed=True with no sample checked
+        with pytest.raises(ValueError):
+            paulsen_positivity_transfer(CBMap(R1, R1, [[2.0]]), levels=levels,
+                                        samples=samples)
+
+    def test_non_positive_sample_raises(self, monkeypatch):
+        def negative_sample(system, x_space, level, samples, rng):
+            coeffs = np.zeros((samples, level, level, 2 * system.source_dim
+                               + 2))
+            coeffs[..., system.lam_index] = -np.eye(level)
+            return coeffs
+
+        monkeypatch.setattr(systems, "_positive_system_sample",
+                            negative_sample)
+        with pytest.raises(RuntimeError, match="non-positive"):
+            paulsen_positivity_transfer(identity_map(R1), levels=1,
+                                        samples=4)
+
     def test_block_map_fixes_corners(self):
         phi, s_dom, _ = paulsen_map(identity_map(M2))
         assert phi.matrix[s_dom.lam_index, s_dom.lam_index] == 1.0
@@ -193,6 +215,12 @@ class TestChoiEffros:
         phi = CBMap(e12_alg.space, e12_alg.space, np.eye(1))
         rep = choi_effros_product(e12_alg, phi, seed=6)
         assert not rep.preconditions_ok
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_invalid_trials_rejected(self, trials):
+        phi = CBMap(M2, M2, np.diag([1.0, 0.0, 0.0, 1.0]))
+        with pytest.raises(ValueError):
+            choi_effros_product(op_algebra(M2), phi, trials=trials, seed=6)
 
     def test_expansive_map_rejected(self):
         phi = CBMap(M2, M2, np.diag([1.0, 2.0, 0.0, 1.0]))
