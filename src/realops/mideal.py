@@ -21,7 +21,8 @@ it is level- and sample-bounded: it certifies the absence of violations
 up to the checked level, not the full property.  At each level the
 isometry search scores a seeded pool of elements in one stacked
 evaluation, then refines the pool's best point from several jittered
-starts that run in lockstep through one stacked ``ratio_ascent``.  The
+starts that run in lockstep through one stacked ``ratio_ascent``, unless
+the pool already sits at the ratio's floor 1/sqrt(2).  The
 checks of mu and tau advance one lazy ``opspace.cb_norm_levels`` sweep
 per map, a level at a time.
 """
@@ -75,7 +76,13 @@ def projection(space: OpSpace, matrix) -> Projection:
 
 
 def column_space(space: OpSpace) -> OpSpace:
-    """C_2(X) as the vertically stacked span in a (2p, q) ambient."""
+    """C_2(X) as the vertically stacked span in a (2p, q) ambient,
+    memoized on ``space``: every call with the same space returns the same
+    object."""
+    return space.memo("column_space", lambda: _stacked_columns(space))
+
+
+def _stacked_columns(space: OpSpace) -> OpSpace:
     d = space.dim
     p, q = space.ambient
     basis = np.zeros((2 * d, 2 * p, q))
@@ -214,6 +221,12 @@ def _isometry_violation_search(nu: CBMap, level: int, samples: int,
     that side is upward and nu's domain fills its ambient space, one exact
     ``seesaw_ascent`` row then polishes the best point, which it replaces
     only when strictly better.
+
+    The ratio has a floor: nu = [P; I - P] for a linear P, so at every
+    level norm(x) = norm([I I] nu(x)) <= sqrt(2) norm(nu x), and no ratio
+    lies below 1/sqrt(2).  When the pool's best ratio is at or below
+    ``np.sqrt(0.5)`` on the downward side, no element can do better, so
+    the refinement ascent is skipped and no starts are drawn.
     """
     d = nu.domain.dim
     num, den = num_den_maps(nu, level)
@@ -225,17 +238,18 @@ def _isometry_violation_search(nu: CBMap, level: int, samples: int,
     viol = np.where(pool.any(axis=1), np.abs(ratios - 1.0), -1.0)
     i = int(np.argmax(viol))         # the first of equal maxima
     best_viol, best_c, best_r = viol[i], pool[i], float(ratios[i])
-    starts = np.empty((refinements, n))
-    for j in range(refinements):
-        rng_j = derived_rng(seed, 12, level, j)
-        starts[j] = best_c + (1e-8 if j == 0 else 0.05) * \
-            rng_j.standard_normal(n)
     sign = -1.0 if best_r <= 1.0 else 1.0
-    xs = ratio_ascent(num, den, starts, iters=400, sign=sign)[1]
-    ratios = ratio_eval(num, den, xs)
-    j = int(np.argmax(np.abs(ratios - 1.0)))
-    if abs(ratios[j] - 1.0) > best_viol:
-        best_c, best_r = xs[j], float(ratios[j])
+    if sign > 0 or best_r > np.sqrt(0.5):    # else the pool is at the floor
+        starts = np.empty((refinements, n))
+        for j in range(refinements):
+            rng_j = derived_rng(seed, 12, level, j)
+            starts[j] = best_c + (1e-8 if j == 0 else 0.05) * \
+                rng_j.standard_normal(n)
+        xs = ratio_ascent(num, den, starts, iters=400, sign=sign)[1]
+        ratios = ratio_eval(num, den, xs)
+        j = int(np.argmax(np.abs(ratios - 1.0)))
+        if abs(ratios[j] - 1.0) > best_viol:
+            best_c, best_r = xs[j], float(ratios[j])
     if sign > 0 and den.matrix.shape[0] == den.matrix.shape[1]:
         (val,), (x,) = seesaw_ascent(num, den, best_c[None])
         if val > best_r:
@@ -262,12 +276,14 @@ def certify_left_m_projection(p: Projection, max_level: int = 3,
     Otherwise the check is level-bounded.  Per level: (a) search for
     isometry violations of nu, over ``samples`` seeded elements and then
     min(restarts, 16) ascent refinements, which all start from the best
-    sampled element and run in lockstep; (b) refute contractivity of mu
-    and tau through the next level of their ``cb_norm_levels`` sweeps
-    (cb-norm lower bounds).  Any violation yields a refuted verdict with a
-    concrete re-verifiable witness; otherwise the projection is certified
-    at the checked levels (not a proof of the full completely isometric
-    property).
+    sampled element and run in lockstep; the refinements are skipped when
+    the best sampled ratio already sits at nu's floor 1/sqrt(2) (norm(x)
+    <= sqrt(2) norm(nu x) for any linear P), below which no ratio lies;
+    (b) refute contractivity of mu and tau through the next level of their
+    ``cb_norm_levels`` sweeps (cb-norm lower bounds).  Any violation
+    yields a refuted verdict with a concrete re-verifiable witness;
+    otherwise the projection is certified at the checked levels (not a
+    proof of the full completely isometric property).
     """
     if max_level < 1:
         raise ValueError("max_level must be at least 1")

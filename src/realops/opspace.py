@@ -72,7 +72,7 @@ class OpSpace:
         object.__setattr__(self, "gram_condition",
                            float((svals[0] / svals[-1]) ** 2))
         object.__setattr__(self, "_pinv", np.linalg.pinv(vecs.T))
-        object.__setattr__(self, "_rmcache", {})
+        object.__setattr__(self, "_memo", {})
         if self.conjugation is not None:
             c = np.asarray(self.conjugation, dtype=float).copy()
             if c.shape != (d, d):
@@ -121,17 +121,26 @@ class OpSpace:
         inside = in_span(res, m, tol)
         return bool(inside) if m.ndim == 2 else inside
 
+    def memo(self, key, build):
+        """``build()``, made on the first call with ``key`` and returned
+        from this space's memo after that.  The space is frozen, so
+        anything derived from it alone (realization matrices, its
+        complexification, its column space) is built once."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
     def realization_matrix(self, level: int) -> np.ndarray:
-        """vec matrix of the realization R at ``level`` (cached).
+        """vec matrix of the realization R at ``level`` (memoized).
 
         Columns are indexed by the C-order flattening of (i, j, k).
         """
-        cache = self._rmcache
-        if level not in cache:
+        def build():
             k_mat = kron_sum_matrix(self.basis, level)
             k_mat.setflags(write=False)
-            cache[level] = k_mat
-        return cache[level]
+            return k_mat
+        return self.memo(("realization_matrix", level), build)
 
 
 def complex_structure(half: int) -> np.ndarray:
@@ -279,11 +288,16 @@ def complexify_space(space: OpSpace) -> OpSpace:
 
     The basis doubles: real copies [[B_k, 0], [0, B_k]] first, imaginary
     copies [[0, -B_k], [B_k, 0]] second.  The conjugation negates the
-    imaginary half of the coefficients.
+    imaginary half of the coefficients.  The result is memoized on
+    ``space``: every call with the same space returns the same object.
     """
     if space.is_complexified:
         raise ValueError("space is already complexified; the functor is "
                          "defined on real spaces only")
+    return space.memo("complexification", lambda: _complexified(space))
+
+
+def _complexified(space: OpSpace) -> OpSpace:
     d = space.dim
     p, q = space.ambient
     basis = np.zeros((2 * d, 2 * p, 2 * q))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from realops import mideal
 from realops.linalg import op_norm
 from realops.mideal import (build_nu_mu_tau, certify_left_m_projection,
                             column_embed, column_space, is_right_ideal,
@@ -8,10 +9,11 @@ from realops.mideal import (build_nu_mu_tau, certify_left_m_projection,
                             reverify_certification, shuffle_iso,
                             solve_left_multiplier, tau_map,
                             verify_multiplier_witness)
-from realops.opspace import (CBMap, MatElem, cb_norm_levels,
+from realops.opspace import (CBMap, MatElem, OpSpace, cb_norm_levels,
                              cb_norm_lower_search, complexify_map, elem,
                              full_matrix_space, identity_map, level_norm,
-                             random_elem, span_space)
+                             num_den_maps, random_elem, span_space)
+from realops.optim import ratio_ascent, ratio_eval, seesaw_ascent
 from realops.rng import derived_rng
 from realops.systems import op_algebra
 
@@ -224,6 +226,152 @@ class TestMultiplierCertificate:
         assert (cert.all_levels, cert.certificate) == (False, None)
 
 
+class TestNuFloor:
+    """norm(x) = norm([I I] nu(x)) <= sqrt(2) norm(nu x) at every level,
+    for nu = [P; I - P] with any linear P."""
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_ratio_never_below_floor(self, level):
+        rng = derived_rng(0xF100, level)
+        c2 = column_space(M2)
+        maps = [rng.standard_normal((4, 4)), rng.standard_normal((4, 4)),
+                0.5 * np.eye(4) + 0.01 * rng.standard_normal((4, 4)),
+                SYMMETRIZATION, DIAG_MULT.T]
+        for pm in maps:                   # linear maps, mostly not idempotent
+            nu = CBMap(M2, c2, np.vstack([pm, np.eye(4) - pm]))
+            num, den = num_den_maps(nu, level)
+            xs = rng.standard_normal((200, level * level * 4))
+            # and the lowest points a downward ascent reaches from four
+            low = ratio_ascent(num, den, xs[:4], iters=200, sign=-1.0)[1]
+            ratios = ratio_eval(num, den, np.concatenate([xs, low]))
+            # rounding reaches a few ulps below 1/sqrt(2)
+            assert np.min(ratios) >= np.sqrt(0.5) * (1 - 1e-14)
+
+    def test_symmetrization_attains_floor_at_e12(self):
+        nu = build_nu_mu_tau(projection(M2, SYMMETRIZATION))[0]
+        num, den = num_den_maps(nu, 1)
+        assert ratio_eval(num, den, np.eye(4)[1:2])[0] == np.sqrt(0.5)
+
+
+def _always_ascending_search(nu, level, samples, refinements, seed,
+                             ascent=ratio_ascent):
+    """``mideal._isometry_violation_search`` before the floor skip: the
+    refinement ascent runs whatever the pool's best ratio."""
+    d = nu.domain.dim
+    num, den = num_den_maps(nu, level)
+    n = level * level * d
+    pool = np.concatenate([np.eye(d, n),
+                           derived_rng(seed, 11, level).standard_normal(
+                               (samples, n))])
+    ratios = ratio_eval(num, den, pool)
+    viol = np.where(pool.any(axis=1), np.abs(ratios - 1.0), -1.0)
+    i = int(np.argmax(viol))
+    best_viol, best_c, best_r = viol[i], pool[i], float(ratios[i])
+    starts = np.empty((refinements, n))
+    for j in range(refinements):
+        rng_j = derived_rng(seed, 12, level, j)
+        starts[j] = best_c + (1e-8 if j == 0 else 0.05) * \
+            rng_j.standard_normal(n)
+    sign = -1.0 if best_r <= 1.0 else 1.0
+    xs = ascent(num, den, starts, iters=400, sign=sign)[1]
+    ratios = ratio_eval(num, den, xs)
+    j = int(np.argmax(np.abs(ratios - 1.0)))
+    if abs(ratios[j] - 1.0) > best_viol:
+        best_c, best_r = xs[j], float(ratios[j])
+    if sign > 0 and den.matrix.shape[0] == den.matrix.shape[1]:
+        (val,), (x,) = seesaw_ascent(num, den, best_c[None])
+        if val > best_r:
+            best_c, best_r = x, float(val)
+    sd = den.sigma(best_c[None])[0]
+    if sd > 0:
+        best_c = best_c / sd
+        best_r = float(ratio_eval(num, den, best_c[None])[0])
+    return abs(best_r - 1.0), best_r, best_c.reshape(level, level, d)
+
+
+class TestFloorSkip:
+    @pytest.mark.parametrize("samples", [200, 0])
+    @pytest.mark.parametrize("seed", [0xC0FFEE, 1, 0x5EED])
+    def test_symmetrization_refutes_without_ascent(self, monkeypatch, seed,
+                                                   samples):
+        # E12 is a canonical pool element and sits at the floor
+        def no_ascent(*args, **kwargs):
+            raise AssertionError("ratio_ascent was called")
+        monkeypatch.setattr(mideal, "ratio_ascent", no_ascent)
+        cert = certify_left_m_projection(projection(M2, SYMMETRIZATION),
+                                         max_level=3, samples=samples,
+                                         restarts=8, seed=seed)
+        assert (cert.verdict, cert.check, cert.refuted_level) == \
+            ("refuted", "nu_isometry", 1)
+        assert cert.observed == np.sqrt(0.5)
+
+    def test_pool_above_floor_still_ascends(self, monkeypatch):
+        # P = the diagonal part of x; the pool's lowest ratio at seed 0 is
+        # 0.7208, above the floor, and the ascent goes below it
+        signs = []
+
+        def counted(*args, **kwargs):
+            signs.append(kwargs["sign"])
+            return ratio_ascent(*args, **kwargs)
+        monkeypatch.setattr(mideal, "ratio_ascent", counted)
+        nu = build_nu_mu_tau(projection(M2, np.diag([1.0, 0, 0, 1])))[0]
+        _, ratio, _ = mideal._isometry_violation_search(nu, 1, 200, 8, 0)
+        assert signs == [-1.0]
+        assert np.sqrt(0.5) < ratio < 0.72
+
+    def test_matches_always_ascending_search(self, monkeypatch):
+        # Two kinds of oblique idempotents, at levels 1 and 2: near-
+        # orthogonal ones of ranks 1-3, whose nu ratios mostly fall below 1
+        # and near the floor, and the symmetrization of the off-diagonal
+        # entries plus a rank-one oblique idempotent on the diagonal ones,
+        # whose pools often reach the floor at E12.  An ascent the search
+        # does run gets the reference's result for the same inputs, which
+        # ratio_ascent would recompute bit for bit.  Where the search skips
+        # its ascent, the reference's ascent can only drift along the
+        # floor by rounding: its ratio may end a few ulps off the pool's
+        # and its witness elsewhere on the floor.
+        ascents = []
+
+        def recorded(num, den, starts, **kwargs):
+            out = ratio_ascent(num, den, starts, **kwargs)
+            ascents.append((num.matrix, starts, kwargs, out))
+            return out
+
+        def replayed(num, den, starts, **kwargs):
+            ref_num, ref_starts, ref_kwargs, out = ascents.pop()
+            assert np.array_equal(num.matrix, ref_num)
+            assert np.array_equal(starts, ref_starts)
+            assert kwargs == ref_kwargs
+            return out
+        monkeypatch.setattr(mideal, "ratio_ascent", replayed)
+        rng = np.random.default_rng(15)
+        skipped = 0
+        for t in range(100):
+            if t % 4 < 2:
+                r = int(rng.integers(1, 4))
+                a, _ = np.linalg.qr(rng.standard_normal((4, r)))
+                c = 0.1 * rng.standard_normal((r, 4))
+                pm = a @ (a.T + c @ (np.eye(4) - a @ a.T))
+            else:
+                u, v = np.eye(2)[0] + 0.3 * rng.standard_normal((2, 2))
+                pm = SYMMETRIZATION.copy()
+                pm[0::3, 0::3] = np.outer(u, v) / (v @ u)
+            nu = build_nu_mu_tau(projection(M2, pm))[0]
+            level = 1 + t % 2
+            ref = _always_ascending_search(nu, level, 50, 2, t, recorded)
+            viol, ratio, coeffs = mideal._isometry_violation_search(
+                nu, level, 50, 2, t)
+            if ascents:                   # recorded, but not replayed
+                ascents.clear()
+                skipped += 1
+                assert ratio <= np.sqrt(0.5)
+                assert abs(ref[1] - ratio) <= 1e-14
+            else:
+                assert (viol, ratio) == ref[:2]
+                assert np.array_equal(coeffs, ref[2])
+        assert skipped >= 20
+
+
 class TestShuffle:
     def test_scalar_space(self):
         cert = shuffle_iso(R1, samples=50, seed=1)
@@ -280,6 +428,34 @@ class TestProjectionComplexification:
             u = CBMap(M2, M2, rng.standard_normal((4, 4)))
             assert projection_complexification_consistency(
                 u, samples=10, seed=3) <= 1e-12
+
+
+class TestColumnSpaceMemo:
+    def test_memoized_per_space(self):
+        space = full_matrix_space(2)
+        c2 = column_space(space)
+        assert column_space(space) is c2
+        other = column_space(span_space(space.basis[::-1]))
+        assert other is not c2
+        assert not np.array_equal(other.basis, c2.basis)
+
+    def test_consistency_builds_each_space_once(self, monkeypatch):
+        # complexify_space and column_space of the domain, and their two
+        # composites, whatever the number of maps
+        space = full_matrix_space(2)
+        built = []
+        post_init = OpSpace.__post_init__
+
+        def counted(self):
+            built.append(self.ambient)
+            post_init(self)
+        monkeypatch.setattr(OpSpace, "__post_init__", counted)
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            u = CBMap(space, space, rng.standard_normal((4, 4)))
+            assert projection_complexification_consistency(
+                u, samples=10, seed=3) <= 1e-12
+        assert len(built) <= 4
 
 
 class TestMultiplierWitness:

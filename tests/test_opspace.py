@@ -118,6 +118,19 @@ class TestComplexification:
         with pytest.raises(ValueError):
             complexify_space(complexify_space(M2))
 
+    def test_memoized_per_space(self):
+        space = full_matrix_space(2)
+        xc = complexify_space(space)
+        assert complexify_space(space) is xc
+        # another basis of the same span is another space
+        other = complexify_space(span_space(space.basis[::-1]))
+        assert other is not xc
+        assert not np.array_equal(other.basis, xc.basis)
+        # the memo holds spaces, never the refusal on a complexified one
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                complexify_space(xc)
+
     def test_extends_original_norm(self):
         x = elem(R1, [3.0])
         zero = elem(R1, [0.0])
