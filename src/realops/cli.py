@@ -76,8 +76,22 @@ def _vector_arg(text: str):
     return _load_json(text)
 
 
+#: distinct space files whose parsed spaces one process keeps
+SPACE_MEMO_SIZE = 8
+
+
+@functools.lru_cache(maxsize=SPACE_MEMO_SIZE)
+def _space_from_text(text: str) -> opspace.OpSpace:
+    """The validated space of a file's text.  Spaces are frozen, so equal
+    text gets one space object, with the derived matrices it memoizes; an
+    invalid text raises again on every call, as exceptions are not
+    cached."""
+    return opspace.opspace_from_json(json.loads(text))
+
+
 def _load_space(path: str) -> opspace.OpSpace:
-    return opspace.opspace_from_json(_load_json(path))
+    with open(path) as fh:
+        return _space_from_text(fh.read())
 
 
 def _load_algebra(path: str) -> systems.OpAlgebra:

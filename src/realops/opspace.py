@@ -44,9 +44,12 @@ from .rng import derived_rng
 BASIS_RANK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpSpace:
-    """Concrete real operator space: span of ``basis`` inside M_{p,q}(R)."""
+    """Concrete real operator space: span of ``basis`` inside M_{p,q}(R).
+
+    Spaces, like ``MatElem`` and ``CBMap``, compare and hash by identity:
+    their fields are arrays, which have no single truth value."""
 
     basis: np.ndarray                      # (d, p, q)
     is_complexified: bool = False
@@ -65,10 +68,12 @@ class OpSpace:
         d = b.shape[0]
         vecs = b.reshape(d, -1)
         svals = np.linalg.svd(vecs, compute_uv=False)
-        if svals[-1] < BASIS_RANK_TOL:
+        # more elements than ambient entries: d - pq singular values are 0
+        smallest = svals[-1] if d <= vecs.shape[1] else 0.0
+        if smallest < BASIS_RANK_TOL:
             raise ValueError(
                 f"basis is numerically dependent (smallest singular value "
-                f"{svals[-1]:.3e} < {BASIS_RANK_TOL:.0e})")
+                f"{smallest:.3e} < {BASIS_RANK_TOL:.0e})")
         object.__setattr__(self, "gram_condition",
                            float((svals[0] / svals[-1]) ** 2))
         object.__setattr__(self, "_pinv", np.linalg.pinv(vecs.T))
@@ -166,7 +171,7 @@ def span_space(mats) -> OpSpace:
     return OpSpace(np.stack([as_matrix(m) for m in mats]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatElem:
     """Element of M_n(X), stored by coefficients over the basis of X."""
 
@@ -242,7 +247,7 @@ def direct_sum_elem(x: MatElem, y: MatElem) -> MatElem:
     return MatElem(x.space, c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CBMap:
     """Linear map between spaces, amplified coefficientwise to all levels."""
 

@@ -24,9 +24,12 @@ Five workhorses and two reference solvers:
 * ``sdp_maximize``: the one small SDP kernel, for a dense real SDP in
   standard dual form (maximize b^T y s.t. C - sum_i y_i A_i >= 0), solved
   by HKM primal-dual steps with a Mehrotra predictor-corrector
-  (Helmberg-Rendl-Vanderbei-Wolkowicz, SIAM J. Optim. 6, 1996).  The
-  caller turns each iterate into a certified bracket, and the solve stops
-  on the best bracket seen.
+  (Helmberg-Rendl-Vanderbei-Wolkowicz, SIAM J. Optim. 6, 1996).  Its
+  matrices are tiny, so a step calls LAPACK through ``scipy.linalg.lapack``
+  directly: inverse Cholesky factors of X and S, one LU factor of the
+  Schur matrix for both solves, and step lengths from eigenvalues alone.
+  The caller turns each iterate into a certified bracket, and the solve
+  stops on the best bracket seen.
 * ``spectral_min_sdp``: its quotient-norm instance, for the convex problem
   min_w sigma_max(B - K w), written as min t s.t. t I - D(B - K w) >= 0
   with D(M) = [[0, M], [M^T, 0]].  Every iterate gives an upper bound
@@ -48,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+from scipy.linalg import lapack
 
 from .linalg import frobenius_norm, kron_sum, kron_sum_grad
 
@@ -355,6 +359,18 @@ class SdpResult:
     iterations: int          # completed steps
 
 
+def _inv_cholesky(m: np.ndarray) -> np.ndarray:
+    """L^-1 for the lower Cholesky factor L of m (m = L L^T), from LAPACK
+    dpotrf and dtrtri; LinAlgError when m is not numerically positive
+    definite."""
+    factor, info = lapack.dpotrf(m, lower=1, clean=1)
+    if not info:
+        factor, info = lapack.dtrtri(factor, lower=1)
+    if info:
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+    return factor
+
+
 def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, b: np.ndarray,
                  x0: np.ndarray, y0: np.ndarray, bracket, upper: float,
                  lower: float = 0.0) -> SdpResult:
@@ -367,22 +383,28 @@ def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, b: np.ndarray,
     The solve starts at the strictly feasible dual point ``y0`` and the
     positive definite ``x0``; X need not be primal feasible, as each step
     also reduces the primal residual b - A(X).  Each HKM step
-    (Helmberg-Rendl-Vanderbei-Wolkowicz, SIAM J. Optim. 6, 1996) solves the
-    Schur system M_ij = tr(A_i X A_j S^-1) twice (Mehrotra predictor, then
-    corrector with sigma = (gap_aff / gap)^3) and moves 0.98 of the largest
-    step keeping X and S positive definite, capped at 1.  A Schur matrix
-    that is numerically singular gives its step by least squares.
+    (Helmberg-Rendl-Vanderbei-Wolkowicz, SIAM J. Optim. 6, 1996) factors
+    the Schur matrix M_ij = tr(A_i X A_j S^-1) once (LAPACK dgetrf) and
+    solves it twice (Mehrotra predictor, then corrector with
+    sigma = (gap_aff / gap)^3).  It moves 0.98 of the largest step keeping
+    X and S positive definite, capped at 1, read off the least eigenvalues
+    of L^-1 dX L^-T for the Cholesky factors L of X and S.  An exactly
+    singular Schur matrix gives its steps by least squares.
 
     After each step ``bracket(x, y)`` turns the iterate into a certified
     (upper, lower) pair for the caller's value, the minimum -max b^T y, so
     that dual points y give its upper bounds and primal points x its lower
     bounds; it must not rely on the iterate being exactly feasible.  The
     least upper (with its y) and the greatest lower (with its x) seen are
-    kept, starting from ``upper`` and ``lower``, and the solve stops once
-    upper - lower <= SDP_BRACKET * max(1, upper), after SDP_MAX_ITERS
-    steps, or on a LinAlgError of a Cholesky factor of X or S near the
-    optimum, which ends the solve with the bounds reached so far.
+    kept, starting from ``upper`` and ``lower``, which must be finite, and
+    the solve stops once upper - lower <= SDP_BRACKET * max(1, upper),
+    after SDP_MAX_ITERS steps, or on a LinAlgError of a Cholesky factor of
+    X or S near the optimum, which ends the solve with the bounds reached
+    so far.
     """
+    if not (np.isfinite(upper) and np.isfinite(lower)):
+        raise ValueError(f"sdp_maximize needs finite starting bounds, got "
+                         f"upper={upper}, lower={lower}")
     side = len(c_mat)
     a_f = a.reshape(len(a), -1)
     y_best = x_best = None
@@ -393,29 +415,32 @@ def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, b: np.ndarray,
     try:
         while iterations < SDP_MAX_ITERS and \
                 upper - lower > SDP_BRACKET * max(1.0, upper):
-            x_ci = np.linalg.inv(np.linalg.cholesky(x))
-            s_ci = np.linalg.inv(np.linalg.cholesky(s))
+            x_ci = _inv_cholesky(x)
+            s_ci = _inv_cholesky(s)
             s_inv = s_ci.T @ s_ci
             r_p = b - a_f @ x.ravel()
             r_d = c_mat - s - (y @ a_f).reshape(side, side)
+            x_rd = x @ r_d @ s_inv
             schur = a_f @ (x @ a @ s_inv).reshape(len(a), -1).T
+            lu, piv, info = lapack.dgetrf(schur)
 
             def direction(target):
-                rhs = r_p - a_f @ (target - x @ r_d @ s_inv).ravel()
-                try:
-                    dy = np.linalg.solve(schur, rhs)
-                except np.linalg.LinAlgError:
-                    # numerically singular near the optimum
+                rhs = r_p - a_f @ (target - x_rd).ravel()
+                if info:
+                    # exactly singular near the optimum
                     dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
+                else:
+                    dy = lapack.dgetrs(lu, piv, rhs)[0]
                 ds = r_d - (dy @ a_f).reshape(side, side)
                 dx = target - x @ ds @ s_inv
                 return (dx + dx.T) / 2.0, dy, ds
 
             def steps(dx, ds):
                 # 0.98 of the largest a keeping X + a dX, resp. S + a dS,
-                # positive definite, capped at 1; one stacked eigh for both
-                lam = np.linalg.eigh(np.stack([x_ci @ dx @ x_ci.T,
-                                               s_ci @ ds @ s_ci.T]))[0][:, 0]
+                # positive definite, capped at 1; the least eigenvalues of
+                # both scaled directions from one stacked eigvalsh
+                lam = np.linalg.eigvalsh(np.stack([x_ci @ dx @ x_ci.T,
+                                                   s_ci @ ds @ s_ci.T]))[:, 0]
                 return [min(1.0, -0.98 / v) if v < 0 else 1.0 for v in lam]
 
             gap = float(np.vdot(x, s))

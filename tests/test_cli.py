@@ -431,6 +431,46 @@ def test_error_report_echoes_the_command_default(capsys):
     assert rep["config"]["tol"] == MEMBERSHIP_TOL
 
 
+class TestSpaceMemo:
+    """Spaces are memoized by file content within one process."""
+
+    def test_equal_text_at_two_paths_gives_one_space(self, files, tmp_path):
+        copy = tmp_path / "copy.json"
+        copy.write_text(open(files["m2.json"]).read())
+        assert cli._load_space(str(copy)) is cli._load_space(files["m2.json"])
+
+    def test_edited_file_gives_a_new_space_and_report(self, tmp_path,
+                                                      capsys):
+        path, elem = tmp_path / "edited.json", tmp_path / "x.json"
+        elem.write_text(json.dumps({"level": 1, "coeffs": [[[1.0]]]}))
+        argv = ["norm", "--space", str(path), "--elem", str(elem)]
+        reports = []
+        for scale in (1.0, 3.0):
+            path.write_text(json.dumps(opspace_to_json(span_space(
+                [[[scale, 0.0], [0.0, 0.0]]]))))
+            space = cli._load_space(str(path))
+            assert space.basis[0, 0, 0] == scale
+            reports.append((space, run_json(capsys, argv)))
+        (s1, (c1, r1)), (s2, (c2, r2)) = reports
+        assert s1 is not s2 and c1 == c2 == 0
+        assert (r1["result"]["level_norm"],
+                r2["result"]["level_norm"]) == pytest.approx((1.0, 3.0))
+
+    @pytest.mark.parametrize("basis", [
+        None, [[[1.0, 0.0]], [[2.0, 0.0]]], [[[1.0]], [[1.0]]]])
+    def test_invalid_spaces_fail_every_time(self, basis, tmp_path, capsys):
+        # invalid JSON, then two dependent bases: exceptions are not
+        # memoized, so each request reports the error again
+        path = tmp_path / "bad.json"
+        path.write_text('{"basis": [' if basis is None else json.dumps(
+            {"basis": [{"rows": len(b), "cols": len(b[0]), "entries": b}
+                       for b in basis]}))
+        for _ in range(2):
+            code, rep = run_json(capsys, ["tro-check", "--space", str(path)])
+            assert code == 2
+            assert rep["error"] and "result" not in rep
+
+
 class TestReproductions:
     def test_l12_nonunique(self, capsys):
         code, rep = run_json(capsys, ["reproduce", "l12-nonunique",

@@ -43,6 +43,11 @@ class TestSpaces:
         with pytest.raises(ValueError):
             span_space([[[1.0, 0.0]], [[2.0, 0.0]]])
 
+    def test_more_elements_than_ambient_entries_rejected(self):
+        # the SVD of a 2 x 1 basis matrix has one singular value only
+        with pytest.raises(ValueError, match="dependent"):
+            span_space([[[1.0]], [[1.0]]])
+
     def test_gram_condition_reported(self):
         assert M2.gram_condition == pytest.approx(1.0)
 
@@ -93,6 +98,16 @@ class TestSpaces:
             M2.coefficients(np.zeros((3, 2, 3)))
         with pytest.raises(ValueError):
             M2.coefficients(np.full((2, 2), np.nan))
+
+    def test_spaces_elements_and_maps_compare_by_identity(self):
+        # array fields have no single truth value: equal content must not
+        # make == raise, and every object stays hashable
+        a, b = full_matrix_space(2), full_matrix_space(2)
+        x, u = elem(a, [1.0, 0.0, 0.0, 1.0]), identity_map(a)
+        assert a == a and a != b
+        assert x == x and x != elem(a, [1.0, 0.0, 0.0, 1.0])
+        assert u == u and u != identity_map(a)
+        assert len({a, b, x, u}) == 4
 
     def test_json_round_trip(self):
         sp = opspace_from_json(opspace_to_json(M2))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from realops import optim
 from realops.linalg import kron_sum
 from realops.opspace import CBMap, full_matrix_space, num_den_maps, span_space
 from realops.optim import (SDP_BRACKET, SDP_MAX_ITERS, LinearMatrixMap,
@@ -286,3 +287,80 @@ class TestSdpMaximize:
                            2.0, 2.0)
         assert (res.upper, res.lower, res.iterations) == (2.0, 2.0, 0)
         assert res.x is None and res.y is None
+
+    @pytest.mark.parametrize("upper, lower", [
+        (np.inf, 0.0), (np.nan, 0.0), (9.0, -np.inf), (9.0, np.nan)])
+    def test_non_finite_start_bounds_rejected(self, upper, lower):
+        # inf - lower > 1e-10 * inf is false: an infinite upper bound would
+        # end the solve at once with no step
+        c = self.problem(0)
+        with pytest.raises(ValueError, match="finite"):
+            sdp_maximize(-np.eye(5)[None], -c, np.array([-1.0]),
+                         np.eye(5) / 5, np.array([9.0]), self.bracket(c),
+                         upper, lower)
+
+    def test_singular_schur_matrix_steps_by_least_squares(self, monkeypatch):
+        # the constraint A_1 = A_2 = -I twice, with b = (-1, -1): every
+        # Schur matrix has two equal rows, so its LU factor is exactly
+        # singular, and each step comes from least squares; the problem is
+        # lambda_max(C) = min y_1 + y_2 s.t. (y_1 + y_2) I - C >= 0
+        c = self.problem(1)
+        t0 = np.abs(c).sum() + 1.0
+        lstsq, calls = np.linalg.lstsq, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        res = sdp_maximize(-np.stack([np.eye(5), np.eye(5)]), -c,
+                           np.array([-1.0, -1.0]), np.eye(5) / 5,
+                           np.array([t0 / 2, t0 / 2]),
+                           lambda x, y: (float(y.sum()),
+                                         float(np.vdot(c, x) / np.trace(x))),
+                           t0, float(np.trace(c)) / 5)
+        assert len(calls) == 2 * res.iterations > 0
+        assert res.upper - res.lower <= SDP_BRACKET * max(1.0, res.upper)
+        top = np.linalg.eigvalsh(c)[-1]
+        assert res.lower - 1e-12 <= top <= res.upper + 1e-12
+
+    def test_failed_cholesky_factor_keeps_the_bounds_reached(self,
+                                                             monkeypatch):
+        # the 7th factorization (X of step 4) reports info > 0: the solve
+        # ends with the bracket of a solve capped at three steps
+        c = self.problem(2)
+        t0 = np.abs(c).sum() + 1.0
+
+        def solve():
+            return sdp_maximize(-np.eye(5)[None], -c, np.array([-1.0]),
+                                np.eye(5) / 5, np.array([t0]),
+                                self.bracket(c), t0, float(np.trace(c)) / 5)
+
+        with monkeypatch.context() as m:
+            m.setattr(optim, "SDP_MAX_ITERS", 3)
+            capped = solve()
+        dpotrf, calls = optim.lapack.dpotrf, []
+
+        def failing(mat, **kw):
+            calls.append(1)
+            factor, info = dpotrf(mat, **kw)
+            return factor, (1 if len(calls) == 7 else info)
+
+        monkeypatch.setattr(optim.lapack, "dpotrf", failing)
+        res = solve()
+        assert len(calls) == 7
+        assert (res.upper, res.lower, res.iterations) == \
+            (capped.upper, capped.lower, 3)
+        assert res.upper - res.lower > SDP_BRACKET * max(1.0, res.upper)
+        assert np.array_equal(res.x, capped.x)
+        assert np.array_equal(res.y, capped.y)
+
+    def test_inverse_cholesky_factor(self):
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((6, 6))
+        m = g @ g.T + np.eye(6)
+        ci = optim._inv_cholesky(m)
+        assert np.array_equal(ci, np.tril(ci))
+        assert np.allclose(ci @ m @ ci.T, np.eye(6), atol=1e-12)
+        with pytest.raises(np.linalg.LinAlgError):
+            optim._inv_cholesky(m - 2 * np.linalg.eigvalsh(m)[-1] * np.eye(6))
