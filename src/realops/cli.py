@@ -391,6 +391,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value, a finite number >= 0: against a NaN, infinite or
+    negative tolerance every check would pass vacuously or never."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: building it costs
@@ -404,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=lambda v: int(v, 0),
                         default=DEFAULT_SEED,
                         help="64-bit master seed (default 0xC0FFEE)")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=_tolerance, default=None,
                         help="override the command's default tolerance ("
                              + ", ".join(f"{cmd} {val:g}" for cmd, val in
                                          sorted(TOL_DEFAULTS.items()))

@@ -28,6 +28,8 @@ Five workhorses and two reference solvers:
   matrices are tiny, so a step calls LAPACK through ``scipy.linalg.lapack``
   directly: inverse Cholesky factors of X and S, one LU factor of the
   Schur matrix for both solves, and step lengths from eigenvalues alone.
+  scipy is imported on the first solve, not with the package, so the
+  commands that make no SDP solve never load it.
   The caller turns each iterate into a certified bracket, and the solve
   stops on the best bracket seen.
 * ``spectral_min_sdp``: its quotient-norm instance, for the convex problem
@@ -42,7 +44,8 @@ Five workhorses and two reference solvers:
   ``polyak_minimize`` (adaptive Polyak subgradient descent): reference
   solvers for the same problem.  Nothing in the package calls them; they
   are kept for the tests, which compare the SDP against the first, and for
-  the benchmark's tracer, which wraps both by name.
+  the benchmark's tracer, which wraps both by name.  ``scipy.optimize``
+  loads only when the first is called.
 """
 
 from __future__ import annotations
@@ -50,8 +53,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-from scipy.linalg import lapack
 
 from .linalg import frobenius_norm, kron_sum, kron_sum_grad
 
@@ -306,6 +307,8 @@ def smoothed_spectral_min(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
     iterate (a true upper bound); the gap estimate combines the smoothing
     error mu * log(side) with the progress of the last stage.
     """
+    import scipy.optimize
+
     side = rows + cols
 
     def stage(mu):
@@ -363,6 +366,8 @@ def _inv_cholesky(m: np.ndarray) -> np.ndarray:
     """L^-1 for the lower Cholesky factor L of m (m = L L^T), from LAPACK
     dpotrf and dtrtri; LinAlgError when m is not numerically positive
     definite."""
+    from scipy.linalg import lapack
+
     factor, info = lapack.dpotrf(m, lower=1, clean=1)
     if not info:
         factor, info = lapack.dtrtri(factor, lower=1)
@@ -405,6 +410,8 @@ def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, b: np.ndarray,
     if not (np.isfinite(upper) and np.isfinite(lower)):
         raise ValueError(f"sdp_maximize needs finite starting bounds, got "
                          f"upper={upper}, lower={lower}")
+    from scipy.linalg import lapack
+
     side = len(c_mat)
     a_f = a.reshape(len(a), -1)
     y_best = x_best = None
@@ -472,7 +479,9 @@ def spectral_min_sdp(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
     S = C - t A_0 - sum_j w_j A_j >= 0 with A_0 = -I, A_j = -D(K_j) and
     C = -D(B); its primal is max <D(B), X> over X >= 0 with tr X = 1 and
     <D(K_j), X> = 0.  Both sides start strictly feasible, at
-    (t, w) = (sigma_max(B - K w0) + 1, w0) and X = I / N.
+    (t, w) = (s0 + max(1, 2^-20 s0), w0) with s0 = sigma_max(B - K w0),
+    and X = I / N: the margin is 1 up to s0 = 2^20 and relative beyond,
+    so that it never rounds away.
 
     After each step, sigma_max(B - K w) is an upper bound.  The
     off-diagonal block Z of X, projected in the Frobenius norm onto the
@@ -535,8 +544,9 @@ def spectral_min_sdp(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
     start, origin = norm_at(w0), norm_at(np.zeros(len(w0)))
     value, w_best = (origin, np.zeros(len(w0))) if origin < start \
         else (start, w0.copy())
+    t0 = start + max(1.0, 2.0 ** -20 * start)
     res = sdp_maximize(a, -dilations(b_vec)[0], obj, np.eye(side) / side,
-                       np.concatenate([[start + 1.0], v0]), bracket, value)
+                       np.concatenate([[t0], v0]), bracket, value)
     if res.y is not None:
         w_best = w_of(res.y[1:])
     z_best = np.zeros((rows, cols)) if res.x is None \

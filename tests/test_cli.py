@@ -1,9 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import realops
 from realops import cli, mideal, systems
 from realops.linalg import MEMBERSHIP_TOL
 from realops.opspace import full_matrix_space, opspace_to_json, span_space
@@ -306,6 +310,35 @@ def test_quotient_norm_tol_reaches_converged(files, capsys):
     assert code == 2
     assert rep["config"]["tol"] == gap / 2
     assert rep["result"] == dict(res, converged=False)
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1", "abc"])
+def test_tol_must_be_a_finite_nonnegative_number(files, tmp_path, capsys,
+                                                 tol):
+    # --tol inf once passed a quotient solve that made no step vacuously,
+    # and --tol -1 or nan exited 2 with a result but no error
+    elem = tmp_path / "big_elem.json"
+    elem.write_text(json.dumps({"level": 1,
+                                "coeffs": [[[1e50, 2e50, 3e50, 4e50]]]}))
+    argv = [f"--tol={tol}", "quotient-norm", "--space", files["m2.json"],
+            "--subspace", files["subspace.json"], "--elem", str(elem)]
+    code, rep = run_json(capsys, argv)
+    assert code == 2
+    assert "tolerance" in rep["error"] and "result" not in rep
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and "tolerance" in captured.err
+
+
+def test_zero_tol_is_accepted(files, capsys):
+    # the bracket closes exactly on dist(e12, span e11) = 1
+    code, rep = run_json(capsys, [
+        "--tol", "0", "quotient-norm", "--space", files["m2.json"],
+        "--subspace", files["subspace.json"],
+        "--elem", files["e12_elem.json"]])
+    assert (code, rep["config"]["tol"]) == (0, 0.0)
+    assert rep["result"]["gap_estimate"] == 0.0
 
 
 def test_successive_runs_share_no_state(files, capsys):
@@ -624,3 +657,42 @@ def test_out_writes_the_reported_object(files, capsys, tmp_path, command,
     assert rep["result"]["written_to"] == str(out)
     assert rep["config"]["out"] == str(out)
     assert json.loads(out.read_text()) == rep["result"][key]
+
+
+#: run in a fresh interpreter: which scipy modules are loaded after the
+#: import, after the commands that need no SDP, and after a quotient norm
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import realops.cli as cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+steps = {"import": loaded()}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run(["verify", s]) for s in ("linalg", "mideal", "systems")]
+    codes.append(cli.run(["reproduce", "complex-dual"]))
+    steps["cheap"] = loaded()
+    codes.append(cli.run(["quotient-norm"] + sys.argv[1:]))
+steps["quotient"] = loaded()
+print(json.dumps({"codes": codes, "steps": steps}))
+"""
+
+
+def test_commands_without_an_sdp_load_no_scipy(files):
+    # LAPACK loads on the first SDP solve and scipy.optimize only for the
+    # reference solvers, so importing the CLI stays cheap
+    src = os.path.dirname(os.path.dirname(realops.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, "--space", files["m2.json"],
+         "--subspace", files["subspace.json"], "--elem",
+         files["generic_elem.json"]],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    rep = json.loads(proc.stdout)
+    assert rep["codes"] == [0] * 5
+    assert rep["steps"]["import"] == rep["steps"]["cheap"] == []
+    assert "scipy.linalg" in rep["steps"]["quotient"]
+    assert not any(m.startswith("scipy.optimize")
+                   for m in rep["steps"]["quotient"])

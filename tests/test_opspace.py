@@ -445,6 +445,18 @@ class TestQuotientNorm:
             (b.value, b.gap, b.converged, b.lower, b.iterations)
         assert a.minimizer.tobytes() == b.minimizer.tobytes()
 
+    @pytest.mark.parametrize("scale", [2.0 ** 60, 2.0 ** 300, 1e20, 1e50])
+    def test_scaled_element_scales_the_bracket(self, scale):
+        # a start margin of 1 above a norm past 2^53 rounded away: the
+        # solve started on a singular S and made no step
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        base = quotient_level_norm(M2, [[1, 0, 0, 0]], elem(M2, x))
+        res = quotient_level_norm(M2, [[1, 0, 0, 0]], elem(M2, scale * x),
+                                  tol=1e-7 * scale)
+        assert res.value == pytest.approx(scale * base.value, rel=1e-9)
+        assert res.lower == pytest.approx(scale * base.lower, rel=1e-9)
+        assert res.converged and res.iterations > 0
+
 
 def sdp_problem(space, s, x):
     """(b_vec, k_mat, rows, cols, w0) of dist(x, M_n(span s)), with the

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from realops import optim
 from realops.linalg import kron_sum
@@ -339,14 +340,14 @@ class TestSdpMaximize:
         with monkeypatch.context() as m:
             m.setattr(optim, "SDP_MAX_ITERS", 3)
             capped = solve()
-        dpotrf, calls = optim.lapack.dpotrf, []
+        dpotrf, calls = scipy.linalg.lapack.dpotrf, []
 
         def failing(mat, **kw):
             calls.append(1)
             factor, info = dpotrf(mat, **kw)
             return factor, (1 if len(calls) == 7 else info)
 
-        monkeypatch.setattr(optim.lapack, "dpotrf", failing)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing)
         res = solve()
         assert len(calls) == 7
         assert (res.upper, res.lower, res.iterations) == \
