@@ -220,9 +220,7 @@ def _cmd_max_l1(args):
     if not isinstance(obj, dict) or "mats" not in obj:
         raise ValueError('coefficient file needs {"mats": [matrix, ...]}')
     mats = [linalg.mat_from_json(m) for m in obj["mats"]]
-    res = quantization.max_l1_norm_bounds(mats, m_max=args.mmax,
-                                          restarts=args.restarts,
-                                          seed=args.seed)
+    res = quantization.max_l1_norm_bounds(mats)
     return {"lower": res.lower, "upper": res.upper, "best_m": res.best_m,
             "witness": res.witness,
             "sdp_iterations": res.sdp_iterations,
@@ -321,8 +319,7 @@ def _cmd_quotient_norm(args):
 
 def _cmd_reproduce(args):
     if args.name == "l12-nonunique":
-        rep = quantization.reproduce_l12_nonuniqueness(
-            seed=args.seed, m_max=args.mmax, restarts=args.restarts)
+        rep = quantization.reproduce_l12_nonuniqueness()
         ok = (rep.passed and abs(rep.min_norm - np.sqrt(2.0)) <= 1e-9 and
               rep.max_lower >= 2.0 - 1e-6 and
               abs(rep.max_upper - 2.0) <= 1e-12 and rep.gap >= 0.58)
@@ -404,6 +401,32 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _seed(text: str) -> int:
+    """A --seed value, an integer in [0, 2^64) in any base ``int(text, 0)``
+    reads: the derived streams use the seed's low 64 bits, so a negative
+    or wider seed would name the streams of another seed."""
+    try:
+        seed = int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}")
+    if not 0 <= seed < 2 ** 64:
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer in [0, 2^64), got {text!r}")
+    return seed
+
+
+def _count(text: str) -> int:
+    """A --mmax or --restarts value of ``reproduce``, an integer >= 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return count
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: building it costs
@@ -414,8 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "matrix-level norms, complexification, minimal and "
                     "maximal quantizations, one-sided M-projection "
                     "certificates, operator systems and TRO machinery.")
-    parser.add_argument("--seed", type=lambda v: int(v, 0),
-                        default=DEFAULT_SEED,
+    parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                         help="64-bit master seed (default 0xC0FFEE)")
     parser.add_argument("--tol", type=_tolerance, default=None,
                         help="override the command's default tolerance ("
@@ -448,9 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("max-l1",
                        help="maximal-structure norm bracket over ell^1")
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--mmax", type=int, default=4,
-                   help="largest test size tried, capped at n")
-    p.add_argument("--restarts", type=int, default=64)
 
     p = sub.add_parser("certify-mproj",
                        help="certify or refute a complete left M-projection")
@@ -507,9 +526,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce",
                        help="rerun a bundled numeric counterexample")
     p.add_argument("name", choices=["l12-nonunique", "complex-dual"])
-    p.add_argument("--mmax", type=int, default=4,
-                   help="largest test size tried, capped at n")
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--mmax", type=_count, default=4,
+                   help="largest test size of the complex-dual search, "
+                        "capped at n; l12-nonunique accepts and ignores it")
+    p.add_argument("--restarts", type=_count, default=64,
+                   help="restarts of the complex-dual search; l12-nonunique "
+                        "accepts and ignores it")
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("suite", choices=["all", "linalg", "opspace",

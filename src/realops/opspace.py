@@ -678,12 +678,6 @@ def opspace_from_json(obj: dict) -> OpSpace:
                    conjugation=None if conj is None else np.asarray(conj, float))
 
 
-def elem_to_json(x: MatElem) -> dict:
-    return {"level": x.level,
-            "coeffs": [[[float(v) for v in cell] for cell in row]
-                       for row in x.coeffs]}
-
-
 def elem_from_json(space: OpSpace, obj: dict) -> MatElem:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ValueError('element JSON needs a "coeffs" tensor')
@@ -691,12 +685,6 @@ def elem_from_json(space: OpSpace, obj: dict) -> MatElem:
     if "level" in obj and x.level != int(obj["level"]):
         raise ValueError("declared level does not match coefficient shape")
     return x
-
-
-def cbmap_to_json(u: CBMap) -> dict:
-    return {"matrix": [[float(v) for v in row] for row in u.matrix],
-            "domain": opspace_to_json(u.domain),
-            "codomain": opspace_to_json(u.codomain)}
 
 
 def cbmap_from_json(obj: dict, domain: OpSpace | None = None,

@@ -18,9 +18,10 @@ Five workhorses and two reference solvers:
   linearized functionals); each start ends exactly as it would alone.
 * ``polar_seesaw``: the same exact alternation for the norm of a
   block-Kronecker sum over tuples of contractions (the maximal ell^1
-  bound of ``quantization`` and the dual search of ``opspace``): the
-  linearized subproblem is solved by a polar factor of the gradient, which
-  only the caller knows how to take.
+  bound of ``quantization``, from one start at the polar factors of the
+  coefficients, and the seeded multistart dual search of ``opspace``):
+  the linearized subproblem is solved by a polar factor of the gradient,
+  which only the caller knows how to take.
 * ``sdp_maximize``: the one small SDP kernel, for a dense real SDP in
   standard dual form (maximize b^T y s.t. C - sum_i y_i A_i >= 0), solved
   by HKM primal-dual steps with a Mehrotra predictor-corrector

@@ -4,14 +4,15 @@ real Banach spaces.
 Banach spaces are given by a finite symmetric list of functionals (the
 dual ball is a polytope), which makes the minimal matrix norms and the
 circled complexification norm exact finite maxima.  The maximal structure
-is implemented for ell^1 coordinates: a search over tuples of contractive
-test matrices gives a witnessed lower bound, and Haagerup's factorization
-SDP gives a certified upper bound.
+is implemented for ell^1 coordinates: one exact seesaw over tuples of
+contractive test matrices, started from the polar factors of the
+coefficients, gives a witnessed lower bound, and Haagerup's factorization
+SDP, started from it, gives a certified upper bound and closes the
+bracket.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .optim import polar_seesaw, sdp_maximize
 from .rng import derived_rng
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BanachSpace:
     """Finite-dimensional real Banach space with polytope dual ball.
 
@@ -32,6 +33,7 @@ class BanachSpace:
     symmetrized and deduplicated up to sign at construction; the kept
     representative of each pair {f, -f} is the lexicographically positive
     one, and representatives are ordered lexicographically descending.
+    Spaces compare and hash by identity, like ``opspace.OpSpace``.
     """
 
     dim: int
@@ -164,27 +166,15 @@ class MaxL1Result:
     best_m: int
     witness: list[np.ndarray]     # the contraction tuple attaining lower
     sdp_iterations: int           # Haagerup SDP steps (0: not needed)
-    search_rounds: int            # seesaw rounds, summed over test sizes
+    search_rounds: int            # rounds of the one seesaw start
     #: (t, X, Y), (d, n, n) stacks X_k, Y_k with [[X_k, a_k], [a_k^T, Y_k]]
     #: >= 0 and sum X_k, sum Y_k <= t I, so that upper = t
     certificate: tuple[float, np.ndarray, np.ndarray]
 
 
-#: signed-permutation tuples scored per stacked call
-CANDIDATE_SLICE = 256
 #: a witnessed lower bound more than this times max(1, upper) above the
 #: certified upper bound is a defect, raised rather than clipped
 INVERSION_TOL = 1e-9
-
-
-def _signed_permutations(m: int) -> np.ndarray:
-    """The 2^m m! signed permutation matrices as one stack: permutations in
-    lexicographic order, each with its row signs in ``itertools.product``
-    order."""
-    perms = np.array(list(itertools.permutations(range(m))))
-    signs = np.array(list(itertools.product([1.0, -1.0], repeat=m)))
-    base = np.eye(m)[perms]
-    return (base[:, None] * signs[None, :, :, None]).reshape(-1, m, m)
 
 
 def _tuple_norms(coeffs: np.ndarray, ds: np.ndarray) -> np.ndarray:
@@ -279,8 +269,7 @@ def _haagerup_sdp(mats: list[np.ndarray], lower: float):
             None if res.x is None else witness(res.x)[1], res.iterations)
 
 
-def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
-                       iters: int = 80, seed: int = 0) -> MaxL1Result:
+def max_l1_norm_bounds(coeff_mats, iters: int = 80) -> MaxL1Result:
     """Certified bracket for the maximal-quantization norm of a tuple of
     n x n matrices over ell^1_d:
 
@@ -289,100 +278,55 @@ def max_l1_norm_bounds(coeff_mats, m_max: int = 4, restarts: int = 64,
     the cb norm of psi: MIN ell^inf_d -> M_n, e_k -> a_k, by the duality
     (MIN E)* = MAX E* (Effros-Ruan, "Operator Spaces", 2000, section 3.3).
     Maps into M_n reach their cb norm at level n (Smith's lemma; Paulsen,
-    "Completely Bounded Maps and Operator Algebras", 2002, ch. 8), so only
-    test sizes m = 1..min(m_max, n) are searched.
+    "Completely Bounded Maps and Operator Algebras", 2002, ch. 8), so the
+    test size is m = n.
 
-    The objective is convex in each D_k, so the sup is attained at tuples
-    of orthogonal matrices.  For each test size m the search scores the
-    signed-permutation tuples (when there are at most 4096 of them, else
-    the identity tuple), then runs the exact seesaw ``optim.polar_seesaw``
-    from ``restarts`` random orthogonal tuples, clipped to contractions,
-    restart r drawn from ``derived_rng(seed, 3, m, r)``, for at most
-    ``iters`` rounds.  A round takes the top singular pair (u, v) of
-    sum_k a_k kron D_k and moves every D_k to the orthogonal polar factor
-    of its gradient block, which maximizes the linearization.  The
-    restarts advance in lockstep, and a restart retires once a round gains
-    no more than 1e-15.  ``search_rounds`` sums the rounds over the test
-    sizes.  Each restart keeps its own first strict maximum; the
-    candidates and then the restarts are reduced in order with strict
-    ``>``, so the first best tuple wins and a restart's result does not
-    depend on how many others run.  The search sees the tuple scaled by
-    2^-e, e = ``math.frexp(sum ||a_k||)[1]``, so that sum ||a_k|| lies in
-    [1/2, 1) and no squared entry overflows, and its value is scaled back;
-    a power-of-two scaling is exact.
-
-    ``upper`` is the lesser of the triangle bound sum ||a_k|| and the
-    Haagerup SDP bound of ``_haagerup_sdp``, with its certificate; the
-    SDP is skipped (``sdp_iterations`` 0) when the triangle bound already
-    meets the witnessed lower bound.  A lower bound more than INVERSION_TOL
-    (relative) above the upper bound raises ``RuntimeError``.
+    Three deterministic steps.  The tuple is scaled by the power of two
+    that puts max ||a_k|| in [1, 2), which is exact, makes the value at
+    least 1 (so the SDP's bracket target is relative) and keeps every
+    squared entry finite.  One exact seesaw ``optim.polar_seesaw`` runs,
+    from the polar factors of the scaled a_k, clipped to contractions, for
+    at most ``iters`` rounds (``search_rounds``): a round takes the top
+    singular pair (u, v) of sum_k a_k kron D_k and moves every D_k to the
+    orthogonal polar factor of its gradient block, which maximizes the
+    linearization.  Then the Haagerup SDP of ``_haagerup_sdp`` starts from
+    that lower bound; its primal witness replaces the seesaw's tuple only
+    when strictly better, and its certificate gives ``upper``.  The value
+    and the certificate (t, X, Y) are scaled back.  A lower bound more
+    than INVERSION_TOL (relative) above the upper bound raises
+    ``RuntimeError``.
     """
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
     if iters < 1:
         raise ValueError("iters must be at least 1")
     mats = [as_matrix(a) for a in coeff_mats]
-    d = len(mats)
-    if d < 1:
+    if not mats:
         raise ValueError("need at least one coefficient matrix")
     n = mats[0].shape[0]
     for a in mats:
         if a.shape != (n, n):
             raise ValueError("coefficient matrices must share a square shape")
-    e = math.frexp(sum(op_norm(a) for a in mats))[1]
-    coeffs = np.ldexp(np.stack(mats, axis=-1), -e)
-    best = 0.0
-    best_m = 1
-    best_tuple = [np.ones((1, 1)) for _ in mats]
-    search_rounds = 0
+    e = math.frexp(max(op_norm(a) for a in mats))[1] - 1
+    scaled = np.ldexp(np.stack(mats), -e)
 
     def polar(grads):
         u, _, vt = np.linalg.svd(grads)
         return u @ vt
 
-    def offer(values, tuples, m):
-        """Take the first of the best of ``values`` if it beats ``best``."""
-        nonlocal best, best_m, best_tuple
-        i = int(np.argmax(values))
-        if values[i] > best:
-            best, best_m, best_tuple = (float(values[i]), m,
-                                        [x.copy() for x in tuples[i]])
-
-    for m in range(1, min(m_max, n) + 1):
-        # deterministic extremal candidates
-        count = 2 ** m * math.factorial(m)
-        if count ** d <= 4096:
-            sp = clip_contraction(_signed_permutations(m))
-            combos = np.stack(np.unravel_index(np.arange(count ** d),
-                                               (count,) * d), axis=-1)
-            for lo in range(0, len(combos), CANDIDATE_SLICE):
-                ds = sp[combos[lo:lo + CANDIDATE_SLICE]]
-                offer(_tuple_norms(coeffs, ds), ds, m)
-        else:
-            ds = clip_contraction(np.broadcast_to(np.eye(m), (1, d, m, m)))
-            offer(_tuple_norms(coeffs, ds), ds, m)
-        # random orthogonal starts, one derived stream per restart
-        g = np.empty((restarts, d, m, m))
-        for r in range(restarts):
-            rng = derived_rng(seed, 3, m, r)
-            for k in range(d):
-                g[r, k] = rng.standard_normal((m, m))
-        run_best, run_tuple, rounds = polar_seesaw(
-            coeffs, clip_contraction(np.linalg.qr(g)[0]), iters, polar)
-        search_rounds += rounds
-        offer(run_best, run_tuple, m)
-    best = math.ldexp(best, e)
-    cert, low, tup, sdp_iterations = _haagerup_sdp(mats, best)
+    values, tuples, search_rounds = polar_seesaw(
+        scaled.transpose(1, 2, 0), clip_contraction(polar(scaled))[None],
+        iters, polar)
+    best, witness = float(values[0]), list(tuples[0])
+    (t, xs, ys), low, tup, sdp_iterations = _haagerup_sdp(list(scaled), best)
     if tup is not None:
-        best, best_m, best_tuple = low, n, list(tup)
-    upper = cert[0]
-    if best > upper + INVERSION_TOL * max(1.0, upper):
-        raise RuntimeError(f"witnessed lower bound {best!r} exceeds the "
-                           f"certified upper bound {upper!r}")
-    return MaxL1Result(best, upper, best_m, best_tuple, sdp_iterations,
-                       search_rounds, cert)
+        best, witness = low, list(tup)
+    if best > t + INVERSION_TOL * max(1.0, t):
+        raise RuntimeError(f"witnessed lower bound {math.ldexp(best, e)!r} "
+                           f"exceeds the certified upper bound "
+                           f"{math.ldexp(t, e)!r}")
+    upper = math.ldexp(t, e)
+    return MaxL1Result(math.ldexp(best, e), upper, n, witness, sdp_iterations,
+                       search_rounds,
+                       (upper, np.ldexp(xs, e), np.ldexp(ys, e)))
 
 
 # ----------------------------------------------------------------------
@@ -409,24 +353,16 @@ class L1NonuniquenessReport:
                   "has minimal norm sqrt(2) but maximal norm 2")
 
 
-def reproduce_l12_nonuniqueness(seed: int = 0, m_max: int = 4,
-                                restarts: int = 64) -> L1NonuniquenessReport:
+def reproduce_l12_nonuniqueness() -> L1NonuniquenessReport:
     """Compute both norms of the witness pair and assert the strict gap."""
     e = ell_one(2)
     element = np.stack([PAIR_A, PAIR_B], axis=-1)      # (2, 2, 2) tensor
     mn = min_level_norm(e, element)
-    mx = max_l1_norm_bounds([PAIR_A, PAIR_B], m_max=m_max, restarts=restarts,
-                            seed=seed)
+    mx = max_l1_norm_bounds([PAIR_A, PAIR_B])
     gap = mx.lower - mn
     return L1NonuniquenessReport(mn, mx.lower, mx.upper, gap, mx.best_m,
                                  mx.witness, mx.sdp_iterations,
                                  mx.search_rounds, passed=bool(gap >= 0.5))
-
-
-def banach_to_json(space: BanachSpace) -> dict:
-    return {"dim": int(space.dim),
-            "functionals": [[float(v) for v in row]
-                            for row in space.functionals]}
 
 
 def banach_from_json(obj: dict) -> BanachSpace:

@@ -336,12 +336,12 @@ def suite_quantization(seed: int) -> list[CheckResult]:
     sign_dev = 0.0
     for t in range(5):
         mats = [rng.standard_normal((2, 2)) for _ in range(2)]
-        res = max_l1_norm_bounds(mats, m_max=2, restarts=8, seed=seed + t)
+        res = max_l1_norm_bounds(mats)
         scale = max(1.0, res.upper)
         order_dev = max(order_dev, (res.lower - res.upper) / scale)
         close_dev = max(close_dev, (res.upper - res.lower) / scale)
         scalars = [rng.standard_normal((1, 1)) for _ in range(3)]
-        res1 = max_l1_norm_bounds(scalars, m_max=1, restarts=4, seed=seed + t)
+        res1 = max_l1_norm_bounds(scalars)
         sign_dev = max(sign_dev, abs(res1.lower -
                                      sum(abs(float(s[0, 0])) for s in scalars)))
     out.append(_check("maximal bracket is ordered (lower <= upper)",
@@ -351,7 +351,7 @@ def suite_quantization(seed: int) -> list[CheckResult]:
     out.append(_check("maximal bracket closes", max(0.0, close_dev), 1e-9,
                       tuples=5))
 
-    rep = reproduce_l12_nonuniqueness(seed=seed)
+    rep = reproduce_l12_nonuniqueness()
     out.append(_check("two-dimensional l1 minimal norm of the witness pair "
                       "is sqrt(2)", abs(rep.min_norm - np.sqrt(2.0)), 1e-9))
     out.append(_check("two-dimensional l1 maximal lower bound reaches 2",

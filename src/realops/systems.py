@@ -25,7 +25,7 @@ from .opspace import (CBMap, MatElem, OpSpace, cb_norm_levels,
 from .rng import derived_rng
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpAlgebra:
     """Operator space with a multiplication, given by a structure tensor.
 
@@ -37,6 +37,7 @@ class OpAlgebra:
     enforced, for supplied ones (an abstract product may deliberately
     disagree with the ambient one).  A ``structure`` of None is derived
     from the same least-squares solve that measures the closure.
+    Algebras compare and hash by identity, like ``OpSpace``.
     """
 
     space: OpSpace

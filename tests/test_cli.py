@@ -103,8 +103,7 @@ class TestBasicCommands:
 
     def test_max_l1(self, files, capsys):
         code, rep = run_json(capsys, ["max-l1", "--coeffs",
-                                      files["pair.json"], "--mmax", "2",
-                                      "--restarts", "8"])
+                                      files["pair.json"]])
         assert code == 0
         assert rep["result"]["lower"] >= 2 - 1e-6
         assert rep["result"]["upper"] == pytest.approx(2.0, abs=1e-12)
@@ -252,8 +251,48 @@ def test_out_of_range_parameters_are_input_errors(files, capsys, argv):
     code = cli.run(["--json"] + [files.get(a, a) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
-    assert "error" in json.loads(captured.out)
+    error = json.loads(captured.out)["error"]
+    if argv[0] == "max-l1":
+        # max-l1 has no --mmax or --restarts: any value is a usage error
+        assert error.startswith("unrecognized arguments")
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("seed", ["-5", "18446744073709551616",
+                                  "0x10000000000000000", "abc", "1.5", ""])
+def test_seed_must_be_a_64_bit_nonnegative_integer(capsys, seed):
+    argv = ["--seed", seed, "reproduce", "complex-dual"]
+    code, rep = run_json(capsys, argv)
+    assert code == 2
+    assert set(rep) == {"command", "config", "error"}
+    assert "--seed" in rep["error"] and repr(seed) in rep["error"]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and repr(seed) in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("seed, value", [("0", 0), ("0xC0FFEE", 0xC0FFEE),
+                                         ("18446744073709551615",
+                                          2 ** 64 - 1)])
+def test_seed_range_ends_are_accepted(capsys, seed, value):
+    code, rep = run_json(capsys, ["--seed", seed, "verify", "linalg"])
+    assert (code, rep["config"]["seed"]) == (0, value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["max-l1", "--coeffs", "pair.json"],
+    ["reproduce", "l12-nonunique", "--restarts", "16"]])
+def test_max_l1_reports_do_not_depend_on_the_seed(files, capsys, argv):
+    # the seesaw starts from the polar factors of the coefficients, so
+    # nothing in these commands is random
+    argv = [files.get(a, a) for a in argv]
+    reps = [run_json(capsys, ["--seed", seed] + argv)
+            for seed in ("1", "0xC0FFEE")]
+    assert [code for code, _ in reps] == [0, 0]
+    assert [rep["config"].pop("seed") for _, rep in reps] == [1, 0xC0FFEE]
+    assert json.dumps(reps[0][1]) == json.dumps(reps[1][1])
 
 
 def test_threads_flag_is_gone(capsys):
@@ -287,7 +326,7 @@ def test_argument_errors_under_json_are_json(capsys, argv, command):
 
 
 def test_argument_errors_in_text_mode_print_usage(capsys):
-    assert cli.run(["max-l1", "--coeffs", "c.json", "--restarts", "abc"]) == 2
+    assert cli.run(["reproduce", "complex-dual", "--restarts", "abc"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage:" in captured.err and "invalid int value" in captured.err
@@ -352,11 +391,11 @@ def test_successive_runs_share_no_state(files, capsys):
     assert (code, rep["config"]["tol"]) == (0, 3e-8)
     code, rep = run_json(capsys, argv)
     assert (code, rep["config"]["tol"]) == (0, 1e-7)
-    code, rep = run_json(capsys, ["max-l1", "--coeffs", files["pair.json"],
+    code, rep = run_json(capsys, ["reproduce", "complex-dual",
                                   "--restarts", "abc"])
     assert code == 2 and "error" in rep
-    code, rep = run_json(capsys, ["max-l1", "--coeffs", files["pair.json"],
-                                  "--mmax", "1"])
+    code, rep = run_json(capsys, ["reproduce", "complex-dual", "--mmax",
+                                  "1"])
     assert code == 0 and rep["config"]["restarts"] == 64
     cli.run(["--json"] + argv)
     assert capsys.readouterr().out == fresh
@@ -511,8 +550,8 @@ class TestReproductions:
         assert code == 0
         r = rep["result"]
         assert r["min_norm"] == pytest.approx(np.sqrt(2.0), abs=1e-9)
-        assert r["max_lower"] >= 2 - 1e-6
-        assert r["max_upper"] == pytest.approx(2.0, abs=1e-12)
+        assert (r["max_lower"], r["max_upper"]) == (2.0, 2.0)
+        assert (r["sdp_iterations"], r["best_m"]) == (0, 2)
         assert r["gap"] >= 0.58
         assert "claim" in r
         keys = list(r)
@@ -588,8 +627,7 @@ REPORT_ARGVS = {
     "quantize-min": ["quantize-min", "--banach", "l12.json"],
     "w2-norm": ["w2-norm", "--banach", "l12.json", "--x", "[3, 0]",
                 "--y", "[0, 0]"],
-    "max-l1": ["max-l1", "--coeffs", "pair.json", "--mmax", "1",
-               "--restarts", "2"],
+    "max-l1": ["max-l1", "--coeffs", "pair.json"],
     "certify-mproj": ["certify-mproj", "--space", "m2.json", "--proj",
                       "proj_symm.json", "--max-level", "2", "--samples",
                       "20", "--restarts", "2"],

@@ -6,13 +6,14 @@ from realops.linalg import clip_contraction, kron_sum, kron_sum_grad, op_norm
 from realops.optim import (SDP_BRACKET, SDP_MAX_ITERS, smoothed_spectral_min,
                            spectral_min_sdp)
 from realops.quantization import ell_one, realize_min
+from realops.systems import op_algebra
 from realops.opspace import (CBMap, MatElem, check_ruan_axioms,
-                             cbmap_from_json, cbmap_to_json, cb_norm_levels,
+                             cbmap_from_json, cb_norm_levels,
                              cb_norm_lower_search, complexification_norm,
                              complexified_elem, complexify_map,
                              complexify_space, conjugate_elem,
                              direct_sum_elem, direct_sum_spaces, elem,
-                             elem_from_json, elem_to_json, full_matrix_space,
+                             elem_from_json, full_matrix_space,
                              identity_map, level_norm, opspace_from_json,
                              opspace_to_json, quotient_level_norm,
                              random_elem, scalar_sandwich, span_space,
@@ -104,18 +105,24 @@ class TestSpaces:
         # make == raise, and every object stays hashable
         a, b = full_matrix_space(2), full_matrix_space(2)
         x, u = elem(a, [1.0, 0.0, 0.0, 1.0]), identity_map(a)
+        alg, e = op_algebra(a), ell_one(2)
         assert a == a and a != b
         assert x == x and x != elem(a, [1.0, 0.0, 0.0, 1.0])
         assert u == u and u != identity_map(a)
-        assert len({a, b, x, u}) == 4
+        assert alg == alg and alg != op_algebra(a)
+        assert e == e and e != ell_one(2)
+        assert len({a, b, x, u, alg, e}) == 6
 
     def test_json_round_trip(self):
         sp = opspace_from_json(opspace_to_json(M2))
         assert np.array_equal(sp.basis, M2.basis)
         x = elem(M2, [1.0, 2.0, 3.0, 4.0])
-        x2 = elem_from_json(sp, elem_to_json(x))
+        x2 = elem_from_json(sp, {"level": 1,
+                                 "coeffs": [[[1.0, 2.0, 3.0, 4.0]]]})
         assert np.array_equal(x2.coeffs, x.coeffs)
-        u = cbmap_from_json(cbmap_to_json(TRANSPOSE))
+        u = cbmap_from_json({"matrix": TRANSPOSE.matrix.tolist(),
+                             "domain": opspace_to_json(M2),
+                             "codomain": opspace_to_json(M2)})
         assert np.array_equal(u.matrix, TRANSPOSE.matrix)
 
 

@@ -9,8 +9,8 @@ from realops import quantization
 from realops.linalg import kron_sum, op_norm
 from realops.opspace import elem, level_norm, random_elem
 from realops.quantization import (PAIR_A, PAIR_B, BanachSpace,
-                                  banach_from_json, banach_to_json, ell_infty,
-                                  ell_one, max_l1_norm_bounds,
+                                  banach_from_json, ell_infty, ell_one,
+                                  max_l1_norm_bounds,
                                   min_complexification_check, min_level_norm,
                                   realize_min, reproduce_l12_nonuniqueness,
                                   w2_complex_norm)
@@ -46,7 +46,8 @@ class TestBanachSpace:
             BanachSpace(2, [[1.0, 0.0], [-1.0, 0.0]])
 
     def test_json_round_trip(self):
-        e = banach_from_json(banach_to_json(L_ONE))
+        e = banach_from_json({"dim": 2, "functionals": [[1.0, 1.0],
+                                                        [1.0, -1.0]]})
         assert np.array_equal(e.representatives, L_ONE.representatives)
 
 
@@ -137,13 +138,12 @@ class TestMaxL1:
     def test_single_matrix(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((2, 2))
-        res = max_l1_norm_bounds([a], m_max=2, restarts=8, seed=1)
+        res = max_l1_norm_bounds([a])
         assert res.lower == pytest.approx(op_norm(a), abs=1e-9)
         assert res.upper == pytest.approx(op_norm(a), abs=1e-12)
 
     def test_scalars_reach_l1_norm(self):
-        res = max_l1_norm_bounds([[[0.7]], [[-0.3]]], m_max=2, restarts=8,
-                                 seed=1)
+        res = max_l1_norm_bounds([[[0.7]], [[-0.3]]])
         assert res.lower == pytest.approx(1.0, abs=1e-12)
         assert res.upper == pytest.approx(1.0, abs=1e-12)
 
@@ -151,8 +151,7 @@ class TestMaxL1:
         # the tuple (A, B) itself witnesses the lower bound 2
         direct = op_norm(np.kron(PAIR_A, PAIR_A) + np.kron(PAIR_B, PAIR_B))
         assert direct == pytest.approx(2.0, abs=1e-12)
-        res = max_l1_norm_bounds([PAIR_A, PAIR_B], m_max=2, restarts=16,
-                                 seed=2)
+        res = max_l1_norm_bounds([PAIR_A, PAIR_B])
         assert res.lower >= 2.0 - 1e-6
         assert res.upper == pytest.approx(2.0, abs=1e-12)
 
@@ -160,13 +159,11 @@ class TestMaxL1:
         # the search runs on the tuple scaled by a power of two, so the
         # squares of entries near 1e181 do not overflow and the result
         # is the unscaled one scaled back exactly
-        base = max_l1_norm_bounds([PAIR_A, PAIR_B], m_max=2, restarts=8,
-                                  seed=3)
+        base = max_l1_norm_bounds([PAIR_A, PAIR_B])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             big = max_l1_norm_bounds([2.0 ** 600 * PAIR_A,
-                                      2.0 ** 600 * PAIR_B], m_max=2,
-                                     restarts=8, seed=3)
+                                      2.0 ** 600 * PAIR_B])
         assert big.lower == math.ldexp(base.lower, 600)
         assert big.upper == math.ldexp(base.upper, 600)
         for w, w0 in zip(big.witness, base.witness):
@@ -175,22 +172,20 @@ class TestMaxL1:
     def test_bracket_is_ordered(self):
         # the lower bound is not clipped: only roundoff may invert it
         rng = np.random.default_rng(9)
-        for t in range(5):
+        for _ in range(5):
             mats = [rng.standard_normal((2, 2)) for _ in range(2)]
-            res = max_l1_norm_bounds(mats, m_max=2, restarts=8, seed=t)
+            res = max_l1_norm_bounds(mats)
             assert res.lower <= res.upper + 1e-12 * max(1.0, res.upper)
 
     def test_bracket_closes(self):
         rng = np.random.default_rng(9)
-        for t in range(5):
+        for _ in range(5):
             mats = [rng.standard_normal((2, 2)) for _ in range(2)]
-            res = max_l1_norm_bounds(mats, m_max=2, restarts=8, seed=t)
+            res = max_l1_norm_bounds(mats)
             assert res.upper - res.lower <= 1e-9 * max(1.0, res.upper)
 
-    @pytest.mark.parametrize("seed", [0xC0FFEE, 1])
-    def test_witness_is_feasible_and_reproduces_lower(self, seed):
-        res = max_l1_norm_bounds([PAIR_A, PAIR_B], m_max=4, restarts=16,
-                                 seed=seed)
+    def test_witness_is_feasible_and_reproduces_lower(self):
+        res = max_l1_norm_bounds([PAIR_A, PAIR_B])
         assert len(res.witness) == 2
         for w in res.witness:
             assert w.shape == (res.best_m, res.best_m)
@@ -201,33 +196,54 @@ class TestMaxL1:
 
     def test_random_tuples_give_feasible_witnesses(self):
         rng = np.random.default_rng(15)
-        for t in range(3):
+        for _ in range(3):
             mats = [rng.standard_normal((2, 2)) for _ in range(3)]
-            res = max_l1_norm_bounds(mats, m_max=3, restarts=6, seed=t)
+            res = max_l1_norm_bounds(mats)
             assert all(op_norm(w) <= 1.0 + 1e-12 for w in res.witness)
             value = op_norm(kron_sum(np.stack(mats, axis=-1),
                                      np.stack(res.witness)))
             assert min(value, res.upper) == pytest.approx(res.lower,
                                                           abs=1e-12)
 
-    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -3},
-                                        {"iters": 0}, {"m_max": 0}])
+    @pytest.mark.parametrize("kwargs", [
+        {"iters": 0}, {"iters": -3}, {"coeff_mats": []},
+        {"coeff_mats": [PAIR_A, np.eye(3)]}])
     def test_out_of_range_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            max_l1_norm_bounds([PAIR_A, PAIR_B], **kwargs)
+            max_l1_norm_bounds(**{"coeff_mats": [PAIR_A, PAIR_B], **kwargs})
 
     @pytest.mark.parametrize("n, d", [(1, 3), (2, 2), (2, 3), (3, 2)])
     def test_sizes_above_n_are_not_searched(self, n, d):
-        # Smith's lemma: m_max beyond n gives exactly the m_max = n result
+        # Smith's lemma: the cb norm of a map into M_n is reached at level
+        # n, so the seesaw and the SDP both work at test size m = n
         rng = np.random.default_rng(30 + n)
         mats = [rng.standard_normal((n, n)) for _ in range(d)]
-        capped = max_l1_norm_bounds(mats, m_max=n, restarts=4, seed=6)
-        res = max_l1_norm_bounds(mats, m_max=4, restarts=4, seed=6)
-        assert (res.lower, res.upper, res.best_m, res.sdp_iterations) == \
-            (capped.lower, capped.upper, capped.best_m,
-             capped.sdp_iterations)
-        assert all(np.array_equal(w, v)
-                   for w, v in zip(res.witness, capped.witness))
+        res = max_l1_norm_bounds(mats)
+        assert res.best_m == n
+        assert all(w.shape == (n, n) for w in res.witness)
+        assert res.upper - res.lower <= 1e-10 * max(1.0, res.upper)
+
+    @pytest.mark.parametrize("case", range(19))
+    def test_bracket_is_relative_at_every_scale(self, case):
+        # the tuple is scaled to max ||a_k|| in [1, 2) before the SDP, so
+        # its stopping rule is relative however small or large the a_k
+        mats = (random_tuples() + [[PAIR_A, PAIR_B], [[[0.7]], [[-0.3]]],
+                                   [PAIR_A, np.zeros((2, 2))]])[case]
+        base = max_l1_norm_bounds(mats)
+        for s in (1e-300, 1e-12, 1e-6, 1e200):
+            res = max_l1_norm_bounds([s * np.asarray(a) for a in mats])
+            assert res.upper - res.lower <= 1e-10 * res.upper
+            assert res.lower == pytest.approx(s * base.lower, rel=1e-9)
+        for k in (600, -600):
+            res = max_l1_norm_bounds([math.ldexp(1.0, k) * np.asarray(a)
+                                      for a in mats])
+            assert res.lower == math.ldexp(base.lower, k)
+            assert res.upper == math.ldexp(base.upper, k)
+            assert res.certificate[0] == res.upper
+            for got, want in zip(res.certificate[1:], base.certificate[1:]):
+                assert np.array_equal(got, np.ldexp(want, k))
+            assert all(np.array_equal(w, v)
+                       for w, v in zip(res.witness, base.witness))
 
 
 def certificate_defect(mats, res):
@@ -256,19 +272,21 @@ class TestSeesawSearch:
         def forbidden(*args, **kwargs):
             raise AssertionError("the max-l1 search took an expm")
         monkeypatch.setattr(scipy.linalg, "expm", forbidden)
-        res = max_l1_norm_bounds([PAIR_A, PAIR_B], restarts=16, seed=2)
+        res = max_l1_norm_bounds([PAIR_A, PAIR_B])
         assert res.lower >= 2.0 - 1e-12
-        max_l1_norm_bounds(random_tuples()[5], restarts=4, seed=5)
+        max_l1_norm_bounds(random_tuples()[5])
 
-    # exact values, so that a search change that moves the bracket shows
-    @pytest.mark.parametrize("restarts, lower", [(16, 2.0000000000000004),
-                                                 (64, 2.000000000000001)])
-    def test_witness_pair_values_are_pinned(self, restarts, lower):
-        rep = reproduce_l12_nonuniqueness(seed=0xC0FFEE, restarts=restarts)
-        assert rep.max_lower == lower
+    # exact values, so that a search change that moves the bracket shows:
+    # the polar start (A, B) is the witness, and the next round gains
+    # nothing
+    def test_witness_pair_values_are_pinned(self):
+        rep = reproduce_l12_nonuniqueness()
+        assert rep.max_lower == 2.0
         assert rep.max_upper == 2.0
+        assert rep.gap == 2.0 - rep.min_norm
         assert rep.best_m == 2
         assert rep.sdp_iterations == 0
+        assert rep.search_rounds == 2
 
     @pytest.mark.parametrize("case", range(17))
     def test_search_witnesses_are_contractions(self, case, monkeypatch):
@@ -280,7 +298,7 @@ class TestSeesawSearch:
                 lower, None, 0
         monkeypatch.setattr(quantization, "_haagerup_sdp", triangle)
         mats = (random_tuples() + [[PAIR_A, PAIR_B]])[case]
-        res = max_l1_norm_bounds(mats, restarts=4, seed=case)
+        res = max_l1_norm_bounds(mats)
         assert res.search_rounds > 0
         assert all(np.linalg.svd(w, compute_uv=False)[0] <= 1.0 + 1e-12
                    for w in res.witness)
@@ -290,19 +308,20 @@ class TestSeesawSearch:
 
     def test_search_rounds_are_deterministic_and_capped(self):
         mats = random_tuples()[5]
-        runs = [max_l1_norm_bounds(mats, restarts=4, seed=5, iters=7)
-                for _ in range(2)]
+        runs = [max_l1_norm_bounds(mats, iters=7) for _ in range(2)]
         assert runs[0].search_rounds == runs[1].search_rounds
-        # at most 7 rounds at each of the test sizes m = 1, 2
-        assert 2 <= runs[0].search_rounds <= 14
+        # the one start stops at the cap, and takes more rounds at the
+        # default cap of 80
+        assert runs[0].search_rounds == 7
+        assert max_l1_norm_bounds(mats).search_rounds > 7
 
 
 class TestHaagerupCertificate:
     @pytest.mark.parametrize("case", range(16))
     def test_random_tuples_close_with_a_valid_certificate(self, case):
         mats = random_tuples()[case]
-        res = max_l1_norm_bounds(mats, restarts=4, seed=case)
-        assert res.upper - res.lower <= 1e-9 * max(1.0, res.upper)
+        res = max_l1_norm_bounds(mats)
+        assert res.upper - res.lower <= 1e-10 * max(1.0, res.upper)
         assert res.upper < sum(op_norm(a) for a in mats)
         assert res.sdp_iterations > 0
         psd, excess = certificate_defect(mats, res)
@@ -315,7 +334,7 @@ class TestHaagerupCertificate:
         assert value == pytest.approx(res.lower, abs=1e-12)
 
     def test_witness_pair_needs_no_solve(self):
-        res = max_l1_norm_bounds([PAIR_A, PAIR_B], restarts=16, seed=0)
+        res = max_l1_norm_bounds([PAIR_A, PAIR_B])
         assert abs(res.upper - 2.0) <= 1e-12
         assert res.sdp_iterations == 0
         assert certificate_defect([PAIR_A, PAIR_B], res) == (0.0, 0.0)
@@ -324,7 +343,7 @@ class TestHaagerupCertificate:
         rng = np.random.default_rng(12)
         for d in (1, 2, 5):
             mats = [rng.standard_normal((1, 1)) for _ in range(d)]
-            res = max_l1_norm_bounds(mats, restarts=4, seed=d)
+            res = max_l1_norm_bounds(mats)
             assert res.upper == sum(abs(float(a[0, 0])) for a in mats)
 
     def test_lower_above_the_certified_upper_bound_raises(self, monkeypatch):
@@ -333,12 +352,12 @@ class TestHaagerupCertificate:
             return (1.5, xs, xs.copy()), lower, None, 3
         monkeypatch.setattr(quantization, "_haagerup_sdp", too_low)
         with pytest.raises(RuntimeError):
-            max_l1_norm_bounds([PAIR_A, PAIR_B], restarts=4, seed=0)
+            max_l1_norm_bounds([PAIR_A, PAIR_B])
 
 
 class TestReproduceL12:
     def test_default_run(self):
-        rep = reproduce_l12_nonuniqueness(seed=0xC0FFEE)
+        rep = reproduce_l12_nonuniqueness()
         assert rep.min_norm == pytest.approx(np.sqrt(2.0), abs=1e-9)
         assert rep.max_lower >= 2.0 - 1e-6
         assert rep.max_upper == pytest.approx(2.0, abs=1e-12)
@@ -349,8 +368,7 @@ class TestReproduceL12:
         halved = np.stack([PAIR_A / 2, PAIR_B / 2], axis=-1)
         assert min_level_norm(L_ONE, halved) == pytest.approx(
             np.sqrt(2.0) / 2, abs=1e-12)
-        res = max_l1_norm_bounds([PAIR_A / 2, PAIR_B / 2], m_max=2,
-                                 restarts=8, seed=3)
+        res = max_l1_norm_bounds([PAIR_A / 2, PAIR_B / 2])
         assert res.lower == pytest.approx(1.0, abs=1e-9)
         assert res.upper == pytest.approx(1.0, abs=1e-12)
 
@@ -358,8 +376,7 @@ class TestReproduceL12:
         # (A, 0): both structures collapse to the operator norm of A
         element = np.stack([PAIR_A, np.zeros((2, 2))], axis=-1)
         assert min_level_norm(L_ONE, element) == pytest.approx(1.0, abs=1e-12)
-        res = max_l1_norm_bounds([PAIR_A, np.zeros((2, 2))], m_max=2,
-                                 restarts=8, seed=4)
+        res = max_l1_norm_bounds([PAIR_A, np.zeros((2, 2))])
         assert res.lower == pytest.approx(1.0, abs=1e-9)
         assert res.upper == pytest.approx(1.0, abs=1e-12)
 
