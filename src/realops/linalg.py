@@ -27,8 +27,6 @@ import numpy as np
 
 #: default tolerance for boolean classifications (positivity, contractivity)
 CLASSIFY_TOL = 1e-9
-#: default tolerance for exact linear-algebra identities
-EXACT_TOL = 1e-12
 #: default tolerance of the span-membership rule (see ``in_span``)
 MEMBERSHIP_TOL = 1e-10
 

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (MEMBERSHIP_TOL, as_matrix, clip_contraction, in_span,
-                     kron_sum, kron_sum_matrix, map_by_shape, mat_from_json,
-                     mat_to_json, op_norm, span_coefficients)
+                     kron_sum, kron_sum_grad, kron_sum_matrix, map_by_shape,
+                     mat_from_json, mat_to_json, op_norm, span_coefficients)
 from .optim import (LinearMatrixMap, polar_seesaw, ratio_ascent, ratio_eval,
                     seesaw_ascent, spectral_min_sdp)
 from .rng import derived_rng
@@ -532,14 +532,12 @@ def quotient_level_norm(space: OpSpace, subspace_coeffs, x: MatElem,
     """dist(x, M_n(Y)) for the subspace Y spanned by the given level-1
     coefficient vectors, as a certified bracket lower <= dist <= value.
 
-    The distance is min over t of sigma_max(R(x) - R(y(t))).  The solver
-    starts at the least-squares point (the t closest to R(x) in Frobenius
-    norm).  When the operator norm of its residual is at most 1e-13, the
-    element lies in M_n(Y) and that point is returned at once, with lower
-    bound 0.  Otherwise ``optim.spectral_min_sdp`` brackets the distance
-    from that start, and the better of the start and its point is
-    reported: ``value`` is the norm at the reported minimizer, an upper
-    bound, and ``lower`` comes from a trace-norm dual certificate.
+    The distance is min over t of sigma_max(R(x) - R(y(t))), which
+    ``optim.spectral_min_sdp`` brackets from the least-squares point.  An
+    element whose residual there has operator norm at most 1e-13 lies in
+    M_n(Y), with lower bound 0 and no step.  ``value`` is the norm at the
+    reported minimizer, an upper bound, and ``lower`` comes from a
+    trace-norm dual certificate.
     ``gap = value - lower`` and ``converged`` means ``gap <= tol``; the
     solve itself does not depend on ``tol``.
     """
@@ -553,18 +551,11 @@ def quotient_level_norm(space: OpSpace, subspace_coeffs, x: MatElem,
     n = x.level
     p, q = space.ambient
     k_sub = kron_sum_matrix(np.einsum("jk,kpq->jpq", s, space.basis), n)
-    b_vec = x.realization().ravel()
-    w0 = np.linalg.lstsq(k_sub, b_vec, rcond=None)[0]
-    value = op_norm((b_vec - k_sub @ w0).reshape(n * p, n * q))
-    w_best, lower, iterations = w0, 0.0, 0
-    if value > 1e-13:
-        s_val, s_w, lower, _, iterations = spectral_min_sdp(
-            b_vec, k_sub, n * p, n * q, w0)
-        if s_val <= value:
-            value, w_best = s_val, s_w
+    value, w, lower, _, iterations = spectral_min_sdp(
+        x.realization().ravel(), k_sub, n * p, n * q)
     gap = value - lower
     return QuotientResult(value, gap, gap <= tol,
-                          w_best.reshape(n, n, s.shape[0]), lower, iterations)
+                          w.reshape(n, n, s.shape[0]), lower, iterations)
 
 
 # ----------------------------------------------------------------------
@@ -638,7 +629,9 @@ def theta_dual_search(z_re, z_im, m_max: int = 4, restarts: int = 64,
         w = clip_contraction(np.concatenate(
             [np.eye(m, dtype=complex)[None], np.linalg.qr(g)[0]]))
         run_best, run_w, _ = polar_seesaw(
-            coeffs, np.stack([w.real, w.imag], axis=-3), iters, polar)
+            lambda ds: kron_sum(coeffs, ds),
+            lambda u, v: kron_sum_grad(coeffs, u, v), polar,
+            np.stack([w.real, w.imag], axis=-3), iters)
         i = int(np.argmax(run_best))     # the first of equal maxima
         if run_best[i] > best:
             best, best_m, best_w = float(run_best[i]), m, run_w[i]

@@ -9,19 +9,16 @@ Five workhorses and two reference solvers:
   geometrically, which keeps making progress at the sharp (nonsmooth)
   maxima these spectral objectives have.  Every evaluated iterate is
   feasible, so the best value seen is always a valid lower bound.
-* ``seesaw_ascent``: when the denominator map is a bijection onto a full
-  matrix space, the linearized subproblem (maximize a linear functional
-  over the operator-norm ball) has an exact SVD solution.  Alternating
-  exactly is monotone in the objective and converges much tighter than
-  generic ascent.  It takes a stack of starts like ``ratio_ascent``, with
-  three stacked SVDs per round (numerator images, denominator matrices and
-  linearized functionals); each start ends exactly as it would alone.
-* ``polar_seesaw``: the same exact alternation for the norm of a
-  block-Kronecker sum over tuples of contractions (the maximal ell^1
-  bound of ``quantization``, from one start at the polar factors of the
-  coefficients, and the seeded multistart dual search of ``opspace``):
-  the linearized subproblem is solved by a polar factor of the gradient,
-  which only the caller knows how to take.
+* ``polar_seesaw``: exact alternating (seesaw) maximization of a largest
+  singular value, linear in a point of a convex set.  The linearized
+  subproblem is solved by a polar step that only the caller knows how to
+  take, so the value never falls, and it converges much tighter than
+  generic ascent.  Starts advance in lockstep, one stacked SVD a round
+  besides the polar step's, and each ends exactly as it would alone.  It
+  serves the maximal ell^1 bound of ``quantization``, the dual search of
+  ``opspace`` and ``seesaw_ascent``: the ratio of ``ratio_ascent`` when
+  the denominator is a bijection onto a full matrix space, maximized over
+  the unit ball of the denominator matrices.
 * ``sdp_maximize``: the one small SDP kernel, for a dense real SDP in
   standard dual form (maximize b^T y s.t. C - sum_i y_i A_i >= 0), solved
   by HKM primal-dual steps with a Mehrotra predictor-corrector
@@ -34,13 +31,14 @@ Five workhorses and two reference solvers:
   The caller turns each iterate into a certified bracket, and the solve
   stops on the best bracket seen.
 * ``spectral_min_sdp``: its quotient-norm instance, for the convex problem
-  min_w sigma_max(B - K w), written as min t s.t. t I - D(B - K w) >= 0
-  with D(M) = [[0, M], [M^T, 0]].  Every iterate gives an upper bound
-  sigma_max(B - K w) and, from the primal matrix, a trace-norm
-  certificate Z annihilating span K with |<B, Z>| / ||Z||_1 a lower bound
-  (trace-norm duality; Effros-Ruan, "Operator Spaces", 2000, section 1).
-  It returns the certified bracket.  The maximal ell^1 bound of
-  ``quantization`` is the other instance.
+  min_w sigma_max(B - K w), solved in the one orthonormal basis U of
+  span K from an SVD of K, as min t s.t. t I - D(B - U v) >= 0 with
+  D(M) = [[0, M], [M^T, 0]].  Every iterate gives an upper bound
+  sigma_max(B - K w) at its mapped w and, from the primal matrix, a
+  trace-norm certificate Z annihilating span K with |<B, Z>| / ||Z||_1 a
+  lower bound (trace-norm duality; Effros-Ruan, "Operator Spaces", 2000,
+  section 1).  It returns the certified bracket.  The maximal ell^1 bound
+  of ``quantization`` is the other instance.
 * ``smoothed_spectral_min`` (smoothed-BFGS continuation) and
   ``polyak_minimize`` (adaptive Polyak subgradient descent): reference
   solvers for the same problem.  Nothing in the package calls them; they
@@ -55,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frobenius_norm, kron_sum, kron_sum_grad
+from .linalg import frobenius_norm
 
 
 def top_singular_triple(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -156,6 +154,40 @@ def ratio_ascent(num: LinearMatrixMap, den: LinearMatrixMap, x0: np.ndarray,
     return best_val, best_x
 
 
+def polar_seesaw(realize, gradient, polar, starts: np.ndarray,
+                 iters: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Exact alternating maximization of sigma_max(realize(D)) over a convex
+    set of points D, from each point of the stack ``starts``, for at most
+    ``iters`` rounds; returns the (r,) best values, the stack of best
+    points and the number of rounds taken.
+
+    ``realize`` maps a stack of points linearly to a stack of matrices,
+    ``gradient(u, v)`` gives the stacked gradients of u^T realize(D) v in
+    D, and ``polar(G)`` the points D' of the set maximizing <G, D'>.  A
+    round takes the top singular pair (u, v) of each realization and moves
+    to ``polar(gradient(u, v))``, which maximizes the linearization and so
+    never lowers the value.  All starts advance in lockstep, with one
+    stacked SVD of the realizations and the ones of ``polar`` per round.
+    A start retires once a round gains no more than 1e-15 (a zero
+    realization at once), and keeps its first strict maximum, so it ends
+    exactly as it would alone.
+    """
+    ds, live = starts, np.arange(len(starts))
+    best_val, best = np.zeros(len(starts)), starts.copy()
+    rounds = 0
+    while live.size and rounds < iters:
+        if rounds:
+            ds = polar(gradient(u[..., :, 0], vt[..., 0, :]))
+        rounds += 1
+        u, s, vt = np.linalg.svd(realize(ds))
+        prev = best_val[live]
+        better = s[:, 0] > prev
+        best_val[live[better]], best[live[better]] = s[better, 0], ds[better]
+        keep = s[:, 0] > prev + 1e-15
+        ds, u, vt, live = ds[keep], u[keep], vt[keep], live[keep]
+    return best_val, best, rounds
+
+
 def seesaw_ascent(num: LinearMatrixMap, den: LinearMatrixMap,
                   x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact alternating maximization of sigma(num x)/sigma(den x) from each
@@ -163,77 +195,36 @@ def seesaw_ascent(num: LinearMatrixMap, den: LinearMatrixMap,
     values, best points) as (r,) and (r, dim) arrays.
 
     Requires den.matrix to be square and invertible (the denominator space
-    fills its ambient matrix space).  Monotone in the objective.  The rows
-    advance in lockstep and each ends exactly as it would alone: a row
-    retires at a zero start (value 0 at itself), a zero numerator, or no
-    strict improvement beyond 1e-15.
+    fills its ambient matrix space), so that the ratio is sigma(C M) over
+    the unit ball sigma(M) = 1, C = num.matrix @ inv(den.matrix).  Each
+    start is scaled into that ball (one of norm <= 1e-300 to zero) and
+    ``polar_seesaw`` runs there, its polar step U I V^T one SVD.  Each row
+    ends exactly as it would alone; each value is the ratio at its point.
     """
     dmat = den.matrix
     if dmat.shape[0] != dmat.shape[1]:
         raise ValueError("seesaw needs a bijective denominator realization")
     comp = num.matrix @ np.linalg.inv(dmat)
-    x_best = np.array(x0, dtype=float)
-    m = den.value(x_best)
-    sm = np.linalg.svd(m, compute_uv=False)[:, 0]
-    start = np.flatnonzero(sm > 1e-300)
-    best_val = np.where(sm > 1e-300, -np.inf, 0.0)
-    m[start] /= sm[start, None, None]
-    best_m = m.copy()
-    m, live = m[start], start
     rect_eye = np.eye(den.rows, den.cols)
-    for _ in range(80):
-        n = (comp @ m.reshape(-1, len(dmat), 1)).reshape(-1, num.rows,
-                                                         num.cols)
-        keep = n.any(axis=(1, 2))
-        m, n, live = m[keep], n[keep], live[keep]
-        if not live.size:
-            break
-        u, s, vt = np.linalg.svd(n)
-        val = s[:, 0] / np.linalg.svd(m, compute_uv=False)[:, 0]
-        prev = best_val[live]
-        better = val > prev
-        best_val[live[better]], best_m[live[better]] = val[better], m[better]
-        keep = val > prev + 1e-15
-        m, u, vt, live = m[keep], u[keep], vt[keep], live[keep]
-        w = comp.T @ (u[:, :, :1] * vt[:, :1]).reshape(-1, len(comp), 1)
-        u, _, vt = np.linalg.svd(w.reshape(-1, den.rows, den.cols))
-        m = u @ rect_eye @ vt
-    x_best[start] = np.linalg.solve(
-        dmat, best_m[start].reshape(-1, len(dmat), 1))[..., 0]
-    return np.where(best_val > -np.inf, best_val, 0.0), x_best
 
+    def realize(ms):
+        return (comp @ ms.reshape(-1, len(dmat), 1)).reshape(-1, num.rows,
+                                                             num.cols)
 
-def polar_seesaw(coeffs: np.ndarray, starts: np.ndarray, iters: int,
-                 polar) -> tuple[np.ndarray, np.ndarray, int]:
-    """Exact alternating maximization of || kron_sum(coeffs, D) || over
-    tuples D of contractions, from each (d, m, m) tuple of the
-    (r, d, m, m) stack ``starts``, for at most ``iters`` rounds; returns
-    the (r,) best values, the (r, d, m, m) best tuples and the number of
-    rounds taken.
+    def gradient(u, v):
+        return (comp.T @ (u[:, :, None] * v[:, None, :]).reshape(
+            -1, len(comp), 1)).reshape(-1, den.rows, den.cols)
 
-    A round takes the top singular pair (u, v) of each realization and
-    moves to ``polar(G)`` of the stacked gradient blocks
-    G = kron_sum_grad(coeffs, u, v): the tuple of contractions maximizing
-    the linearization u^T kron_sum(coeffs, D') v, which never lowers the
-    value.  All starts advance in lockstep, with one stacked SVD of the
-    realizations and the one of ``polar`` per round.  A start retires once
-    a round gains no more than 1e-15 (a zero realization at once), and
-    keeps its first strict maximum, so it ends exactly as it would alone.
-    """
-    ds, live = starts, np.arange(len(starts))
-    best_val, best = np.zeros(len(starts)), starts.copy()
-    rounds = 0
-    while live.size and rounds < iters:
-        if rounds:
-            ds = polar(kron_sum_grad(coeffs, u[..., :, 0], vt[..., 0, :]))
-        rounds += 1
-        u, s, vt = np.linalg.svd(kron_sum(coeffs, ds))
-        prev = best_val[live]
-        better = s[:, 0] > prev
-        best_val[live[better]], best[live[better]] = s[better, 0], ds[better]
-        keep = s[:, 0] > prev + 1e-15
-        ds, u, vt, live = ds[keep], u[keep], vt[keep], live[keep]
-    return best_val, best, rounds
+    def polar(grads):
+        u, _, vt = np.linalg.svd(grads)
+        return u @ rect_eye @ vt
+
+    m = den.value(np.asarray(x0, dtype=float))
+    sm = np.linalg.svd(m, compute_uv=False)[:, 0]
+    m /= np.where(sm > 1e-300, sm, np.inf)[:, None, None]
+    best = polar_seesaw(realize, gradient, polar, m, 80)[1]
+    x = np.linalg.solve(dmat, best.reshape(len(best), -1, 1))[..., 0]
+    return ratio_eval(num, den, x), x
 
 
 def polyak_minimize(b_vec: np.ndarray, k_mat: np.ndarray, rows: int, cols: int,
@@ -473,24 +464,29 @@ def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, b: np.ndarray,
 
 
 def spectral_min_sdp(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
-                     cols: int, w0: np.ndarray):
+                     cols: int):
     """Certified bracket on min_w sigma_max(reshape(b_vec - k_mat w)).
 
-    The instance of ``sdp_maximize``: maximize -t subject to
-    S = C - t A_0 - sum_j w_j A_j >= 0 with A_0 = -I, A_j = -D(K_j) and
+    One SVD K = U s V^T, keeping the singular values above 1e-12 times the
+    largest, gives the orthonormal basis U of span K in which everything
+    runs: the solve is over v with w = V v / s, so that no iterate can
+    drift along the null space of K, and it starts at the least-squares
+    point v0 = U^T b, w0 = V v0 / s.  When sigma_max(B - K w0) <= 1e-13,
+    the element lies in span K, and w0 is returned at once with lower
+    bound 0 and no step.
+
+    Otherwise the instance of ``sdp_maximize``: maximize -t subject to
+    S = C - t A_0 - sum_j v_j A_j >= 0 with A_0 = -I, A_j = -D(U_j) and
     C = -D(B); its primal is max <D(B), X> over X >= 0 with tr X = 1 and
-    <D(K_j), X> = 0.  Both sides start strictly feasible, at
-    (t, w) = (s0 + max(1, 2^-20 s0), w0) with s0 = sigma_max(B - K w0),
+    <D(U_j), X> = 0.  Both sides start strictly feasible, at
+    (t, v) = (s0 + max(1, 2^-20 s0), v0) with s0 = sigma_max(B - K w0),
     and X = I / N: the margin is 1 up to s0 = 2^20 and relative beyond,
     so that it never rounds away.
 
-    After each step, sigma_max(B - K w) is an upper bound.  The
-    off-diagonal block Z of X, projected in the Frobenius norm onto the
-    annihilator of span K, gives the lower bound |<B, Z>| / ||Z||_1,
-    whatever the residuals of X.  When K has dependent columns, the solve
-    runs in the independent variables v of the orthonormal basis U of
-    span K from its SVD K = U s V^T (w = V v / s), so that no iterate can
-    drift along the null space of K.
+    After each step, sigma_max(B - K w) at the mapped w is an upper bound.
+    The off-diagonal block Z of X, projected in the Frobenius norm onto
+    the annihilator of span K, gives the lower bound |<B, Z>| / ||Z||_1,
+    whatever the residuals of X.
 
     Returns (value, w, lower, z, iterations): value = sigma_max at w, the
     least of w0, w = 0 and every iterate; lower <= the infimum <= value;
@@ -510,46 +506,37 @@ def spectral_min_sdp(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
         m = (b_vec - k_mat @ w).reshape(rows, cols)
         return float(np.linalg.svd(m, compute_uv=False)[0])
 
-    # orthonormal basis of span K.  A zero or dependent column gives Q an
-    # arbitrary extra direction (and one before an independent column also
-    # leaves part of span K out), so a rank-deficient K takes the left
-    # singular vectors of its nonzero singular values instead, and the
-    # solve runs over that basis
-    w0 = np.asarray(w0, dtype=float)
-    basis, r_mat = np.linalg.qr(k_mat)
-    r_diag = np.abs(np.diag(r_mat))
-    k_sdp, v0, to_w = k_mat, w0, None
-    if not (r_diag > 1e-12 * r_diag.max(initial=0.0)).all():
-        u, sv, vt = np.linalg.svd(k_mat, full_matrices=False)
-        keep = sv > 1e-12 * sv.max(initial=0.0)
-        basis = k_sdp = u[:, keep]
-        v0, to_w = sv[keep] * (vt[keep] @ w0), vt[keep].T / sv[keep]
-
-    def w_of(v):
-        return v if to_w is None else to_w @ v
+    u, sv, vt = np.linalg.svd(k_mat, full_matrices=False)
+    keep = sv > 1e-12 * sv.max(initial=0.0)
+    basis, to_w = u[:, keep], vt[keep].T / sv[keep]
+    v0 = basis.T @ b_vec
+    w0 = to_w @ v0
+    start = norm_at(w0)
+    if start <= 1e-13:
+        return start, w0, 0.0, np.zeros((rows, cols)), 0
 
     def bracket(x, y):
         # one stacked SVD: sigma_max(B - K w) and ||Z||_1
         z = x[:rows, rows:].ravel()
         z_ann = z - basis @ (basis.T @ z)
-        sv = np.linalg.svd(np.stack([b_vec - k_mat @ w_of(y[1:]), z_ann])
+        sv = np.linalg.svd(np.stack([b_vec - k_mat @ (to_w @ y[1:]), z_ann])
                            .reshape(2, rows, cols), compute_uv=False)
         trace_norm = sv[1].sum()
         return float(sv[0, 0]), \
             float(abs(b_vec @ z_ann) / trace_norm) if trace_norm > 0 else 0.0
 
-    # A_0 = -I and A_j = -D(K_j)
-    a = np.concatenate([-np.eye(side)[None], -dilations(k_sdp.T)])
+    # A_0 = -I and A_j = -D(U_j)
+    a = np.concatenate([-np.eye(side)[None], -dilations(basis.T)])
     obj = np.zeros(len(a))
     obj[0] = -1.0
-    start, origin = norm_at(w0), norm_at(np.zeros(len(w0)))
+    origin = norm_at(np.zeros(len(w0)))
     value, w_best = (origin, np.zeros(len(w0))) if origin < start \
-        else (start, w0.copy())
+        else (start, w0)
     t0 = start + max(1.0, 2.0 ** -20 * start)
     res = sdp_maximize(a, -dilations(b_vec)[0], obj, np.eye(side) / side,
                        np.concatenate([[t0], v0]), bracket, value)
     if res.y is not None:
-        w_best = w_of(res.y[1:])
+        w_best = to_w @ res.y[1:]
     z_best = np.zeros((rows, cols)) if res.x is None \
         else res.x[:rows, rows:].copy()
     return res.upper, w_best, res.lower, z_best, res.iterations

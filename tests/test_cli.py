@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import realops
-from realops import cli, mideal, systems
+from realops import cli, mideal, quantization, systems
 from realops.linalg import MEMBERSHIP_TOL
 from realops.opspace import full_matrix_space, opspace_to_json, span_space
 
@@ -271,6 +272,15 @@ def test_seed_must_be_a_64_bit_nonnegative_integer(capsys, seed):
     assert captured.out == ""
     assert "usage:" in captured.err and repr(seed) in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("seed, suite, reported", [
+    ("abc", "linalg", "abc"), ("-5", "linalg", "-5"), ("0x5", "bogus", 5)])
+def test_argument_error_reports_the_seed_given(capsys, seed, suite, reported):
+    # a rejected seed is reported as given, not as the default the
+    # namespace starts from; a valid one as parsed
+    code, rep = run_json(capsys, ["--seed", seed, "verify", suite])
+    assert (code, rep["config"]["seed"]) == (2, reported)
 
 
 @pytest.mark.parametrize("seed, value", [("0", 0), ("0xC0FFEE", 0xC0FFEE),
@@ -557,6 +567,20 @@ class TestReproductions:
         keys = list(r)
         assert keys.index("search_rounds") == keys.index("sdp_iterations") + 1
         assert r["search_rounds"] > 0
+
+    def test_l12_short_bracket_fails(self, capsys, monkeypatch):
+        # a maximal lower bound of 1.99 still splits the structures by more
+        # than 0.5, but it does not reach 2, so the reproduction fails
+        real = quantization.max_l1_norm_bounds
+
+        def short(coeff_mats):
+            return dataclasses.replace(real(coeff_mats), lower=1.99)
+        monkeypatch.setattr(quantization, "max_l1_norm_bounds", short)
+        rep = quantization.reproduce_l12_nonuniqueness()
+        assert rep.gap >= 0.5 and not rep.passed
+        code, rep = run_json(capsys, ["reproduce", "l12-nonunique"])
+        assert code == 1
+        assert rep["passed"] is False and rep["result"]["max_lower"] == 1.99
 
     def test_l12_nonunique_is_byte_identical(self, capsys):
         argv = ["--json", "reproduce", "l12-nonunique", "--restarts", "8"]

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from realops import opspace
 from realops.linalg import clip_contraction, kron_sum, kron_sum_grad, op_norm
 from realops.optim import (SDP_BRACKET, SDP_MAX_ITERS, smoothed_spectral_min,
                            spectral_min_sdp)
@@ -418,19 +417,6 @@ class TestQuotientNorm:
             assert res.value <= 1e-10
             assert res.converged
 
-    def test_better_start_point_is_reported_unconverged(self, monkeypatch):
-        # dist(e12, span e11): the least-squares point t = 0 is optimal; a
-        # kernel returning a worse point and a weak lower bound leaves the
-        # start reported, bracketed by that bound
-        def worse(b_vec, k_mat, rows, cols, w0):
-            return 2.0, w0 + 1.0, 0.5, np.zeros((rows, cols)), 3
-        monkeypatch.setattr(opspace, "spectral_min_sdp", worse)
-        res = quotient_level_norm(M2, [[1, 0, 0, 0]], elem(M2, [0, 1, 0, 0]))
-        assert res.value == 1.0
-        assert np.all(res.minimizer == 0.0)
-        assert (res.lower, res.gap, res.converged) == (0.5, 0.5, False)
-        assert res.iterations == 3
-
     def test_bracket_is_reported(self):
         # the certificate closes exactly on dist(e12, span e11) = 1
         res = quotient_level_norm(M2, [[1, 0, 0, 0]], elem(M2, [0, 1, 0, 0]))
@@ -467,7 +453,7 @@ class TestQuotientNorm:
 
 def sdp_problem(space, s, x):
     """(b_vec, k_mat, rows, cols, w0) of dist(x, M_n(span s)), with the
-    subspace columns built by np.kron."""
+    subspace columns built by np.kron and the least-squares point w0."""
     n = x.level
     _, p, q = space.basis.shape
     units = np.eye(n)
@@ -500,8 +486,7 @@ class TestSpectralMinSdp:
     @pytest.mark.parametrize("case", range(len(SDP_CASES)))
     def test_bracket_closes(self, case):
         b, k, rows, cols, w0 = SDP_CASES[case]
-        value, w, lower, _, iterations = spectral_min_sdp(b, k, rows, cols,
-                                                          w0)
+        value, w, lower, _, iterations = spectral_min_sdp(b, k, rows, cols)
         assert 0.0 <= lower <= value
         assert value - lower <= 1e-9
         assert iterations <= SDP_MAX_ITERS
@@ -513,7 +498,7 @@ class TestSpectralMinSdp:
     @pytest.mark.parametrize("case", range(0, len(SDP_CASES), 2))
     def test_agrees_with_smoothed_reference(self, case):
         b, k, rows, cols, w0 = SDP_CASES[case]
-        value, _, lower, _, _ = spectral_min_sdp(b, k, rows, cols, w0)
+        value, _, lower, _, _ = spectral_min_sdp(b, k, rows, cols)
         ref = smoothed_spectral_min(b, k, rows, cols, w0)[0]
         assert abs(value - ref) <= 1e-8
         assert lower <= ref
@@ -522,8 +507,8 @@ class TestSpectralMinSdp:
     def test_lower_bound_from_independent_projection(self, case):
         # project the certificate onto the annihilator of span K through
         # least squares, then recompute |<B, Z>| / ||Z||_1
-        b, k, rows, cols, w0 = SDP_CASES[case]
-        _, _, lower, z, _ = spectral_min_sdp(b, k, rows, cols, w0)
+        b, k, rows, cols, _ = SDP_CASES[case]
+        _, _, lower, z, _ = spectral_min_sdp(b, k, rows, cols)
         z_ann = z.ravel() - k @ np.linalg.lstsq(k, z.ravel(), rcond=None)[0]
         assert np.abs(k.T @ z_ann).max() <= 1e-12
         trace_norm = np.linalg.svd(z_ann.reshape(rows, cols),
@@ -531,9 +516,9 @@ class TestSpectralMinSdp:
         assert abs(b @ z_ann) / trace_norm == pytest.approx(lower, rel=1e-10)
 
     def test_two_runs_give_the_same_bits(self):
-        b, k, rows, cols, w0 = SDP_CASES[-1]
-        v1, w1, lo1, z1, it1 = spectral_min_sdp(b, k, rows, cols, w0)
-        v2, w2, lo2, z2, it2 = spectral_min_sdp(b, k, rows, cols, w0)
+        b, k, rows, cols, _ = SDP_CASES[-1]
+        v1, w1, lo1, z1, it1 = spectral_min_sdp(b, k, rows, cols)
+        v2, w2, lo2, z2, it2 = spectral_min_sdp(b, k, rows, cols)
         assert (v1, lo1, it1) == (v2, lo2, it2)
         assert w1.tobytes() == w2.tobytes() and z1.tobytes() == z2.tobytes()
 
@@ -541,12 +526,10 @@ class TestSpectralMinSdp:
         # a zero column of K would make every Schur matrix singular; the
         # solve runs over an orthonormal basis of span K instead and still
         # reaches the distance bracketed without that column
-        b, k, rows, cols, w0 = SDP_CASES[0]
-        _, _, lower_ref, _, _ = spectral_min_sdp(b, k, rows, cols, w0)
+        b, k, rows, cols, _ = SDP_CASES[0]
+        _, _, lower_ref, _, _ = spectral_min_sdp(b, k, rows, cols)
         k = np.concatenate([k, np.zeros((k.shape[0], 1))], axis=1)
-        w0 = np.append(w0, 0.0)
-        value, w, lower, _, iterations = spectral_min_sdp(b, k, rows, cols,
-                                                          w0)
+        value, w, lower, _, iterations = spectral_min_sdp(b, k, rows, cols)
         assert iterations > 0
         assert op_norm((b - k @ w).reshape(rows, cols)) == value
         assert 0.0 <= lower <= value
@@ -556,11 +539,10 @@ class TestSpectralMinSdp:
     def test_zero_column_keeps_the_lower_bound(self, case):
         # a zero column of K adds nothing to span K, so the certificate
         # basis must not grow and the bracket stays that of the plain case
-        b, k, rows, cols, w0 = SDP_CASES[case]
-        _, _, lower_ref, _, _ = spectral_min_sdp(b, k, rows, cols, w0)
+        b, k, rows, cols, _ = SDP_CASES[case]
+        _, _, lower_ref, _, _ = spectral_min_sdp(b, k, rows, cols)
         k = np.concatenate([k, np.zeros((k.shape[0], 1))], axis=1)
-        _, _, lower, _, _ = spectral_min_sdp(b, k, rows, cols,
-                                             np.append(w0, 0.0))
+        _, _, lower, _, _ = spectral_min_sdp(b, k, rows, cols)
         assert abs(lower - lower_ref) <= 1e-9
 
     @pytest.mark.parametrize("case", range(len(SDP_CASES)))
@@ -568,11 +550,10 @@ class TestSpectralMinSdp:
         # a repeated first column ahead of the others: the certificate
         # still annihilates span K, so the lower bound stays below the
         # distance (the QR diagonal alone would drop part of span K)
-        b, k, rows, cols, w0 = SDP_CASES[case]
-        value_ref, _, _, _, _ = spectral_min_sdp(b, k, rows, cols, w0)
+        b, k, rows, cols, _ = SDP_CASES[case]
+        value_ref, _, _, _, _ = spectral_min_sdp(b, k, rows, cols)
         k = np.concatenate([k[:, :1], k], axis=1)
-        _, _, lower, z, _ = spectral_min_sdp(b, k, rows, cols,
-                                             np.append(0.0, w0))
+        _, _, lower, z, _ = spectral_min_sdp(b, k, rows, cols)
         assert lower <= value_ref + 1e-9
         z_ann = z.ravel() - k @ np.linalg.lstsq(k, z.ravel(), rcond=None)[0]
         if lower > 0:
@@ -585,11 +566,10 @@ class TestSpectralMinSdp:
     def test_dependent_column_keeps_the_value(self, case):
         # a repeated column: the iterate stays off the null space of K, so
         # the value is the plain case's distance and the bracket closes
-        b, k, rows, cols, w0 = SDP_CASES[case]
-        value_ref, _, lower_ref, _, _ = spectral_min_sdp(b, k, rows, cols, w0)
+        b, k, rows, cols, _ = SDP_CASES[case]
+        value_ref, _, lower_ref, _, _ = spectral_min_sdp(b, k, rows, cols)
         k = np.concatenate([k[:, :1], k], axis=1)
-        value, w, lower, _, _ = spectral_min_sdp(b, k, rows, cols,
-                                                 np.append(0.0, w0))
+        value, w, lower, _, _ = spectral_min_sdp(b, k, rows, cols)
         assert abs(value - value_ref) <= 1e-9
         assert 0.0 <= lower <= value
         assert value - lower <= 1e-9
@@ -610,6 +590,49 @@ class TestSpectralMinSdp:
         assert res.gap <= SDP_BRACKET * max(1.0, res.value)
         assert res.iterations == 7
         assert res.value == pytest.approx(1.79093773592, abs=1e-10)
+
+    def test_complexified_level_3_closes_the_bracket(self):
+        # a level-3 element over complexified M2 with a 2-dimensional
+        # subspace (one of the quotient benchmark inputs): solved in the
+        # original variables from a start off span K, the solve stalled at
+        # a bracket of 2.0e-9, above its target of 4.2e-10
+        s = [[1.2639783784119072, -0.48194172618804504, -0.29505837061197193,
+              -1.207361254035289, 1.5604591787975008, -0.15584496765817893,
+              -0.06939982121279123, 0.4662382639842252],
+             [0.7341787446814473, -0.6274788066783457, 1.1391938569635722,
+              0.5146873780583492, -0.5326046743462766, 0.9033670490656569,
+              -0.3970951553546011, -0.18606560434391972]]
+        x = MatElem(complexify_space(M2), np.array(
+            [[[1.006501957974423, -0.43698954792496225, 0.17854595475915366,
+               0.45051986977523406, -0.17660155989912388, -1.2136568551336733,
+               0.842134194062607, 1.068058479658603],
+              [0.09868994950130391, 1.401320023509849, 1.2566501887836528,
+               -0.4205699595472887, -0.47588116389488894, 0.14665823195103667,
+               -0.1649673954971583, 1.3255237375110027],
+              [-0.7709337792051465, -0.9726960265248644, 0.830727890694291,
+               1.1135351870355172, -0.3415792032131599, 0.7309428057141073,
+               0.2809794862468545, -1.6881479540588145]],
+             [[0.5497089638066428, -0.020210579373752473, -1.3087781369405582,
+               -0.8605850818414287, -0.727174754596723, 0.9581556745983928,
+               -1.2976870952963426, 0.2481757001289006],
+              [-0.08841889970150267, 1.2998840879392521, -0.2542417596973497,
+               1.9436984198818168, -0.6627251964493575, -1.5194896776106308,
+               0.06001131781720065, -0.6398625065354677],
+              [0.9810803507544387, -0.0398745731859922, 0.1779195972934566,
+               0.8490263242301378, 0.021752523867883237, 0.13367300071509977,
+               0.26234829856990394, -0.2659022496979242]],
+             [[0.9932483492593556, -1.20391121312063, 0.7156108686445107,
+               1.0142163203583077, 0.8027426239459163, -0.4244647433822609,
+               -0.4691088351442369, -0.9880685046391029],
+              [0.8468134307609232, -0.3522794301331686, 1.7781894413045036,
+               2.004005899128864, -1.1774256871381368, -1.380316373069735,
+               1.39237031607903, 0.15095574554391872],
+              [-1.4034267725605456, -1.087543021468851, -0.23725716422436896,
+               1.0250687804384115, -0.8831296385941795, 0.17477661749745899,
+               -1.7360807131365172, -0.5830533249424614]]]))
+        res = quotient_level_norm(complexify_space(M2), s, x)
+        assert res.gap <= SDP_BRACKET * max(1.0, res.value)
+        assert res.value == pytest.approx(4.23198481196, abs=1e-10)
 
 
 class TestDirectSums:
