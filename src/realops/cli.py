@@ -332,7 +332,7 @@ def _cmd_reproduce(args):
     cnorm = opspace.complexification_norm(scalars, x, y)
     search = opspace.theta_dual_search(
         [[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]],
-        m_max=args.mmax, restarts=args.restarts, seed=args.seed)
+        restarts=args.restarts, seed=args.seed)
     worst_restart = max(search.restart_values)
     ok = (abs(cnorm - np.sqrt(2.0)) <= 1e-9 and
           abs(search.lower - 1.0) <= 1e-6 and
@@ -412,21 +412,25 @@ def _seed(text: str) -> int:
     return seed
 
 
-class _SeedAction(argparse.Action):
-    """Stores --seed as ``_seed`` reads it.  A rejected value stays in the
-    namespace as given, so that a JSON error report names that seed, not
-    the default."""
+class _CheckedAction(argparse.Action):
+    """Stores a global option (--seed, --tol) as its ``convert`` reads it.
+    A rejected value stays in the namespace as given, so that a JSON error
+    report names that value, not the default."""
+
+    def __init__(self, *args, convert, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.convert = convert
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
         try:
-            setattr(namespace, self.dest, _seed(values))
+            setattr(namespace, self.dest, self.convert(values))
         except argparse.ArgumentTypeError as exc:
             raise argparse.ArgumentError(self, str(exc))
 
 
 def _count(text: str) -> int:
-    """A --mmax or --restarts value of ``reproduce``, an integer >= 1."""
+    """A --restarts value of ``reproduce``, an integer >= 1."""
     try:
         count = int(text)
     except ValueError:
@@ -447,9 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "matrix-level norms, complexification, minimal and "
                     "maximal quantizations, one-sided M-projection "
                     "certificates, operator systems and TRO machinery.")
-    parser.add_argument("--seed", action=_SeedAction, default=DEFAULT_SEED,
+    parser.add_argument("--seed", action=_CheckedAction, convert=_seed,
+                        default=DEFAULT_SEED,
                         help="64-bit master seed (default 0xC0FFEE)")
-    parser.add_argument("--tol", type=_tolerance, default=None,
+    parser.add_argument("--tol", action=_CheckedAction, convert=_tolerance,
+                        default=None,
                         help="override the command's default tolerance ("
                              + ", ".join(f"{cmd} {val:g}" for cmd, val in
                                          sorted(TOL_DEFAULTS.items()))
@@ -536,12 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce",
                        help="rerun a bundled numeric counterexample")
     p.add_argument("name", choices=["l12-nonunique", "complex-dual"])
-    p.add_argument("--mmax", type=_count, default=4,
-                   help="largest test size of the complex-dual search, "
-                        "capped at n; l12-nonunique accepts and ignores it")
     p.add_argument("--restarts", type=_count, default=64,
-                   help="restarts of the complex-dual search; l12-nonunique "
-                        "accepts and ignores it")
+                   help="random starts of the complex-dual search, at its "
+                        "size n = 2; l12-nonunique accepts and ignores it")
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("suite", choices=["all", "linalg", "opspace",

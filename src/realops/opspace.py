@@ -571,73 +571,54 @@ class ThetaSearchResult:
     witness_im: np.ndarray
 
 
-def theta_dual_search(z_re, z_im, m_max: int = 4, restarts: int = 64,
-                      iters: int = 150, seed: int = 0) -> ThetaSearchResult:
+def theta_dual_search(z_re, z_im, restarts: int = 64,
+                      seed: int = 0) -> ThetaSearchResult:
     """Lower bound for the norm of the matrix of functionals Re( . conj(z_kl)).
 
     The norm is the sup over m and contractive complex m x m test matrices
     of the realized real block norm.  It is the cb norm of a map into M_n
-    for n x n blocks z, which is reached at level n (Smith's lemma; Paulsen,
-    "Completely Bounded Maps and Operator Algebras", 2002, ch. 8), so only
-    m = 1..min(m_max, n) are searched.
+    for n x n blocks z, reached at level n (Smith's lemma; Paulsen,
+    "Completely Bounded Maps and Operator Algebras", 2002, ch. 8), and a
+    smaller test matrix padded with zeros is a contraction of size n, so
+    only m = n is searched.
 
-    For each such m the search runs an exact alternating (seesaw) ascent
+    One exact alternating (seesaw) ascent, ``optim.polar_seesaw``, runs
     from the identity and from ``restarts`` seeded random unitaries,
-    restart r drawn from ``derived_rng(seed, m, r)``, for at most ``iters``
-    rounds.  A round takes the top singular pair (u, v) of the realized
-    matrix M(W) and moves to the contraction maximizing the linearization
-    u^T M(W') v = Re tr(G^* W'): the unitary polar factor of G.  The value
-    never decreases, and a start retires once a round gains no more than
-    1e-15.  All starts advance in lockstep through ``optim.polar_seesaw``,
-    with two stacked SVDs per round.  Each evaluation happens at a unitary
-    test matrix, so every reported value, per restart included, is a true
-    lower bound.  Each start keeps its own first strict maximum, and the
-    starts are reduced in order with strict ``>``: the first best test
-    matrix wins, and
-    ``restart_values`` (m ascending, then r) do not depend on how many
-    restarts run.
+    restart r drawn from ``derived_rng(seed, n, r)``.  A round takes the
+    top singular pair (u, v) of the realized matrix M(W) and moves to the
+    contraction maximizing the linearization u^T M(W') v = Re tr(G^* W'):
+    the unitary polar factor of G, so the value never decreases.  Every
+    value, per restart included, is the norm at a unitary test matrix, a
+    true lower bound; z = 0 gives 0.  The first of equal best test
+    matrices wins, and ``restart_values`` (r ascending) do not depend on
+    how many restarts run.
     """
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
     z_re = as_matrix(z_re)
     z_im = as_matrix(z_im)
     if z_re.shape != z_im.shape or z_re.shape[0] != z_re.shape[1]:
         raise ValueError("the two blocks must be square and equal shape")
-    if not z_re.any() and not z_im.any():
-        return ThetaSearchResult(0.0, 1, [], np.eye(1), np.zeros((1, 1)))
     coeffs = np.stack([z_re, z_im], axis=-1)
-    best = 0.0
-    best_m = 1
-    best_w = np.stack([np.eye(1), np.zeros((1, 1))])
-    restart_values = []
+    n = len(z_re)
 
     def polar(grads):
         u, _, vh = np.linalg.svd(grads[:, 0] + 1j * grads[:, 1])
         w = u @ vh
         return np.stack([w.real, w.imag], axis=-3)
 
-    for m in range(1, min(m_max, len(z_re)) + 1):
-        g = np.empty((restarts, m, m), dtype=complex)
-        for r in range(restarts):
-            rng = derived_rng(seed, m, r)
-            g[r] = rng.standard_normal((m, m)) + \
-                1j * rng.standard_normal((m, m))
-        w = clip_contraction(np.concatenate(
-            [np.eye(m, dtype=complex)[None], np.linalg.qr(g)[0]]))
-        run_best, run_w, _ = polar_seesaw(
-            lambda ds: kron_sum(coeffs, ds),
-            lambda u, v: kron_sum_grad(coeffs, u, v), polar,
-            np.stack([w.real, w.imag], axis=-3), iters)
-        i = int(np.argmax(run_best))     # the first of equal maxima
-        if run_best[i] > best:
-            best, best_m, best_w = float(run_best[i]), m, run_w[i]
-        restart_values.extend(run_best[1:].tolist())
-    return ThetaSearchResult(best, best_m, restart_values, best_w[0].copy(),
-                             best_w[1].copy())
+    g = np.array([derived_rng(seed, n, r).standard_normal((2, n, n))
+                  for r in range(restarts)])
+    w = clip_contraction(np.concatenate(
+        [np.eye(n, dtype=complex)[None],
+         np.linalg.qr(g[:, 0] + 1j * g[:, 1])[0]]))
+    values, ws, _ = polar_seesaw(
+        lambda ds: kron_sum(coeffs, ds),
+        lambda u, v: kron_sum_grad(coeffs, u, v), polar,
+        np.stack([w.real, w.imag], axis=-3))
+    i = int(np.argmax(values))     # the first of equal maxima
+    return ThetaSearchResult(float(values[i]), n, values[1:].tolist(),
+                             ws[i, 0].copy(), ws[i, 1].copy())
 
 
 # ----------------------------------------------------------------------

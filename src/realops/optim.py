@@ -13,12 +13,12 @@ Five workhorses and two reference solvers:
   singular value, linear in a point of a convex set.  The linearized
   subproblem is solved by a polar step that only the caller knows how to
   take, so the value never falls, and it converges much tighter than
-  generic ascent.  Starts advance in lockstep, one stacked SVD a round
-  besides the polar step's, and each ends exactly as it would alone.  It
-  serves the maximal ell^1 bound of ``quantization``, the dual search of
-  ``opspace`` and ``seesaw_ascent``: the ratio of ``ratio_ascent`` when
-  the denominator is a bijection onto a full matrix space, maximized over
-  the unit ball of the denominator matrices.
+  generic ascent.  Starts advance in lockstep for at most SEESAW_ROUNDS
+  rounds, one stacked SVD a round besides the polar step's, and each ends
+  exactly as it would alone.  It serves the maximal ell^1 bound of
+  ``quantization``, the dual search of ``opspace`` and ``seesaw_ascent``:
+  the ratio of ``ratio_ascent`` when the denominator is a bijection onto a
+  full matrix space, maximized over the unit ball of its matrices.
 * ``sdp_maximize``: the one small SDP kernel, for a dense real SDP in
   standard dual form (maximize b^T y s.t. C - sum_i y_i A_i >= 0), solved
   by HKM primal-dual steps with a Mehrotra predictor-corrector
@@ -154,11 +154,15 @@ def ratio_ascent(num: LinearMatrixMap, den: LinearMatrixMap, x0: np.ndarray,
     return best_val, best_x
 
 
-def polar_seesaw(realize, gradient, polar, starts: np.ndarray,
-                 iters: int) -> tuple[np.ndarray, np.ndarray, int]:
+#: round cap of every polar_seesaw search
+SEESAW_ROUNDS = 150
+
+
+def polar_seesaw(realize, gradient, polar,
+                 starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Exact alternating maximization of sigma_max(realize(D)) over a convex
     set of points D, from each point of the stack ``starts``, for at most
-    ``iters`` rounds; returns the (r,) best values, the stack of best
+    SEESAW_ROUNDS rounds; returns the (r,) best values, the stack of best
     points and the number of rounds taken.
 
     ``realize`` maps a stack of points linearly to a stack of matrices,
@@ -175,7 +179,7 @@ def polar_seesaw(realize, gradient, polar, starts: np.ndarray,
     ds, live = starts, np.arange(len(starts))
     best_val, best = np.zeros(len(starts)), starts.copy()
     rounds = 0
-    while live.size and rounds < iters:
+    while live.size and rounds < SEESAW_ROUNDS:
         if rounds:
             ds = polar(gradient(u[..., :, 0], vt[..., 0, :]))
         rounds += 1
@@ -191,8 +195,8 @@ def polar_seesaw(realize, gradient, polar, starts: np.ndarray,
 def seesaw_ascent(num: LinearMatrixMap, den: LinearMatrixMap,
                   x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact alternating maximization of sigma(num x)/sigma(den x) from each
-    row of the (r, dim) stack ``x0``, for at most 80 rounds; returns (best
-    values, best points) as (r,) and (r, dim) arrays.
+    row of the (r, dim) stack ``x0``, for at most SEESAW_ROUNDS rounds;
+    returns (best values, best points) as (r,) and (r, dim) arrays.
 
     Requires den.matrix to be square and invertible (the denominator space
     fills its ambient matrix space), so that the ratio is sigma(C M) over
@@ -222,7 +226,7 @@ def seesaw_ascent(num: LinearMatrixMap, den: LinearMatrixMap,
     m = den.value(np.asarray(x0, dtype=float))
     sm = np.linalg.svd(m, compute_uv=False)[:, 0]
     m /= np.where(sm > 1e-300, sm, np.inf)[:, None, None]
-    best = polar_seesaw(realize, gradient, polar, m, 80)[1]
+    best = polar_seesaw(realize, gradient, polar, m)[1]
     x = np.linalg.solve(dmat, best.reshape(len(best), -1, 1))[..., 0]
     return ratio_eval(num, den, x), x
 

@@ -270,7 +270,7 @@ def _haagerup_sdp(mats: list[np.ndarray], lower: float):
             None if res.x is None else witness(res.x)[1], res.iterations)
 
 
-def max_l1_norm_bounds(coeff_mats, iters: int = 80) -> MaxL1Result:
+def max_l1_norm_bounds(coeff_mats) -> MaxL1Result:
     """Certified bracket for the maximal-quantization norm of a tuple of
     n x n matrices over ell^1_d:
 
@@ -287,7 +287,7 @@ def max_l1_norm_bounds(coeff_mats, iters: int = 80) -> MaxL1Result:
     least 1 (so the SDP's bracket target is relative) and keeps every
     squared entry finite.  One exact seesaw ``optim.polar_seesaw`` runs,
     from the polar factors of the scaled a_k, clipped to contractions, for
-    at most ``iters`` rounds (``search_rounds``): a round takes the top
+    at most SEESAW_ROUNDS rounds (``search_rounds``): a round takes the top
     singular pair (u, v) of sum_k a_k kron D_k and moves every D_k to the
     orthogonal polar factor of its gradient block, which maximizes the
     linearization.  Then the Haagerup SDP of ``_haagerup_sdp`` starts from
@@ -297,8 +297,6 @@ def max_l1_norm_bounds(coeff_mats, iters: int = 80) -> MaxL1Result:
     than INVERSION_TOL (relative) above the upper bound raises
     ``RuntimeError``.
     """
-    if iters < 1:
-        raise ValueError("iters must be at least 1")
     mats = [as_matrix(a) for a in coeff_mats]
     if not mats:
         raise ValueError("need at least one coefficient matrix")
@@ -317,7 +315,7 @@ def max_l1_norm_bounds(coeff_mats, iters: int = 80) -> MaxL1Result:
     values, tuples, search_rounds = polar_seesaw(
         lambda ds: kron_sum(coeffs, ds),
         lambda u, v: kron_sum_grad(coeffs, u, v), polar,
-        clip_contraction(polar(scaled))[None], iters)
+        clip_contraction(polar(scaled))[None])
     best, witness = float(values[0]), list(tuples[0])
     (t, xs, ys), low, tup, sdp_iterations = _haagerup_sdp(list(scaled), best)
     if tup is not None:
@@ -339,6 +337,12 @@ def max_l1_norm_bounds(coeff_mats, iters: int = 80) -> MaxL1Result:
 PAIR_A = np.array([[1.0, 0.0], [0.0, -1.0]])
 PAIR_B = np.array([[0.0, 1.0], [1.0, 0.0]])
 
+#: the l12 verdict, read also by the l12 rows of ``verify quantization``
+L12_MIN_TOL = 1e-9
+L12_LOWER_TOL = 1e-6
+L12_UPPER_TOL = 1e-12
+L12_GAP = 0.58
+
 
 @dataclass
 class L1NonuniquenessReport:
@@ -358,16 +362,17 @@ class L1NonuniquenessReport:
 
 def reproduce_l12_nonuniqueness() -> L1NonuniquenessReport:
     """Compute both norms of the witness pair.  It passes when the minimal
-    norm is sqrt(2) within 1e-9, the maximal bracket reaches 2 (lower
-    bound at least 2 - 1e-6, upper bound 2 within 1e-12) and the two
-    structures split by at least 0.58."""
+    norm is sqrt(2) within L12_MIN_TOL, the maximal bracket reaches 2
+    (lower bound at least 2 - L12_LOWER_TOL, upper bound 2 within
+    L12_UPPER_TOL) and the two structures split by at least L12_GAP."""
     e = ell_one(2)
     element = np.stack([PAIR_A, PAIR_B], axis=-1)      # (2, 2, 2) tensor
     mn = min_level_norm(e, element)
     mx = max_l1_norm_bounds([PAIR_A, PAIR_B])
     gap = mx.lower - mn
-    passed = (abs(mn - np.sqrt(2.0)) <= 1e-9 and mx.lower >= 2.0 - 1e-6 and
-              abs(mx.upper - 2.0) <= 1e-12 and gap >= 0.58)
+    passed = (abs(mn - np.sqrt(2.0)) <= L12_MIN_TOL and
+              mx.lower >= 2.0 - L12_LOWER_TOL and
+              abs(mx.upper - 2.0) <= L12_UPPER_TOL and gap >= L12_GAP)
     return L1NonuniquenessReport(mn, mx.lower, mx.upper, gap, mx.best_m,
                                  mx.witness, mx.sdp_iterations,
                                  mx.search_rounds, passed=bool(passed))

@@ -353,13 +353,17 @@ def suite_quantization(seed: int) -> list[CheckResult]:
 
     rep = reproduce_l12_nonuniqueness()
     out.append(_check("two-dimensional l1 minimal norm of the witness pair "
-                      "is sqrt(2)", abs(rep.min_norm - np.sqrt(2.0)), 1e-9))
+                      "is sqrt(2)", abs(rep.min_norm - np.sqrt(2.0)),
+                      quantization.L12_MIN_TOL))
     out.append(_check("two-dimensional l1 maximal lower bound reaches 2",
-                      max(0.0, 2.0 - rep.max_lower), 1e-6))
+                      max(0.0, 2.0 - rep.max_lower),
+                      quantization.L12_LOWER_TOL))
     out.append(_check("two-dimensional l1 maximal upper bound equals 2",
-                      abs(rep.max_upper - 2.0), 1e-12))
-    out.append(_check("minimal and maximal structures split by at least "
-                      "0.58", max(0.0, 0.58 - rep.gap), 0.0, gap=rep.gap))
+                      abs(rep.max_upper - 2.0), quantization.L12_UPPER_TOL))
+    out.append(_check(f"minimal and maximal structures split by at least "
+                      f"{quantization.L12_GAP:g}",
+                      max(0.0, quantization.L12_GAP - rep.gap), 0.0,
+                      gap=rep.gap))
     return out
 
 

@@ -283,6 +283,15 @@ def test_argument_error_reports_the_seed_given(capsys, seed, suite, reported):
     assert (code, rep["config"]["seed"]) == (2, reported)
 
 
+@pytest.mark.parametrize("tol", ["abc", "-1", "nan", "inf"])
+def test_argument_error_reports_the_tol_given(capsys, tol):
+    # a rejected tolerance is reported as given, not as the command's
+    # default
+    code, rep = run_json(capsys, ["--tol", tol, "verify", "linalg"])
+    assert (code, rep["config"]["tol"]) == (2, tol)
+    assert "tolerance" in rep["error"]
+
+
 @pytest.mark.parametrize("seed, value", [("0", 0), ("0xC0FFEE", 0xC0FFEE),
                                          ("18446744073709551615",
                                           2 ** 64 - 1)])
@@ -316,6 +325,14 @@ def test_iters_flag_is_gone(files, capsys):
                     files["e12_elem.json"], "--iters", "100"])
     assert code == 2
     assert "--iters" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize("name", ["complex-dual", "l12-nonunique"])
+def test_mmax_flag_is_gone(capsys, name):
+    # the dual search runs at the one test size n, so no size flag is left
+    code, rep = run_json(capsys, ["reproduce", name, "--mmax", "2"])
+    assert code == 2
+    assert "--mmax" in rep["error"] and "result" not in rep
 
 
 @pytest.mark.parametrize("argv, command", [
@@ -404,8 +421,7 @@ def test_successive_runs_share_no_state(files, capsys):
     code, rep = run_json(capsys, ["reproduce", "complex-dual",
                                   "--restarts", "abc"])
     assert code == 2 and "error" in rep
-    code, rep = run_json(capsys, ["reproduce", "complex-dual", "--mmax",
-                                  "1"])
+    code, rep = run_json(capsys, ["reproduce", "complex-dual"])
     assert code == 0 and rep["config"]["restarts"] == 64
     cli.run(["--json"] + argv)
     assert capsys.readouterr().out == fresh
@@ -672,8 +688,7 @@ REPORT_ARGVS = {
     "quotient-norm": ["--tol", "1e-300", "quotient-norm", "--space",
                       "m2.json", "--subspace", "subspace.json", "--elem",
                       "generic_elem.json"],
-    "reproduce": ["reproduce", "complex-dual", "--mmax", "1",
-                  "--restarts", "2"],
+    "reproduce": ["reproduce", "complex-dual", "--restarts", "2"],
     "verify": ["verify", "linalg"],
 }
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from realops import optim
 from realops.linalg import clip_contraction, kron_sum, kron_sum_grad, op_norm
 from realops.optim import (SDP_BRACKET, SDP_MAX_ITERS, smoothed_spectral_min,
                            spectral_min_sdp)
@@ -663,14 +664,15 @@ class TestDirectSums:
             direct_sum_spaces([])
 
 
-def inline_theta_search(z_re, z_im, m_max, restarts, seed, iters=150):
-    """The dual search with its own lockstep seesaw loop, as it was before
-    the loop moved into ``optim.polar_seesaw``: (lower, best_m,
-    restart_values, witness)."""
+def inline_theta_search(z_re, z_im, sizes, restarts, seed, iters=150):
+    """The dual search with its own lockstep seesaw loop over the given
+    test sizes m, as it was before the loop moved into
+    ``optim.polar_seesaw`` and the search ran at m = n only: (lower,
+    best_m, restart_values, witness)."""
     z_re, z_im = np.asarray(z_re, float), np.asarray(z_im, float)
     coeffs = np.stack([z_re, z_im], axis=-1)
     best, best_m, best_w, restart_values = 0.0, 1, np.eye(1), []
-    for m in range(1, min(m_max, len(z_re)) + 1):
+    for m in sizes:
         g = np.empty((restarts, m, m), dtype=complex)
         for r in range(restarts):
             rng = derived_rng(seed, m, r)
@@ -703,63 +705,81 @@ def inline_theta_search(z_re, z_im, m_max, restarts, seed, iters=150):
 
 
 THETA_FIXTURES = [
-    ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]], 4, 64, 0xC0FFEE),
-    ([[1.0]], [[0.0]], 2, 8, 1),
-    ([[0.6]], [[0.8]], 2, 8, 1),
-    ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]], 3, 16, 7),
-    ([[0.3, -1.2], [0.5, 0.9]], [[-0.7, 0.1], [1.1, 0.4]], 3, 16, 7),
-] + [(*np.random.default_rng(40 + n).standard_normal((2, n, n)), 4, 4, 3)
+    ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]], 64, 0xC0FFEE),
+    ([[1.0]], [[0.0]], 8, 1),
+    ([[0.6]], [[0.8]], 8, 1),
+    ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]], 16, 7),
+    ([[0.3, -1.2], [0.5, 0.9]], [[-0.7, 0.1], [1.1, 0.4]], 16, 7),
+] + [(*np.random.default_rng(40 + n).standard_normal((2, n, n)), 4, 3)
      for n in (1, 2, 3)]
+
+#: random blocks at n = 2, 3, 4, with 16 restarts each
+THETA_RANDOM = [(*np.random.default_rng(60 + k).standard_normal((2, n, n)),
+                 16, k) for n in (2, 3, 4) for k in range(4)]
 
 
 class TestThetaDual:
     @pytest.mark.parametrize("case", range(len(THETA_FIXTURES)))
     def test_shared_seesaw_matches_the_inline_loop_bit_for_bit(self, case):
-        z_re, z_im, m_max, restarts, seed = THETA_FIXTURES[case]
-        res = theta_dual_search(z_re, z_im, m_max=m_max, restarts=restarts,
-                                seed=seed)
-        lower, best_m, values, w = inline_theta_search(z_re, z_im, m_max,
-                                                       restarts, seed)
+        z_re, z_im, restarts, seed = THETA_FIXTURES[case]
+        res = theta_dual_search(z_re, z_im, restarts=restarts, seed=seed)
+        n = len(z_re)
+        lower, best_m, values, w = inline_theta_search(
+            z_re, z_im, [n], restarts, seed, iters=optim.SEESAW_ROUNDS)
         assert (res.lower, res.best_m, res.restart_values) == \
             (lower, best_m, values)
         assert np.array_equal(res.witness_re, w.real)
         assert np.array_equal(res.witness_im, w.imag)
 
+    @pytest.mark.parametrize("case", range(len(THETA_FIXTURES) +
+                                           len(THETA_RANDOM)))
+    def test_never_below_the_search_over_every_size(self, case):
+        # Smith's lemma: a test matrix of size m < n, padded with zeros, is
+        # a contraction of size n, so the one size n loses nothing against
+        # the old search over m = 1..n with 150 rounds
+        z_re, z_im, restarts, seed = (THETA_FIXTURES + THETA_RANDOM)[case]
+        n = len(z_re)
+        lower = theta_dual_search(z_re, z_im, restarts=restarts,
+                                  seed=seed).lower
+        ref = inline_theta_search(z_re, z_im, range(1, n + 1), restarts,
+                                  seed)[0]
+        assert lower >= ref - 1e-12 * max(1.0, ref)
+
     def test_row_with_imaginary_entry(self):
         res = theta_dual_search([[1.0, 0.0], [0.0, 0.0]],
                                 [[0.0, 1.0], [0.0, 0.0]],
-                                m_max=4, restarts=64, seed=0xC0FFEE)
+                                restarts=64, seed=0xC0FFEE)
         assert res.lower == pytest.approx(1.0, abs=1e-6)
         assert all(v <= 1.0 + 1e-6 for v in res.restart_values)
 
     def test_scalar_is_isometric(self):
-        assert theta_dual_search([[1.0]], [[0.0]], m_max=2, restarts=8,
+        assert theta_dual_search([[1.0]], [[0.0]], restarts=8,
                                  seed=1).lower == pytest.approx(1.0, abs=1e-9)
-        assert theta_dual_search([[0.6]], [[0.8]], m_max=2, restarts=8,
+        assert theta_dual_search([[0.6]], [[0.8]], restarts=8,
                                  seed=1).lower == pytest.approx(1.0, abs=1e-6)
 
     def test_zero(self):
-        assert theta_dual_search([[0.0]], [[0.0]], m_max=2, restarts=4,
-                                 seed=1).lower == 0.0
+        # the seesaw retires a zero realization at once
+        for z in ([[0.0]], np.zeros((2, 2))):
+            res = theta_dual_search(z, z, restarts=4, seed=1)
+            assert res.lower == 0.0 and res.restart_values == [0.0] * 4
 
     def test_restart_values_do_not_depend_on_the_restart_count(self):
         z = ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]])
-        few = theta_dual_search(*z, m_max=4, restarts=16, seed=0xC0FFEE)
-        many = theta_dual_search(*z, m_max=4, restarts=32, seed=0xC0FFEE)
-        assert len(few.restart_values) == 2 * 16
-        assert len(many.restart_values) == 2 * 32
-        for m in range(2):
-            assert few.restart_values[16 * m:16 * (m + 1)] == \
-                many.restart_values[32 * m:32 * m + 16]
+        few = theta_dual_search(*z, restarts=16, seed=0xC0FFEE)
+        many = theta_dual_search(*z, restarts=32, seed=0xC0FFEE)
+        assert len(few.restart_values) == 16
+        assert len(many.restart_values) == 32
+        assert few.restart_values == many.restart_values[:16]
 
     @pytest.mark.parametrize("z_re, z_im", [
         ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]),
         ([[0.3, -1.2], [0.5, 0.9]], [[-0.7, 0.1], [1.1, 0.4]]),
     ])
     def test_witness_is_feasible_and_reproduces_lower(self, z_re, z_im):
-        res = theta_dual_search(z_re, z_im, m_max=3, restarts=16, seed=7)
+        res = theta_dual_search(z_re, z_im, restarts=16, seed=7)
         w = res.witness_re + 1j * res.witness_im
-        assert w.shape == (res.best_m, res.best_m)
+        assert w.shape == (res.best_m, res.best_m) == (2, 2)
         assert np.linalg.svd(w, compute_uv=False)[0] <= 1.0 + 1e-12
         coeffs = np.stack([np.asarray(z_re), np.asarray(z_im)], axis=-1)
         value = op_norm(kron_sum(coeffs, np.stack([res.witness_re,
@@ -767,20 +787,9 @@ class TestThetaDual:
         assert value == pytest.approx(res.lower, abs=1e-12)
         assert max(res.restart_values) <= res.lower
 
-    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -1},
-                                        {"iters": 0}, {"iters": -2}])
+    @pytest.mark.parametrize("kwargs", [
+        {"restarts": 0}, {"restarts": -1}, {"z_im": [[0.0, 1.0]]},
+        {"z_re": [[1.0, 0.0]], "z_im": [[0.0, 0.0]]}])
     def test_out_of_range_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            theta_dual_search([[1.0]], [[0.0]], **kwargs)
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_sizes_above_n_are_not_searched(self, n):
-        # Smith's lemma: m_max beyond n gives exactly the m_max = n result
-        rng = np.random.default_rng(40 + n)
-        z = rng.standard_normal((2, n, n))
-        capped = theta_dual_search(*z, m_max=n, restarts=4, seed=3)
-        res = theta_dual_search(*z, m_max=4, restarts=4, seed=3)
-        assert (res.lower, res.best_m, res.restart_values) == \
-            (capped.lower, capped.best_m, capped.restart_values)
-        assert np.array_equal(res.witness_re, capped.witness_re)
-        assert np.array_equal(res.witness_im, capped.witness_im)
+            theta_dual_search(**{"z_re": [[1.0]], "z_im": [[0.0]], **kwargs})

@@ -147,7 +147,7 @@ def lone_seesaw(num, den, x0):
         return 0.0, np.zeros_like(x0)
     m = m / sm
     best_val, best_m = 0.0, m.copy()
-    for _ in range(80):
+    for _ in range(optim.SEESAW_ROUNDS):
         u, s, vt = np.linalg.svd((comp @ m.ravel()).reshape(num.rows,
                                                             num.cols))
         prev = best_val
@@ -207,11 +207,11 @@ def real_polar(grads):
     return u @ vt
 
 
-def kron_seesaw(coeffs, starts, iters):
+def kron_seesaw(coeffs, starts):
     """polar_seesaw on || kron_sum(coeffs, D) || over real contractions."""
     return polar_seesaw(lambda ds: kron_sum(coeffs, ds),
                         lambda u, v: kron_sum_grad(coeffs, u, v), real_polar,
-                        starts, iters)
+                        starts)
 
 
 class TestPolarSeesaw:
@@ -224,11 +224,11 @@ class TestPolarSeesaw:
 
     def test_rows_match_lone_runs_bit_for_bit(self):
         coeffs, ds = self.starts()
-        vals, best, rounds = kron_seesaw(coeffs, ds, 80)
+        vals, best, rounds = kron_seesaw(coeffs, ds)
         assert vals.shape == (5,) and best.shape == ds.shape
         lone_rounds = 0
         for start, val, tup in zip(ds, vals, best):
-            v1, t1, r1 = kron_seesaw(coeffs, start[None], 80)
+            v1, t1, r1 = kron_seesaw(coeffs, start[None])
             assert v1[0] == val and np.array_equal(t1[0], tup)
             lone_rounds = max(lone_rounds, r1)
         assert rounds == lone_rounds
@@ -237,7 +237,7 @@ class TestPolarSeesaw:
     def test_values_are_norms_at_contractive_tuples(self):
         coeffs, ds = self.starts(3)
         start = np.linalg.svd(kron_sum(coeffs, ds), compute_uv=False)[:, 0]
-        vals, best, _ = kron_seesaw(coeffs, ds, 80)
+        vals, best, _ = kron_seesaw(coeffs, ds)
         assert np.all(vals >= start - 1e-15)
         assert np.linalg.svd(best, compute_uv=False)[..., 0].max() <= \
             1.0 + 1e-12
@@ -245,12 +245,13 @@ class TestPolarSeesaw:
                                          compute_uv=False)[:, 0], vals,
                            rtol=1e-14, atol=0)
 
-    @pytest.mark.parametrize("iters", [1, 3])
-    def test_rounds_are_capped(self, iters):
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_rounds_are_capped(self, cap, monkeypatch):
+        monkeypatch.setattr(optim, "SEESAW_ROUNDS", cap)
         coeffs, ds = self.starts()
-        vals, best, rounds = kron_seesaw(coeffs, ds, iters)
-        assert rounds == iters
-        if iters == 1:
+        vals, best, rounds = kron_seesaw(coeffs, ds)
+        assert rounds == cap
+        if cap == 1:
             assert np.array_equal(best, ds)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from realops import quantization
+from realops import optim, quantization, suites
 from realops.linalg import kron_sum, op_norm
 from realops.opspace import elem, level_norm, random_elem
 from realops.quantization import (PAIR_A, PAIR_B, BanachSpace,
@@ -206,8 +206,8 @@ class TestMaxL1:
                                                           abs=1e-12)
 
     @pytest.mark.parametrize("kwargs", [
-        {"iters": 0}, {"iters": -3}, {"coeff_mats": []},
-        {"coeff_mats": [PAIR_A, np.eye(3)]}])
+        {"coeff_mats": [np.ones((2, 3))]}, {"coeff_mats": [[1.0, 2.0]]},
+        {"coeff_mats": []}, {"coeff_mats": [PAIR_A, np.eye(3)]}])
     def test_out_of_range_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             max_l1_norm_bounds(**{"coeff_mats": [PAIR_A, PAIR_B], **kwargs})
@@ -306,14 +306,16 @@ class TestSeesawSearch:
                                  np.stack(res.witness)))
         assert value == pytest.approx(res.lower, rel=1e-13)
 
-    def test_search_rounds_are_deterministic_and_capped(self):
+    def test_search_rounds_are_deterministic_and_capped(self, monkeypatch):
         mats = random_tuples()[5]
-        runs = [max_l1_norm_bounds(mats, iters=7) for _ in range(2)]
+        free = max_l1_norm_bounds(mats).search_rounds
+        monkeypatch.setattr(optim, "SEESAW_ROUNDS", 7)
+        runs = [max_l1_norm_bounds(mats) for _ in range(2)]
         assert runs[0].search_rounds == runs[1].search_rounds
         # the one start stops at the cap, and takes more rounds at the
-        # default cap of 80
+        # default cap
         assert runs[0].search_rounds == 7
-        assert max_l1_norm_bounds(mats).search_rounds > 7
+        assert free > 7
 
 
 class TestHaagerupCertificate:
@@ -363,6 +365,15 @@ class TestReproduceL12:
         assert rep.max_upper == pytest.approx(2.0, abs=1e-12)
         assert rep.gap >= 0.58
         assert rep.passed
+
+    def test_suite_rows_read_the_verdict_thresholds(self, monkeypatch):
+        # the gap 2 - sqrt(2) = 0.586 clears 0.58 but not 0.6, and the
+        # verdict and the suite row must both see the raised threshold
+        monkeypatch.setattr(quantization, "L12_GAP", 0.6)
+        assert not reproduce_l12_nonuniqueness().passed
+        row, = [c for c in suites.suite_quantization(0xC0FFEE)
+                if "split by at least" in c.name]
+        assert row.name.endswith("at least 0.6") and not row.passed
 
     def test_homogeneity_of_both_norms(self):
         halved = np.stack([PAIR_A / 2, PAIR_B / 2], axis=-1)
