@@ -25,7 +25,7 @@ Five workhorses and two reference solvers:
   (Helmberg-Rendl-Vanderbei-Wolkowicz, SIAM J. Optim. 6, 1996).  Its
   matrices are tiny, so a step calls LAPACK through ``scipy.linalg.lapack``
   directly: inverse Cholesky factors of X and S, one LU factor of the
-  Schur matrix for both solves, and step lengths from eigenvalues alone.
+  Schur matrix for both solves, and each step length from one eigenvalue.
   scipy is imported on the first solve, not with the package, so the
   commands that make no SDP solve never load it.
   The caller turns each iterate into a certified bracket, and the solve
@@ -372,6 +372,20 @@ def _inv_cholesky(m: np.ndarray) -> np.ndarray:
     return factor
 
 
+def _step_length(ci: np.ndarray, d: np.ndarray) -> float:
+    """min(1, 0.98 of the largest a keeping M + a D positive definite) for
+    M = ci^-1 ci^-T and a symmetric D: min(1, -0.98 / lam) for the least
+    eigenvalue lam of ci D ci^T, the only one computed (LAPACK dsyevr),
+    when lam < 0."""
+    from scipy.linalg import lapack
+
+    w, _, _, _, info = lapack.dsyevr(ci @ d @ ci.T, compute_v=0, range="I",
+                                     il=1, iu=1)
+    if info:
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+    return min(1.0, -0.98 / w[0]) if w[0] < 0 else 1.0
+
+
 def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, b: np.ndarray,
                  x0: np.ndarray, y0: np.ndarray, bracket, upper: float,
                  lower: float = 0.0) -> SdpResult:
@@ -381,16 +395,17 @@ def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, b: np.ndarray,
     ``c_mat`` the symmetric N x N matrix C; a block-diagonal problem puts
     its blocks on the diagonal of one N x N matrix.
 
-    The solve starts at the strictly feasible dual point ``y0`` and the
-    positive definite ``x0``; X need not be primal feasible, as each step
-    also reduces the primal residual b - A(X).  Each HKM step
-    (Helmberg-Rendl-Vanderbei-Wolkowicz, SIAM J. Optim. 6, 1996) factors
-    the Schur matrix M_ij = tr(A_i X A_j S^-1) once (LAPACK dgetrf) and
-    solves it twice (Mehrotra predictor, then corrector with
-    sigma = (gap_aff / gap)^3).  It moves 0.98 of the largest step keeping
-    X and S positive definite, capped at 1, read off the least eigenvalues
-    of L^-1 dX L^-T for the Cholesky factors L of X and S.  An exactly
-    singular Schur matrix gives its steps by least squares.
+    The solve starts at ``y0``, which must be strictly dual feasible, and
+    the positive definite ``x0``; X need not be primal feasible, as each
+    step also reduces the primal residual b - A(X).  S is formed from y,
+    so there is no dual residual.  Each HKM step (Helmberg-Rendl-Vanderbei-
+    Wolkowicz, SIAM J. Optim. 6, 1996) factors the Schur matrix
+    M_ij = tr(A_i X A_j S^-1) once (LAPACK dgetrf) and solves it twice
+    (Mehrotra predictor, then corrector with sigma = (gap_aff / gap)^3),
+    moving X and S by ``_step_length``.  M is nonsingular when the A_i are
+    independent; its steps come by least squares when they are not (by
+    the numerical rank of their Gram matrix, checked once per solve) or on
+    an exactly zero pivot of its LU factor.
 
     After each step ``bracket(x, y)`` turns the iterate into a certified
     (upper, lower) pair for the caller's value, the minimum -max b^T y, so
@@ -410,52 +425,41 @@ def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, b: np.ndarray,
 
     side = len(c_mat)
     a_f = a.reshape(len(a), -1)
+    # rank of the A_i: pivoted Cholesky (LAPACK dpstrf) of their Gram matrix
+    dependent = lapack.dpstrf(a_f @ a_f.T)[2] < len(a)
     y_best = x_best = None
     y = np.asarray(y0, dtype=float)
     x = x0
-    s = c_mat - (y @ a_f).reshape(side, side)
     iterations = 0
     try:
         while iterations < SDP_MAX_ITERS and \
                 upper - lower > SDP_BRACKET * max(1.0, upper):
+            s = c_mat - (y @ a_f).reshape(side, side)
             x_ci = _inv_cholesky(x)
             s_ci = _inv_cholesky(s)
             s_inv = s_ci.T @ s_ci
             r_p = b - a_f @ x.ravel()
-            r_d = c_mat - s - (y @ a_f).reshape(side, side)
-            x_rd = x @ r_d @ s_inv
             schur = a_f @ (x @ a @ s_inv).reshape(len(a), -1).T
             lu, piv, info = lapack.dgetrf(schur)
 
             def direction(target):
-                rhs = r_p - a_f @ (target - x_rd).ravel()
-                if info:
-                    # exactly singular near the optimum
+                rhs = r_p - a_f @ target.ravel()
+                if dependent or info:
                     dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
                 else:
                     dy = lapack.dgetrs(lu, piv, rhs)[0]
-                ds = r_d - (dy @ a_f).reshape(side, side)
+                ds = -(dy @ a_f).reshape(side, side)
                 dx = target - x @ ds @ s_inv
                 return (dx + dx.T) / 2.0, dy, ds
 
-            def steps(dx, ds):
-                # 0.98 of the largest a keeping X + a dX, resp. S + a dS,
-                # positive definite, capped at 1; the least eigenvalues of
-                # both scaled directions from one stacked eigvalsh
-                lam = np.linalg.eigvalsh(np.stack([x_ci @ dx @ x_ci.T,
-                                                   s_ci @ ds @ s_ci.T]))[:, 0]
-                return [min(1.0, -0.98 / v) if v < 0 else 1.0 for v in lam]
-
             gap = float(np.vdot(x, s))
             dx, dy, ds = direction(-x)
-            ap, ad = steps(dx, ds)
+            ap, ad = _step_length(x_ci, dx), _step_length(s_ci, ds)
             sigma = (float(np.vdot(x + ap * dx, s + ad * ds)) / gap) ** 3
             dx, dy, ds = direction(sigma * gap / side * s_inv - x -
                                    dx @ ds @ s_inv)
-            ap, ad = steps(dx, ds)
-            x = x + ap * dx
-            y = y + ad * dy
-            s = s + ad * ds
+            x = x + _step_length(x_ci, dx) * dx
+            y = y + _step_length(s_ci, ds) * dy
             iterations += 1
             hi, lo = bracket(x, y)
             if hi < upper:
@@ -519,14 +523,20 @@ def spectral_min_sdp(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
     if start <= 1e-13:
         return start, w0, 0.0, np.zeros((rows, cols)), 0
 
+    from scipy.linalg import lapack
+
+    def singular_values(vec):
+        _, sv, _, info = lapack.dgesdd(vec.reshape(rows, cols), compute_uv=0)
+        if info:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return sv
+
     def bracket(x, y):
-        # one stacked SVD: sigma_max(B - K w) and ||Z||_1
+        # sigma_max(B - K w) and ||Z||_1, each from one LAPACK dgesdd
         z = x[:rows, rows:].ravel()
         z_ann = z - basis @ (basis.T @ z)
-        sv = np.linalg.svd(np.stack([b_vec - k_mat @ (to_w @ y[1:]), z_ann])
-                           .reshape(2, rows, cols), compute_uv=False)
-        trace_norm = sv[1].sum()
-        return float(sv[0, 0]), \
+        trace_norm = singular_values(z_ann).sum()
+        return float(singular_values(b_vec - k_mat @ (to_w @ y[1:]))[0]), \
             float(abs(b_vec @ z_ann) / trace_norm) if trace_norm > 0 else 0.0
 
     # A_0 = -I and A_j = -D(U_j)

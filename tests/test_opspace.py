@@ -635,6 +635,63 @@ class TestSpectralMinSdp:
         assert res.gap <= SDP_BRACKET * max(1.0, res.value)
         assert res.value == pytest.approx(4.23198481196, abs=1e-10)
 
+    @staticmethod
+    def workload_mix(rng):
+        """The 36 (space, subspace, element, kind, pair) solves of one pass
+        of the quotient benchmark: over levels 1-3, generic elements of M2,
+        complexified M2 and min ell^1_2, real/complexified pairs, and
+        elements inside the subspace."""
+        spaces = {"m2": M2, "m2c": complexify_space(M2),
+                  "l1min": span_space([np.diag([1.0, 1.0]),
+                                       np.diag([1.0, -1.0])])}
+        cases, pair = [], 0
+        for level in (1, 2, 3):
+            for name, dims in (("m2", (1, 2)), ("m2c", (1, 2)),
+                               ("l1min", (1,))):
+                d = spaces[name].dim
+                for k in dims:
+                    sub = rng.standard_normal((k, d))
+                    x = rng.standard_normal((level, level, d))
+                    cases.append((spaces[name], sub, x, "generic", None))
+            for k in (1, 2):
+                sub = rng.standard_normal((k, 4))
+                x = rng.standard_normal((level, level, 4))
+                sub_c = np.zeros((2 * k, 8))
+                sub_c[:k, :4] = sub
+                sub_c[k:, 4:] = sub
+                x_c = np.concatenate([x, np.zeros_like(x)], axis=2)
+                cases.append((M2, sub, x, "pair", pair))
+                cases.append((spaces["m2c"], sub_c, x_c, "pair", pair))
+                pair += 1
+            for name, k in (("m2", 2), ("m2c", 1), ("l1min", 1)):
+                sub = rng.standard_normal((k, spaces[name].dim))
+                t = rng.standard_normal((level, level, k))
+                cases.append((spaces[name], sub,
+                              np.einsum("ijl,lk->ijk", t, sub), "inside",
+                              None))
+        return cases
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_workload_mix_closes_every_bracket(self, seed):
+        # every solve of two draws of the benchmark's request mix reaches
+        # its bracket target, so a step that stalls short of it on these
+        # inputs fails here rather than only in the benchmark
+        pairs = {}
+        for space, sub, coeffs, kind, pair in self.workload_mix(
+                np.random.default_rng(seed)):
+            x = MatElem(space, coeffs)
+            res = quotient_level_norm(space, sub, x)
+            assert res.gap <= SDP_BRACKET * max(1.0, res.value)
+            assert res.converged
+            assert res.value <= level_norm(x) * (1.0 + 1e-12)
+            if kind == "inside":
+                assert res.value <= 1e-9
+            if pair is not None:
+                pairs.setdefault(pair, []).append(res.value)
+        assert len(pairs) == 6
+        for real, cplx in pairs.values():
+            assert abs(real - cplx) <= 1e-9
+
 
 class TestDirectSums:
     def test_scalar_pair(self):

@@ -371,3 +371,27 @@ class TestSdpMaximize:
         assert np.allclose(ci @ m @ ci.T, np.eye(6), atol=1e-12)
         with pytest.raises(np.linalg.LinAlgError):
             optim._inv_cholesky(m - 2 * np.linalg.eigvalsh(m)[-1] * np.eye(6))
+
+    @pytest.mark.parametrize("side", [2, 4, 8, 12, 16, 24])
+    def test_step_length_from_the_least_eigenvalue(self, side):
+        # min(1, -0.98 / lam) for the least eigenvalue lam of
+        # X^-1/2 D X^-1/2, which has the eigenvalues of L^-1 D L^-T; each
+        # D = H diag(1, -1, 1, ...) H^T is indefinite (Sylvester's law of
+        # inertia), and a direction with lam >= 0 gives exactly 1
+        rng = np.random.default_rng(side)
+        signs = (-1.0) ** np.arange(side)
+        g = rng.standard_normal((side, side))
+        x = g @ g.T / side + np.eye(side)
+        lam_x, vec = np.linalg.eigh(x)
+        root = (vec / np.sqrt(lam_x)) @ vec.T
+        ci = optim._inv_cholesky(x)
+        for scale in (0.01, 0.3, 1.0, 30.0):
+            h = rng.standard_normal((side, side))
+            d = scale * (h * signs) @ h.T
+            lam = np.linalg.eigvalsh(root @ d @ root)[0]
+            assert lam < 0
+            assert optim._step_length(ci, d) == \
+                pytest.approx(min(1.0, -0.98 / lam), rel=1e-12, abs=0.0)
+        h = rng.standard_normal((side, side))
+        for d in (np.zeros((side, side)), h @ h.T + np.eye(side)):
+            assert optim._step_length(ci, d) == 1.0
