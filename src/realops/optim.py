@@ -19,15 +19,15 @@ Five workhorses and two reference solvers:
   ``quantization``, the dual search of ``opspace`` and ``seesaw_ascent``:
   the ratio of ``ratio_ascent`` when the denominator is a bijection onto a
   full matrix space, maximized over the unit ball of its matrices.
-* ``sdp_maximize``: the one small SDP kernel, for a dense real SDP in
-  standard dual form (maximize b^T y s.t. C - sum_i y_i A_i >= 0), solved
-  by HKM primal-dual steps with a Mehrotra predictor-corrector
-  (Helmberg-Rendl-Vanderbei-Wolkowicz, SIAM J. Optim. 6, 1996).  Its
-  matrices are tiny, so a step calls LAPACK through ``scipy.linalg.lapack``
-  directly: inverse Cholesky factors of X and S, one LU factor of the
-  Schur matrix for both solves, and each step length from one eigenvalue.
-  scipy is imported on the first solve, not with the package, so the
-  commands that make no SDP solve never load it.
+* ``sdp_maximize``: the one small SDP kernel, for a dense real SDP min t
+  s.t. C - t A_0 - sum_i y_i A_i >= 0, A_0 = -I on the blocks t bounds,
+  from X = I / tr(-A_0) by HKM primal-dual steps with a Mehrotra
+  predictor-corrector (Helmberg-Rendl-Vanderbei-Wolkowicz, SIAM J. Optim.
+  6, 1996).  Its matrices are tiny, so a step calls LAPACK through
+  ``scipy.linalg.lapack`` directly: inverse Cholesky factors of X and S,
+  one LU factor of the Schur matrix for both solves, and each step length
+  from one eigenvalue.  scipy is imported on the first solve, not with the
+  package, so the commands that make no SDP solve never load it.
   The caller turns each iterate into a certified bracket, and the solve
   stops on the best bracket seen.
 * ``spectral_min_sdp``: its quotient-norm instance, for the convex problem
@@ -386,18 +386,18 @@ def _step_length(ci: np.ndarray, d: np.ndarray) -> float:
     return min(1.0, -0.98 / w[0]) if w[0] < 0 else 1.0
 
 
-def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, b: np.ndarray,
-                 x0: np.ndarray, y0: np.ndarray, bracket, upper: float,
-                 lower: float = 0.0) -> SdpResult:
-    """Small dense real SDP in standard dual form: maximize b^T y subject
-    to S = C - sum_i y_i A_i >= 0, with primal min <C, X> over X >= 0 with
-    <A_i, X> = b_i.  ``a`` is the (m, N, N) stack of symmetric A_i and
-    ``c_mat`` the symmetric N x N matrix C; a block-diagonal problem puts
-    its blocks on the diagonal of one N x N matrix.
+def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, y0: np.ndarray, bracket,
+                 upper: float, lower: float = 0.0) -> SdpResult:
+    """Small dense real SDP min t: maximize -t = -y_0 subject to
+    S = C - sum_i y_i A_i >= 0, where A_0 is -I on the blocks that t bounds
+    and 0 elsewhere; ``a`` is the (m, N, N) stack of symmetric A_i and
+    ``c_mat`` the symmetric N x N matrix C (a block-diagonal problem puts
+    its blocks on the diagonal of one N x N matrix).
 
     The solve starts at ``y0``, which must be strictly dual feasible, and
-    the positive definite ``x0``; X need not be primal feasible, as each
-    step also reduces the primal residual b - A(X).  S is formed from y,
+    at X = I / tr(-A_0); X need not be feasible for the primal min <C, X>
+    over X >= 0, <A_0, X> = -1, <A_i, X> = 0 (i > 0), as each step also
+    reduces its residual b - A(X), b = -e_0.  S is formed from y,
     so there is no dual residual.  Each HKM step (Helmberg-Rendl-Vanderbei-
     Wolkowicz, SIAM J. Optim. 6, 1996) factors the Schur matrix
     M_ij = tr(A_i X A_j S^-1) once (LAPACK dgetrf) and solves it twice
@@ -408,7 +408,7 @@ def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, b: np.ndarray,
     an exactly zero pivot of its LU factor.
 
     After each step ``bracket(x, y)`` turns the iterate into a certified
-    (upper, lower) pair for the caller's value, the minimum -max b^T y, so
+    (upper, lower) pair for the caller's value, the minimum t, so
     that dual points y give its upper bounds and primal points x its lower
     bounds; it must not rely on the iterate being exactly feasible.  The
     least upper (with its y) and the greatest lower (with its x) seen are
@@ -425,11 +425,12 @@ def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, b: np.ndarray,
 
     side = len(c_mat)
     a_f = a.reshape(len(a), -1)
+    b = np.where(np.arange(len(a)), 0.0, -1.0)
     # rank of the A_i: pivoted Cholesky (LAPACK dpstrf) of their Gram matrix
     dependent = lapack.dpstrf(a_f @ a_f.T)[2] < len(a)
     y_best = x_best = None
     y = np.asarray(y0, dtype=float)
-    x = x0
+    x = np.eye(side) / -np.trace(a[0])
     iterations = 0
     try:
         while iterations < SDP_MAX_ITERS and \
@@ -483,7 +484,7 @@ def spectral_min_sdp(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
     the element lies in span K, and w0 is returned at once with lower
     bound 0 and no step.
 
-    Otherwise the instance of ``sdp_maximize``: maximize -t subject to
+    Otherwise the instance of ``sdp_maximize``: min t subject to
     S = C - t A_0 - sum_j v_j A_j >= 0 with A_0 = -I, A_j = -D(U_j) and
     C = -D(B); its primal is max <D(B), X> over X >= 0 with tr X = 1 and
     <D(U_j), X> = 0.  Both sides start strictly feasible, at
@@ -541,14 +542,12 @@ def spectral_min_sdp(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
 
     # A_0 = -I and A_j = -D(U_j)
     a = np.concatenate([-np.eye(side)[None], -dilations(basis.T)])
-    obj = np.zeros(len(a))
-    obj[0] = -1.0
     origin = norm_at(np.zeros(len(w0)))
     value, w_best = (origin, np.zeros(len(w0))) if origin < start \
         else (start, w0)
     t0 = start + max(1.0, 2.0 ** -20 * start)
-    res = sdp_maximize(a, -dilations(b_vec)[0], obj, np.eye(side) / side,
-                       np.concatenate([[t0], v0]), bracket, value)
+    res = sdp_maximize(a, -dilations(b_vec)[0], np.concatenate([[t0], v0]),
+                       bracket, value)
     if res.y is not None:
         w_best = to_w @ res.y[1:]
     z_best = np.zeros((rows, cols)) if res.x is None \

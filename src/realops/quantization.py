@@ -4,11 +4,11 @@ real Banach spaces.
 Banach spaces are given by a finite symmetric list of functionals (the
 dual ball is a polytope), which makes the minimal matrix norms and the
 circled complexification norm exact finite maxima.  The maximal structure
-is implemented for ell^1 coordinates: one exact seesaw over tuples of
-contractive test matrices, started from the polar factors of the
-coefficients, gives a witnessed lower bound, and Haagerup's factorization
-SDP, started from it, gives a certified upper bound and closes the
-bracket.
+is implemented for ell^1 coordinates: Haagerup's factorization SDP,
+started from the polar factors of the coefficients, gives a certified
+upper bound and, from its primal iterates, contractive test tuples that
+witness the lower bound; an exact seesaw polishes the best tuple only when
+the SDP stops before the bracket closes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .linalg import (as_matrix, clip_contraction, kron_sum, kron_sum_grad,
                      op_norm)
 from .opspace import (OpSpace, complexified_elem, complexify_space, elem,
                       level_norm)
-from .optim import polar_seesaw, sdp_maximize
+from .optim import SDP_BRACKET, polar_seesaw, sdp_maximize
 from .rng import derived_rng
 
 
@@ -167,7 +167,7 @@ class MaxL1Result:
     best_m: int
     witness: list[np.ndarray]     # the contraction tuple attaining lower
     sdp_iterations: int           # Haagerup SDP steps (0: not needed)
-    search_rounds: int            # rounds of the one seesaw start
+    search_rounds: int            # seesaw polish rounds (0: SDP closed)
     #: (t, X, Y), (d, n, n) stacks X_k, Y_k with [[X_k, a_k], [a_k^T, Y_k]]
     #: >= 0 and sum X_k, sum Y_k <= t I, so that upper = t
     certificate: tuple[float, np.ndarray, np.ndarray]
@@ -190,14 +190,14 @@ def _haagerup_sdp(mats: list[np.ndarray], lower: float):
     (Paulsen, "Completely Bounded Maps and Operator Algebras", 2002, ch. 8;
     the proof holds over the reals, as real B(H) is injective).
 
-    One ``sdp_maximize`` solve of maximize -t, with the d blocks of size 2n
-    and the two n x n blocks t I - sum X_k, t I - sum Y_k on the diagonal
-    of S.  It starts at X_k = Y_k = (||a_k|| + mu) I and
+    One ``sdp_maximize`` solve of min t, with the d blocks of size 2n and
+    the two n x n blocks t I - sum X_k, t I - sum Y_k on the diagonal of
+    S, so that A_0 is -I on those two blocks and the primal starts at
+    I / (2n).  It starts at X_k = Y_k = (||a_k|| + mu) I and
     t = sum (||a_k|| + mu) + mu with mu = max(1, sum ||a_k||), so that the
     start stays strictly feasible at any scale, from the bracket of the
-    triangle bound
-    sum ||a_k|| (the point X_k = Y_k = ||a_k|| I) and the witnessed
-    ``lower``, and stops when the two sides meet.
+    triangle bound sum ||a_k|| (the point X_k = Y_k = ||a_k|| I) and the
+    witnessed ``lower``, and stops when the two sides meet.
 
     Each iterate gives both sides.  Upper: every 2n-block of the dual point
     is shifted by its most negative eigenvalue, and the bound is
@@ -238,8 +238,6 @@ def _haagerup_sdp(mats: list[np.ndarray], lower: float):
             a[i:i + nb, p:p + n, p:p + n] = -sym
             a[i:i + nb, q:q + n, q:q + n] = sym
             y0[i + np.flatnonzero(iu[0] == iu[1])] = norms[k] + margin
-    obj = np.zeros(len(a))
-    obj[0] = -1.0
 
     def certificate(y):
         xy = np.tensordot(y[1:].reshape(2, d, nb), sym, axes=1)
@@ -259,7 +257,7 @@ def _haagerup_sdp(mats: list[np.ndarray], lower: float):
         ds = clip_contraction(root[:d] @ z[:, :n, n:] @ root[d:])
         return float(_tuple_norms(coeffs.transpose(1, 2, 0), ds)), ds
 
-    res = sdp_maximize(a, c_mat, obj, np.eye(len(c_mat)) / (2 * n), y0,
+    res = sdp_maximize(a, c_mat, y0,
                        lambda x, y: (certificate(y)[0], witness(x)[0]),
                        float(sum(norms)), lower)
     if res.y is None:
@@ -282,20 +280,19 @@ def max_l1_norm_bounds(coeff_mats) -> MaxL1Result:
     "Completely Bounded Maps and Operator Algebras", 2002, ch. 8), so the
     test size is m = n.
 
-    Three deterministic steps.  The tuple is scaled by the power of two
-    that puts max ||a_k|| in [1, 2), which is exact, makes the value at
-    least 1 (so the SDP's bracket target is relative) and keeps every
-    squared entry finite.  One exact seesaw ``optim.polar_seesaw`` runs,
-    from the polar factors of the scaled a_k, clipped to contractions, for
-    at most SEESAW_ROUNDS rounds (``search_rounds``): a round takes the top
-    singular pair (u, v) of sum_k a_k kron D_k and moves every D_k to the
-    orthogonal polar factor of its gradient block, which maximizes the
-    linearization.  Then the Haagerup SDP of ``_haagerup_sdp`` starts from
-    that lower bound; its primal witness replaces the seesaw's tuple only
-    when strictly better, and its certificate gives ``upper``.  The value
-    and the certificate (t, X, Y) are scaled back.  A lower bound more
-    than INVERSION_TOL (relative) above the upper bound raises
-    ``RuntimeError``.
+    Deterministic steps.  The tuple is scaled by the power of two that
+    puts max ||a_k|| in [1, 2), which is exact, makes the value at least 1
+    (so the SDP's bracket target is relative) and keeps every squared
+    entry finite.  The Haagerup SDP of ``_haagerup_sdp`` starts from the
+    value of the polar factors of the scaled a_k, clipped to contractions;
+    its primal witness replaces that tuple only when strictly better, and
+    its certificate gives ``upper``.  Only when the SDP stops early (on a
+    failed Cholesky factor or at its step cap) with the bracket wider than
+    SDP_BRACKET * max(1, upper) does the exact seesaw ``polar_seesaw``
+    polish the best tuple, for at most SEESAW_ROUNDS rounds
+    (``search_rounds``, else 0).  The value and the certificate (t, X, Y)
+    are scaled back.  A lower bound more than INVERSION_TOL (relative)
+    above the upper bound raises ``RuntimeError``.
     """
     mats = [as_matrix(a) for a in coeff_mats]
     if not mats:
@@ -312,21 +309,24 @@ def max_l1_norm_bounds(coeff_mats) -> MaxL1Result:
         return u @ vt
 
     coeffs = scaled.transpose(1, 2, 0)
-    values, tuples, search_rounds = polar_seesaw(
-        lambda ds: kron_sum(coeffs, ds),
-        lambda u, v: kron_sum_grad(coeffs, u, v), polar,
-        clip_contraction(polar(scaled))[None])
-    best, witness = float(values[0]), list(tuples[0])
+    witness = clip_contraction(polar(scaled))
+    best = float(_tuple_norms(coeffs, witness))
     (t, xs, ys), low, tup, sdp_iterations = _haagerup_sdp(list(scaled), best)
     if tup is not None:
-        best, witness = low, list(tup)
+        best, witness = low, tup
+    search_rounds = 0
+    if t - best > SDP_BRACKET * max(1.0, t):
+        values, tuples, search_rounds = polar_seesaw(
+            lambda ds: kron_sum(coeffs, ds),
+            lambda u, v: kron_sum_grad(coeffs, u, v), polar, witness[None])
+        best, witness = float(values[0]), tuples[0]
     if best > t + INVERSION_TOL * max(1.0, t):
         raise RuntimeError(f"witnessed lower bound {math.ldexp(best, e)!r} "
                            f"exceeds the certified upper bound "
                            f"{math.ldexp(t, e)!r}")
     upper = math.ldexp(t, e)
-    return MaxL1Result(math.ldexp(best, e), upper, n, witness, sdp_iterations,
-                       search_rounds,
+    return MaxL1Result(math.ldexp(best, e), upper, n, list(witness),
+                       sdp_iterations, search_rounds,
                        (upper, np.ldexp(xs, e), np.ldexp(ys, e)))
 
 

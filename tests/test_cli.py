@@ -110,7 +110,8 @@ class TestBasicCommands:
         assert rep["result"]["upper"] == pytest.approx(2.0, abs=1e-12)
         keys = list(rep["result"])
         assert keys.index("search_rounds") == keys.index("sdp_iterations") + 1
-        assert rep["result"]["search_rounds"] > 0
+        # the pair's polar start meets the triangle bound: no polish
+        assert rep["result"]["search_rounds"] == 0
 
     def test_quotient_norm(self, files, capsys):
         code, rep = run_json(capsys, ["quotient-norm", "--space",
@@ -582,7 +583,7 @@ class TestReproductions:
         assert "claim" in r
         keys = list(r)
         assert keys.index("search_rounds") == keys.index("sdp_iterations") + 1
-        assert r["search_rounds"] > 0
+        assert r["search_rounds"] == 0
 
     def test_l12_short_bracket_fails(self, capsys, monkeypatch):
         # a maximal lower bound of 1.99 still splits the structures by more

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg.lapack
 
-from realops import optim
+from realops import optim, quantization
 from realops.linalg import kron_sum, kron_sum_grad
 from realops.opspace import CBMap, full_matrix_space, num_den_maps, span_space
 from realops.optim import (SDP_BRACKET, SDP_MAX_ITERS, LinearMatrixMap,
@@ -277,9 +277,8 @@ class TestSdpMaximize:
     def test_bracket_closes_on_the_largest_eigenvalue(self, seed):
         c = self.problem(seed)
         t0 = np.abs(c).sum() + 1.0
-        res = sdp_maximize(-np.eye(5)[None], -c, np.array([-1.0]),
-                           np.eye(5) / 5, np.array([t0]), self.bracket(c),
-                           t0, float(np.trace(c)) / 5)
+        res = sdp_maximize(-np.eye(5)[None], -c, np.array([t0]),
+                           self.bracket(c), t0, float(np.trace(c)) / 5)
         assert 0 < res.iterations <= SDP_MAX_ITERS
         assert res.upper - res.lower <= SDP_BRACKET * max(1.0, res.upper)
         top = np.linalg.eigvalsh(c)[-1]
@@ -289,9 +288,8 @@ class TestSdpMaximize:
 
     def test_closed_start_bracket_takes_no_step(self):
         c = self.problem(0)
-        res = sdp_maximize(-np.eye(5)[None], -c, np.array([-1.0]),
-                           np.eye(5) / 5, np.array([9.0]), self.bracket(c),
-                           2.0, 2.0)
+        res = sdp_maximize(-np.eye(5)[None], -c, np.array([9.0]),
+                           self.bracket(c), 2.0, 2.0)
         assert (res.upper, res.lower, res.iterations) == (2.0, 2.0, 0)
         assert res.x is None and res.y is None
 
@@ -302,16 +300,19 @@ class TestSdpMaximize:
         # end the solve at once with no step
         c = self.problem(0)
         with pytest.raises(ValueError, match="finite"):
-            sdp_maximize(-np.eye(5)[None], -c, np.array([-1.0]),
-                         np.eye(5) / 5, np.array([9.0]), self.bracket(c),
-                         upper, lower)
+            sdp_maximize(-np.eye(5)[None], -c, np.array([9.0]),
+                         self.bracket(c), upper, lower)
 
     def test_singular_schur_matrix_steps_by_least_squares(self, monkeypatch):
-        # the constraint A_1 = A_2 = -I twice, with b = (-1, -1): every
-        # Schur matrix has two equal rows, so its LU factor is exactly
-        # singular, and each step comes from least squares; the problem is
-        # lambda_max(C) = min y_1 + y_2 s.t. (y_1 + y_2) I - C >= 0
+        # the constraint A_1 = A_2 = F twice, with F coupling the two blocks
+        # of C: every Schur matrix has two equal rows, so its LU factor is
+        # exactly singular, and each step comes from least squares; the
+        # problem is min t s.t. t I - C - (y_1 + y_2) F >= 0, whose value
+        # is lambda_max(C), as F vanishes on the top eigenvector of C
         c = self.problem(1)
+        f = np.zeros((5, 5))
+        f[:2, 2:] = np.random.default_rng(3).standard_normal((2, 3))
+        f += f.T
         t0 = np.abs(c).sum() + 1.0
         lstsq, calls = np.linalg.lstsq, []
 
@@ -320,16 +321,43 @@ class TestSdpMaximize:
             return lstsq(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", counted)
-        res = sdp_maximize(-np.stack([np.eye(5), np.eye(5)]), -c,
-                           np.array([-1.0, -1.0]), np.eye(5) / 5,
-                           np.array([t0 / 2, t0 / 2]),
-                           lambda x, y: (float(y.sum()),
-                                         float(np.vdot(c, x) / np.trace(x))),
+        res = sdp_maximize(np.stack([-np.eye(5), f, f]), -c,
+                           np.array([t0, 0.0, 0.0]),
+                           lambda x, y: (
+                               float(np.linalg.eigvalsh(
+                                   c + (y[1] + y[2]) * f)[-1]),
+                               float(np.vdot(c, x) / np.trace(x))),
                            t0, float(np.trace(c)) / 5)
         assert len(calls) == 2 * res.iterations > 0
         assert res.upper - res.lower <= SDP_BRACKET * max(1.0, res.upper)
         top = np.linalg.eigvalsh(c)[-1]
         assert res.lower - 1e-12 <= top <= res.upper + 1e-12
+
+    def test_callers_pass_a_projection_for_the_derived_start(self,
+                                                            monkeypatch):
+        # both instances solve min t with -A_0 a diagonal 0/1 projection, so
+        # that the kernel's start X = I / tr(-A_0) has <A_0, X> = -1
+        real, seen = optim.sdp_maximize, []
+
+        def spy(a, c_mat, y0, *args):
+            seen.append(len(c_mat))
+            proj = -a[0]
+            assert np.array_equal(proj, np.diag(np.diag(proj)))
+            assert set(np.diag(proj)) <= {0.0, 1.0}
+            x0 = np.eye(len(c_mat)) / np.trace(proj)
+            assert np.vdot(a[0], x0) == pytest.approx(-1.0, abs=1e-15)
+            s0 = c_mat - np.tensordot(y0, a, axes=1)
+            assert np.linalg.eigvalsh(s0)[0] > 0
+            return real(a, c_mat, y0, *args)
+
+        monkeypatch.setattr(optim, "sdp_maximize", spy)
+        monkeypatch.setattr(quantization, "sdp_maximize", spy)
+        rng = np.random.default_rng(4)
+        optim.spectral_min_sdp(rng.standard_normal(6),
+                               rng.standard_normal((6, 2)), 2, 3)
+        quantization.max_l1_norm_bounds(rng.standard_normal((3, 2, 2)))
+        # the quotient SDP at N = 2 + 3, Haagerup's at 2 n d + 2 n
+        assert seen == [5, 16]
 
     def test_failed_cholesky_factor_keeps_the_bounds_reached(self,
                                                              monkeypatch):
@@ -339,8 +367,7 @@ class TestSdpMaximize:
         t0 = np.abs(c).sum() + 1.0
 
         def solve():
-            return sdp_maximize(-np.eye(5)[None], -c, np.array([-1.0]),
-                                np.eye(5) / 5, np.array([t0]),
+            return sdp_maximize(-np.eye(5)[None], -c, np.array([t0]),
                                 self.bracket(c), t0, float(np.trace(c)) / 5)
 
         with monkeypatch.context() as m:

@@ -267,6 +267,14 @@ def random_tuples():
             for n in (2, 3) for d in (2, 3) for _ in range(4)]
 
 
+def triangle(mats, lower):
+    """A stand-in for ``_haagerup_sdp`` that takes no step: the triangle
+    bound sum ||a_k||, certified at X_k = Y_k = ||a_k|| I."""
+    xs = np.stack([op_norm(a) * np.eye(len(a)) for a in mats])
+    return (float(sum(op_norm(a) for a in mats)), xs, xs.copy()), lower, \
+        None, 0
+
+
 class TestSeesawSearch:
     def test_no_matrix_exponential(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -277,8 +285,8 @@ class TestSeesawSearch:
         max_l1_norm_bounds(random_tuples()[5])
 
     # exact values, so that a search change that moves the bracket shows:
-    # the polar start (A, B) is the witness, and the next round gains
-    # nothing
+    # the polar start (A, B) is the witness and meets the triangle bound 2,
+    # so the SDP takes no step and no polish runs
     def test_witness_pair_values_are_pinned(self):
         rep = reproduce_l12_nonuniqueness()
         assert rep.max_lower == 2.0
@@ -286,20 +294,20 @@ class TestSeesawSearch:
         assert rep.gap == 2.0 - rep.min_norm
         assert rep.best_m == 2
         assert rep.sdp_iterations == 0
-        assert rep.search_rounds == 2
+        assert rep.search_rounds == 0
 
     @pytest.mark.parametrize("case", range(17))
     def test_search_witnesses_are_contractions(self, case, monkeypatch):
         # with the SDP reduced to the triangle bound, the reported witness
-        # is the search's own tuple
-        def triangle(mats, lower):
-            xs = np.stack([op_norm(a) * np.eye(len(a)) for a in mats])
-            return (float(sum(op_norm(a) for a in mats)), xs, xs.copy()), \
-                lower, None, 0
+        # is the polish's own tuple; the pair's polar start meets that
+        # bound, so no polish runs there
         monkeypatch.setattr(quantization, "_haagerup_sdp", triangle)
         mats = (random_tuples() + [[PAIR_A, PAIR_B]])[case]
         res = max_l1_norm_bounds(mats)
-        assert res.search_rounds > 0
+        if case == 16:
+            assert res.search_rounds == 0
+        else:
+            assert res.search_rounds > 0
         assert all(np.linalg.svd(w, compute_uv=False)[0] <= 1.0 + 1e-12
                    for w in res.witness)
         value = op_norm(kron_sum(np.stack(mats, axis=-1),
@@ -307,15 +315,42 @@ class TestSeesawSearch:
         assert value == pytest.approx(res.lower, rel=1e-13)
 
     def test_search_rounds_are_deterministic_and_capped(self, monkeypatch):
+        # with the SDP reduced to the triangle bound, the polish of this
+        # tuple never retires
+        monkeypatch.setattr(quantization, "_haagerup_sdp", triangle)
         mats = random_tuples()[5]
         free = max_l1_norm_bounds(mats).search_rounds
         monkeypatch.setattr(optim, "SEESAW_ROUNDS", 7)
         runs = [max_l1_norm_bounds(mats) for _ in range(2)]
         assert runs[0].search_rounds == runs[1].search_rounds
-        # the one start stops at the cap, and takes more rounds at the
+        # the one polish stops at the cap, and takes more rounds at the
         # default cap
         assert runs[0].search_rounds == 7
         assert free > 7
+
+    def test_polish_runs_when_the_sdp_stops_early(self, monkeypatch):
+        # the 7th inverse Cholesky factor (X of step 4) fails, so the SDP
+        # ends after three steps with its bracket open, and the seesaw
+        # polishes from the best tuple
+        real, calls = optim._inv_cholesky, []
+
+        def failing(m):
+            calls.append(1)
+            if len(calls) == 7:
+                raise np.linalg.LinAlgError("matrix is not positive definite")
+            return real(m)
+
+        monkeypatch.setattr(optim, "_inv_cholesky", failing)
+        mats = random_tuples()[5]
+        res = max_l1_norm_bounds(mats)
+        assert len(calls) == 7 and res.sdp_iterations == 3
+        assert res.search_rounds > 0
+        assert res.lower <= res.upper
+        assert all(np.linalg.svd(w, compute_uv=False)[0] <= 1.0 + 1e-12
+                   for w in res.witness)
+        value = op_norm(kron_sum(np.stack(mats, axis=-1),
+                                 np.stack(res.witness)))
+        assert value == pytest.approx(res.lower, rel=1e-13)
 
 
 class TestHaagerupCertificate:
