@@ -118,7 +118,10 @@ def _coeffs(obj) -> np.ndarray:
         if "coeffs" not in obj:
             raise ValueError('coefficient JSON needs "coeffs"')
         obj = obj["coeffs"]
-    return np.asarray(obj, dtype=float)
+    coeffs = np.asarray(obj, dtype=float)
+    if not np.isfinite(coeffs).all():
+        raise ValueError("coefficients must be finite (no NaN/Inf)")
+    return coeffs
 
 
 def _write_out(args, result: dict, key: str) -> dict:

@@ -25,9 +25,11 @@ Five workhorses and two reference solvers:
   predictor-corrector (Helmberg-Rendl-Vanderbei-Wolkowicz, SIAM J. Optim.
   6, 1996).  Its matrices are tiny, so a step calls LAPACK through
   ``scipy.linalg.lapack`` directly: inverse Cholesky factors of X and S,
-  one LU factor of the Schur matrix for both solves, and each step length
-  from one eigenvalue.  scipy is imported on the first solve, not with the
-  package, so the commands that make no SDP solve never load it.
+  one LU factor of the Schur matrix for both solves, each corrector step
+  length from one eigenvalue and each predictor step length from a few
+  Cholesky tests on a grid.  scipy is imported on the first solve, not
+  with the package, so the commands that make no SDP solve never load
+  it.
   The caller turns each iterate into a certified bracket, and the solve
   stops on the best bracket seen.
 * ``spectral_min_sdp``: its quotient-norm instance, for the convex problem
@@ -49,6 +51,7 @@ Five workhorses and two reference solvers:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,12 +361,25 @@ class SdpResult:
     iterations: int          # completed steps
 
 
+#: share of the largest step to the boundary of the cone that a step takes
+STEP_FRACTION = 0.98
+#: the predictor's trial steps, largest first
+PREDICTOR_STEPS = (1.0, 0.9, 0.75, 0.5, 0.25, 0.1)
+
+
+@functools.cache
+def _lapack():
+    """``scipy.linalg.lapack``, imported on first use, so that the commands
+    that make no SDP solve never load scipy."""
+    from scipy.linalg import lapack
+    return lapack
+
+
 def _inv_cholesky(m: np.ndarray) -> np.ndarray:
     """L^-1 for the lower Cholesky factor L of m (m = L L^T), from LAPACK
     dpotrf and dtrtri; LinAlgError when m is not numerically positive
     definite."""
-    from scipy.linalg import lapack
-
+    lapack = _lapack()
     factor, info = lapack.dpotrf(m, lower=1, clean=1)
     if not info:
         factor, info = lapack.dtrtri(factor, lower=1)
@@ -373,17 +389,28 @@ def _inv_cholesky(m: np.ndarray) -> np.ndarray:
 
 
 def _step_length(ci: np.ndarray, d: np.ndarray) -> float:
-    """min(1, 0.98 of the largest a keeping M + a D positive definite) for
-    M = ci^-1 ci^-T and a symmetric D: min(1, -0.98 / lam) for the least
-    eigenvalue lam of ci D ci^T, the only one computed (LAPACK dsyevr),
-    when lam < 0."""
-    from scipy.linalg import lapack
-
-    w, _, _, _, info = lapack.dsyevr(ci @ d @ ci.T, compute_v=0, range="I",
-                                     il=1, iu=1)
+    """min(1, STEP_FRACTION of the largest a keeping M + a D positive
+    definite) for M = ci^-1 ci^-T and a symmetric D: min(1, -STEP_FRACTION /
+    lam) for the least eigenvalue lam of ci D ci^T, the only one computed
+    (LAPACK dsyevr), when lam < 0."""
+    w, _, _, _, info = _lapack().dsyevr(ci @ d @ ci.T, compute_v=0,
+                                        range="I", il=1, iu=1)
     if info:
         raise np.linalg.LinAlgError("eigenvalues did not converge")
-    return min(1.0, -0.98 / w[0]) if w[0] < 0 else 1.0
+    return min(1.0, -STEP_FRACTION / w[0]) if w[0] < 0 else 1.0
+
+
+def _predictor_step(m: np.ndarray, d: np.ndarray) -> float:
+    """The first a of PREDICTOR_STEPS for which m + (a / STEP_FRACTION) d
+    has a Cholesky factor (LAPACK dpotrf), or 0.0 when none has: a step
+    length never above ``_step_length`` of the same pair, from a few
+    factorizations instead of an eigenvalue.  A failed test only means a
+    shorter step."""
+    dpotrf = _lapack().dpotrf
+    for a in PREDICTOR_STEPS:
+        if not dpotrf(m + (a / STEP_FRACTION) * d, lower=1, clean=0)[1]:
+            return a
+    return 0.0
 
 
 def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, y0: np.ndarray, bracket,
@@ -401,8 +428,11 @@ def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, y0: np.ndarray, bracket,
     so there is no dual residual.  Each HKM step (Helmberg-Rendl-Vanderbei-
     Wolkowicz, SIAM J. Optim. 6, 1996) factors the Schur matrix
     M_ij = tr(A_i X A_j S^-1) once (LAPACK dgetrf) and solves it twice
-    (Mehrotra predictor, then corrector with sigma = (gap_aff / gap)^3),
-    moving X and S by ``_step_length``.  M is nonsingular when the A_i are
+    (Mehrotra predictor, then corrector with sigma = (gap_aff / gap)^3).
+    The predictor's step lengths, which only set sigma, come from
+    ``_predictor_step`` (Cholesky tests on the grid PREDICTOR_STEPS),
+    never longer than the exact ones; the corrector moves X and S by the
+    exact ``_step_length``.  M is nonsingular when the A_i are
     independent; its steps come by least squares when they are not (by
     the numerical rank of their Gram matrix, checked once per solve) or on
     an exactly zero pivot of its LU factor.
@@ -421,8 +451,7 @@ def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, y0: np.ndarray, bracket,
     if not (np.isfinite(upper) and np.isfinite(lower)):
         raise ValueError(f"sdp_maximize needs finite starting bounds, got "
                          f"upper={upper}, lower={lower}")
-    from scipy.linalg import lapack
-
+    lapack = _lapack()
     side = len(c_mat)
     a_f = a.reshape(len(a), -1)
     b = np.where(np.arange(len(a)), 0.0, -1.0)
@@ -455,7 +484,7 @@ def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, y0: np.ndarray, bracket,
 
             gap = float(np.vdot(x, s))
             dx, dy, ds = direction(-x)
-            ap, ad = _step_length(x_ci, dx), _step_length(s_ci, ds)
+            ap, ad = _predictor_step(x, dx), _predictor_step(s, ds)
             sigma = (float(np.vdot(x + ap * dx, s + ad * ds)) / gap) ** 3
             dx, dy, ds = direction(sigma * gap / side * s_inv - x -
                                    dx @ ds @ s_inv)
@@ -524,10 +553,9 @@ def spectral_min_sdp(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
     if start <= 1e-13:
         return start, w0, 0.0, np.zeros((rows, cols)), 0
 
-    from scipy.linalg import lapack
-
     def singular_values(vec):
-        _, sv, _, info = lapack.dgesdd(vec.reshape(rows, cols), compute_uv=0)
+        _, sv, _, info = _lapack().dgesdd(vec.reshape(rows, cols),
+                                          compute_uv=0)
         if info:
             raise np.linalg.LinAlgError("SVD did not converge")
         return sv

@@ -120,12 +120,16 @@ def realize_min(space: BanachSpace) -> OpSpace:
 
 def w2_complex_norm(space: BanachSpace, x, y) -> float:
     """The circled complexification norm sup{|f(x) + i f(y)|} over the
-    dual ball, exact for polytope balls."""
-    xv = np.asarray(x, dtype=float).reshape(space.dim)
-    yv = np.asarray(y, dtype=float).reshape(space.dim)
-    fx = space.representatives @ xv
-    fy = space.representatives @ yv
-    return float(np.max(np.sqrt(fx * fx + fy * fy)))
+    dual ball, exact for polytope balls; |.| is ``np.hypot``, which does
+    not overflow before the norm does.  ValueError unless x and y are each
+    ``space.dim`` finite numbers."""
+    values = []
+    for v, name in ((x, "x"), (y, "y")):
+        v = np.asarray(v, dtype=float)
+        if v.size != space.dim or not np.isfinite(v).all():
+            raise ValueError(f"{name} must be {space.dim} finite numbers")
+        values.append(space.representatives @ v.reshape(space.dim))
+    return float(np.max(np.hypot(*values)))
 
 
 def min_complexification_check(space: BanachSpace, max_level: int = 3,

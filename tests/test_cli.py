@@ -248,6 +248,13 @@ class TestExitCodes:
      "--elem", "e12_elem.json", "--iters", "0"],
     ["quotient-norm", "--space", "m2.json", "--subspace", "subspace.json",
      "--elem", "e12_elem.json", "--iters", "-4"],
+    ["w2-norm", "--banach", "l12.json", "--x", "[NaN, 1]", "--y", "[0, 0]"],
+    ["w2-norm", "--banach", "l12.json", "--x", "[1, 0]", "--y", "[1, NaN]"],
+    ["w2-norm", "--banach", "l12.json", "--x", "[1e400, 1]", "--y", "[0, 0]"],
+    ["w2-norm", "--banach", "l12.json", "--x", "[1, 0]",
+     "--y", "[-Infinity, 0]"],
+    ["w2-norm", "--banach", "l12.json", "--x", "[1, 2, 3]", "--y", "[0, 0]"],
+    ["w2-norm", "--banach", "l12.json", "--x", "[1, 0]", "--y", "[0]"],
 ])
 def test_out_of_range_parameters_are_input_errors(files, capsys, argv):
     code = cli.run(["--json"] + [files.get(a, a) for a in argv])
@@ -522,6 +529,23 @@ def test_coefficient_files_without_coeffs_are_input_errors(files, capsys,
     code, rep = run_json(capsys, [files.get(a, a) for a in argv])
     assert code == 2
     assert rep["error"] == 'coefficient JSON needs "coeffs"'
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("argv, dim", [
+    (["right-ideal", "--algebra", "triangular.json"], 3),
+    (["quotient-norm", "--space", "m2.json", "--elem", "e12_elem.json"], 4),
+])
+def test_non_finite_coefficients_are_input_errors(files, tmp_path, capsys,
+                                                  argv, dim, literal):
+    # a NaN once reached matrix_rank and pinv and was reported as "SVD did
+    # not converge"
+    sub = tmp_path / "non_finite.json"
+    sub.write_text('{"coeffs": [[%s%s]]}' % (literal, ", 0" * (dim - 1)))
+    code, rep = run_json(capsys, [files.get(a, a) for a in argv] +
+                         ["--subspace", str(sub)])
+    assert code == 2
+    assert rep["error"] == "coefficients must be finite (no NaN/Inf)"
 
 
 def test_error_report_echoes_the_command_default(capsys):

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 
 from realops import optim, quantization
 from realops.linalg import kron_sum, kron_sum_grad
@@ -361,7 +360,7 @@ class TestSdpMaximize:
 
     def test_failed_cholesky_factor_keeps_the_bounds_reached(self,
                                                              monkeypatch):
-        # the 7th factorization (X of step 4) reports info > 0: the solve
+        # the 7th inverse Cholesky factor (X of step 4) fails: the solve
         # ends with the bracket of a solve capped at three steps
         c = self.problem(2)
         t0 = np.abs(c).sum() + 1.0
@@ -373,14 +372,15 @@ class TestSdpMaximize:
         with monkeypatch.context() as m:
             m.setattr(optim, "SDP_MAX_ITERS", 3)
             capped = solve()
-        dpotrf, calls = scipy.linalg.lapack.dpotrf, []
+        real, calls = optim._inv_cholesky, []
 
-        def failing(mat, **kw):
+        def failing(mat):
             calls.append(1)
-            factor, info = dpotrf(mat, **kw)
-            return factor, (1 if len(calls) == 7 else info)
+            if len(calls) == 7:
+                raise np.linalg.LinAlgError("matrix is not positive definite")
+            return real(mat)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing)
+        monkeypatch.setattr(optim, "_inv_cholesky", failing)
         res = solve()
         assert len(calls) == 7
         assert (res.upper, res.lower, res.iterations) == \
@@ -422,3 +422,38 @@ class TestSdpMaximize:
         h = rng.standard_normal((side, side))
         for d in (np.zeros((side, side)), h @ h.T + np.eye(side)):
             assert optim._step_length(ci, d) == 1.0
+
+    @pytest.mark.parametrize("side", [4, 8, 12, 24])
+    def test_predictor_step_is_the_largest_grid_step_that_factors(self, side):
+        # each D is scaled so that 0.98 of the exact largest step lies
+        # between two grid values: the result is the grid value below it
+        # (0.0 below the grid, 1 above it), never above the exact step of
+        # _step_length, M + (a / 0.98) D is positive definite and the next
+        # larger grid value is not; a direction with no limit gives 1
+        rng = np.random.default_rng(100 + side)
+        signs = (-1.0) ** np.arange(side)
+        g = rng.standard_normal((side, side))
+        m = g @ g.T / side + np.eye(side)
+        lam_m, vec = np.linalg.eigh(m)
+        root = (vec / np.sqrt(lam_m)) @ vec.T
+        ci = optim._inv_cholesky(m)
+        grid, frac = optim.PREDICTOR_STEPS, optim.STEP_FRACTION
+
+        def definite(mat):
+            return np.linalg.eigvalsh(mat)[0] > 0
+
+        for step in (0.05, 0.15, 0.3, 0.6, 0.8, 0.95, 1.2, 30.0):
+            h = rng.standard_normal((side, side))
+            d = (h * signs) @ h.T
+            d *= -frac / (step * np.linalg.eigvalsh(root @ d @ root)[0])
+            a = optim._predictor_step(m, d)
+            assert a == max((v for v in grid if v < step), default=0.0)
+            assert a <= optim._step_length(ci, d)
+            if a > 0.0:
+                assert definite(m + (a / frac) * d)
+            if a < 1.0:
+                larger = grid[grid.index(a) - 1] if a else grid[-1]
+                assert not definite(m + (larger / frac) * d)
+        h = rng.standard_normal((side, side))
+        for d in (np.zeros((side, side)), h @ h.T):
+            assert optim._predictor_step(m, d) == 1.0

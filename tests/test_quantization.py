@@ -125,6 +125,18 @@ class TestW2Norm:
             assert w2_complex_norm(L_ONE, x, y) == \
                 w2_complex_norm(L_ONE, x, -y)
 
+    def test_no_overflow_below_the_largest_float(self):
+        # sqrt(2) * 1e308 is a float, but the square of 1e308 is not
+        assert w2_complex_norm(L_INF, [1e308, 1e308], [1e308, 1.0]) == \
+            pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-15)
+
+    @pytest.mark.parametrize("x, y", [
+        ([np.nan, 1.0], [0.0, 0.0]), ([1.0, 0.0], [np.inf, 0.0]),
+        ([1.0, 2.0, 3.0], [0.0, 0.0]), ([1.0, 0.0], [0.0])])
+    def test_non_finite_or_misshapen_vectors_rejected(self, x, y):
+        with pytest.raises(ValueError, match="finite numbers"):
+            w2_complex_norm(L_ONE, x, y)
+
 
 class TestMinComplexification:
     @pytest.mark.parametrize("space", [BanachSpace(1, [[1.0]]), L_INF, L_ONE],
