@@ -6,7 +6,9 @@ code)``, and ``run`` assembles every report from it: ``command``, then
 parsed subcommand (defaults and unset options included verbatim), then
 ``result``.  Identical inputs and seed produce byte-identical reports.
 Exit codes: 0 pass/true, 1 refuted/false/assertion failed, 2 invalid
-input or inconclusive.  A command that gives a verdict also reports
+input or inconclusive; a numerical RuntimeWarning (an overflow on finite
+input) inside a command also exits 2, with an error report.  A command
+that gives a verdict also reports
 ``passed``, true exactly when it exits 0; the others exit 0 and carry no
 ``passed``.
 """
@@ -18,6 +20,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, is_dataclass
 
 import numpy as np
@@ -36,7 +39,7 @@ TOL_DEFAULTS = {
                      "tro-check", "unitize"), MEMBERSHIP_TOL),
     "brs-check": 1e-10,        # slack of norm(ab) <= norm(a) norm(b)
     "choi-effros": 1e-10,      # deviations of the re-product identities
-    "quotient-norm": 1e-7,     # certified gap of the convex solve
+    "quotient-norm": 1e-7,     # certified gap over max(1, value)
     "subtriple": 1e-10,        # rank cutoff relative to the top singular value
 }
 
@@ -462,7 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the command's default tolerance ("
                              + ", ".join(f"{cmd} {val:g}" for cmd, val in
                                          sorted(TOL_DEFAULTS.items()))
-                             + f", any other command {CLASSIFY_TOL:g})")
+                             + f", any other command {CLASSIFY_TOL:g}"
+                             "; the quotient-norm gap is taken relative "
+                             "to max(1, value))")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -609,9 +614,13 @@ def run(argv=None) -> int:
             sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")
         return EXIT_ERROR
     try:
-        result, code = HANDLERS[args.command](args)
+        # a numerical warning on finite input (overflow, invalid value)
+        # would otherwise leave an inf or a misleading report behind it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result, code = HANDLERS[args.command](args)
     except (ValueError, TypeError, KeyError, OSError, OverflowError,
-            json.JSONDecodeError) as exc:
+            RuntimeWarning, json.JSONDecodeError) as exc:
         _emit_error(args, str(exc))
         return EXIT_ERROR
     command = args.command

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class OpSpace:
     basis: np.ndarray                      # (d, p, q)
     is_complexified: bool = False
     conjugation: np.ndarray | None = None  # (d, d) coefficient involution
-    gram_condition: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
@@ -74,8 +73,6 @@ class OpSpace:
             raise ValueError(
                 f"basis is numerically dependent (smallest singular value "
                 f"{smallest:.3e} < {BASIS_RANK_TOL:.0e})")
-        object.__setattr__(self, "gram_condition",
-                           float((svals[0] / svals[-1]) ** 2))
         object.__setattr__(self, "_pinv", np.linalg.pinv(vecs.T))
         object.__setattr__(self, "_memo", {})
         if self.conjugation is not None:
@@ -521,7 +518,7 @@ def cb_norm_lower_search(u: CBMap, level: int, restarts: int = 32,
 class QuotientResult:
     value: float
     gap: float               # value - lower
-    converged: bool          # gap <= tol
+    converged: bool          # gap <= tol * max(1, value)
     minimizer: np.ndarray    # (n, n, dim Y) coefficients over the subspace
     lower: float             # certified lower bound on the distance
     iterations: int          # interior-point steps (0 at the zero exit)
@@ -538,8 +535,9 @@ def quotient_level_norm(space: OpSpace, subspace_coeffs, x: MatElem,
     M_n(Y), with lower bound 0 and no step.  ``value`` is the norm at the
     reported minimizer, an upper bound, and ``lower`` comes from a
     trace-norm dual certificate.
-    ``gap = value - lower`` and ``converged`` means ``gap <= tol``; the
-    solve itself does not depend on ``tol``.
+    ``gap = value - lower`` and ``converged`` means
+    ``gap <= tol * max(1, value)``, relative like the solve's own stopping
+    bracket; the solve itself does not depend on ``tol``.
     """
     s = np.asarray(subspace_coeffs, dtype=float)
     if s.ndim == 1:
@@ -554,7 +552,7 @@ def quotient_level_norm(space: OpSpace, subspace_coeffs, x: MatElem,
     value, w, lower, _, iterations = spectral_min_sdp(
         x.realization().ravel(), k_sub, n * p, n * q)
     gap = value - lower
-    return QuotientResult(value, gap, gap <= tol,
+    return QuotientResult(value, gap, gap <= tol * max(1.0, value),
                           w.reshape(n, n, s.shape[0]), lower, iterations)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,15 @@ def files(tmp_path):
     write("half_scalars.json", dict(opspace_to_json(span_space([[[0.5]]])),
                                     structure=[[[1.0]]]))
     write("foo.json", {"foo": 1})
+    # finite inputs on which a command overflows
+    write("huge_functionals.json", {"dim": 2, "functionals": [[1e308, 1e308],
+                                                              [1, -1]]})
+    write("huge_coeffs.json", {"mats": [{"rows": 2, "cols": 2, "entries":
+                                         [[1e308, 1e308], [1e308, 1e308]]}]})
+    write("huge_proj.json", {"matrix": [[1e308, 0, 0, 0], [0, 1, 0, 0],
+                                        [0, 0, 0, 0], [0, 0, 0, 0]]})
+    write("tiny_subspace.json", {"coeffs": [[1e-200, 0, 0, 0]]})
+    write("huge_elem.json", {"level": 1, "coeffs": [[[1e308, 1e308, 0, 0]]]})
     return paths
 
 
@@ -255,13 +265,24 @@ class TestExitCodes:
      "--y", "[-Infinity, 0]"],
     ["w2-norm", "--banach", "l12.json", "--x", "[1, 2, 3]", "--y", "[0, 0]"],
     ["w2-norm", "--banach", "l12.json", "--x", "[1, 0]", "--y", "[0]"],
+    # overflows on finite input, which once reported inf (w2-norm, exit 0)
+    # or a misleading error after a warning
+    ["w2-norm", "--banach", "huge_functionals.json", "--x", "[1, 1]",
+     "--y", "[1, 0]"],
+    ["max-l1", "--coeffs", "huge_coeffs.json"],
+    ["certify-mproj", "--space", "m2.json", "--proj", "huge_proj.json"],
+    ["quotient-norm", "--space", "m2.json", "--subspace",
+     "tiny_subspace.json", "--elem", "huge_elem.json"],
 ])
 def test_out_of_range_parameters_are_input_errors(files, capsys, argv):
-    code = cli.run(["--json"] + [files.get(a, a) for a in argv])
+    # under the default warning filter, no warning may escape either
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.run(["--json"] + [files.get(a, a) for a in argv])
     captured = capsys.readouterr()
-    assert code == 2
+    assert (code, caught) == (2, [])
     error = json.loads(captured.out)["error"]
-    if argv[0] == "max-l1":
+    if argv[0] == "max-l1" and argv[-2] in ("--mmax", "--restarts"):
         # max-l1 has no --mmax or --restarts: any value is a usage error
         assert error.startswith("unrecognized arguments")
     assert "Traceback" not in captured.out + captured.err
@@ -546,6 +567,47 @@ def test_non_finite_coefficients_are_input_errors(files, tmp_path, capsys,
                          ["--subspace", str(sub)])
     assert code == 2
     assert rep["error"] == "coefficients must be finite (no NaN/Inf)"
+
+
+def test_quantize_min_with_huge_functionals_passes(files, capsys):
+    # the basis condition number, which overflowed here, is no longer
+    # computed
+    code, rep = run_json(capsys, ["quantize-min", "--banach",
+                                  files["huge_functionals.json"]])
+    assert code == 0
+    assert rep["result"]["dual_ball_vertices"] == 4
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e9])
+def test_quotient_gap_is_relative_to_the_value(files, tmp_path, capsys,
+                                               scale):
+    # the bracket closes to about 1e-10 of the value, far above 1e-7 in
+    # absolute terms at these scales
+    rng = np.random.default_rng(5)
+    sub, elem = tmp_path / "sub.json", tmp_path / "elem.json"
+    sub.write_text(json.dumps({"coeffs": rng.standard_normal((1, 4)).tolist()}))
+    elem.write_text(json.dumps({"level": 2, "coeffs": (
+        scale * rng.standard_normal((2, 2, 4))).tolist()}))
+    code, rep = run_json(capsys, ["quotient-norm", "--space", files["m2.json"],
+                                  "--subspace", str(sub), "--elem",
+                                  str(elem)])
+    res = rep["result"]
+    assert code == 0 and res["converged"]
+    assert 1e-7 < res["gap_estimate"] <= 1e-7 * res["value"]
+
+
+def test_quotient_solver_failure_stays_inconclusive(files, tmp_path, capsys):
+    # dist([[1e16, 2], [3, 4]], span E11) = 5, but a subspace given as 1e200
+    # E11 leaves a gap of about 0.03, which the relative rule must not hide
+    sub, elem = tmp_path / "sub.json", tmp_path / "elem.json"
+    sub.write_text(json.dumps({"coeffs": [[1e200, 0, 0, 0]]}))
+    elem.write_text(json.dumps({"level": 1, "coeffs": [[[1e16, 2, 3, 4]]]}))
+    code, rep = run_json(capsys, ["quotient-norm", "--space", files["m2.json"],
+                                  "--subspace", str(sub), "--elem",
+                                  str(elem)])
+    res = rep["result"]
+    assert (code, res["converged"]) == (2, False)
+    assert res["gap_estimate"] > 1e-7 * max(1.0, res["value"])
 
 
 def test_error_report_echoes_the_command_default(capsys):

@@ -49,9 +49,6 @@ class TestSpaces:
         with pytest.raises(ValueError, match="dependent"):
             span_space([[[1.0]], [[1.0]]])
 
-    def test_gram_condition_reported(self):
-        assert M2.gram_condition == pytest.approx(1.0)
-
     def test_level_norm_identity(self):
         assert level_norm(elem(M2, [1, 0, 0, 1])) == pytest.approx(1.0)
 

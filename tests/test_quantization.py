@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from realops import optim, quantization, suites
+from realops import opspace, optim, quantization, suites
 from realops.linalg import kron_sum, op_norm
 from realops.opspace import elem, level_norm, random_elem
 from realops.quantization import (PAIR_A, PAIR_B, BanachSpace,
@@ -17,6 +17,7 @@ from realops.quantization import (PAIR_A, PAIR_B, BanachSpace,
 
 L_INF = ell_infty(2)
 L_ONE = ell_one(2)
+HEXAGON = BanachSpace(2, [[1.0, 0.0], [0.5, 1.0], [-0.5, 1.0]])
 
 
 def min_norm_oracle(space, c):
@@ -72,8 +73,7 @@ class TestMinLevelNorm:
 
     def test_level_one_extends_banach_norm(self):
         rng = np.random.default_rng(4)
-        hexagon = BanachSpace(2, [[1.0, 0.0], [0.5, 1.0], [-0.5, 1.0]])
-        for sp in (L_INF, L_ONE, hexagon):
+        for sp in (L_INF, L_ONE, HEXAGON):
             for _ in range(50):
                 v = rng.standard_normal(2)
                 assert min_level_norm(sp, v.reshape(1, 1, 2)) == \
@@ -139,11 +139,31 @@ class TestW2Norm:
 
 
 class TestMinComplexification:
-    @pytest.mark.parametrize("space", [BanachSpace(1, [[1.0]]), L_INF, L_ONE],
-                             ids=["scalars", "ell_inf", "ell_one"])
+    @pytest.mark.parametrize("space", [BanachSpace(1, [[1.0]]), L_INF, L_ONE,
+                                       HEXAGON],
+                             ids=["scalars", "ell_inf", "ell_one", "hexagon"])
     def test_agreement(self, space):
-        assert min_complexification_check(space, max_level=3, samples=200,
-                                          seed=0xC0FFEE) <= 1e-10
+        assert min_complexification_check(space) == 0.0
+
+    def test_level_norms_match_the_dual_formula(self):
+        # what the exact basis match implies, checked on sampled norms
+        xc = opspace.complexify_space(realize_min(HEXAGON))
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 3):
+            x, y = rng.standard_normal((2, n, n, 2))
+            via_dual = max(op_norm(np.block([[x @ f, -(y @ f)],
+                                             [y @ f, x @ f]]))
+                           for f in HEXAGON.representatives)
+            assert level_norm(elem(xc, np.concatenate([x, y], axis=2))) == \
+                pytest.approx(via_dual, abs=1e-12)
+
+    def test_negated_imaginary_half_is_caught(self, monkeypatch):
+        def conjugated(space):
+            b = opspace.complexify_space(space).basis
+            d = space.dim
+            return opspace.OpSpace(np.concatenate([b[:d], -b[d:]]))
+        monkeypatch.setattr(quantization, "complexify_space", conjugated)
+        assert min_complexification_check(L_ONE) > 0.0
 
 
 class TestMaxL1:
