@@ -4,13 +4,13 @@
 One line ``sha256  command`` for the ``--json`` report of each of the five
 ``verify`` suites and both ``reproduce`` commands, run in process with one
 BLAS thread, at the default seed unless options such as ``--seed 7`` are
-given (they are passed to every command).  With ``--rows``, one line
+given (they are passed to every command).  After the digests, one line
 ``suite | row | deviation | passed`` follows for every ``verify`` row,
 the deviation printed exactly (``repr``).  Diffing the output of two
 checkouts shows which reports, and which rows, a change moved.  Exits 0
 when every command exits 0.
 
-    PYTHONPATH=src python scripts/report_digests.py --rows
+    PYTHONPATH=src python scripts/report_digests.py
 """
 
 import os
@@ -31,12 +31,11 @@ COMMANDS = [["verify", suite] for suite in
     [["reproduce", name] for name in ("l12-nonunique", "complex-dual")]
 
 if __name__ == "__main__":
-    options = [a for a in sys.argv[1:] if a != "--rows"]
     worst, rows = 0, []
     for command in COMMANDS:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            worst = max(worst, run(["--json"] + command + options))
+            worst = max(worst, run(["--json"] + command + sys.argv[1:]))
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         print(f"{digest}  {' '.join(command)}")
         if command[0] == "verify":
@@ -44,6 +43,5 @@ if __name__ == "__main__":
             rows += [f"{suite} | {row['name']} | {row['deviation']!r} | "
                      f"{row['passed']}"
                      for suite, checks in result.items() for row in checks]
-    if "--rows" in sys.argv[1:]:
-        print("\n".join(rows))
+    print("\n".join(rows))
     sys.exit(worst)

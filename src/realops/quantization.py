@@ -143,12 +143,13 @@ def min_complexification_check(space: BanachSpace) -> float:
     the functionals f: the norm of x + iy in the minimal quantization of
     the complexified Banach space, so MIN(E)_c = MIN(E_c) at every level.
     """
-    xs = realize_min(space)
-    m = xs.ambient[0]
+    reps = space.representatives
+    m = reps.shape[0]
     inter = np.arange(2 * m).reshape(2, m).T.ravel()
-    basis = complexify_space(xs).basis[:, inter][:, :, inter]
-    expect = np.concatenate([np.kron(xs.basis, np.eye(2)[None]),
-                             np.kron(xs.basis, complex_structure(1)[None])])
+    basis = complexify_space(realize_min(space)).basis[:, inter][:, :, inter]
+    diag = reps.T[:, :, None] * np.eye(m)
+    expect = np.concatenate([np.kron(diag, np.eye(2)[None]),
+                             np.kron(diag, complex_structure(1)[None])])
     return float(np.max(np.abs(basis - expect)))
 
 

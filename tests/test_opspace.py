@@ -436,6 +436,19 @@ class TestQuotientNorm:
             (b.value, b.gap, b.converged, b.lower, b.iterations)
         assert a.minimizer.tobytes() == b.minimizer.tobytes()
 
+    @pytest.mark.parametrize("value, gap, converged", [
+        (1e3, 1e-5, True), (1e3, 1e-3, False),
+        (0.5, 5e-8, True), (0.5, 2e-7, False)])
+    def test_converged_is_relative_to_the_value(self, monkeypatch, value,
+                                                gap, converged):
+        # the rule alone, on a solve that returns a known bracket
+        def bracket(b, k, rows, cols):
+            return value, np.zeros(k.shape[1]), value - gap, None, 1
+        monkeypatch.setattr("realops.opspace.spectral_min_sdp", bracket)
+        res = quotient_level_norm(M2, [[1, 0, 0, 0]], elem(M2, [0, 1, 0, 0]))
+        assert res.gap == pytest.approx(gap, rel=1e-6)
+        assert res.converged is converged
+
     @pytest.mark.parametrize("scale", [2.0 ** 60, 2.0 ** 300, 1e20, 1e50])
     def test_scaled_element_scales_the_bracket(self, scale):
         # a start margin of 1 above a norm past 2^53 rounded away: the

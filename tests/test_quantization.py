@@ -165,6 +165,23 @@ class TestMinComplexification:
         monkeypatch.setattr(quantization, "complexify_space", conjugated)
         assert min_complexification_check(L_ONE) > 0.0
 
+    @pytest.mark.parametrize("fault", ["sign", "order"])
+    def test_realization_off_the_functionals_is_caught(self, monkeypatch,
+                                                       fault):
+        # level norms are unchanged by either fault; the check reads the
+        # functionals, not the realization it tests
+        real = quantization.realize_min
+
+        def faulty(space):
+            b = real(space).basis.copy()
+            if fault == "sign":
+                b[:, 0, 0] *= -1
+            else:
+                b = b[:, ::-1, ::-1]
+            return opspace.OpSpace(b)
+        monkeypatch.setattr(quantization, "realize_min", faulty)
+        assert min_complexification_check(HEXAGON) > 0.0
+
 
 class TestMaxL1:
     def test_single_matrix(self):
