@@ -227,10 +227,8 @@ def _cmd_max_l1(args):
         raise ValueError('coefficient file needs {"mats": [matrix, ...]}')
     mats = [linalg.mat_from_json(m) for m in obj["mats"]]
     res = quantization.max_l1_norm_bounds(mats)
-    return {"lower": res.lower, "upper": res.upper, "best_m": res.best_m,
-            "witness": res.witness,
-            "sdp_iterations": res.sdp_iterations,
-            "search_rounds": res.search_rounds}, None
+    return {"lower": res.lower, "upper": res.upper, "witness": res.witness,
+            "sdp_iterations": res.sdp_iterations}, None
 
 
 def _cmd_certify_mproj(args):
@@ -328,9 +326,8 @@ def _cmd_reproduce(args):
         rep = quantization.reproduce_l12_nonuniqueness()
         return {"min_norm": rep.min_norm, "max_lower": rep.max_lower,
                 "max_upper": rep.max_upper, "gap": rep.gap,
-                "best_m": rep.best_m, "witness": rep.witness,
+                "witness": rep.witness,
                 "sdp_iterations": rep.sdp_iterations,
-                "search_rounds": rep.search_rounds,
                 "claim": rep.claim}, _verdict(rep.passed)
     scalars = opspace.span_space([[[1.0]]])
     x = opspace.elem(scalars, np.array([[[1.0], [0.0]], [[0.0], [0.0]]]))
@@ -348,7 +345,6 @@ def _cmd_reproduce(args):
             "dual_lower_bound": search.lower,
             "worst_restart": worst_restart,
             "restarts_run": len(search.restart_values),
-            "best_m": search.best_m,
             "gap": cnorm - search.lower,
             "claim": ("passing to the real dual of the complex scalars is "
                       "isometric but not completely isometric: the level-2 "

@@ -2,7 +2,9 @@
 
 Operator norms via singular values, the two-part real positivity test
 (selfadjoint + nonnegative quadratic form), the norm/positivity
-equivalence through the 2x2 block matrix [[I, x], [x^T, I]], the
+equivalence through the 2x2 block matrix [[I, x], [x^T, I]] =
+I + ``dilation(x)``, the selfadjoint dilation [[0, x], [x^T, 0]] that
+also builds the SDPs of ``optim`` and ``quantization``, the
 contraction-ball projector, ``kron_sum``: the block-Kronecker sum
 sum_k c[:, :, k] kron B_k behind every matrix-level norm, which alone
 fixes the block layout, and ``span_coefficients`` with ``in_span``: the
@@ -11,7 +13,7 @@ least-squares solve and the one rule behind every span-membership test.
 Matrices are plain 2-D float ndarrays throughout; ``as_matrix`` is the
 single validation gate, and ``as_matrices`` its form for stacks.  The
 norm and positivity kernels (``op_norm``, ``sym_eig_min``,
-``is_real_positive``, ``contraction_block``,
+``is_real_positive``, ``dilation``, ``contraction_block``,
 ``contraction_iff_positive``), the search kernels (``clip_contraction``,
 ``frobenius_norm``, ``kron_sum``, ``kron_sum_grad``) and the membership
 kernel also take stacks with leading axes, so one call serves every
@@ -116,17 +118,22 @@ def is_real_positive(m, tol=CLASSIFY_TOL):
     return bool(positive) if a.ndim == 2 else positive
 
 
+def dilation(m: np.ndarray) -> np.ndarray:
+    """The selfadjoint dilation [[0, m], [m^T, 0]] of a p x q matrix, whose
+    largest eigenvalue is the operator norm of m, or the stack of them for
+    a (..., p, q) stack."""
+    p, q = m.shape[-2:]
+    out = np.zeros((*m.shape[:-2], p + q, p + q))
+    out[..., :p, p:] = m
+    out[..., p:, :p] = np.swapaxes(m, -1, -2)
+    return out
+
+
 def contraction_block(x: np.ndarray) -> np.ndarray:
     """The (p+q) x (p+q) block matrix [[I_p, x], [x^T, I_q]], or the stack
     of them for a stack of x."""
     a = as_matrices(x)
-    p, q = a.shape[-2:]
-    blk = np.zeros((*a.shape[:-2], p + q, p + q))
-    blk[..., :p, :p] = np.eye(p)
-    blk[..., p:, p:] = np.eye(q)
-    blk[..., :p, p:] = a
-    blk[..., p:, :p] = np.swapaxes(a, -1, -2)
-    return blk
+    return np.eye(sum(a.shape[-2:])) + dilation(a)
 
 
 def contraction_iff_positive(x, tol: float = CLASSIFY_TOL):

@@ -530,11 +530,12 @@ def quotient_level_norm(space: OpSpace, subspace_coeffs, x: MatElem,
     coefficient vectors, as a certified bracket lower <= dist <= value.
 
     The distance is min over t of sigma_max(R(x) - R(y(t))), which
-    ``optim.spectral_min_sdp`` brackets from the least-squares point.  An
-    element whose residual there has operator norm at most 1e-13 lies in
-    M_n(Y), with lower bound 0 and no step.  ``value`` is the norm at the
-    reported minimizer, an upper bound, and ``lower`` comes from a
-    trace-norm dual certificate.
+    ``optim.spectral_min_sdp`` brackets in residual coordinates around the
+    least-squares point.  An element whose residual there has operator
+    norm at most 1e-13 lies in M_n(Y), with lower bound 0 and no step.
+    ``value`` is the norm of the best residual, an upper bound, attained
+    at the reported minimizer up to the roundoff of forming x - y, and
+    ``lower`` comes from a trace-norm dual certificate.
     ``gap = value - lower`` and ``converged`` means
     ``gap <= tol * max(1, value)``, relative like the solve's own stopping
     bracket; the solve itself does not depend on ``tol``.
@@ -563,7 +564,6 @@ def quotient_level_norm(space: OpSpace, subspace_coeffs, x: MatElem,
 @dataclass
 class ThetaSearchResult:
     lower: float
-    best_m: int
     restart_values: list[float]
     witness_re: np.ndarray
     witness_im: np.ndarray
@@ -615,7 +615,7 @@ def theta_dual_search(z_re, z_im, restarts: int = 64,
         lambda u, v: kron_sum_grad(coeffs, u, v), polar,
         np.stack([w.real, w.imag], axis=-3))
     i = int(np.argmax(values))     # the first of equal maxima
-    return ThetaSearchResult(float(values[i]), n, values[1:].tolist(),
+    return ThetaSearchResult(float(values[i]), values[1:].tolist(),
                              ws[i, 0].copy(), ws[i, 1].copy())
 
 

@@ -15,10 +15,10 @@ Five workhorses and two reference solvers:
   take, so the value never falls, and it converges much tighter than
   generic ascent.  Starts advance in lockstep for at most SEESAW_ROUNDS
   rounds, one stacked SVD a round besides the polar step's, and each ends
-  exactly as it would alone.  It serves the maximal ell^1 bound of
-  ``quantization``, the dual search of ``opspace`` and ``seesaw_ascent``:
-  the ratio of ``ratio_ascent`` when the denominator is a bijection onto a
-  full matrix space, maximized over the unit ball of its matrices.
+  exactly as it would alone.  It serves the dual search of ``opspace`` and
+  ``seesaw_ascent``: the ratio of ``ratio_ascent`` when the denominator is
+  a bijection onto a full matrix space, maximized over the unit ball of
+  its matrices.
 * ``sdp_maximize``: the one small SDP kernel, for a dense real SDP min t
   s.t. C - t A_0 - sum_i y_i A_i >= 0, A_0 = -I on the blocks t bounds,
   from X = I / tr(-A_0) by HKM primal-dual steps with a Mehrotra
@@ -34,10 +34,11 @@ Five workhorses and two reference solvers:
   stops on the best bracket seen.
 * ``spectral_min_sdp``: its quotient-norm instance, for the convex problem
   min_w sigma_max(B - K w), solved in the one orthonormal basis U of
-  span K from an SVD of K, as min t s.t. t I - D(B - U v) >= 0 with
-  D(M) = [[0, M], [M^T, 0]].  Every iterate gives an upper bound
-  sigma_max(B - K w) at its mapped w and, from the primal matrix, a
-  trace-norm certificate Z annihilating span K with |<B, Z>| / ||Z||_1 a
+  span K from an SVD of K and in residual coordinates around the
+  least-squares point: min t s.t. t I - D(r0 - U dv) >= 0 with
+  r0 = B - U U^T B and D = ``linalg.dilation``.  Every iterate gives an
+  upper bound sigma_max(r0 - U dv) and, from the primal matrix, a
+  trace-norm certificate Z annihilating span K with |<r0, Z>| / ||Z||_1 a
   lower bound (trace-norm duality; Effros-Ruan, "Operator Spaces", 2000,
   section 1).  It returns the certified bracket.  The maximal ell^1 bound
   of ``quantization`` is the other instance.
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frobenius_norm
+from .linalg import dilation, frobenius_norm
 
 
 def top_singular_triple(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -312,11 +313,8 @@ def smoothed_spectral_min(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
 
     def stage(mu):
         def f_g(w):
-            m = (b_vec - k_mat @ w).reshape(rows, cols)
-            s = np.zeros((side, side))
-            s[:rows, rows:] = m
-            s[rows:, :rows] = m.T
-            lam, u = np.linalg.eigh(s)
+            lam, u = np.linalg.eigh(dilation(
+                (b_vec - k_mat @ w).reshape(rows, cols)))
             top = lam[-1]
             z = (lam - top) / mu
             weights = np.exp(z)
@@ -433,9 +431,11 @@ def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, y0: np.ndarray, bracket,
     ``_predictor_step`` (Cholesky tests on the grid PREDICTOR_STEPS),
     never longer than the exact ones; the corrector moves X and S by the
     exact ``_step_length``.  M is nonsingular when the A_i are
-    independent; its steps come by least squares when they are not (by
-    the numerical rank of their Gram matrix, checked once per solve) or on
-    an exactly zero pivot of its LU factor.
+    independent, as both callers' constraints are by construction: A_0 =
+    -I against the off-diagonal D(U_j) of an orthonormal U in the
+    quotient, and blocks in disjoint positions in Haagerup's SDP.  Its
+    steps come by least squares only on an exactly zero pivot of its LU
+    factor.
 
     After each step ``bracket(x, y)`` turns the iterate into a certified
     (upper, lower) pair for the caller's value, the minimum t, so
@@ -455,8 +455,6 @@ def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, y0: np.ndarray, bracket,
     side = len(c_mat)
     a_f = a.reshape(len(a), -1)
     b = np.where(np.arange(len(a)), 0.0, -1.0)
-    # rank of the A_i: pivoted Cholesky (LAPACK dpstrf) of their Gram matrix
-    dependent = lapack.dpstrf(a_f @ a_f.T)[2] < len(a)
     y_best = x_best = None
     y = np.asarray(y0, dtype=float)
     x = np.eye(side) / -np.trace(a[0])
@@ -474,7 +472,7 @@ def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, y0: np.ndarray, bracket,
 
             def direction(target):
                 rhs = r_p - a_f @ target.ravel()
-                if dependent or info:
+                if info:
                     dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
                 else:
                     dy = lapack.dgetrs(lu, piv, rhs)[0]
@@ -506,52 +504,44 @@ def spectral_min_sdp(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
     """Certified bracket on min_w sigma_max(reshape(b_vec - k_mat w)).
 
     One SVD K = U s V^T, keeping the singular values above 1e-12 times the
-    largest, gives the orthonormal basis U of span K in which everything
-    runs: the solve is over v with w = V v / s, so that no iterate can
-    drift along the null space of K, and it starts at the least-squares
-    point v0 = U^T b, w0 = V v0 / s.  When sigma_max(B - K w0) <= 1e-13,
-    the element lies in span K, and w0 is returned at once with lower
-    bound 0 and no step.
+    largest, gives the orthonormal basis U of span K, and the solve runs
+    in residual coordinates around the least-squares point v0 = U^T B:
+    over dv in the residual R = r0 - U dv, r0 = B - U v0 formed once, so
+    that no component of B inside span K, however large, enters a step,
+    and no iterate can drift along the null space of K.  When
+    sigma_max(r0) <= 1e-13, the element lies in span K, and
+    w0 = V v0 / s is returned at once with lower bound 0 and no step.
 
     Otherwise the instance of ``sdp_maximize``: min t subject to
-    S = C - t A_0 - sum_j v_j A_j >= 0 with A_0 = -I, A_j = -D(U_j) and
-    C = -D(B); its primal is max <D(B), X> over X >= 0 with tr X = 1 and
-    <D(U_j), X> = 0.  Both sides start strictly feasible, at
-    (t, v) = (s0 + max(1, 2^-20 s0), v0) with s0 = sigma_max(B - K w0),
-    and X = I / N: the margin is 1 up to s0 = 2^20 and relative beyond,
-    so that it never rounds away.
+    S = C - t A_0 - sum_j dv_j A_j >= 0 with A_0 = -I, A_j = -D(U_j) and
+    C = -D(r0); its primal is max <D(r0), X> over X >= 0 with tr X = 1
+    and <D(U_j), X> = 0.  Both sides start strictly feasible, at
+    (t, dv) = (s0 + max(1, 2^-20 s0), 0) with s0 = sigma_max(r0), and
+    X = I / N: the margin is 1 up to s0 = 2^20 and relative beyond, so
+    that it never rounds away.
 
-    After each step, sigma_max(B - K w) at the mapped w is an upper bound.
-    The off-diagonal block Z of X, projected in the Frobenius norm onto
-    the annihilator of span K, gives the lower bound |<B, Z>| / ||Z||_1,
-    whatever the residuals of X.
+    After each step, sigma_max(r0 - U dv) is an upper bound.  The
+    off-diagonal block Z of X, projected in the Frobenius norm onto the
+    annihilator of span K, gives the lower bound |<r0, Z>| / ||Z||_1
+    (equal to |<B, Z>| / ||Z||_1, as Z is orthogonal to span K), whatever
+    the residuals of X.
 
-    Returns (value, w, lower, z, iterations): value = sigma_max at w, the
-    least of w0, w = 0 and every iterate; lower <= the infimum <= value;
-    z is the unprojected off-diagonal block of the X that gave ``lower``
-    (zero when no step was made); iterations counts completed steps.
+    Returns (value, w, lower, z, iterations): value = sigma_max(r0 - U dv),
+    the least over the start and every iterate, and w = V (v0 + dv) / s,
+    at which B - K w is that residual up to roundoff; lower <= the
+    infimum <= value; z is the unprojected off-diagonal block of the X
+    that gave ``lower`` (zero when no step was made); iterations counts
+    completed steps.
     """
     side = rows + cols
-
-    def dilations(vecs):
-        m = vecs.reshape(-1, rows, cols)
-        d = np.zeros((m.shape[0], side, side))
-        d[:, :rows, rows:] = m
-        d[:, rows:, :rows] = m.transpose(0, 2, 1)
-        return d
-
-    def norm_at(w):
-        m = (b_vec - k_mat @ w).reshape(rows, cols)
-        return float(np.linalg.svd(m, compute_uv=False)[0])
-
     u, sv, vt = np.linalg.svd(k_mat, full_matrices=False)
     keep = sv > 1e-12 * sv.max(initial=0.0)
     basis, to_w = u[:, keep], vt[keep].T / sv[keep]
     v0 = basis.T @ b_vec
-    w0 = to_w @ v0
-    start = norm_at(w0)
+    r0 = b_vec - basis @ v0
+    start = float(np.linalg.svd(r0.reshape(rows, cols), compute_uv=False)[0])
     if start <= 1e-13:
-        return start, w0, 0.0, np.zeros((rows, cols)), 0
+        return start, to_w @ v0, 0.0, np.zeros((rows, cols)), 0
 
     def singular_values(vec):
         _, sv, _, info = _lapack().dgesdd(vec.reshape(rows, cols),
@@ -561,23 +551,20 @@ def spectral_min_sdp(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
         return sv
 
     def bracket(x, y):
-        # sigma_max(B - K w) and ||Z||_1, each from one LAPACK dgesdd
+        # sigma_max(r0 - U dv) and ||Z||_1, each from one LAPACK dgesdd
         z = x[:rows, rows:].ravel()
         z_ann = z - basis @ (basis.T @ z)
         trace_norm = singular_values(z_ann).sum()
-        return float(singular_values(b_vec - k_mat @ (to_w @ y[1:]))[0]), \
-            float(abs(b_vec @ z_ann) / trace_norm) if trace_norm > 0 else 0.0
+        return float(singular_values(r0 - basis @ y[1:])[0]), \
+            float(abs(r0 @ z_ann) / trace_norm) if trace_norm > 0 else 0.0
 
     # A_0 = -I and A_j = -D(U_j)
-    a = np.concatenate([-np.eye(side)[None], -dilations(basis.T)])
-    origin = norm_at(np.zeros(len(w0)))
-    value, w_best = (origin, np.zeros(len(w0))) if origin < start \
-        else (start, w0)
+    a = np.concatenate([-np.eye(side)[None],
+                        -dilation(basis.T.reshape(-1, rows, cols))])
     t0 = start + max(1.0, 2.0 ** -20 * start)
-    res = sdp_maximize(a, -dilations(b_vec)[0], np.concatenate([[t0], v0]),
-                       bracket, value)
-    if res.y is not None:
-        w_best = to_w @ res.y[1:]
-    z_best = np.zeros((rows, cols)) if res.x is None \
-        else res.x[:rows, rows:].copy()
-    return res.upper, w_best, res.lower, z_best, res.iterations
+    res = sdp_maximize(a, -dilation(r0.reshape(rows, cols)),
+                       np.concatenate([[t0], np.zeros(len(v0))]), bracket,
+                       start)
+    v = v0 if res.y is None else v0 + res.y[1:]
+    z = np.zeros((rows, cols)) if res.x is None else res.x[:rows, rows:].copy()
+    return res.upper, to_w @ v, res.lower, z, res.iterations

@@ -9,8 +9,7 @@ of the complexified diagonal realization.  The maximal structure
 is implemented for ell^1 coordinates: Haagerup's factorization SDP,
 started from the polar factors of the coefficients, gives a certified
 upper bound and, from its primal iterates, contractive test tuples that
-witness the lower bound; an exact seesaw polishes the best tuple only when
-the SDP stops before the bracket closes.
+witness the lower bound; nothing else searches.
 """
 
 from __future__ import annotations
@@ -20,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (as_matrix, clip_contraction, kron_sum, kron_sum_grad,
-                     op_norm)
+from .linalg import as_matrix, clip_contraction, dilation, kron_sum, op_norm
 from .opspace import OpSpace, complex_structure, complexify_space
-from .optim import SDP_BRACKET, polar_seesaw, sdp_maximize
+from .optim import sdp_maximize
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,10 +159,8 @@ def min_complexification_check(space: BanachSpace) -> float:
 class MaxL1Result:
     lower: float
     upper: float
-    best_m: int
     witness: list[np.ndarray]     # the contraction tuple attaining lower
     sdp_iterations: int           # Haagerup SDP steps (0: not needed)
-    search_rounds: int            # seesaw polish rounds (0: SDP closed)
     #: (t, X, Y), (d, n, n) stacks X_k, Y_k with [[X_k, a_k], [a_k^T, Y_k]]
     #: >= 0 and sum X_k, sum Y_k <= t I, so that upper = t
     certificate: tuple[float, np.ndarray, np.ndarray]
@@ -187,14 +183,17 @@ def _haagerup_sdp(mats: list[np.ndarray], lower: float):
     (Paulsen, "Completely Bounded Maps and Operator Algebras", 2002, ch. 8;
     the proof holds over the reals, as real B(H) is injective).
 
-    One ``sdp_maximize`` solve of min t, with the d blocks of size 2n and
-    the two n x n blocks t I - sum X_k, t I - sum Y_k on the diagonal of
-    S, so that A_0 is -I on those two blocks and the primal starts at
-    I / (2n).  It starts at X_k = Y_k = (||a_k|| + mu) I and
-    t = sum (||a_k|| + mu) + mu with mu = max(1, sum ||a_k||), so that the
-    start stays strictly feasible at any scale, from the bracket of the
-    triangle bound sum ||a_k|| (the point X_k = Y_k = ||a_k|| I) and the
-    witnessed ``lower``, and stops when the two sides meet.
+    One ``sdp_maximize`` solve of min t, with the d blocks
+    [[X_k, 0], [0, Y_k]] - D(a_k) of size 2n (D = ``linalg.dilation``)
+    and the two n x n blocks t I - sum X_k, t I - sum Y_k on the diagonal
+    of S, so that A_0 is -I on those two blocks and the primal starts at
+    I / (2n); each constraint matrix lives in its own block positions, so
+    the constraints are independent.  It starts at
+    X_k = Y_k = (||a_k|| + mu) I and t = sum (||a_k|| + mu) + mu with
+    mu = max(1, sum ||a_k||), so that the start stays strictly feasible at
+    any scale, from the bracket of the triangle bound sum ||a_k|| (the
+    point X_k = Y_k = ||a_k|| I) and the witnessed ``lower``, and stops
+    when the two sides meet.
 
     Each iterate gives both sides.  Upper: every 2n-block of the dual point
     is shifted by its most negative eigenvalue, and the bound is
@@ -228,8 +227,7 @@ def _haagerup_sdp(mats: list[np.ndarray], lower: float):
     y0[0] = sum(norms) + (d + 1) * margin
     for k in range(d):
         o = 2 * n * k
-        c_mat[o:o + n, o + n:o + 2 * n] = mats[k]
-        c_mat[o + n:o + 2 * n, o:o + n] = mats[k].T
+        c_mat[o:o + 2 * n, o:o + 2 * n] = dilation(mats[k])
         for half in (0, 1):
             i, p, q = 1 + (half * d + k) * nb, o + half * n, tail + half * n
             a[i:i + nb, p:p + n, p:p + n] = -sym
@@ -238,8 +236,8 @@ def _haagerup_sdp(mats: list[np.ndarray], lower: float):
 
     def certificate(y):
         xy = np.tensordot(y[1:].reshape(2, d, nb), sym, axes=1)
-        blocks = np.block([[xy[0], coeffs], [coeffs.transpose(0, 2, 1),
-                                             xy[1]]])
+        blocks = dilation(coeffs)
+        blocks[:, :n, :n], blocks[:, n:, n:] = xy
         shift = np.maximum(0.0, -np.linalg.eigvalsh(blocks)[:, 0])
         xy = xy + shift[:, None, None] * eye
         return float(np.linalg.eigvalsh(xy.sum(axis=1))[:, -1].max()), xy
@@ -283,13 +281,12 @@ def max_l1_norm_bounds(coeff_mats) -> MaxL1Result:
     entry finite.  The Haagerup SDP of ``_haagerup_sdp`` starts from the
     value of the polar factors of the scaled a_k, clipped to contractions;
     its primal witness replaces that tuple only when strictly better, and
-    its certificate gives ``upper``.  Only when the SDP stops early (on a
-    failed Cholesky factor or at its step cap) with the bracket wider than
-    SDP_BRACKET * max(1, upper) does the exact seesaw ``polar_seesaw``
-    polish the best tuple, for at most SEESAW_ROUNDS rounds
-    (``search_rounds``, else 0).  The value and the certificate (t, X, Y)
-    are scaled back.  A lower bound more than INVERSION_TOL (relative)
-    above the upper bound raises ``RuntimeError``.
+    its certificate gives ``upper``.  Nothing else searches: when the SDP
+    stops early (on a failed Cholesky factor or at its step cap), the
+    bracket it reached is returned open, still certified on both sides.
+    The value and the certificate (t, X, Y) are scaled back.  A lower
+    bound more than INVERSION_TOL (relative) above the upper bound raises
+    ``RuntimeError``.
     """
     mats = [as_matrix(a) for a in coeff_mats]
     if not mats:
@@ -300,30 +297,19 @@ def max_l1_norm_bounds(coeff_mats) -> MaxL1Result:
             raise ValueError("coefficient matrices must share a square shape")
     e = math.frexp(max(op_norm(a) for a in mats))[1] - 1
     scaled = np.ldexp(np.stack(mats), -e)
-
-    def polar(grads):
-        u, _, vt = np.linalg.svd(grads)
-        return u @ vt
-
-    coeffs = scaled.transpose(1, 2, 0)
-    witness = clip_contraction(polar(scaled))
-    best = float(_tuple_norms(coeffs, witness))
+    u, _, vt = np.linalg.svd(scaled)
+    witness = clip_contraction(u @ vt)
+    best = float(_tuple_norms(scaled.transpose(1, 2, 0), witness))
     (t, xs, ys), low, tup, sdp_iterations = _haagerup_sdp(list(scaled), best)
     if tup is not None:
         best, witness = low, tup
-    search_rounds = 0
-    if t - best > SDP_BRACKET * max(1.0, t):
-        values, tuples, search_rounds = polar_seesaw(
-            lambda ds: kron_sum(coeffs, ds),
-            lambda u, v: kron_sum_grad(coeffs, u, v), polar, witness[None])
-        best, witness = float(values[0]), tuples[0]
     if best > t + INVERSION_TOL * max(1.0, t):
         raise RuntimeError(f"witnessed lower bound {math.ldexp(best, e)!r} "
                            f"exceeds the certified upper bound "
                            f"{math.ldexp(t, e)!r}")
     upper = math.ldexp(t, e)
-    return MaxL1Result(math.ldexp(best, e), upper, n, list(witness),
-                       sdp_iterations, search_rounds,
+    return MaxL1Result(math.ldexp(best, e), upper, list(witness),
+                       sdp_iterations,
                        (upper, np.ldexp(xs, e), np.ldexp(ys, e)))
 
 
@@ -347,10 +333,8 @@ class L1NonuniquenessReport:
     max_lower: float
     max_upper: float
     gap: float
-    best_m: int
     witness: list[np.ndarray]
     sdp_iterations: int
-    search_rounds: int
     passed: bool
     claim: str = ("two-dimensional ell^1 carries at least two operator "
                   "space structures: the level-2 pair (diag(1,-1), flip) "
@@ -370,9 +354,8 @@ def reproduce_l12_nonuniqueness() -> L1NonuniquenessReport:
     passed = (abs(mn - np.sqrt(2.0)) <= L12_MIN_TOL and
               mx.lower >= 2.0 - L12_LOWER_TOL and
               abs(mx.upper - 2.0) <= L12_UPPER_TOL and gap >= L12_GAP)
-    return L1NonuniquenessReport(mn, mx.lower, mx.upper, gap, mx.best_m,
-                                 mx.witness, mx.sdp_iterations,
-                                 mx.search_rounds, passed=bool(passed))
+    return L1NonuniquenessReport(mn, mx.lower, mx.upper, gap, mx.witness,
+                                 mx.sdp_iterations, passed=bool(passed))
 
 
 def banach_from_json(obj: dict) -> BanachSpace:

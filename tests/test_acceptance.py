@@ -134,7 +134,7 @@ def test_criterion_08_complexification_consistency(verify_all):
           corner["deviation"] <= 1e-12 and
           corner["details"]["maps"] == 20 and
           all(r["deviation"] <= 1e-10 for r in mins))
-    _report(8, "shuffle exact on 50 samples; 20 corner maps commute to "
+    _report(8, "shuffle exact on scalars and M2(R); 20 corner maps commute to "
                "1e-12; minimal quantization commutes on all three spaces",
             ok)
 

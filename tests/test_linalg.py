@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from realops.linalg import (MEMBERSHIP_TOL, as_matrix, clip_contraction,
                             contraction_block, contraction_iff_positive,
-                            frobenius_norm, in_span, is_real_positive,
+                            dilation, frobenius_norm, in_span, is_real_positive,
                             kron_sum, kron_sum_grad, kron_sum_matrix,
                             mat_from_json, mat_to_json, op_norm,
                             relative_residual, span_coefficients)
@@ -92,6 +92,21 @@ class TestContractionIffPositive:
         blk = contraction_block(np.ones((2, 3)))
         assert blk.shape == (5, 5)
         assert np.array_equal(blk[:2, :2], np.eye(2))
+
+    def test_dilation_of_a_stack(self):
+        # [[0, m], [m^T, 0]] for each matrix of a stack, as alone; its top
+        # eigenvalue is the operator norm, and the contraction block is
+        # the identity plus it
+        ms = np.random.default_rng(3).standard_normal((4, 2, 3))
+        d = dilation(ms)
+        assert d.shape == (4, 5, 5)
+        for m, dm in zip(ms, d):
+            assert np.array_equal(dm, np.block([[np.zeros((2, 2)), m],
+                                                [m.T, np.zeros((3, 3))]]))
+            assert np.array_equal(dm, dilation(m))
+        assert np.allclose(np.linalg.eigvalsh(d)[:, -1], op_norm(ms),
+                           rtol=1e-14, atol=0)
+        assert np.array_equal(contraction_block(ms), np.eye(5) + d)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

@@ -304,10 +304,11 @@ class TestSdpMaximize:
 
     def test_singular_schur_matrix_steps_by_least_squares(self, monkeypatch):
         # the constraint A_1 = A_2 = F twice, with F coupling the two blocks
-        # of C: every Schur matrix has two equal rows, so its LU factor is
-        # exactly singular, and each step comes from least squares; the
-        # problem is min t s.t. t I - C - (y_1 + y_2) F >= 0, whose value
-        # is lambda_max(C), as F vanishes on the top eigenvector of C
+        # of C: every Schur matrix has two equal rows, so its LU factor has
+        # an exactly zero pivot, and each step comes from least squares
+        # (the kernel runs no rank test of its own); the problem is min t
+        # s.t. t I - C - (y_1 + y_2) F >= 0, whose value is lambda_max(C),
+        # as F vanishes on the top eigenvector of C
         c = self.problem(1)
         f = np.zeros((5, 5))
         f[:2, 2:] = np.random.default_rng(3).standard_normal((2, 3))

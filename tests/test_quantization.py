@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from realops import opspace, optim, quantization, suites
-from realops.linalg import kron_sum, op_norm
+from realops.linalg import clip_contraction, kron_sum, op_norm
 from realops.opspace import elem, level_norm, random_elem
 from realops.quantization import (PAIR_A, PAIR_B, BanachSpace,
                                   banach_from_json, ell_infty, ell_one,
@@ -237,7 +237,7 @@ class TestMaxL1:
         res = max_l1_norm_bounds([PAIR_A, PAIR_B])
         assert len(res.witness) == 2
         for w in res.witness:
-            assert w.shape == (res.best_m, res.best_m)
+            assert w.shape == (2, 2)
             assert op_norm(w) <= 1.0 + 1e-12
         coeffs = np.stack([PAIR_A, PAIR_B], axis=-1)
         value = op_norm(kron_sum(coeffs, np.stack(res.witness)))
@@ -264,11 +264,10 @@ class TestMaxL1:
     @pytest.mark.parametrize("n, d", [(1, 3), (2, 2), (2, 3), (3, 2)])
     def test_sizes_above_n_are_not_searched(self, n, d):
         # Smith's lemma: the cb norm of a map into M_n is reached at level
-        # n, so the seesaw and the SDP both work at test size m = n
+        # n, so the SDP works at test size m = n
         rng = np.random.default_rng(30 + n)
         mats = [rng.standard_normal((n, n)) for _ in range(d)]
         res = max_l1_norm_bounds(mats)
-        assert res.best_m == n
         assert all(w.shape == (n, n) for w in res.witness)
         assert res.upper - res.lower <= 1e-10 * max(1.0, res.upper)
 
@@ -324,6 +323,13 @@ def triangle(mats, lower):
         None, 0
 
 
+def polar_start(mats):
+    """The first witness of ``max_l1_norm_bounds``: the polar factors of
+    the a_k, clipped to contractions."""
+    u, _, vt = np.linalg.svd(np.stack(mats))
+    return clip_contraction(u @ vt)
+
+
 class TestSeesawSearch:
     def test_no_matrix_exponential(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -335,52 +341,36 @@ class TestSeesawSearch:
 
     # exact values, so that a search change that moves the bracket shows:
     # the polar start (A, B) is the witness and meets the triangle bound 2,
-    # so the SDP takes no step and no polish runs
+    # so the SDP takes no step
     def test_witness_pair_values_are_pinned(self):
         rep = reproduce_l12_nonuniqueness()
         assert rep.max_lower == 2.0
         assert rep.max_upper == 2.0
         assert rep.gap == 2.0 - rep.min_norm
-        assert rep.best_m == 2
         assert rep.sdp_iterations == 0
-        assert rep.search_rounds == 0
 
     @pytest.mark.parametrize("case", range(17))
     def test_search_witnesses_are_contractions(self, case, monkeypatch):
         # with the SDP reduced to the triangle bound, the reported witness
-        # is the polish's own tuple; the pair's polar start meets that
-        # bound, so no polish runs there
+        # is the clipped polar start, and the lower bound its value
         monkeypatch.setattr(quantization, "_haagerup_sdp", triangle)
         mats = (random_tuples() + [[PAIR_A, PAIR_B]])[case]
         res = max_l1_norm_bounds(mats)
-        if case == 16:
-            assert res.search_rounds == 0
-        else:
-            assert res.search_rounds > 0
+        assert np.allclose(res.witness, polar_start(mats), rtol=0,
+                           atol=1e-14)
         assert all(np.linalg.svd(w, compute_uv=False)[0] <= 1.0 + 1e-12
                    for w in res.witness)
         value = op_norm(kron_sum(np.stack(mats, axis=-1),
                                  np.stack(res.witness)))
         assert value == pytest.approx(res.lower, rel=1e-13)
 
-    def test_search_rounds_are_deterministic_and_capped(self, monkeypatch):
-        # with the SDP reduced to the triangle bound, the polish of this
-        # tuple never retires
-        monkeypatch.setattr(quantization, "_haagerup_sdp", triangle)
-        mats = random_tuples()[5]
-        free = max_l1_norm_bounds(mats).search_rounds
-        monkeypatch.setattr(optim, "SEESAW_ROUNDS", 7)
-        runs = [max_l1_norm_bounds(mats) for _ in range(2)]
-        assert runs[0].search_rounds == runs[1].search_rounds
-        # the one polish stops at the cap, and takes more rounds at the
-        # default cap
-        assert runs[0].search_rounds == 7
-        assert free > 7
-
-    def test_polish_runs_when_the_sdp_stops_early(self, monkeypatch):
+    def test_sdp_stopped_early_leaves_a_valid_open_bracket(self,
+                                                           monkeypatch):
         # the 7th inverse Cholesky factor (X of step 4) fails, so the SDP
-        # ends after three steps with its bracket open, and the seesaw
-        # polishes from the best tuple
+        # ends after three steps with its bracket open; nothing polishes
+        # its best tuple, and both sides stay certified
+        mats = random_tuples()[5]
+        closed = max_l1_norm_bounds(mats)
         real, calls = optim._inv_cholesky, []
 
         def failing(m):
@@ -390,16 +380,19 @@ class TestSeesawSearch:
             return real(m)
 
         monkeypatch.setattr(optim, "_inv_cholesky", failing)
-        mats = random_tuples()[5]
         res = max_l1_norm_bounds(mats)
         assert len(calls) == 7 and res.sdp_iterations == 3
-        assert res.search_rounds > 0
-        assert res.lower <= res.upper
+        assert res.upper - res.lower > 1e-10 * max(1.0, res.upper)
+        assert res.lower <= closed.upper and closed.lower <= res.upper
+        psd, excess = certificate_defect(mats, res)
+        assert psd <= 1e-12 and excess <= 1e-12
         assert all(np.linalg.svd(w, compute_uv=False)[0] <= 1.0 + 1e-12
                    for w in res.witness)
-        value = op_norm(kron_sum(np.stack(mats, axis=-1),
-                                 np.stack(res.witness)))
+        coeffs = np.stack(mats, axis=-1)
+        value = op_norm(kron_sum(coeffs, np.stack(res.witness)))
         assert value == pytest.approx(res.lower, rel=1e-13)
+        start = op_norm(kron_sum(coeffs, polar_start(mats)))
+        assert res.lower >= start * (1.0 - 1e-13)
 
 
 class TestHaagerupCertificate:
@@ -412,9 +405,9 @@ class TestHaagerupCertificate:
         assert res.sdp_iterations > 0
         psd, excess = certificate_defect(mats, res)
         assert psd <= 1e-12 and excess <= 1e-12
-        # the lower bound is witnessed at a test size m <= n
-        assert res.best_m <= len(mats[0])
-        assert all(op_norm(w) <= 1.0 + 1e-12 for w in res.witness)
+        # the lower bound is witnessed at test size n
+        assert all(w.shape == mats[0].shape and op_norm(w) <= 1.0 + 1e-12
+                   for w in res.witness)
         value = op_norm(kron_sum(np.stack(mats, axis=-1),
                                  np.stack(res.witness)))
         assert value == pytest.approx(res.lower, abs=1e-12)
