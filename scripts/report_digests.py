@@ -7,13 +7,17 @@ BLAS thread, at the default seed unless options such as ``--seed 7`` are
 given (global options, put before every command).  One more line digests the
 reports of the 288 ``quotient-norm`` requests of the benchmark's
 ``quotient`` workload (``perfbench/workloads.make_passes``) at the seed
-the reports echo, concatenated in order; their input files are written
-under a temporary directory that the script enters, so the paths the
-reports echo are the same on every run.  After the digests, one line
-``suite | row | deviation | passed`` follows for every ``verify`` row,
-the deviation printed exactly (``repr``).  Diffing the output of two
-checkouts shows which reports, and which rows, a change moved.  Exits 0
-when every command exits 0.
+the reports echo, concatenated in order, and a last line the
+``certify-mproj`` reports of three refuted projections (CERTIFICATES),
+concatenated in order.  Input files are written under a temporary
+directory that the script enters, so the paths the reports echo are the
+same on every run.
+After the digests, one line ``suite | row | deviation | passed`` follows
+for every ``verify`` row, the deviation printed exactly (``repr``), and
+one line ``certify-mproj | name | verdict | check | level | observed``
+for every certificate.  Diffing the output of two checkouts shows which
+reports, rows and certificates a change moved.  Exits 0 when every
+command exits 0 or, for a certificate, 1 (refuted).
 
     PYTHONPATH=src python scripts/report_digests.py
 """
@@ -32,12 +36,49 @@ import io  # noqa: E402
 import json  # noqa: E402
 import tempfile  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 from realops.cli import run  # noqa: E402
+from realops.opspace import (full_matrix_space, opspace_to_json,  # noqa: E402
+                             span_space)
 from workloads import make_passes  # noqa: E402
 
 COMMANDS = [["verify", suite] for suite in
             ("linalg", "opspace", "quantization", "mideal", "systems")] + \
     [["reproduce", name] for name in ("l12-nonunique", "complex-dual")]
+
+M2 = opspace_to_json(full_matrix_space(2))
+T2 = opspace_to_json(span_space([[[1, 0], [0, 0]], [[0, 1], [0, 0]],
+                                 [[0, 0], [0, 1]]]))
+#: name -> (space, projection coefficient matrix) of each certificate
+CERTIFICATES = {
+    "symmetrization": (M2, [[1, 0, 0, 0], [0, .5, .5, 0], [0, .5, .5, 0],
+                            [0, 0, 0, 1]]),
+    "oblique-multiplier": (M2, np.kron([[1.0, 1.0], [0.0, 0.0]],
+                                       np.eye(2)).tolist()),
+    "t2-e12-coefficient": (T2, np.diag([0.0, 1.0, 0.0]).tolist()),
+}
+
+
+def certificate_reports(options):
+    """The ``certify-mproj`` report text of every CERTIFICATES entry, in
+    order, and the worst exit code other than 1; the input files are
+    written to the working directory."""
+    worst, texts = 0, []
+    for name, (space, matrix) in CERTIFICATES.items():
+        with open(f"{name}-space.json", "w") as fh:
+            json.dump(space, fh)
+        with open(f"{name}-proj.json", "w") as fh:
+            json.dump({"matrix": matrix}, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run(["--json"] + options + [
+                "certify-mproj", "--space", f"{name}-space.json", "--proj",
+                f"{name}-proj.json"])
+        worst = max(worst, 0 if code == 1 else code)
+        texts.append(out.getvalue())
+    return worst, texts
+
 
 if __name__ == "__main__":
     worst, rows = 0, []
@@ -61,9 +102,18 @@ if __name__ == "__main__":
         with contextlib.redirect_stdout(out):
             for request in requests:
                 worst = max(worst, run(request.argv))
+        cert_worst, certs = certificate_reports(sys.argv[1:])
+        worst = max(worst, cert_worst)
         os.chdir(here)
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     print(f"{digest}  quotient-norm x{len(requests)} (benchmark quotient "
           f"workload, seed {seed})")
+    digest = hashlib.sha256("".join(certs).encode()).hexdigest()
+    print(f"{digest}  certify-mproj x{len(certs)} ({', '.join(CERTIFICATES)})")
     print("\n".join(rows))
+    for name, text in zip(CERTIFICATES, certs):
+        cert = json.loads(text)["result"]
+        print(f"certify-mproj | {name} | {cert['verdict']} | "
+              f"{cert['check']} | {cert['refuted_level']} | "
+              f"{cert['observed']!r}")
     sys.exit(worst)

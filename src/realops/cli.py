@@ -235,8 +235,8 @@ def _cmd_certify_mproj(args):
     space = _load_space(args.space)
     proj = mideal.projection(space, _load_matrix(args.proj))
     cert = mideal.certify_left_m_projection(
-        proj, max_level=args.max_level, samples=args.samples,
-        restarts=args.restarts, seed=args.seed, tol=_tol(args))
+        proj, max_level=args.max_level, restarts=args.restarts,
+        seed=args.seed, tol=_tol(args))
     return cert, _verdict(cert.certified)
 
 
@@ -496,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--proj", required=True)
     p.add_argument("--max-level", type=int, default=3)
-    p.add_argument("--samples", type=int, default=200)
     p.add_argument("--restarts", type=int, default=16)
 
     p = sub.add_parser("multiplier-witness",

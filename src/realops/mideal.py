@@ -18,14 +18,11 @@ contractions of the right kind (an orthogonal projection does; the real
 form of Blecher-Effros-Zarikian, "One-sided M-ideals and multipliers in
 operator spaces, I", Pacific J. Math. 206, 2002), the verdict holds at
 all matrix levels, with the multiplier certificate as proof.  Otherwise
-it is level- and sample-bounded: it certifies the absence of violations
-up to the checked level, not the full property.  At each level the
-isometry search scores a seeded pool of elements in one stacked
-evaluation, then refines the pool's best point from several jittered
-starts that run in lockstep through one stacked ``ratio_ascent``, unless
-the pool already sits at the ratio's floor 1/sqrt(2).  The
-checks of mu and tau advance one lazy ``opspace.cb_norm_levels`` sweep
-per map, a level at a time.
+it is level-bounded: it certifies the absence of violations up to the
+checked level, not the full property.  Since mu composed with nu is the
+identity, nu is isometric and mu and tau contractive exactly when all
+three have norm at most 1, so each map advances one lazy
+``opspace.cb_norm_levels`` sweep, a level at a time.
 """
 
 from __future__ import annotations
@@ -37,10 +34,7 @@ import numpy as np
 from .linalg import (MEMBERSHIP_TOL, as_matrix, in_span, op_norm,
                      span_coefficients)
 from .opspace import (CBMap, MatElem, OpSpace, complexify_map,
-                      complexify_space, cb_norm_levels, level_norm,
-                      num_den_maps)
-from .optim import ratio_ascent, ratio_eval, seesaw_ascent
-from .rng import derived_rng
+                      complexify_space, cb_norm_levels, level_norm)
 
 IDEMPOTENCY_TOL = 1e-10
 
@@ -155,7 +149,6 @@ class MultiplierCertificate:
 class Certification:
     verdict: str                 # "certified" | "refuted"
     levels_checked: int          # 0 when certified by ``certificate``
-    samples: int                 # 0 when certified by ``certificate``
     tolerance: float
     refuted_level: int | None = None
     check: str | None = None     # "nu_isometry" | "mu_contraction" | "tau_contraction"
@@ -207,117 +200,52 @@ def _multiplier_certificate(p: Projection,
     return None
 
 
-def _isometry_violation_search(nu: CBMap, level: int, samples: int,
-                               refinements: int, seed: int):
-    """Worst |ratio - 1| for ratio = norm(nu x)/norm(x) over sampled and
-    ascent-refined elements; returns (violation, ratio, coeffs).
-
-    The pool (the d canonical elements, then ``samples`` draws of
-    ``derived_rng(seed, 11, level)``) is scored in one stacked evaluation
-    and its first strict maximum kept.  Every refinement j starts from the
-    pool's best point, jittered by ``derived_rng(seed, 12, level, j)``
-    (1e-8 for j = 0, 0.05 otherwise), and all of them run as one lockstep
-    ``ratio_ascent``, ascending away from 1 on the side of the pool's best
-    ratio; their results are reduced in order with strict ``>``.  When
-    that side is upward and nu's domain fills its ambient space, one exact
-    ``seesaw_ascent`` row then polishes the best point, which it replaces
-    only when strictly better.
-
-    The ratio has a floor: nu = [P; I - P] for a linear P, so at every
-    level norm(x) = norm([I I] nu(x)) <= sqrt(2) norm(nu x), and no ratio
-    lies below 1/sqrt(2).  When the pool's best ratio is at or below
-    ``np.sqrt(0.5)`` on the downward side, no element can do better, so
-    the refinement ascent is skipped and no starts are drawn.
-    """
-    d = nu.domain.dim
-    num, den = num_den_maps(nu, level)
-    n = level * level * d
-    pool = np.concatenate([np.eye(d, n),
-                           derived_rng(seed, 11, level).standard_normal(
-                               (samples, n))])
-    ratios = ratio_eval(num, den, pool)
-    viol = np.where(pool.any(axis=1), np.abs(ratios - 1.0), -1.0)
-    i = int(np.argmax(viol))         # the first of equal maxima
-    best_viol, best_c, best_r = viol[i], pool[i], float(ratios[i])
-    sign = -1.0 if best_r <= 1.0 else 1.0
-    if sign > 0 or best_r > np.sqrt(0.5):    # else the pool is at the floor
-        starts = np.empty((refinements, n))
-        for j in range(refinements):
-            rng_j = derived_rng(seed, 12, level, j)
-            starts[j] = best_c + (1e-8 if j == 0 else 0.05) * \
-                rng_j.standard_normal(n)
-        xs = ratio_ascent(num, den, starts, iters=400, sign=sign)[1]
-        ratios = ratio_eval(num, den, xs)
-        j = int(np.argmax(np.abs(ratios - 1.0)))
-        if abs(ratios[j] - 1.0) > best_viol:
-            best_c, best_r = xs[j], float(ratios[j])
-    if sign > 0 and den.matrix.shape[0] == den.matrix.shape[1]:
-        (val,), (x,) = seesaw_ascent(num, den, best_c[None])
-        if val > best_r:
-            best_c, best_r = x, float(val)
-    sd = den.sigma(best_c[None])[0]
-    if sd > 0:
-        best_c = best_c / sd          # report a unit-norm witness
-        best_r = float(ratio_eval(num, den, best_c[None])[0])
-    return abs(best_r - 1.0), best_r, best_c.reshape(level, level, d)
-
-
 def certify_left_m_projection(p: Projection, max_level: int = 3,
-                              samples: int = 200, restarts: int = 16,
-                              seed: int = 0, tol: float = 1e-9) -> Certification:
+                              restarts: int = 16, seed: int = 0,
+                              tol: float = 1e-9) -> Certification:
     """Certificate that P is a complete left M-projection, or a refutation.
 
     After the parameters are validated, ``_multiplier_certificate`` is
     tried first: when P is left multiplication by a matrix a that makes
     nu an isometry and mu and tau contractions within ``tol``, the verdict
     is ``certified`` at all levels (``all_levels``, with the bounds in
-    ``certificate``) and nothing is searched: ``levels_checked`` and
-    ``samples`` are then 0.
+    ``certificate``) and nothing is searched: ``levels_checked`` is then 0.
 
-    Otherwise the check is level-bounded.  Per level: (a) search for
-    isometry violations of nu, over ``samples`` seeded elements and then
-    min(restarts, 16) ascent refinements, which all start from the best
-    sampled element and run in lockstep; the refinements are skipped when
-    the best sampled ratio already sits at nu's floor 1/sqrt(2) (norm(x)
-    <= sqrt(2) norm(nu x) for any linear P), below which no ratio lies;
-    (b) refute contractivity of mu and tau through the next level of their
-    ``cb_norm_levels`` sweeps (cb-norm lower bounds).  Any violation
-    yields a refuted verdict with a concrete re-verifiable witness;
-    otherwise the projection is certified at the checked levels (not a
-    proof of the full completely isometric property).
+    Otherwise the check is level-bounded.  nu, mu and tau each get one
+    lazy ``cb_norm_levels`` sweep, and each level takes the next result
+    of nu's, then mu's, then tau's.  The first cb-norm lower bound above
+    1 + tol yields a refuted verdict with a concrete re-verifiable
+    witness.  Bounding nu's cb norm by 1 bounds only its upward isometry
+    defects, but mu composed with nu is the identity, so at every level
+    norm(x) = norm(mu_n nu_n x) <= norm(mu_n) norm(nu_n x): a downward
+    defect of ratio r < 1 is a mu violation of value 1/r at nu_n x.  So
+    nu is isometric and mu and tau are contractive at a level exactly
+    when all three norms are at most 1.  Without a violation, the
+    projection is certified at the checked levels (not a proof of the full
+    completely isometric property).
     """
     if max_level < 1:
         raise ValueError("max_level must be at least 1")
-    if samples < 0:
-        raise ValueError("samples must be nonnegative")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     cert = _multiplier_certificate(p, tol)
     if cert is not None:
-        return Certification("certified", 0, 0, tol, all_levels=True,
+        return Certification("certified", 0, tol, all_levels=True,
                              certificate=cert)
-    nu, mu, tau = build_nu_mu_tau(p)
     sweeps = [(name, cb_norm_levels(mp, max_level, restarts=restarts,
                                     iters=300, seed=seed + 1))
-              for name, mp in (("mu_contraction", mu),
-                               ("tau_contraction", tau))]
+              for name, mp in zip(("nu_isometry", "mu_contraction",
+                                   "tau_contraction"), build_nu_mu_tau(p))]
     for lvl in range(1, max_level + 1):
-        viol, ratio, coeffs = _isometry_violation_search(
-            nu, lvl, samples, refinements=min(restarts, 16), seed=seed)
-        if viol > tol:
-            return Certification(
-                "refuted", lvl, samples, tol, refuted_level=lvl,
-                check="nu_isometry", witness=coeffs, observed=ratio,
-                expected=1.0)
         for name, levels in sweeps:
             res = next(levels)
             if res.value > 1.0 + tol:
                 return Certification(
-                    "refuted", lvl, samples, tol, refuted_level=lvl,
-                    check=name, witness=res.witness,
-                    witness_in_column_space=True, observed=res.value,
-                    expected=1.0)
-    return Certification("certified", max_level, samples, tol)
+                    "refuted", lvl, tol, refuted_level=lvl, check=name,
+                    witness=res.witness,
+                    witness_in_column_space=name != "nu_isometry",
+                    observed=res.value, expected=1.0)
+    return Certification("certified", max_level, tol)
 
 
 def reverify_certification(p: Projection, cert: Certification) -> float:

@@ -2,13 +2,15 @@
 
 Five workhorses and two reference solvers:
 
-* ``ratio_ascent``: multistart subgradient ascent on a ratio of two largest
-  singular values, both linear in the parameter vector.  It takes a stack
-  of starts and advances them in lockstep, with one stacked SVD of each
-  map per step; each start ends exactly as it would alone.  Steps decay
-  geometrically, which keeps making progress at the sharp (nonsmooth)
-  maxima these spectral objectives have.  Every evaluated iterate is
-  feasible, so the best value seen is always a valid lower bound.
+* ``ratio_ascent``: multistart subgradient ascent that maximizes a ratio
+  of two largest singular values, both linear in the parameter vector;
+  ``opspace.cb_norm_levels`` runs it on domains that do not fill their
+  ambient space.  It takes a stack of starts and advances them in
+  lockstep, with one stacked SVD of each map per step; each start ends
+  exactly as it would alone.  Steps decay geometrically, which keeps
+  making progress at the sharp (nonsmooth) maxima these spectral
+  objectives have.  Every evaluated iterate is feasible, so the best
+  value seen is always a valid lower bound.
 * ``polar_seesaw``: exact alternating (seesaw) maximization of a largest
   singular value, linear in a point of a convex set.  The linearized
   subproblem is solved by a polar step that only the caller knows how to
@@ -106,9 +108,9 @@ def ratio_eval(num: LinearMatrixMap, den: LinearMatrixMap,
 
 
 def ratio_ascent(num: LinearMatrixMap, den: LinearMatrixMap, x0: np.ndarray,
-                 iters: int = 500, step0: float = 0.5,
-                 sign: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize sign * sigma(num x)/sigma(den x) from each row of the
+                 iters: int = 500,
+                 step0: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize sigma(num x)/sigma(den x) from each row of the
     (r, dim) stack of starts ``x0``; returns (best values, best points) as
     (r,) and (r, dim) arrays.
 
@@ -119,11 +121,8 @@ def ratio_ascent(num: LinearMatrixMap, den: LinearMatrixMap, x0: np.ndarray,
     ``iters``.  A row retires where a lone ascent stops (a vanishing
     denominator or gradient), and a zero start has value 0 at itself.
     Each row keeps its own first strict maximum, so it ends exactly as it
-    would alone.
-
-    ``sign=-1`` turns the routine into a minimizer (used for isometry
-    defects below 1).  The reported value is always sign * ratio at the
-    best feasible iterate.  ``iters < 1`` raises ``ValueError``.
+    would alone.  The reported value is the ratio at the best feasible
+    iterate.  ``iters < 1`` raises ``ValueError``.
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")
@@ -144,11 +143,11 @@ def ratio_ascent(num: LinearMatrixMap, den: LinearMatrixMap, x0: np.ndarray,
         keep = sd > 1e-300
         x, sn, gn, sd, gd, live = (x[keep], sn[keep], gn[keep], sd[keep],
                                    gd[keep], live[keep])
-        val = sign * sn / sd
+        val = sn / sd
         better = val > best_val[live]
         best_val[live[better]] = val[better]
         best_x[live[better]] = x[better]
-        g = sign * (gn * sd[:, None] - sn[:, None] * gd) / (sd * sd)[:, None]
+        g = (gn * sd[:, None] - sn[:, None] * gd) / (sd * sd)[:, None]
         gnorm = frobenius_norm(g[:, None, :])
         keep = gnorm >= 1e-18
         x, g, gnorm, live = x[keep], g[keep], gnorm[keep], live[keep]

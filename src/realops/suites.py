@@ -380,20 +380,19 @@ def suite_mideal(seed: int, projection_matrix=None) -> list[CheckResult]:
     m2 = full_matrix_space(2)
 
     p_good = mideal.projection(m2, DIAG_MULT)
-    cert = mideal.certify_left_m_projection(p_good, max_level=3, samples=200,
-                                            restarts=8, seed=seed, tol=1e-9)
+    cert = mideal.certify_left_m_projection(p_good, max_level=3, restarts=8,
+                                            seed=seed, tol=1e-9)
     out.append(_check("left multiplication by diag(1,0) certifies at "
                       "levels 1-3", 0.0 if cert.certified else 1.0, 0.0,
-                      verdict=cert.verdict, samples=200))
+                      verdict=cert.verdict, all_levels=cert.all_levels))
 
     p_symm = mideal.projection(m2, SYMMETRIZATION)
     cert_s = mideal.certify_left_m_projection(p_symm, max_level=3,
-                                              samples=200, restarts=8,
-                                              seed=seed, tol=1e-9)
+                                              restarts=8, seed=seed, tol=1e-9)
     refuted_ok = (cert_s.verdict == "refuted" and cert_s.refuted_level == 1)
-    wdev = abs((cert_s.observed or 0.0) - np.sqrt(0.5)) if refuted_ok else 1.0
+    wdev = abs((cert_s.observed or 0.0) - np.sqrt(2.0)) if refuted_ok else 1.0
     out.append(_check("symmetrization refutes at level 1 with witness "
-                      "value sqrt(1/2)", wdev, 1e-9,
+                      "value sqrt(2)", wdev, 1e-9,
                       verdict=cert_s.verdict, level=cert_s.refuted_level,
                       observed=cert_s.observed))
     if refuted_ok:
@@ -442,8 +441,8 @@ def suite_mideal(seed: int, projection_matrix=None) -> list[CheckResult]:
         if not mideal.verify_multiplier_witness(m2, u, e):
             bad += 1
         cert_e = mideal.certify_left_m_projection(
-            mideal.projection(m2, u.matrix), max_level=2, samples=100,
-            restarts=6, seed=seed, tol=1e-9)
+            mideal.projection(m2, u.matrix), max_level=2, restarts=6,
+            seed=seed, tol=1e-9)
         if not cert_e.certified:
             bad += 1
     out.append(_check("orthogonal projection witnesses never refute", bad,
@@ -488,8 +487,7 @@ def suite_mideal(seed: int, projection_matrix=None) -> list[CheckResult]:
     if projection_matrix is not None:
         p_user = mideal.projection(m2, np.asarray(projection_matrix, float))
         cert_u = mideal.certify_left_m_projection(
-            p_user, max_level=2, samples=100, restarts=6, seed=seed,
-            tol=1e-9)
+            p_user, max_level=2, restarts=6, seed=seed, tol=1e-9)
         out.append(_check("user-supplied projection certifies",
                           0.0 if cert_u.certified else 1.0, 0.0,
                           verdict=cert_u.verdict))

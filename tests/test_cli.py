@@ -68,6 +68,10 @@ def files(tmp_path):
                                          [[1e308, 1e308], [1e308, 1e308]]}]})
     write("huge_proj.json", {"matrix": [[1e308, 0, 0, 0], [0, 1, 0, 0],
                                         [0, 0, 0, 0], [0, 0, 0, 0]]})
+    write("proj_3x3.json", {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 0]]})
+    write("eye3.json", {"rows": 3, "cols": 3,
+                        "entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    write("ideal_4.json", {"coeffs": [[0.0, 1.0, 0.0, 0.0]]})
     write("tiny_subspace.json", {"coeffs": [[1e-200, 0, 0, 0]]})
     write("huge_elem.json", {"level": 1, "coeffs": [[[1e308, 1e308, 0, 0]]]})
     return paths
@@ -137,14 +141,12 @@ class TestExitCodes:
         code, rep = run_json(capsys, ["certify-mproj", "--space",
                                       files["m2.json"], "--proj",
                                       files["proj_good.json"],
-                                      "--max-level", "2", "--samples", "100",
-                                      "--restarts", "6"])
+                                      "--max-level", "2", "--restarts", "6"])
         assert code == 0
         assert rep["result"]["verdict"] == "certified"
         assert rep["result"]["all_levels"] is True
-        # nothing was drawn or searched on the all-level path
+        # nothing was searched on the all-level path
         assert rep["result"]["levels_checked"] == 0
-        assert rep["result"]["samples"] == 0
         assert set(rep["result"]["certificate"]) == \
             {"a", "delta", "epsilon", "mu_bound", "tau_bound"}
 
@@ -152,12 +154,13 @@ class TestExitCodes:
         code, rep = run_json(capsys, ["certify-mproj", "--space",
                                       files["m2.json"], "--proj",
                                       files["proj_symm.json"],
-                                      "--max-level", "2", "--samples", "100",
-                                      "--restarts", "6"])
+                                      "--max-level", "2", "--restarts", "6"])
         assert code == 1
         assert rep["result"]["verdict"] == "refuted"
-        assert rep["result"]["observed"] == pytest.approx(np.sqrt(0.5),
+        assert rep["result"]["check"] == "mu_contraction"
+        assert rep["result"]["observed"] == pytest.approx(np.sqrt(2.0),
                                                           abs=1e-9)
+        assert "samples" not in rep["result"]
         assert rep["result"]["all_levels"] is False
         assert rep["result"]["certificate"] is None
 
@@ -244,19 +247,18 @@ class TestExitCodes:
     ["certify-mproj", "--space", "m2.json", "--proj", "proj_good.json",
      "--max-level", "0"],
     ["certify-mproj", "--space", "m2.json", "--proj", "proj_good.json",
-     "--samples", "-1"],
-    ["max-l1", "--coeffs", "pair.json", "--mmax", "0"],
-    ["reproduce", "l12-nonunique", "--mmax", "0"],
-    ["reproduce", "complex-dual", "--mmax", "0"],
+     "--restarts", "0"],
     ["certify-mproj", "--space", "m2.json", "--proj", "proj_good.json",
      "--restarts", "-3"],
-    ["max-l1", "--coeffs", "pair.json", "--restarts", "0"],
+    ["reproduce", "l12-nonunique", "--restarts", "0"],
     ["reproduce", "l12-nonunique", "--restarts", "-1"],
     ["reproduce", "complex-dual", "--restarts", "-1"],
-    ["quotient-norm", "--space", "m2.json", "--subspace", "subspace.json",
-     "--elem", "e12_elem.json", "--iters", "0"],
-    ["quotient-norm", "--space", "m2.json", "--subspace", "subspace.json",
-     "--elem", "e12_elem.json", "--iters", "-4"],
+    # inputs whose sizes do not fit the space or algebra
+    ["certify-mproj", "--space", "m2.json", "--proj", "proj_3x3.json"],
+    ["multiplier-witness", "--space", "m2.json", "--map", "id_map.json",
+     "--a", "eye3.json"],
+    ["right-ideal", "--algebra", "triangular.json", "--subspace",
+     "ideal_4.json"],
     ["w2-norm", "--banach", "l12.json", "--x", "[NaN, 1]", "--y", "[0, 0]"],
     ["w2-norm", "--banach", "l12.json", "--x", "[1, 0]", "--y", "[1, NaN]"],
     ["w2-norm", "--banach", "l12.json", "--x", "[1e400, 1]", "--y", "[0, 0]"],
@@ -270,6 +272,8 @@ class TestExitCodes:
      "--y", "[1, 0]"],
     ["max-l1", "--coeffs", "huge_coeffs.json"],
     ["certify-mproj", "--space", "m2.json", "--proj", "huge_proj.json"],
+    ["verify", "mideal", "--proj", "huge_proj.json"],
+    ["choi-effros", "--algebra", "m2.json", "--idempotent", "huge_proj.json"],
     ["quotient-norm", "--space", "m2.json", "--subspace",
      "tiny_subspace.json", "--elem", "huge_elem.json"],
 ])
@@ -280,10 +284,31 @@ def test_out_of_range_parameters_are_input_errors(files, capsys, argv):
         code = cli.run(["--json"] + [files.get(a, a) for a in argv])
     captured = capsys.readouterr()
     assert (code, caught) == (2, [])
-    error = json.loads(captured.out)["error"]
-    if argv[0] == "max-l1" and argv[-2] in ("--mmax", "--restarts"):
-        # max-l1 has no --mmax or --restarts: any value is a usage error
-        assert error.startswith("unrecognized arguments")
+    assert not json.loads(captured.out)["error"].startswith(
+        "unrecognized arguments")
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify-mproj", "--space", "m2.json", "--proj", "proj_good.json",
+     "--samples", "-1"],
+    ["max-l1", "--coeffs", "pair.json", "--mmax", "0"],
+    ["max-l1", "--coeffs", "pair.json", "--restarts", "0"],
+    ["reproduce", "l12-nonunique", "--mmax", "0"],
+    ["reproduce", "complex-dual", "--mmax", "0"],
+    ["quotient-norm", "--space", "m2.json", "--subspace", "subspace.json",
+     "--elem", "e12_elem.json", "--iters", "0"],
+    ["quotient-norm", "--space", "m2.json", "--subspace", "subspace.json",
+     "--elem", "e12_elem.json", "--iters", "-4"],
+])
+def test_flags_a_command_lacks_are_usage_errors(files, capsys, argv):
+    # whatever the value, a flag the command does not declare is rejected
+    # before any range is checked
+    code = cli.run(["--json"] + [files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"].startswith(
+        "unrecognized arguments")
     assert "Traceback" not in captured.out + captured.err
 
 
@@ -759,8 +784,8 @@ REPORT_ARGVS = {
                 "--y", "[0, 0]"],
     "max-l1": ["max-l1", "--coeffs", "pair.json"],
     "certify-mproj": ["certify-mproj", "--space", "m2.json", "--proj",
-                      "proj_symm.json", "--max-level", "2", "--samples",
-                      "20", "--restarts", "2"],
+                      "proj_symm.json", "--max-level", "2", "--restarts",
+                      "2"],
     "multiplier-witness": ["multiplier-witness", "--space", "m2.json",
                            "--map", "id_map.json", "--a", "eye2.json"],
     "right-ideal": ["right-ideal", "--algebra", "triangular.json",

@@ -12,8 +12,7 @@ from realops.mideal import (build_nu_mu_tau, certify_left_m_projection,
 from realops.opspace import (CBMap, MatElem, OpSpace, cb_norm_levels,
                              cb_norm_lower_search, complexify_map, elem,
                              full_matrix_space, identity_map, level_norm,
-                             num_den_maps, random_elem, span_space)
-from realops.optim import ratio_ascent, ratio_eval, seesaw_ascent
+                             random_elem, span_space)
 from realops.rng import derived_rng
 from realops.systems import op_algebra
 
@@ -66,6 +65,14 @@ class TestNuMuTau:
         assert level_norm(col) == pytest.approx(op_norm(stacked), abs=1e-14)
 
 
+@pytest.fixture
+def triangular():
+    """T2(R) = span{E11, E12, E22}, an algebra that does not fill its
+    ambient M2(R)."""
+    return op_algebra(span_space([[[1, 0], [0, 0]], [[0, 1], [0, 0]],
+                                  [[0, 0], [0, 1]]]))
+
+
 def _oblique_draws():
     """The ten oblique rank-2 idempotents of the mideal suite at seed
     0xC0FFEE."""
@@ -81,11 +88,11 @@ def _oblique_draws():
 class TestCertification:
     def test_corner_multiplication_certifies(self):
         p = projection(M2, DIAG_MULT)
-        cert = certify_left_m_projection(p, max_level=3, samples=200,
-                                         restarts=8, seed=0xC0FFEE, tol=1e-9)
+        cert = certify_left_m_projection(p, max_level=3, restarts=8,
+                                         seed=0xC0FFEE, tol=1e-9)
         assert cert.certified and cert.all_levels
-        # nothing was drawn or searched on the all-level path
-        assert cert.levels_checked == 0 and cert.samples == 0
+        # nothing was searched on the all-level path
+        assert cert.levels_checked == 0
         assert np.allclose(cert.certificate.a, np.diag([1.0, 0.0]),
                            atol=1e-12)
         # the multiplier certificate holds beyond max_level
@@ -108,8 +115,8 @@ class TestCertification:
 
     def test_identity_certifies(self):
         cert = certify_left_m_projection(projection(M2, np.eye(4)),
-                                         max_level=2, samples=100,
-                                         restarts=6, seed=1, tol=1e-9)
+                                         max_level=2, restarts=6, seed=1,
+                                         tol=1e-9)
         assert cert.certified
 
     @pytest.mark.parametrize("e", [np.diag([1.0, 0.0]), np.eye(2),
@@ -120,8 +127,7 @@ class TestCertification:
         # the zero projection
         pm = M2.coefficients(e @ M2.basis)[0].T
         cert = certify_left_m_projection(projection(M2, pm), max_level=2,
-                                         samples=100, restarts=6,
-                                         seed=0xC0FFEE, tol=1e-9)
+                                         restarts=6, seed=0xC0FFEE, tol=1e-9)
         assert cert.certified and cert.all_levels
         # the certificate's bounds, re-checked by eigvalsh
         c = cert.certificate
@@ -138,42 +144,43 @@ class TestCertification:
         assert max(c.mu_bound, c.tau_bound) <= 1 + 1e-9
 
     def test_oblique_idempotents_refute_at_level_one(self):
-        # nu's level-1 norm exceeds 1, and the seesaw ascent (exact on
-        # the full domain M2(R)) gives it to compare with; no draw is a
-        # left multiplier, so the multiplier certificate declines
+        # nu's level-1 norm exceeds 1, and a 32-restart seesaw search
+        # (exact on the full domain M2(R)) gives it to compare with; no
+        # draw is a left multiplier, so the multiplier certificate declines
         for pm in _oblique_draws():
             p = projection(M2, pm)
-            cert = certify_left_m_projection(p, max_level=3, samples=200,
-                                             restarts=8, seed=0xC0FFEE)
+            cert = certify_left_m_projection(p, max_level=3, restarts=8,
+                                             seed=0xC0FFEE)
             assert (cert.verdict, cert.check, cert.refuted_level) == \
                 ("refuted", "nu_isometry", 1)
             assert (cert.all_levels, cert.certificate) == (False, None)
             assert abs(reverify_certification(p, cert) - cert.observed) \
                 <= 1e-12
             seesaw = cb_norm_lower_search(build_nu_mu_tau(p)[0], 1).value
-            # the exact seesaw polish closes the up to 4.3e-4 (relative)
-            # that 400 subgradient steps alone leave on these draws
             assert abs(cert.observed - seesaw) <= 1e-12 * seesaw
 
     def test_symmetrization_refutes_at_level_one(self):
         # direct oracle: nu(e12) stacks S = (e12+e21)/2 and K = (e12-e21)/2,
-        # and |S^T S + K^T K| = 1/2
+        # and |S^T S + K^T K| = 1/2; mu maps [S; K] back to e12, of norm
+        # 1, so mu's ratio there is 1/sqrt(1/2)
         s = np.array([[0.0, 0.5], [0.5, 0.0]])
         k = np.array([[0.0, 0.5], [-0.5, 0.0]])
         assert op_norm(s.T @ s + k.T @ k) == pytest.approx(0.5, abs=1e-15)
         cert = certify_left_m_projection(projection(M2, SYMMETRIZATION),
-                                         max_level=3, samples=200,
-                                         restarts=8, seed=0xC0FFEE, tol=1e-9)
+                                         max_level=3, restarts=8,
+                                         seed=0xC0FFEE, tol=1e-9)
         assert cert.verdict == "refuted"
         assert cert.refuted_level == 1
-        assert cert.check == "nu_isometry"
-        assert cert.observed == pytest.approx(np.sqrt(0.5), abs=1e-9)
+        assert (cert.check, cert.witness_in_column_space) == \
+            ("mu_contraction", True)
+        ratio = 1.0 / np.sqrt(op_norm(s.T @ s + k.T @ k))
+        assert cert.observed == pytest.approx(ratio, abs=1e-9)
         assert (cert.all_levels, cert.certificate) == (False, None)
 
     def test_witness_reverifies_deterministically(self):
         p = projection(M2, SYMMETRIZATION)
-        cert = certify_left_m_projection(p, max_level=1, samples=200,
-                                         restarts=8, seed=0xC0FFEE, tol=1e-9)
+        cert = certify_left_m_projection(p, max_level=1, restarts=8,
+                                         seed=0xC0FFEE, tol=1e-9)
         assert abs(reverify_certification(p, cert) - cert.observed) <= 1e-12
 
     def test_nu_dominates_column_norms(self):
@@ -205,8 +212,8 @@ class TestMultiplierCertificate:
     def test_complexified_multiplier_certifies(self):
         u = complexify_map(CBMap(M2, M2, DIAG_MULT))
         cert = certify_left_m_projection(projection(u.domain, u.matrix),
-                                         max_level=2, samples=100,
-                                         restarts=6, seed=0xC0FFEE)
+                                         max_level=2, restarts=6,
+                                         seed=0xC0FFEE)
         assert cert.certified and cert.all_levels
         assert np.allclose(cert.certificate.a, np.diag([1.0, 0, 1, 0]),
                            atol=1e-12)
@@ -218,158 +225,36 @@ class TestMultiplierCertificate:
         p = projection(M2, np.kron(a, np.eye(2)))
         found, residual = solve_left_multiplier(M2, p.underlying)
         assert residual <= 1e-12 and np.allclose(found, a, atol=1e-12)
-        cert = certify_left_m_projection(p, max_level=3, samples=200,
-                                         restarts=8, seed=0xC0FFEE)
+        cert = certify_left_m_projection(p, max_level=3, restarts=8,
+                                         seed=0xC0FFEE)
         assert (cert.verdict, cert.check, cert.refuted_level) == \
             ("refuted", "nu_isometry", 1)
         assert abs(reverify_certification(p, cert) - cert.observed) <= 1e-12
         assert (cert.all_levels, cert.certificate) == (False, None)
 
 
-class TestNuFloor:
-    """norm(x) = norm([I I] nu(x)) <= sqrt(2) norm(nu x) at every level,
-    for nu = [P; I - P] with any linear P."""
+class TestSubspaceDomain:
+    # on T2(R) every cb-norm sweep runs ratio_ascent, not the seesaw
 
-    @pytest.mark.parametrize("level", [1, 2, 3])
-    def test_ratio_never_below_floor(self, level):
-        rng = derived_rng(0xF100, level)
-        c2 = column_space(M2)
-        maps = [rng.standard_normal((4, 4)), rng.standard_normal((4, 4)),
-                0.5 * np.eye(4) + 0.01 * rng.standard_normal((4, 4)),
-                SYMMETRIZATION, DIAG_MULT.T]
-        for pm in maps:                   # linear maps, mostly not idempotent
-            nu = CBMap(M2, c2, np.vstack([pm, np.eye(4) - pm]))
-            num, den = num_den_maps(nu, level)
-            xs = rng.standard_normal((200, level * level * 4))
-            # and the lowest points a downward ascent reaches from four
-            low = ratio_ascent(num, den, xs[:4], iters=200, sign=-1.0)[1]
-            ratios = ratio_eval(num, den, np.concatenate([xs, low]))
-            # rounding reaches a few ulps below 1/sqrt(2)
-            assert np.min(ratios) >= np.sqrt(0.5) * (1 - 1e-14)
-
-    def test_symmetrization_attains_floor_at_e12(self):
-        nu = build_nu_mu_tau(projection(M2, SYMMETRIZATION))[0]
-        num, den = num_den_maps(nu, 1)
-        assert ratio_eval(num, den, np.eye(4)[1:2])[0] == np.sqrt(0.5)
-
-
-def _always_ascending_search(nu, level, samples, refinements, seed,
-                             ascent=ratio_ascent):
-    """``mideal._isometry_violation_search`` before the floor skip: the
-    refinement ascent runs whatever the pool's best ratio."""
-    d = nu.domain.dim
-    num, den = num_den_maps(nu, level)
-    n = level * level * d
-    pool = np.concatenate([np.eye(d, n),
-                           derived_rng(seed, 11, level).standard_normal(
-                               (samples, n))])
-    ratios = ratio_eval(num, den, pool)
-    viol = np.where(pool.any(axis=1), np.abs(ratios - 1.0), -1.0)
-    i = int(np.argmax(viol))
-    best_viol, best_c, best_r = viol[i], pool[i], float(ratios[i])
-    starts = np.empty((refinements, n))
-    for j in range(refinements):
-        rng_j = derived_rng(seed, 12, level, j)
-        starts[j] = best_c + (1e-8 if j == 0 else 0.05) * \
-            rng_j.standard_normal(n)
-    sign = -1.0 if best_r <= 1.0 else 1.0
-    xs = ascent(num, den, starts, iters=400, sign=sign)[1]
-    ratios = ratio_eval(num, den, xs)
-    j = int(np.argmax(np.abs(ratios - 1.0)))
-    if abs(ratios[j] - 1.0) > best_viol:
-        best_c, best_r = xs[j], float(ratios[j])
-    if sign > 0 and den.matrix.shape[0] == den.matrix.shape[1]:
-        (val,), (x,) = seesaw_ascent(num, den, best_c[None])
-        if val > best_r:
-            best_c, best_r = x, float(val)
-    sd = den.sigma(best_c[None])[0]
-    if sd > 0:
-        best_c = best_c / sd
-        best_r = float(ratio_eval(num, den, best_c[None])[0])
-    return abs(best_r - 1.0), best_r, best_c.reshape(level, level, d)
-
-
-class TestFloorSkip:
-    @pytest.mark.parametrize("samples", [200, 0])
-    @pytest.mark.parametrize("seed", [0xC0FFEE, 1, 0x5EED])
-    def test_symmetrization_refutes_without_ascent(self, monkeypatch, seed,
-                                                   samples):
-        # E12 is a canonical pool element and sits at the floor
-        def no_ascent(*args, **kwargs):
-            raise AssertionError("ratio_ascent was called")
-        monkeypatch.setattr(mideal, "ratio_ascent", no_ascent)
-        cert = certify_left_m_projection(projection(M2, SYMMETRIZATION),
-                                         max_level=3, samples=samples,
-                                         restarts=8, seed=seed)
+    def test_e12_coefficient_projection_refutes(self, triangular):
+        p = projection(triangular.space, np.diag([0.0, 1.0, 0.0]))
+        cert = certify_left_m_projection(p, max_level=3, restarts=8,
+                                         seed=0xC0FFEE, tol=1e-9)
+        # nu is no expansion here: norm([P x; x - P x]) = max(|x11|,
+        # norm of the second column of x) <= norm(x) at level 1
         assert (cert.verdict, cert.check, cert.refuted_level) == \
-            ("refuted", "nu_isometry", 1)
-        assert cert.observed == np.sqrt(0.5)
+            ("refuted", "mu_contraction", 1)
+        assert cert.observed > 1 + 1e-9
+        assert abs(reverify_certification(p, cert) - cert.observed) \
+            <= 1e-12
 
-    def test_pool_above_floor_still_ascends(self, monkeypatch):
-        # P = the diagonal part of x; the pool's lowest ratio at seed 0 is
-        # 0.7208, above the floor, and the ascent goes below it
-        signs = []
-
-        def counted(*args, **kwargs):
-            signs.append(kwargs["sign"])
-            return ratio_ascent(*args, **kwargs)
-        monkeypatch.setattr(mideal, "ratio_ascent", counted)
-        nu = build_nu_mu_tau(projection(M2, np.diag([1.0, 0, 0, 1])))[0]
-        _, ratio, _ = mideal._isometry_violation_search(nu, 1, 200, 8, 0)
-        assert signs == [-1.0]
-        assert np.sqrt(0.5) < ratio < 0.72
-
-    def test_matches_always_ascending_search(self, monkeypatch):
-        # Two kinds of oblique idempotents, at levels 1 and 2: near-
-        # orthogonal ones of ranks 1-3, whose nu ratios mostly fall below 1
-        # and near the floor, and the symmetrization of the off-diagonal
-        # entries plus a rank-one oblique idempotent on the diagonal ones,
-        # whose pools often reach the floor at E12.  An ascent the search
-        # does run gets the reference's result for the same inputs, which
-        # ratio_ascent would recompute bit for bit.  Where the search skips
-        # its ascent, the reference's ascent can only drift along the
-        # floor by rounding: its ratio may end a few ulps off the pool's
-        # and its witness elsewhere on the floor.
-        ascents = []
-
-        def recorded(num, den, starts, **kwargs):
-            out = ratio_ascent(num, den, starts, **kwargs)
-            ascents.append((num.matrix, starts, kwargs, out))
-            return out
-
-        def replayed(num, den, starts, **kwargs):
-            ref_num, ref_starts, ref_kwargs, out = ascents.pop()
-            assert np.array_equal(num.matrix, ref_num)
-            assert np.array_equal(starts, ref_starts)
-            assert kwargs == ref_kwargs
-            return out
-        monkeypatch.setattr(mideal, "ratio_ascent", replayed)
-        rng = np.random.default_rng(15)
-        skipped = 0
-        for t in range(100):
-            if t % 4 < 2:
-                r = int(rng.integers(1, 4))
-                a, _ = np.linalg.qr(rng.standard_normal((4, r)))
-                c = 0.1 * rng.standard_normal((r, 4))
-                pm = a @ (a.T + c @ (np.eye(4) - a @ a.T))
-            else:
-                u, v = np.eye(2)[0] + 0.3 * rng.standard_normal((2, 2))
-                pm = SYMMETRIZATION.copy()
-                pm[0::3, 0::3] = np.outer(u, v) / (v @ u)
-            nu = build_nu_mu_tau(projection(M2, pm))[0]
-            level = 1 + t % 2
-            ref = _always_ascending_search(nu, level, 50, 2, t, recorded)
-            viol, ratio, coeffs = mideal._isometry_violation_search(
-                nu, level, 50, 2, t)
-            if ascents:                   # recorded, but not replayed
-                ascents.clear()
-                skipped += 1
-                assert ratio <= np.sqrt(0.5)
-                assert abs(ref[1] - ratio) <= 1e-14
-            else:
-                assert (viol, ratio) == ref[:2]
-                assert np.array_equal(coeffs, ref[2])
-        assert skipped >= 20
+    @pytest.mark.parametrize("diag", [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                             ids=["E11-left", "E22-left"])
+    def test_corner_multiplications_certify(self, triangular, diag):
+        cert = certify_left_m_projection(
+            projection(triangular.space, np.diag(diag)), max_level=3,
+            restarts=8, seed=0xC0FFEE, tol=1e-9)
+        assert cert.certified and cert.all_levels
 
 
 class TestShuffle:
@@ -511,11 +396,6 @@ class TestTau:
 
 
 class TestRightIdeals:
-    @pytest.fixture
-    def triangular(self):
-        return op_algebra(span_space([[[1, 0], [0, 0]], [[0, 1], [0, 0]],
-                                      [[0, 0], [0, 1]]]))
-
     def test_corner_span_is_right_ideal(self, triangular):
         # e12 e11 = 0, e12 e12 = 0, e12 e22 = e12: all inside
         assert is_right_ideal(triangular, [[0.0, 1.0, 0.0]])
