@@ -9,15 +9,19 @@ reports of the 288 ``quotient-norm`` requests of the benchmark's
 ``quotient`` workload (``perfbench/workloads.make_passes``) at the seed
 the reports echo, concatenated in order, and a last line the
 ``certify-mproj`` reports of three refuted projections (CERTIFICATES),
-concatenated in order.  Input files are written under a temporary
-directory that the script enters, so the paths the reports echo are the
-same on every run.
+concatenated in order, and one more the ``choi-effros`` reports of the
+re-products in REPRODUCTS, concatenated in order.  Input files are written
+under a temporary directory that the script enters, so the paths the
+reports echo are the same on every run.
 After the digests, one line ``suite | row | deviation | passed`` follows
-for every ``verify`` row, the deviation printed exactly (``repr``), and
-one line ``certify-mproj | name | verdict | check | level | observed``
-for every certificate.  Diffing the output of two checkouts shows which
-reports, rows and certificates a change moved.  Exits 0 when every
-command exits 0 or, for a certificate, 1 (refuted).
+for every ``verify`` row, the deviation printed exactly (``repr``), one
+line ``certify-mproj | name | verdict | check | level | observed`` for
+every certificate, and one line ``choi-effros | name | passed`` followed
+by the associativity, unit-law, involution, C*-identity and bimodule
+deviations for every re-product.  Diffing the output of two checkouts
+shows which reports, rows, certificates and re-products a change moved.
+Exits 0 when every command exits 0 or, for a certificate or a re-product,
+1 (refuted, or a law fails).
 
     PYTHONPATH=src python scripts/report_digests.py
 """
@@ -41,6 +45,7 @@ import numpy as np  # noqa: E402
 from realops.cli import run  # noqa: E402
 from realops.opspace import (full_matrix_space, opspace_to_json,  # noqa: E402
                              span_space)
+from realops.systems import algebra_to_json, op_algebra  # noqa: E402
 from workloads import make_passes  # noqa: E402
 
 COMMANDS = [["verify", suite] for suite in
@@ -60,21 +65,41 @@ CERTIFICATES = {
 }
 
 
-def certificate_reports(options):
-    """The ``certify-mproj`` report text of every CERTIFICATES entry, in
-    order, and the worst exit code other than 1; the input files are
-    written to the working directory."""
+def _bimodule_defect():
+    """M2(R) whose product E12 E11 gains 0.25 E11, as algebra JSON."""
+    s = op_algebra(full_matrix_space(2)).structure.copy()
+    s[1, 0, 0] += 0.25
+    return algebra_to_json(op_algebra(full_matrix_space(2), s))
+
+
+DIAG = np.diag([1.0, 0.0, 0.0, 1.0]).tolist()
+#: name -> (algebra, idempotent coefficient matrix) of each re-product
+REPRODUCTS = {
+    "diagonal-expectation": (M2, DIAG),
+    "normalized-trace": (M2, [[.5, 0, 0, .5], [0, 0, 0, 0], [0, 0, 0, 0],
+                              [.5, 0, 0, .5]]),
+    "bimodule-defect": (_bimodule_defect(), DIAG),
+}
+REPRODUCT_DEVIATIONS = ("associativity", "unit_law", "involution",
+                        "cstar_identity", "bimodule")
+
+
+def matrix_reports(command, flags, entries, options):
+    """The ``command`` report text of every ``entries`` item, name ->
+    (JSON object, coefficient matrix), passed as the two files of
+    ``flags``, in order, and the worst exit code other than 1; the input
+    files are written to the working directory."""
     worst, texts = 0, []
-    for name, (space, matrix) in CERTIFICATES.items():
-        with open(f"{name}-space.json", "w") as fh:
-            json.dump(space, fh)
-        with open(f"{name}-proj.json", "w") as fh:
-            json.dump({"matrix": matrix}, fh)
+    for name, (obj, matrix) in entries.items():
+        paths = [f"{name}-{flag}.json" for flag in flags]
+        for path, content in zip(paths, (obj, {"matrix": matrix})):
+            with open(path, "w") as fh:
+                json.dump(content, fh)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = run(["--json"] + options + [
-                "certify-mproj", "--space", f"{name}-space.json", "--proj",
-                f"{name}-proj.json"])
+                command, f"--{flags[0]}", paths[0], f"--{flags[1]}",
+                paths[1]])
         worst = max(worst, 0 if code == 1 else code)
         texts.append(out.getvalue())
     return worst, texts
@@ -102,18 +127,29 @@ if __name__ == "__main__":
         with contextlib.redirect_stdout(out):
             for request in requests:
                 worst = max(worst, run(request.argv))
-        cert_worst, certs = certificate_reports(sys.argv[1:])
-        worst = max(worst, cert_worst)
+        cert_worst, certs = matrix_reports(
+            "certify-mproj", ("space", "proj"), CERTIFICATES, sys.argv[1:])
+        ce_worst, reprods = matrix_reports(
+            "choi-effros", ("algebra", "idempotent"), REPRODUCTS,
+            sys.argv[1:])
+        worst = max(worst, cert_worst, ce_worst)
         os.chdir(here)
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     print(f"{digest}  quotient-norm x{len(requests)} (benchmark quotient "
           f"workload, seed {seed})")
     digest = hashlib.sha256("".join(certs).encode()).hexdigest()
     print(f"{digest}  certify-mproj x{len(certs)} ({', '.join(CERTIFICATES)})")
+    digest = hashlib.sha256("".join(reprods).encode()).hexdigest()
+    print(f"{digest}  choi-effros x{len(reprods)} ({', '.join(REPRODUCTS)})")
     print("\n".join(rows))
     for name, text in zip(CERTIFICATES, certs):
         cert = json.loads(text)["result"]
         print(f"certify-mproj | {name} | {cert['verdict']} | "
               f"{cert['check']} | {cert['refuted_level']} | "
               f"{cert['observed']!r}")
+    for name, text in zip(REPRODUCTS, reprods):
+        rep = json.loads(text)
+        devs = " | ".join(repr(rep["result"][f"{law}_deviation"])
+                          for law in REPRODUCT_DEVIATIONS)
+        print(f"choi-effros | {name} | {rep['passed']} | {devs}")
     sys.exit(worst)

@@ -353,6 +353,8 @@ def _cmd_reproduce(args):
 
 
 def _cmd_verify(args):
+    if args.proj and args.suite != "mideal":
+        raise ValueError("--proj applies to the mideal suite only")
     projection_matrix = _load_matrix(args.proj) if args.proj else None
     if args.suite == "all":
         per_suite = suites.run_all(args.seed)

@@ -200,7 +200,8 @@ def suite_opspace(seed: int) -> list[CheckResult]:
                       max(0.0, 2.0 - values[1]), 1e-6, value=values[1]))
 
     rng = derived_rng(seed, 112)
-    ratio_dev = 0.0
+    cc_dev = 0.0
+    eye2 = np.eye(2)
     for _ in range(20):
         a = rng.standard_normal((2, 2))
         a /= op_norm(a)
@@ -208,14 +209,14 @@ def suite_opspace(seed: int) -> list[CheckResult]:
         b /= op_norm(b)
         u = CBMap(m2, m2, m2.coefficients(a @ m2.basis @ b)[0].T)  # a x b
         uc = complexify_map(u)
-        for _ in range(10):
-            z = random_elem(uc.domain, 2, rng)
-            nz = level_norm(z)
-            if nz < 1e-12:
-                continue
-            ratio_dev = max(ratio_dev, level_norm(uc(z)) / nz - 1.0)
+        # u_c sends each basis element B of X_c to (I2 (x) a) B (I2 (x) b);
+        # then every level of u_c is that sandwich too, of cb norm |a| |b|
+        images = np.einsum("mk,mpq->kpq", uc.matrix, uc.codomain.basis)
+        sandwich = np.kron(eye2, a) @ uc.domain.basis @ np.kron(eye2, b)
+        cc_dev = max(cc_dev, float(np.max(np.abs(images - sandwich))),
+                     op_norm(a) * op_norm(b) - 1.0)
     out.append(_check("complexified complete contractions stay contractive",
-                      max(0.0, ratio_dev), 1e-9, maps=20, level=2))
+                      cc_dev, 1e-9, maps=20))
 
     rng = derived_rng(seed, 113)
     m2c = complexify_space(m2)
@@ -241,19 +242,16 @@ def suite_opspace(seed: int) -> list[CheckResult]:
                       qdev, 1e-6, converged=not_converged == 0, cases=50,
                       not_converged=not_converged))
 
-    rng = derived_rng(seed, 114)
-    dsum = direct_sum_spaces([m2, m2])
-    sdev = 0.0
-    for _ in range(50):
-        x = random_elem(m2, 2, rng)
-        y = random_elem(m2, 2, rng)
-        c = np.concatenate([x.coeffs, y.coeffs], axis=2)
-        sdev = max(sdev, abs(level_norm(MatElem(dsum, c)) -
-                             max(level_norm(x), level_norm(y))))
+    # a block-diagonal basis makes every level of x (+) y a block-diagonal
+    # matrix, up to a permutation, so its norm is the max over the blocks
+    blocks = np.zeros((8, 4, 4))
+    blocks[:4, :2, :2] = m2.basis
+    blocks[4:, 2:, 2:] = m2.basis
+    sdev = float(np.max(np.abs(direct_sum_spaces([m2, m2]).basis - blocks)))
     two = direct_sum_spaces([_scalar_space(), _scalar_space()])
     sdev = max(sdev, abs(level_norm(elem(two, [3.0, -4.0])) - 4.0))
     out.append(_check("direct sum norms are the max over summands", sdev,
-                      1e-12, samples=50))
+                      1e-12))
     return out
 
 
@@ -383,7 +381,7 @@ def suite_mideal(seed: int, projection_matrix=None) -> list[CheckResult]:
     cert = mideal.certify_left_m_projection(p_good, max_level=3, restarts=8,
                                             seed=seed, tol=1e-9)
     out.append(_check("left multiplication by diag(1,0) certifies at "
-                      "levels 1-3", 0.0 if cert.certified else 1.0, 0.0,
+                      "all levels", 0.0 if cert.certified else 1.0, 0.0,
                       verdict=cert.verdict, all_levels=cert.all_levels))
 
     p_symm = mideal.projection(m2, SYMMETRIZATION)
@@ -557,16 +555,8 @@ def suite_systems(seed: int) -> list[CheckResult]:
     # a multiplicative idempotent reproduces the ambient product
     diag_alg = systems.op_algebra(span_space([np.diag([1.0, 0.0]),
                                               np.diag([0.0, 1.0])]))
-    table_dev = 0.0
-    for j in range(2):
-        for k in range(2):
-            via_phi = phi.matrix @ alg_m2.product_coeffs(
-                np.eye(4)[3 * j].reshape(1, 1, 4),
-                np.eye(4)[3 * k].reshape(1, 1, 4)).ravel()
-            direct = alg_m2.product_coeffs(
-                np.eye(4)[3 * j].reshape(1, 1, 4),
-                np.eye(4)[3 * k].reshape(1, 1, 4)).ravel()
-            table_dev = max(table_dev, float(np.max(np.abs(via_phi - direct))))
+    table = alg_m2.structure[np.ix_([0, 3], [0, 3])]   # E11, E22 products
+    table_dev = float(np.max(np.abs(table @ phi.matrix.T - table)))
     out.append(_check("multiplicative idempotents keep the original "
                       "product table", table_dev, 1e-12))
     phi_tr = CBMap(m2, m2, np.array([[.5, 0, 0, .5], [0, 0, 0, 0],

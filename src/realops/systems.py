@@ -5,9 +5,11 @@ derived from ambient matrix products by least squares, or supplied
 explicitly (possibly decoupled from the ambient, which is exactly how the
 Banach-algebra level check gets its counterexample).  Operator systems
 appear through the Paulsen construction, positivity transfer, and the
-re-product of a suitable idempotent map; ternary rings of operators
-close the file with triple-closure checks, generated subtriples and the
-concrete inner product they carry.
+Choi-Effros re-product phi(r s) of a suitable idempotent map, whose
+structure tensor is the algebra's followed by phi, so that its
+multilinear laws are checked exactly on basis elements; ternary rings of
+operators close the file with triple-closure checks, generated
+subtriples and the concrete inner product they carry.
 """
 
 from __future__ import annotations
@@ -359,10 +361,13 @@ def choi_effros_product(algebra: OpAlgebra, phi: CBMap, tol: float = 1e-10,
     with unit, involution and the multiplicative norm identity under the
     re-product r o s = phi(r s), all with the original norm.
 
-    ``trials`` seeded range elements r check the norm identity
-    |r^* o r| = |r|^2 and the bimodule law phi(a r) = phi(phi(a) r), and
-    the mirrored one, with algebra elements a; each check runs on the
-    whole stack of trials at once.
+    Associativity, the unit laws, the involution law (r o s)^T =
+    s^T o r^T and the bimodule law phi(a r) = phi(phi(a) r), with its
+    mirror, are multilinear: each is checked exactly on basis elements
+    (the orthonormal range basis, and the columns of I - phi for a - phi(a)),
+    through the structure tensor of the re-product.  Only the norm identity
+    |r^* o r| = |r|^2 is nonlinear; it is checked on ``trials`` seeded range
+    elements r at once.
 
     Preconditions: the algebra is unital and transpose closed; phi fixes
     the unit, is idempotent, and is completely contractive at levels 1-2
@@ -414,57 +419,37 @@ def choi_effros_product(algebra: OpAlgebra, phi: CBMap, tol: float = 1e-10,
     u_svd, s_svd, _ = np.linalg.svd(pm)
     rank = int(np.sum(s_svd > 1e-10))
     rbasis = u_svd[:, :rank].T          # (rank, d) rows
-
-    def apply(mat: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """mat @ c for a coefficient vector c, or each vector of a stack."""
-        return (mat @ c[..., None])[..., 0]
+    reprod = algebra.structure @ pm.T   # structure tensor of r o s
 
     def circ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return apply(pm, np.einsum("...r,...s,rsm->...m", a, b,
-                                   algebra.structure))
+        return np.einsum("...r,...s,rsm->...m", a, b, reprod)
 
     def realize(c: np.ndarray) -> np.ndarray:
         return np.einsum("...m,mpq->...pq", c, space.basis)
 
-    dev_assoc = 0.0
-    dev_invol = 0.0
-    for a_i in rbasis:
-        for b_i in rbasis:
-            ab = circ(a_i, b_i)
-            if tmat is not None:
-                lhs = tmat @ ab
-                rhs = circ(tmat @ b_i, tmat @ a_i)
-                dev_invol = max(dev_invol,
-                                float(np.max(np.abs(realize(lhs - rhs)))))
-            for c_i in rbasis:
-                lhs = circ(ab, c_i)
-                rhs = circ(a_i, circ(b_i, c_i))
-                dev_assoc = max(dev_assoc,
-                                float(np.max(np.abs(realize(lhs - rhs)))))
-    dev_unit_law = 0.0
-    for a_i in rbasis:
-        dev_unit_law = max(
-            dev_unit_law,
-            float(np.max(np.abs(realize(circ(unit, a_i) - a_i)))),
-            float(np.max(np.abs(realize(circ(a_i, unit) - a_i)))))
+    def deviation(lhs: np.ndarray, rhs=0.0) -> float:
+        return float(np.max(np.abs(realize(lhs - rhs))))
 
-    rng = derived_rng(seed, 51)
-    draws = np.empty((trials, rank))
-    a = np.empty((trials, d))
-    for t in range(trials):
-        draws[t] = rng.standard_normal(rank)
-        a[t] = rng.standard_normal(d)
-    r = apply(rbasis.T, draws)
-    dev_cstar = 0.0
-    if tmat is not None:
-        rtr = circ(apply(tmat, r), r)
-        # squared as Python floats, as a lone op_norm value is
-        squares = np.array([v ** 2 for v in op_norm(realize(r)).tolist()])
-        dev_cstar = float(np.max(np.abs(op_norm(realize(rtr)) - squares)))
-    pa = apply(pm, a)
-    dev_bimod = max(
-        float(np.max(np.abs(realize(circ(a, r) - circ(pa, r))))),
-        float(np.max(np.abs(realize(circ(r, a) - circ(r, pa))))))
+    # every law but the norm identity is multilinear, so it holds once it
+    # holds on basis elements
+    rr = circ(rbasis[:, None], rbasis[None])        # r_i o r_j
+    dev_assoc = deviation(circ(rr[:, :, None], rbasis[None, None]),
+                          circ(rbasis[:, None, None], rr[None]))
+    dev_unit_law = max(deviation(circ(unit, rbasis), rbasis),
+                       deviation(circ(rbasis, unit), rbasis))
+    rt = rbasis @ tmat.T                            # r_i^T
+    dev_invol = deviation(rr @ tmat.T, circ(rt[None], rt[:, None]))
+    # phi(a r) = phi(phi(a) r) and its mirror: a - phi(a) runs over the
+    # columns of I - phi
+    kernel = np.eye(d) - pm.T
+    dev_bimod = max(deviation(circ(kernel[:, None], rbasis[None])),
+                    deviation(circ(rbasis[:, None], kernel[None])))
+
+    r = derived_rng(seed, 51).standard_normal((trials, rank)) @ rbasis
+    rtr = circ(r @ tmat.T, r)
+    # squared as Python floats, as a lone op_norm value is
+    squares = np.array([v ** 2 for v in op_norm(realize(r)).tolist()])
+    dev_cstar = float(np.max(np.abs(op_norm(realize(rtr)) - squares)))
     passed = (dev_assoc <= tol and dev_unit_law <= tol and
               dev_invol <= tol and dev_cstar <= tol and dev_bimod <= tol)
     return ChoiEffrosReport(True, [], mode, rank, dev_unital, dev_idem,

@@ -216,6 +216,22 @@ class TestExitCodes:
         assert code == 0
         assert rep["result"]["mode"] == "selfadjoint"
 
+    def test_choi_effros_bimodule_defect_fails(self, files, tmp_path,
+                                               capsys):
+        # E12 E11 gains 0.25 E11, which the diagonal expectation keeps
+        s = systems.op_algebra(full_matrix_space(2)).structure.copy()
+        s[1, 0, 0] += 0.25
+        algebra = tmp_path / "bimodule_defect.json"
+        algebra.write_text(json.dumps(systems.algebra_to_json(
+            systems.op_algebra(full_matrix_space(2), s))))
+        code, rep = run_json(capsys, ["choi-effros", "--algebra",
+                                      str(algebra), "--idempotent",
+                                      files["diag_phi.json"]])
+        assert code == 1
+        assert rep["passed"] is False
+        assert rep["result"]["preconditions_ok"] is True
+        assert rep["result"]["bimodule_deviation"] == 0.25
+
     def test_unitize(self, files, capsys):
         code, rep = run_json(capsys, ["unitize", "--algebra",
                                       files["e12.json"]])
@@ -560,6 +576,15 @@ def test_matrix_files_without_matrix_are_input_errors(files, capsys, argv):
     code, rep = run_json(capsys, [files.get(a, a) for a in argv])
     assert code == 2
     assert rep["error"] == 'projection JSON needs a "matrix"'
+
+
+@pytest.mark.parametrize("suite", ["all", "linalg"])
+def test_verify_proj_outside_mideal_is_an_input_error(files, capsys, suite):
+    # the symmetrization fails the mideal suite, so a pass would be vacuous
+    code, rep = run_json(capsys, ["verify", suite, "--proj",
+                                  files["proj_symm.json"]])
+    assert code == 2
+    assert rep["error"] == "--proj applies to the mideal suite only"
 
 
 @pytest.mark.parametrize("argv", [

@@ -288,8 +288,8 @@ def ref_paulsen_positivity_transfer(u, levels, samples, seed, tol=1e-9):
 
 
 def ref_choi_effros_trials(algebra, phi, trials, seed):
-    """(cstar, bimodule) deviations of the trial loop of
-    ``choi_effros_product``, for a transpose-closed algebra."""
+    """The C*-identity deviation of ``choi_effros_product``, one trial at a
+    time, for a transpose-closed algebra."""
     space = algebra.space
     pm = phi.matrix
     t_coeffs, _ = space.coefficients(np.swapaxes(space.basis, 1, 2))
@@ -306,22 +306,12 @@ def ref_choi_effros_trials(algebra, phi, trials, seed):
 
     rng = derived_rng(seed, 51)
     dev_cstar = 0.0
-    dev_bimod = 0.0
     for _ in range(trials):
         r = rbasis.T @ rng.standard_normal(rank)
         rtr = circ(tmat @ r, r)
         dev_cstar = max(dev_cstar, abs(op_norm(realize(rtr)) -
                                        op_norm(realize(r)) ** 2))
-        a = rng.standard_normal(space.dim)
-        prod = np.einsum("r,s,rsm->m", a, r, algebra.structure)
-        via = np.einsum("r,s,rsm->m", pm @ a, r, algebra.structure)
-        dev_bimod = max(dev_bimod,
-                        float(np.max(np.abs(realize(pm @ prod - pm @ via)))))
-        prod = np.einsum("r,s,rsm->m", r, a, algebra.structure)
-        via = np.einsum("r,s,rsm->m", r, pm @ a, algebra.structure)
-        dev_bimod = max(dev_bimod,
-                        float(np.max(np.abs(realize(pm @ prod - pm @ via)))))
-    return dev_cstar, dev_bimod
+    return dev_cstar
 
 
 def ref_projection_complexification(u):
@@ -402,12 +392,12 @@ def check_choi_effros_trials(expectation, trials, seed):
     phi = CBMap(M2, M2, EXPECTATIONS[expectation])
     alg = systems.op_algebra(M2)
     rep = systems.choi_effros_product(alg, phi, trials=trials, seed=seed)
-    assert (rep.cstar_identity_deviation, rep.bimodule_deviation) == \
+    assert rep.cstar_identity_deviation == \
         ref_choi_effros_trials(alg, phi, trials, seed)
 
 
 @pytest.mark.parametrize("expectation, seed", [("diagonal", 225),
-                                               ("trace", 219)])
+                                               ("trace", 693)])
 def test_choi_effros_squares_norms_as_lone_calls(expectation, seed):
     # at these seeds, squaring the stacked norms as x * x rather than with
     # Python's float power moves the C*-identity deviation by an ulp

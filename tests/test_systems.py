@@ -183,6 +183,14 @@ class TestPaulsen:
         assert phi.matrix[s_dom.mu_index, s_dom.mu_index] == 1.0
 
 
+def defective_m2(entry):
+    """M2(R) whose derived structure tensor gains 0.25 at ``entry``; the
+    ambient span is unchanged, so every Choi-Effros precondition holds."""
+    s = op_algebra(M2).structure.copy()
+    s[entry] += 0.25
+    return op_algebra(M2, s)
+
+
 class TestChoiEffros:
     def test_diagonal_expectation(self):
         phi = CBMap(M2, M2, np.diag([1.0, 0.0, 0.0, 1.0]))
@@ -205,6 +213,26 @@ class TestChoiEffros:
                                   seed=6)
         assert rep.passed
         assert rep.range_dim == 1
+
+    def test_associativity_defect_is_caught(self):
+        # E12 E21 gains 0.25 E11: (E21 E12) E21 = E21, E21 (E12 E21) = 1.25 E21
+        rep = choi_effros_product(defective_m2((1, 2, 0)),
+                                  identity_map(M2), seed=6)
+        assert rep.preconditions_ok
+        assert rep.associativity_deviation == 0.25
+        assert not rep.passed
+
+    def test_bimodule_defect_is_caught_exactly(self):
+        # E12 E11 gains 0.25 E11; E12 lies in the kernel of phi, E11 in its
+        # range, so phi(E12 E11) = 0.25 E11 while phi(phi(E12) E11) = 0
+        phi = CBMap(M2, M2, np.diag([1.0, 0.0, 0.0, 1.0]))
+        rep = choi_effros_product(defective_m2((1, 0, 0)), phi, seed=6)
+        assert rep.preconditions_ok
+        assert rep.bimodule_deviation == 0.25
+        assert (rep.associativity_deviation, rep.unit_law_deviation,
+                rep.involution_deviation) == (0.0, 0.0, 0.0)
+        assert rep.cstar_identity_deviation <= 1e-10
+        assert not rep.passed
 
     def test_non_idempotent_rejected(self):
         phi = CBMap(M2, M2, 0.5 * np.eye(4))
