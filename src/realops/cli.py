@@ -7,7 +7,8 @@ parsed subcommand (defaults and unset options included verbatim), then
 ``result``.  Identical inputs and seed produce byte-identical reports.
 Exit codes: 0 pass/true, 1 refuted/false/assertion failed, 2 invalid
 input or inconclusive; a numerical RuntimeWarning (an overflow on finite
-input) inside a command also exits 2, with an error report.  A command
+input) inside a command also exits 2, with an error report, as does an
+explicit --tol on a command that reads no tolerance.  A command
 that gives a verdict also reports
 ``passed``, true exactly when it exits 0; the others exit 0 and carry no
 ``passed``.
@@ -33,8 +34,10 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
 
-#: --tol defaults other than CLASSIFY_TOL
+#: the commands that read --tol, each with its default; every other command
+#: rejects --tol and echoes CLASSIFY_TOL as config.tol
 TOL_DEFAULTS = {
+    "certify-mproj": CLASSIFY_TOL,
     **dict.fromkeys(("multiplier-witness", "right-ideal", "shilov",
                      "tro-check", "unitize"), MEMBERSHIP_TOL),
     "brs-check": 1e-10,        # slack of norm(ab) <= norm(a) norm(b)
@@ -137,7 +140,8 @@ def _write_out(args, result: dict, key: str) -> dict:
 
 
 def _tol(args) -> float:
-    """--tol, or the command's default from TOL_DEFAULTS."""
+    """--tol, or the command's default from TOL_DEFAULTS (CLASSIFY_TOL for
+    a command that reads none)."""
     return TOL_DEFAULTS.get(args.command, CLASSIFY_TOL) if args.tol is None \
         else args.tol
 
@@ -463,9 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the command's default tolerance ("
                              + ", ".join(f"{cmd} {val:g}" for cmd, val in
                                          sorted(TOL_DEFAULTS.items()))
-                             + f", any other command {CLASSIFY_TOL:g}"
-                             "; the quotient-norm gap is taken relative "
-                             "to max(1, value))")
+                             + "; the quotient-norm gap is taken relative "
+                             "to max(1, value)); no other command takes it")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -611,6 +614,8 @@ def run(argv=None) -> int:
             sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")
         return EXIT_ERROR
     try:
+        if args.tol is not None and args.command not in TOL_DEFAULTS:
+            raise ValueError(f"--tol does not apply to {args.command}")
         # a numerical warning on finite input (overflow, invalid value)
         # would otherwise leave an inf or a misleading report behind it
         with warnings.catch_warnings():

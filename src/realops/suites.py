@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, mideal, opspace, quantization, systems
-from .linalg import (contraction_iff_positive, is_real_positive,
-                     map_by_shape, op_norm)
+from .linalg import contraction_iff_positive, is_real_positive, op_norm
 from .opspace import (CBMap, MatElem, OpSpace, check_ruan_axioms,
                       complexified_elem, complexify_map, complexify_space,
                       direct_sum_spaces, elem, full_matrix_space,
@@ -53,84 +52,110 @@ def _scalar_space() -> OpSpace:
 # linalg
 # ----------------------------------------------------------------------
 
+#: per-shape sample stacks: (ascending sample indices, (c, ...) stack) pairs
+Stacks = list[tuple[np.ndarray, np.ndarray]]
+
+
+def _normal_stacks(rng, shapes: np.ndarray) -> Stacks:
+    """One standard-normal draw per sample, sample i of shape
+    ``shapes[i]``: a (c, *shape) stack per distinct shape, drawn in sorted
+    shape order, each paired with the ascending indices of its c samples."""
+    order = np.lexsort(shapes.T[::-1])     # stable: by shape, then by index
+    ordered = shapes[order]
+    starts = np.flatnonzero(np.any(ordered[1:] != ordered[:-1], axis=1)) + 1
+    return [(idx, rng.standard_normal((idx.size, *shapes[idx[0]])))
+            for idx in np.split(order, starts)]
+
+
+def _matrix_stacks(rng, count: int, sides: int) -> Stacks:
+    """``count`` Gaussian p x q matrices, 1 <= p, q < ``sides``: one integer
+    draw for the shapes, then the stacks of ``_normal_stacks``."""
+    return _normal_stacks(rng, rng.integers(1, sides, size=(count, 2)))
+
+
 def _scaled_samples(rng, count: int, sides: int, lo: float,
-                    hi: float) -> list[np.ndarray]:
-    """``count`` draws of a p x q matrix, 1 <= p, q < ``sides``, each
-    rescaled to an operator norm drawn uniformly from [lo, hi); a matrix
-    of norm below 1e-14 is dropped before its norm is drawn.  The norms
-    come from one stacked SVD per shape after the draws."""
-    mats, targets = [], []
-    for _ in range(count):
-        p, q = int(rng.integers(1, sides)), int(rng.integers(1, sides))
-        m = rng.standard_normal((p, q))
-        # op_norm(m) >= max |m_ij| up to roundoff, so only a matrix of tiny
-        # entries needs its norm before the next draw
-        if np.abs(m).max() < 1e-13 and op_norm(m) < 1e-14:
-            continue
-        mats.append(m)
-        targets.append(float(rng.uniform(lo, hi)))
-    norms = map_by_shape(op_norm, mats)
-    return [m * (t / n) for m, t, n in zip(mats, targets, norms)]
+                    hi: float) -> Stacks:
+    """The stacks of ``_matrix_stacks``, each matrix rescaled to an operator
+    norm drawn uniformly from [lo, hi) by one draw of ``count`` norms after
+    the matrices; a matrix of norm below 1e-14 is dropped, with its
+    indices, and its norm draw goes unused."""
+    stacks = _matrix_stacks(rng, count, sides)
+    targets = rng.uniform(lo, hi, size=count)
+    out = []
+    for idx, mats in stacks:
+        norms = op_norm(mats)
+        keep = norms >= 1e-14
+        scale = targets[idx[keep]] / norms[keep]
+        out.append((idx[keep], mats[keep] * scale[:, None, None]))
+    return out
+
+
+def _norms_in_sample_order(stacks: Stacks, count: int) -> np.ndarray:
+    """The operator norms of the ``count`` samples of ``stacks``, one
+    stacked call per stack, in sample order."""
+    out = np.empty(count)
+    for idx, mats in stacks:
+        out[idx] = op_norm(mats)
+    return out
 
 
 def suite_linalg(seed: int) -> list[CheckResult]:
-    """Every row draws its samples first, in the order of a per-sample loop,
-    then checks them through one stacked kernel call per matrix shape."""
+    """Every row draws its samples as stacks, one per matrix shape, and
+    checks each stack through one stacked kernel call."""
     rng = derived_rng(seed, 101)
     out = []
 
-    mats, alphas = [], []
-    for _ in range(200):
-        p, q = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        mats.append(rng.standard_normal((p, q)))
-        alphas.append(float(rng.uniform(-100.0, 100.0)))
-    base = map_by_shape(op_norm, mats)
-    scaled = map_by_shape(op_norm, [a * m for a, m in zip(alphas, mats)])
-    expect = np.abs(alphas) * base
-    dev = (np.abs(scaled - expect) / (expect + 1e-300))[base >= 1e-14]
-    out.append(_check("operator norm is absolutely homogeneous",
-                      np.max(dev, initial=0.0), 1e-12, samples=200))
+    stacks = _matrix_stacks(rng, 200, 5)
+    alphas = rng.uniform(-100.0, 100.0, size=200)
+    dev = 0.0
+    for idx, mats in stacks:
+        a = alphas[idx]
+        base = op_norm(mats)
+        expect = np.abs(a) * base
+        rel = np.abs(op_norm(a[:, None, None] * mats) - expect) / \
+            (expect + 1e-300)
+        dev = max(dev, np.max(rel[base >= 1e-14], initial=0.0))
+    out.append(_check("operator norm is absolutely homogeneous", dev, 1e-12,
+                      samples=200))
 
-    firsts, seconds, blocks = [], [], []
-    for _ in range(200):
-        p, q = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        m1 = rng.standard_normal((p, q))
-        m2 = rng.standard_normal((int(rng.integers(1, 5)),
-                                  int(rng.integers(1, 5))))
-        blk = np.zeros((m1.shape[0] + m2.shape[0], m1.shape[1] + m2.shape[1]))
-        blk[:m1.shape[0], :m1.shape[1]] = m1
-        blk[m1.shape[0]:, m1.shape[1]:] = m2
-        firsts.append(m1)
-        seconds.append(m2)
-        blocks.append(blk)
-    dev = np.abs(map_by_shape(op_norm, blocks) -
-                 np.maximum(map_by_shape(op_norm, firsts),
-                            map_by_shape(op_norm, seconds)))
+    firsts = _matrix_stacks(rng, 200, 5)
+    seconds = _matrix_stacks(rng, 200, 5)
+    # each diag(m1, m2) zero-padded to 8 x 8, which keeps its singular values
+    blocks = np.zeros((200, 8, 8))
+    corner = np.zeros((200, 2), int)          # where m2 starts: m1's shape
+    for idx, mats in firsts:
+        blocks[idx, :mats.shape[1], :mats.shape[2]] = mats
+        corner[idx] = mats.shape[1:]
+    for idx, mats in seconds:
+        rows = corner[idx, :1] + np.arange(mats.shape[1])
+        cols = corner[idx, 1:] + np.arange(mats.shape[2])
+        blocks[idx[:, None, None], rows[:, :, None], cols[:, None, :]] = mats
+    dev = np.abs(op_norm(blocks) -
+                 np.maximum(_norms_in_sample_order(firsts, 200),
+                            _norms_in_sample_order(seconds, 200)))
     out.append(_check("block-diagonal norm is the max of the blocks",
                       np.max(dev), 1e-12, samples=200))
 
-    def agree(stack):
-        by_norm, by_positivity = contraction_iff_positive(stack, tol=1e-9)
-        return by_norm == by_positivity
-
     for lo, hi, label in [(0.9, 1.1, "near the contraction boundary"),
                           (0.5, 1.5, "across norms in [0.5, 1.5]")]:
-        agreed = map_by_shape(agree, _scaled_samples(rng, 500, 5, lo, hi))
+        disagreements = 0
+        for _, mats in _scaled_samples(rng, 500, 5, lo, hi):
+            by_norm, by_positivity = contraction_iff_positive(mats, tol=1e-9)
+            disagreements += int(np.sum(by_norm != by_positivity))
         out.append(_check(f"contraction iff block positivity, {label}",
-                          np.sum(~agreed), 0.0, samples=500, tol_used=1e-9))
+                          disagreements, 0.0, samples=500, tol_used=1e-9))
 
-    factors, congruent = [], []
-    for _ in range(100):
-        n = int(rng.integers(1, 5))
-        b = rng.standard_normal((n, n))
-        m = b.T @ b
-        a = rng.standard_normal((n, n))
-        factors.append(a)
-        congruent.append(a.T @ m @ a)
-    tols = 1e-9 * (1 + map_by_shape(op_norm, factors)) ** 2
-    positive = map_by_shape(is_real_positive, congruent, tols)
-    out.append(_check("congruence preserves real positivity",
-                      np.sum(~positive), 0.0, samples=100))
+    sides = rng.integers(1, 5, size=100)
+    failures = 0
+    for _, pairs in _normal_stacks(
+            rng, np.column_stack([np.full(100, 2), sides, sides])):
+        b, a = pairs[:, 0], pairs[:, 1]
+        m = np.swapaxes(b, 1, 2) @ b
+        congruent = np.swapaxes(a, 1, 2) @ m @ a
+        tols = 1e-9 * (1 + op_norm(a)) ** 2
+        failures += int(np.sum(~is_real_positive(congruent, tols)))
+    out.append(_check("congruence preserves real positivity", failures, 0.0,
+                      samples=100))
     return out
 
 
@@ -451,11 +476,15 @@ def suite_mideal(seed: int, projection_matrix=None) -> list[CheckResult]:
                           f"{name}", mideal.shuffle_iso(sp).basis_deviation,
                           1e-12))
 
+    # both sides of the identity are affine in u, so the zero map and the
+    # 16 matrix units of End(M2(R)) prove it for every u
+    units = np.concatenate([np.zeros((1, 4, 4)),
+                            np.eye(16).reshape(16, 4, 4)])
     dev = max(mideal.projection_complexification_consistency(
-        CBMap(m2, m2, derived_rng(seed, 132, t).standard_normal((4, 4))))
-        for t in range(20))
+        CBMap(m2, m2, unit)) for unit in units)
     out.append(_check("corner maps commute with complexification", dev,
-                      1e-12, maps=20))
+                      1e-12,
+                      checked_maps="the zero map and the 16 matrix units"))
 
     taus = [res.value for res in cb_norm_levels(
         mideal.tau_map(CBMap(m2, m2, DIAG_MULT)), 3, restarts=6, seed=seed)]
@@ -602,7 +631,7 @@ def suite_systems(seed: int) -> list[CheckResult]:
     sh_dev = float(np.max(np.abs(g.matrix - np.array([[0.0, 1.0],
                                                       [0.0, 0.0]]))))
     rng = derived_rng(seed, 142)
-    ys = np.array([rng.standard_normal(2) for _ in range(100)])
+    ys = rng.standard_normal((100, 2))
     gy = systems.shilov_inner_products(tro_corner, ys, ys)
     psd_failures = int(np.sum(~is_real_positive(gy.matrix, tol=1e-9)) +
                        np.sum(~gy.in_span))
@@ -611,11 +640,11 @@ def suite_systems(seed: int) -> list[CheckResult]:
                       samples=100))
 
     rng = derived_rng(seed, 143)
-    positive = map_by_shape(
-        lambda xs: is_real_positive(linalg.contraction_block(xs), tol=1e-9),
-        _scaled_samples(rng, 100, 4, 0.0, 1.0))
+    failures = sum(int(np.sum(~is_real_positive(
+        linalg.contraction_block(mats), tol=1e-9)))
+        for _, mats in _scaled_samples(rng, 100, 4, 0.0, 1.0))
     out.append(_check("contractions produce positive block extensions",
-                      np.sum(~positive), 0.0, samples=100))
+                      failures, 0.0, samples=100))
     return out
 
 

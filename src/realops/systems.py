@@ -134,9 +134,9 @@ def check_brs_level(algebra: OpAlgebra, level: int = 2, samples: int = 100,
     # canonical pairs (B_j, B_k) first: they hit exact violations
     ca[:d * d, 0, 0] = np.repeat(np.eye(d), d, axis=0)
     cb[:d * d, 0, 0] = np.tile(np.eye(d), (d, 1))
-    for t in range(d * d, d * d + samples):
-        ca[t] = rng.standard_normal((level, level, d))
-        cb[t] = rng.standard_normal((level, level, d))
+    pairs = rng.standard_normal((samples, 2, level, level, d))
+    ca[d * d:] = pairs[:, 0]
+    cb[d * d:] = pairs[:, 1]
     na = level_norms(space, ca)
     nb = level_norms(space, cb)
     nab = level_norms(space, algebra.product_coeffs(ca, cb))

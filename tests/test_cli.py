@@ -361,6 +361,26 @@ def test_argument_error_reports_the_tol_given(capsys, tol):
     assert "tolerance" in rep["error"]
 
 
+#: commands that read no tolerance
+NO_TOL = {"norm", "complexify", "quantize-min", "w2-norm", "max-l1",
+          "paulsen", "reproduce", "verify"}
+
+
+def test_tol_defaults_name_every_command_that_reads_tol():
+    assert set(cli.TOL_DEFAULTS) == set(cli.HANDLERS) - NO_TOL
+
+
+@pytest.mark.parametrize("command", sorted(NO_TOL))
+def test_tol_is_rejected_where_nothing_reads_it(files, capsys, command):
+    # a tolerance that no check reads would be echoed as config.tol while
+    # the report stayed the same
+    argv = ["--tol", "0.5"] + [files.get(a, a) for a in REPORT_ARGVS[command]]
+    code, rep = run_json(capsys, argv)
+    assert (code, rep["config"]["tol"]) == (2, 0.5)
+    assert rep["error"] == f"--tol does not apply to {command}"
+    assert "result" not in rep
+
+
 @pytest.mark.parametrize("seed, value", [("0", 0), ("0xC0FFEE", 0xC0FFEE),
                                          ("18446744073709551615",
                                           2 ** 64 - 1)])

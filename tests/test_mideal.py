@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from realops import mideal
+from realops import mideal, suites
 from realops.linalg import op_norm
 from realops.mideal import (build_nu_mu_tau, certify_left_m_projection,
                             column_embed, column_space, is_right_ideal,
@@ -315,6 +315,17 @@ class TestProjectionComplexification:
                             lambda d: np.arange(4 * d))
         u = CBMap(M2, M2, np.random.default_rng(14).standard_normal((4, 4)))
         assert projection_complexification_consistency(u) > 0.0
+
+    def test_suite_row_catches_an_identity_shuffle(self, monkeypatch):
+        def corner_row():
+            (row,) = [r for r in suites.suite_mideal(0xC0FFEE) if r.name ==
+                      "corner maps commute with complexification"]
+            return row
+        row = corner_row()
+        assert row.passed and row.deviation == 0.0
+        monkeypatch.setattr(mideal, "_coeff_shuffle",
+                            lambda d: np.arange(4 * d))
+        assert not corner_row().passed
 
 
 class TestColumnSpaceMemo:

@@ -3,10 +3,12 @@ against per-sample reference loops.
 
 Each reference below is the per-sample form of a sampled check: it draws
 the same inputs in the same order and evaluates them one matrix at a
-time through lone kernel calls.  The corner-map reference instead
-permutes coefficients through a permutation matrix rather than by
-indexing.  The stacked code must give the same values bit for bit, so
-the comparisons use ``==``.
+time through lone kernel calls.  The linalg suite draws its samples as
+one stack per shape, so its reference draws those stacks (through
+``ref_matrix_draws``, not the suite's helpers), then walks the samples in
+index order.  The corner-map reference instead permutes coefficients
+through a permutation matrix rather than by indexing.  The stacked code
+must give the same values bit for bit, so the comparisons use ``==``.
 """
 
 import numpy as np
@@ -152,15 +154,31 @@ class TestStackValidation:
 # Per-sample references
 # ----------------------------------------------------------------------
 
+def ref_normal_draws(rng, shapes):
+    """Sample i of shape ``shapes[i]``, drawn as one standard-normal stack
+    per distinct shape in sorted order, as a list in sample order."""
+    shapes = [tuple(int(v) for v in row) for row in shapes]
+    out = [None] * len(shapes)
+    for shape in sorted(set(shapes)):
+        idx = [i for i, s in enumerate(shapes) if s == shape]
+        for i, m in zip(idx, rng.standard_normal((len(idx), *shape))):
+            out[i] = m
+    return out
+
+
+def ref_matrix_draws(rng, count, sides):
+    """``count`` Gaussian p x q matrices, 1 <= p, q < ``sides``, in sample
+    order: one integer draw for the shapes, then the stacks."""
+    return ref_normal_draws(rng, rng.integers(1, sides, size=(count, 2)))
+
+
 def ref_suite_linalg(seed):
     """The per-sample form of ``suites.suite_linalg``."""
     rng = derived_rng(seed, 101)
     out = []
     dev = 0.0
-    for _ in range(200):
-        p, q = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        m = rng.standard_normal((p, q))
-        alpha = float(rng.uniform(-100.0, 100.0))
+    mats = ref_matrix_draws(rng, 200, 5)
+    for m, alpha in zip(mats, rng.uniform(-100.0, 100.0, size=200)):
         base = op_norm(m)
         if base < 1e-14:
             continue
@@ -169,27 +187,25 @@ def ref_suite_linalg(seed):
     out.append(suites._check("operator norm is absolutely homogeneous", dev,
                              1e-12, samples=200))
     dev = 0.0
-    for _ in range(200):
-        p, q = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        m1 = rng.standard_normal((p, q))
-        m2 = rng.standard_normal((int(rng.integers(1, 5)),
-                                  int(rng.integers(1, 5))))
-        blk = np.zeros((m1.shape[0] + m2.shape[0], m1.shape[1] + m2.shape[1]))
-        blk[:m1.shape[0], :m1.shape[1]] = m1
-        blk[m1.shape[0]:, m1.shape[1]:] = m2
+    firsts = ref_matrix_draws(rng, 200, 5)
+    seconds = ref_matrix_draws(rng, 200, 5)
+    for m1, m2 in zip(firsts, seconds):
+        (p1, q1), (p2, q2) = m1.shape, m2.shape
+        blk = np.zeros((8, 8))
+        blk[:p1, :q1] = m1
+        blk[p1:p1 + p2, q1:q1 + q2] = m2
         dev = max(dev, abs(op_norm(blk) - max(op_norm(m1), op_norm(m2))))
     out.append(suites._check("block-diagonal norm is the max of the blocks",
                              dev, 1e-12, samples=200))
     for lo, hi, label in [(0.9, 1.1, "near the contraction boundary"),
                           (0.5, 1.5, "across norms in [0.5, 1.5]")]:
         disagreements = 0
-        for _ in range(500):
-            p, q = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            m = rng.standard_normal((p, q))
+        mats = ref_matrix_draws(rng, 500, 5)
+        for m, target in zip(mats, rng.uniform(lo, hi, size=500)):
             base = op_norm(m)
             if base < 1e-14:
                 continue
-            m *= float(rng.uniform(lo, hi)) / base
+            m = m * (target / base)
             by_norm, by_positivity = contraction_iff_positive(m, tol=1e-9)
             if by_norm != by_positivity:
                 disagreements += 1
@@ -197,11 +213,9 @@ def ref_suite_linalg(seed):
                                  disagreements, 0.0, samples=500,
                                  tol_used=1e-9))
     failures = 0
-    for _ in range(100):
-        n = int(rng.integers(1, 5))
-        b = rng.standard_normal((n, n))
+    sides = rng.integers(1, 5, size=100)
+    for b, a in ref_normal_draws(rng, [(2, n, n) for n in sides]):
         m = b.T @ b
-        a = rng.standard_normal((n, n))
         if not is_real_positive(a.T @ m @ a, tol=1e-9 * (1 + op_norm(a)) ** 2):
             failures += 1
     out.append(suites._check("congruence preserves real positivity", failures,
@@ -369,13 +383,12 @@ def ref_systems_rows(seed):
             psd_failures += 1
     rng = derived_rng(seed, 143)
     eqn1_failures = 0
-    for _ in range(100):
-        p, q = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        x = rng.standard_normal((p, q))
+    mats = ref_matrix_draws(rng, 100, 4)
+    for x, target in zip(mats, rng.uniform(0.0, 1.0, size=100)):
         nx = op_norm(x)
         if nx < 1e-14:
             continue
-        x *= float(rng.uniform(0.0, 1.0)) / nx
+        x = x * (target / nx)
         if not is_real_positive(contraction_block(x), tol=1e-9):
             eqn1_failures += 1
     return psd_failures, eqn1_failures
@@ -404,48 +417,73 @@ def test_choi_effros_squares_norms_as_lone_calls(expectation, seed):
     check_choi_effros_trials(expectation, 200, seed)
 
 
+@pytest.mark.parametrize("count, sides", [(300, 5), (7, 4), (1, 2)])
+def test_sample_stacks_partition_the_samples(count, sides):
+    for stacks in (suites._matrix_stacks(derived_rng(count, 0), count, sides),
+                   suites._scaled_samples(derived_rng(count, 0), count,
+                                          sides, 0.5, 1.5)):
+        shapes = [mats.shape[1:] for _, mats in stacks]
+        assert shapes == sorted(set(shapes))
+        assert all(1 <= p < sides and 1 <= q < sides for p, q in shapes)
+        for idx, mats in stacks:
+            assert len(idx) == len(mats) > 0
+            assert np.all(np.diff(idx) > 0)
+        indices = np.concatenate([idx for idx, _ in stacks])
+        assert sorted(indices.tolist()) == list(range(count))
+
+
 def test_scaled_samples_match_per_sample_scaling():
     rng, ref_rng = derived_rng(5, 0), derived_rng(5, 0)
-    mats = suites._scaled_samples(rng, 300, 5, 0.5, 1.5)
-    assert len(mats) == 300
-    for m in mats:
-        p, q = int(ref_rng.integers(1, 5)), int(ref_rng.integers(1, 5))
-        x = ref_rng.standard_normal((p, q))
-        x *= float(ref_rng.uniform(0.5, 1.5)) / op_norm(x)
-        assert np.array_equal(m, x)
+    stacks = suites._scaled_samples(rng, 300, 5, 0.5, 1.5)
+    ref = ref_matrix_draws(ref_rng, 300, 5)
+    targets = ref_rng.uniform(0.5, 1.5, size=300)
+    assert sum(len(idx) for idx, _ in stacks) == 300
+    for idx, mats in stacks:
+        for i, m in zip(idx, mats):
+            x = ref[i] * (targets[i] / op_norm(ref[i]))
+            assert np.array_equal(m, x)
 
 
 class ScriptedRng:
-    """Draws the given matrices in turn (their shapes as the integer draws)
-    and 1.0 for every norm draw, which it counts."""
+    """Draws the shapes of the given matrices, then their stacks (checking
+    that they are asked for in sorted shape order), then 1.0 for every
+    norm, counting the norm draws."""
 
     def __init__(self, mats):
         self.mats = list(mats)
-        self.sides = [side for m in self.mats for side in m.shape]
+        self.asked = []
         self.uniform_draws = 0
 
-    def integers(self, lo, hi):
-        return self.sides.pop(0)
+    def integers(self, lo, hi, size):
+        assert size == (len(self.mats), 2)
+        return np.array([m.shape for m in self.mats])
 
     def standard_normal(self, shape):
-        m = self.mats.pop(0)
-        assert m.shape == shape
-        return m.copy()
+        self.asked.append(shape[1:])
+        assert self.asked == sorted(set(self.asked))
+        stack = [m for m in self.mats if m.shape == shape[1:]]
+        assert len(stack) == shape[0]
+        return np.array(stack)
 
-    def uniform(self, lo, hi):
-        self.uniform_draws += 1
-        return 1.0
+    def uniform(self, lo, hi, size):
+        self.uniform_draws += size
+        return np.ones(size)
 
 
 def test_scaled_samples_drop_only_norms_below_the_cut():
-    # entries of 5e-14 fall below the cheap 1e-13 test, but the norm
-    # 5e-14 sqrt(3) clears the 1e-14 cut, so that matrix stays
+    # the norm 5e-14 sqrt(3) clears the 1e-14 cut, so that matrix stays;
+    # 1e-15 and the zero matrix fall below it, and in the stack of 1 x 1
+    # matrices only the small one goes
     rng = ScriptedRng([np.ones((2, 2)), np.full((1, 1), 1e-15),
-                       np.full((1, 3), 5e-14), np.zeros((2, 1))])
-    mats = suites._scaled_samples(rng, 4, 5, 0.5, 1.5)
-    assert rng.uniform_draws == 2
-    assert [m.shape for m in mats] == [(2, 2), (1, 3)]
-    assert [op_norm(m) for m in mats] == pytest.approx([1.0, 1.0], abs=1e-15)
+                       np.full((1, 3), 5e-14), np.zeros((2, 1)),
+                       np.full((1, 1), -3.0)])
+    stacks = suites._scaled_samples(rng, 5, 5, 0.5, 1.5)
+    assert rng.uniform_draws == 5
+    kept = {int(i): m for idx, mats in stacks for i, m in zip(idx, mats)}
+    assert sorted(kept) == [0, 2, 4]
+    assert [kept[i].shape for i in (0, 2, 4)] == [(2, 2), (1, 3), (1, 1)]
+    assert [op_norm(kept[i]) for i in (0, 2, 4)] == \
+        pytest.approx([1.0, 1.0, 1.0], abs=1e-15)
 
 
 def test_brs_witness_is_the_first_of_equal_maxima():
