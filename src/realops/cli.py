@@ -35,7 +35,7 @@ EXIT_FAIL = 1
 EXIT_ERROR = 2
 
 #: the commands that read --tol, each with its default; every other command
-#: rejects --tol and echoes CLASSIFY_TOL as config.tol
+#: rejects --tol, and its reports carry no config.tol
 TOL_DEFAULTS = {
     "certify-mproj": CLASSIFY_TOL,
     **dict.fromkeys(("multiplier-witness", "right-ideal", "shilov",
@@ -139,21 +139,28 @@ def _write_out(args, result: dict, key: str) -> dict:
     return result
 
 
-def _tol(args) -> float:
-    """--tol, or the command's default from TOL_DEFAULTS (CLASSIFY_TOL for
-    a command that reads none)."""
-    return TOL_DEFAULTS.get(args.command, CLASSIFY_TOL) if args.tol is None \
-        else args.tol
+def _tol(args) -> float | None:
+    """--tol, or the command's default from TOL_DEFAULTS (None for a
+    command that reads none)."""
+    return TOL_DEFAULTS.get(args.command) if args.tol is None else args.tol
 
 
 def _verdict(ok) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+def _global_config(args) -> dict:
+    """seed and output, and tol unless ``_tol`` gives None."""
+    config = {"seed": args.seed, "output": "json" if args.json else "text"}
+    tol = _tol(args)
+    if tol is not None:
+        config["tol"] = tol
+    return config
+
+
 def _config(args) -> dict:
-    """seed, tol and output, then every option of the parsed subcommand."""
-    config = {"seed": args.seed, "tol": _tol(args),
-              "output": "json" if args.json else "text"}
+    """``_global_config``, then every option of the parsed subcommand."""
+    config = _global_config(args)
     config.update((key, val) for key, val in vars(args).items()
                   if key not in GLOBAL_OPTIONS)
     return _jsonable(config)
@@ -587,9 +594,7 @@ HANDLERS = {
 def _emit_error(args, message: str) -> None:
     if args.json:
         err = {"command": args.command, "error": message,
-               "config": _jsonable({"seed": args.seed,
-                                    "tol": _tol(args),
-                                    "output": "json"})}
+               "config": _jsonable(_global_config(args))}
         sys.stdout.write(json.dumps(err, sort_keys=True, indent=2) + "\n")
     else:
         sys.stdout.write(f"error: {message}\n")

@@ -19,8 +19,7 @@ norm and positivity kernels (``op_norm``, ``sym_eig_min``,
 kernel also take stacks with leading axes, so one call serves every
 restart of a multistart search, every product of a closure check or every
 sample of an invariant check; each matrix of a stack comes out bit for bit
-as it would alone.  ``map_by_shape`` runs a stack kernel over a list of
-matrices of several shapes, one call per shape.  All functions are pure.
+as it would alone.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -60,28 +59,6 @@ def _as_square(m, what: str) -> np.ndarray:
     if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"{what} requires a square matrix")
     return a
-
-
-def map_by_shape(fn, mats, *per_item) -> np.ndarray:
-    """``fn`` over a list of arrays (matrices, coefficient tensors) of
-    several shapes, as one call of ``fn`` on the stack of each shape;
-    results come back in list order.
-
-    ``fn`` maps a stack of k arrays to k results.  Each ``per_item`` array
-    holds one value per list entry and is passed to ``fn`` split the same
-    way.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i, m in enumerate(mats):
-        groups.setdefault(np.shape(m), []).append(i)
-    out = np.empty(0)
-    for idx in groups.values():
-        vals = np.asarray(fn(np.stack([mats[i] for i in idx]),
-                             *(np.asarray(v)[idx] for v in per_item)))
-        if out.size == 0:
-            out = np.empty(len(mats), vals.dtype)
-        out[idx] = vals
-    return out
 
 
 def op_norm(m):

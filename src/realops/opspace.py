@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (MEMBERSHIP_TOL, as_matrix, clip_contraction, in_span,
-                     kron_sum, kron_sum_grad, kron_sum_matrix, map_by_shape,
+                     kron_sum, kron_sum_grad, kron_sum_matrix,
                      mat_from_json, mat_to_json, op_norm, span_coefficients)
-from .optim import (LinearMatrixMap, polar_seesaw, ratio_ascent, ratio_eval,
+from .optim import (LinearMatrixMap, polar_seesaw, ratio_ascent,
                     seesaw_ascent, spectral_min_sdp)
 from .rng import derived_rng
 
@@ -203,11 +203,8 @@ def level_norm(x: MatElem) -> float:
 
 def level_norms(space: OpSpace, coeffs) -> np.ndarray:
     """``level_norm`` of each element of an (..., n, n, d) coefficient
-    stack over ``space``, through one ``kron_sum`` and one stacked SVD, or
-    of each tensor of a list of mixed levels, one such call per level;
+    stack over ``space``, through one ``kron_sum`` and one stacked SVD;
     each equals its lone ``level_norm`` bit for bit."""
-    if isinstance(coeffs, list):
-        return map_by_shape(lambda c: level_norms(space, c), coeffs)
     c = np.asarray(coeffs, dtype=float)
     if c.ndim < 3 or c.shape[-3] != c.shape[-2] or \
             c.shape[-1] != space.dim:
@@ -368,6 +365,8 @@ def check_ruan_axioms(space: OpSpace, max_level: int = 3, samples: int = 100,
     """
     if max_level < 2:
         raise ValueError("max_level must be at least 2")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     rng = derived_rng(seed, 1)
     dev1 = 0.0
     dev2 = 0.0
@@ -444,14 +443,16 @@ def cb_norm_levels(u: CBMap, max_level: int, restarts: int = 32,
     """Yield a ``CbSearchResult`` for each level n = 1..max_level in turn:
     a certified lower bound for the norm of u_n, searched when asked for.
 
-    Multistart ascent on the ratio norm(u_n(x)) / norm(x) from the d
-    single-coefficient elements, the best witness so far (zero-padded, so
-    results are nondecreasing in the level) and ``restarts`` draws of
-    ``derived_rng(seed, n, r)``.  Every value is the ratio at a feasible
-    element.  One stacked ascent runs the restarts, reduced in order with
-    strict ``>``, and one polishes the incumbent: the exact seesaw on a
-    domain that fills its ambient space, ``ratio_ascent`` otherwise.
-    Invalid parameters raise ``ValueError`` at the first ``next()``.
+    Multistart ascent on the ratio norm(u_n(x)) / norm(x), one stacked
+    ascent per level from the d single-coefficient elements, the best
+    point so far (zero-padded, so results are nondecreasing in the level)
+    and ``restarts`` draws of ``derived_rng(seed, n, r)``: the exact
+    seesaw on a domain that fills its ambient space, ``ratio_ascent``
+    otherwise.  The stack is reduced in order with strict ``>``, and when
+    its best beats the incumbent, one more ascent polishes it.  Every
+    value is the ratio at a feasible element; ``restart_values`` are those
+    of the seeded starts.  Invalid parameters raise ``ValueError`` at the
+    first ``next()``.
     """
     if max_level < 1:
         raise ValueError("level must be at least 1")
@@ -466,39 +467,32 @@ def cb_norm_levels(u: CBMap, max_level: int, restarts: int = 32,
         return seesaw_ascent(num, den, x0s) if d == p * q else \
             ratio_ascent(num, den, x0s, iters=iters, step0=step0)
 
+    def padded(lvl):
+        out = np.zeros((lvl, lvl, d))
+        out[:len(best), :len(best)] = best
+        return out
+
     best_val = 0.0
-    best_x = None        # flat coefficient vector at level best_level
-    best_level = 1
+    best = np.zeros((1, 1, d))    # the best point so far, at its own level
     for lvl in range(1, max_level + 1):
         num, den = num_den_maps(u, lvl)
-        starts = np.eye(d, lvl * lvl * d)
-        if best_x is not None:
-            pad = np.zeros((lvl, lvl, d))
-            pad[:best_level, :best_level, :] = \
-                best_x.reshape(best_level, best_level, d)
-            starts = np.concatenate([starts, pad.reshape(1, -1)])
-        for val, c in zip(ratio_eval(num, den, starts), starts):
-            if val > best_val:
-                best_val, best_x, best_level = float(val), c.copy(), lvl
-        x0s = np.empty((restarts, lvl * lvl * d))
+        dim = lvl * lvl * d
+        seeded = np.empty((restarts, dim))
         for r in range(restarts):
             rng = derived_rng(seed, lvl, r)
-            x0s[r] = rng.standard_normal(lvl * lvl * d)
-            x0s[r] += 1e-8 * rng.standard_normal(lvl * lvl * d)  # tie-break
-        vals, xs = ascent(num, den, x0s)
-        for val, x in zip(vals, xs):
+            seeded[r] = rng.standard_normal(dim)
+            seeded[r] += 1e-8 * rng.standard_normal(dim)  # tie-break
+        # a zero incumbent keeps the value 0 at itself
+        vals, xs = ascent(num, den, np.concatenate(
+            [np.eye(d, dim), padded(lvl).reshape(1, -1), seeded]))
+        i = int(np.argmax(vals))     # the first of equal maxima
+        if vals[i] > best_val:
+            best_val, best = float(vals[i]), xs[i].reshape(lvl, lvl, d)
+            (val,), (x,) = ascent(num, den, xs[i][None], step0=1e-3)
             if val > best_val:
-                best_val, best_x, best_level = float(val), x.copy(), lvl
-        # polish the incumbent at this level
-        if best_x is not None and best_level == lvl:
-            (val,), (x,) = ascent(num, den, best_x[None], step0=1e-3)
-            if val > best_val:
-                best_val, best_x = float(val), x.copy()
-        witness = np.zeros((lvl, lvl, d))
-        if best_x is not None:
-            witness[:best_level, :best_level, :] = \
-                best_x.reshape(best_level, best_level, d)
-        yield CbSearchResult(best_val, lvl, witness, vals.tolist())
+                best_val, best = float(val), x.reshape(lvl, lvl, d)
+        yield CbSearchResult(best_val, lvl, padded(lvl),
+                             vals[-restarts:].tolist())
 
 
 def cb_norm_lower_search(u: CBMap, level: int, restarts: int = 32,

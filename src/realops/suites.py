@@ -182,19 +182,16 @@ def suite_opspace(seed: int) -> list[CheckResult]:
     pairs_per_cell = -(-1000 // (len(spaces) * 3))   # at least 1000 pairs total
     for si, (_, sp) in enumerate(spaces):
         xc = complexify_space(sp)
+        conj = CBMap(xc, xc, xc.conjugation)
         rng = derived_rng(seed, 111, si)
         for lvl in (1, 2, 3):
-            for _ in range(pairs_per_cell):
-                x = random_elem(sp, lvl, rng)
-                y = random_elem(sp, lvl, rng)
-                plus = level_norm(complexified_elem(xc, x, y))
-                minus = level_norm(opspace.conjugate_elem(
-                    complexified_elem(xc, x, y)))
-                conj_dev = max(conj_dev, abs(plus - minus))
-                zero = MatElem(sp, np.zeros_like(x.coeffs))
-                ext_dev = max(ext_dev, abs(
-                    level_norm(complexified_elem(xc, x, zero)) -
-                    level_norm(x)))
+            # the coefficients [x, y] of x + iy, one pair a row
+            z = rng.standard_normal((pairs_per_cell, lvl, lvl, xc.dim))
+            conj_dev = max(conj_dev, np.max(np.abs(
+                level_norms(xc, z) - level_norms(xc, conj.amplify(z)))))
+            z[..., sp.dim:] = 0.0
+            ext_dev = max(ext_dev, np.max(np.abs(
+                level_norms(xc, z) - level_norms(sp, z[..., :sp.dim]))))
     out.append(_check("complexified norms are conjugation invariant",
                       conj_dev, 1e-10,
                       pairs=pairs_per_cell * len(spaces) * 3, levels=3))
@@ -425,35 +422,31 @@ def suite_mideal(seed: int, projection_matrix=None) -> list[CheckResult]:
                           1e-12))
 
     rng = derived_rng(seed, 131)
-    parts, rests, columns = [], [], []
-    for _ in range(10):
+    nus = np.empty((10, 2 * m2.dim, m2.dim))
+    for t in range(10):
         # every rank-2 idempotent is a (a^T + c (I - a a^T)) with a
         # orthonormal columns; this form stays well conditioned
         a, _ = np.linalg.qr(rng.standard_normal((4, 2)))
         c = rng.standard_normal((2, 4))
         pm = a @ (a.T + c @ (np.eye(4) - a @ a.T))
-        proj = mideal.projection(m2, pm)
-        nu, _, _ = mideal.build_nu_mu_tau(proj)
-        for _ in range(5):
-            x = random_elem(m2, int(rng.integers(1, 3)), rng).coeffs
-            px = proj.underlying.amplify(x)
-            parts.append(px)
-            rests.append(x - px)
-            columns.append(nu.amplify(x))
-    dom_dev = np.maximum(level_norms(m2, parts), level_norms(m2, rests)) - \
-        level_norms(nu.codomain, columns)
+        nus[t] = mideal.build_nu_mu_tau(mideal.projection(m2, pm))[0].matrix
+    c2 = mideal.column_space(m2)
+    levels = rng.integers(1, 3, size=50)
+    dom_dev = 0.0
+    for idx, x in _normal_stacks(
+            rng, np.column_stack([levels, levels, np.full(50, m2.dim)])):
+        # sample i under the nu of projection i // 5, whose upper half is P
+        columns = np.einsum("smk,sijk->sijm", nus[idx // 5], x)
+        px = columns[..., :m2.dim]
+        dom_dev = max(dom_dev, np.max(
+            np.maximum(level_norms(m2, px), level_norms(m2, x - px)) -
+            level_norms(c2, columns)))
     out.append(_check("column embedding dominates both column norms",
-                      max(0.0, np.max(dom_dev)), 1e-12, projections=10))
+                      max(0.0, dom_dev), 1e-12, projections=10))
 
     _, mu_good, _ = mideal.build_nu_mu_tau(p_good)
-    c2 = mu_good.domain
-    cols = np.empty((50, 2, 2, c2.dim))
-    for t in range(50):
-        x = random_elem(m2, 2, rng)
-        y = random_elem(m2, 2, rng)
-        cols[t] = mideal.column_embed(x, y, c2).coeffs
-    ineq_dev = level_norms(mu_good.codomain, mu_good.amplify(cols)) - \
-        level_norms(c2, cols)
+    cols = rng.standard_normal((50, 2, 2, c2.dim))    # the columns [x; y]
+    ineq_dev = level_norms(m2, mu_good.amplify(cols)) - level_norms(c2, cols)
     out.append(_check("certified projections average columns contractively",
                       max(0.0, np.max(ineq_dev)), 1e-10, samples=50))
 

@@ -23,7 +23,7 @@ from .linalg import (MEMBERSHIP_TOL, in_span, is_real_positive, kron_sum,
                      sym_eig_min)
 from .opspace import (CBMap, MatElem, OpSpace, cb_norm_levels,
                       complex_structure, level_norms, opspace_from_json,
-                      opspace_to_json, random_elem)
+                      opspace_to_json)
 from .rng import derived_rng
 
 
@@ -253,28 +253,24 @@ def _positive_system_sample(system: PaulsenSystem, x_space: OpSpace,
     """A seeded sample of ``samples`` real-positive elements of M_n(S(X))
     at n = ``level``, as a (samples, n, n, 2 d + 2) coefficient stack.
 
-    Sample i has identity corners for even i and random Gram corners for
-    odd i, and its x-block is scaled to the contraction ratio rho inside
-    the Schur condition: rho = 1 for the first two samples, uniform in
-    [0, 1) after.  The draws of each sample (rho, the Gram factors, then
-    x) come in that order; the scales come after, from stacked level
-    norms of the sandwiches lam^(-1/2) x mu^(-1/2).
+    Sample i has identity corners for even i and random Gram corners
+    g g^T + 0.1 I for odd i, and its x-block is scaled to the contraction
+    ratio rho inside the Schur condition: rho = 1 for the first two
+    samples, uniform in [0, 1) after.  The draws come as three stacks: the
+    rho of samples 2 on, the Gram factors g and h of the odd samples as
+    one (2, samples // 2, n, n) draw, then every x; the scales come after,
+    from stacked level norms of the sandwiches lam^(-1/2) x mu^(-1/2).
     """
     n = level
     d = system.source_dim
     rho = np.ones(samples)
+    rho[2:] = rng.uniform(0.0, 1.0, size=max(samples - 2, 0))
     lam = np.broadcast_to(np.eye(n), (samples, n, n)).copy()
     mu = lam.copy()
-    x = np.empty((samples, n, n, d))
-    for i in range(samples):
-        if i >= 2:
-            rho[i] = rng.uniform(0.0, 1.0)
-        if i % 2:
-            g = rng.standard_normal((n, n))
-            lam[i] = g @ g.T + 0.1 * np.eye(n)
-            h = rng.standard_normal((n, n))
-            mu[i] = h @ h.T + 0.1 * np.eye(n)
-        x[i] = random_elem(x_space, n, rng).coeffs
+    g, h = rng.standard_normal((2, samples // 2, n, n))
+    lam[1::2] = g @ np.swapaxes(g, -1, -2) + 0.1 * np.eye(n)
+    mu[1::2] = h @ np.swapaxes(h, -1, -2) + 0.1 * np.eye(n)
+    x = rng.standard_normal((samples, n, n, d))
     lam_half_inv = np.linalg.inv(np.linalg.cholesky(lam))
     mu_half_inv = np.linalg.inv(np.linalg.cholesky(mu))
     # the Ruan action lam^(-1/2) x mu^(-1/2)^T of ``scalar_sandwich``

@@ -328,6 +328,39 @@ class TestProjectionComplexification:
         assert not corner_row().passed
 
 
+class TestSuiteColumnRows:
+    """Both sampled column rows report max(0, deviation), which reads 0.0
+    on working code, so each is shown to fail on a defect."""
+
+    @staticmethod
+    def row(name):
+        (row,) = [r for r in suites.suite_mideal(0xC0FFEE) if r.name == name]
+        return row
+
+    def check_defect(self, monkeypatch, name, defect):
+        assert self.row(name).passed and self.row(name).deviation == 0.0
+
+        def defective(p):
+            return defect(p, *build_nu_mu_tau(p))
+        monkeypatch.setattr(mideal, "build_nu_mu_tau", defective)
+        assert not self.row(name).passed
+
+    def test_embedding_row_catches_a_nu_without_its_lower_half(
+            self, monkeypatch):
+        def lower_half_zeroed(p, nu, mu, tau):
+            m = nu.matrix.copy()
+            m[p.space.dim:] = 0.0
+            return CBMap(nu.domain, nu.codomain, m), mu, tau
+        self.check_defect(monkeypatch, "column embedding dominates both "
+                          "column norms", lower_half_zeroed)
+
+    def test_averaging_row_catches_a_doubled_mu(self, monkeypatch):
+        def doubled(p, nu, mu, tau):
+            return nu, CBMap(mu.domain, mu.codomain, 2.0 * mu.matrix), tau
+        self.check_defect(monkeypatch, "certified projections average "
+                          "columns contractively", doubled)
+
+
 class TestColumnSpaceMemo:
     def test_memoized_per_space(self):
         space = full_matrix_space(2)

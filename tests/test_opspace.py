@@ -238,6 +238,12 @@ class TestRuanAxioms:
         with pytest.raises(ValueError):
             check_ruan_axioms(M2, max_level=1)
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_nonpositive_samples_rejected(self, samples):
+        # no sample would pass with deviations 0.0
+        with pytest.raises(ValueError, match="samples"):
+            check_ruan_axioms(M2, samples=samples)
+
     def test_direct_sum_and_sandwich_helpers(self):
         x = elem(M2, [1, 0, 0, 1])
         y = MatElem(M2, np.zeros((2, 2, 4)))

@@ -3,11 +3,12 @@ against per-sample reference loops.
 
 Each reference below is the per-sample form of a sampled check: it draws
 the same inputs in the same order and evaluates them one matrix at a
-time through lone kernel calls.  The linalg suite draws its samples as
-one stack per shape, so its reference draws those stacks (through
-``ref_matrix_draws``, not the suite's helpers), then walks the samples in
-index order.  The corner-map reference instead permutes coefficients
-through a permutation matrix rather than by indexing.  The stacked code
+time through lone kernel calls.  The linalg and mideal suites and the
+Paulsen samples draw their samples as stacks, so their references draw
+those stacks (through ``ref_normal_draws``, not the suite's helpers),
+then walk the samples in index order.  The corner-map reference instead
+permutes coefficients through a permutation matrix rather than by
+indexing.  The stacked code
 must give the same values bit for bit, so the comparisons use ``==``.
 """
 
@@ -16,12 +17,12 @@ import pytest
 
 from realops import mideal, suites, systems
 from realops.linalg import (contraction_block, contraction_iff_positive,
-                            is_real_positive, kron_sum, map_by_shape,
-                            op_norm, sym_eig_min)
+                            is_real_positive, kron_sum, op_norm,
+                            sym_eig_min)
 from realops.opspace import (CBMap, MatElem, complexify_map,
                              complexify_space, elem, full_matrix_space,
                              identity_map, level_norm, level_norms,
-                             random_elem, scalar_sandwich, span_space)
+                             scalar_sandwich, span_space)
 from realops.rng import derived_rng
 
 SEEDS = [0xC0FFEE, 1]
@@ -119,15 +120,9 @@ class TestStackedKernels:
         with pytest.raises(ValueError):
             level_norms(M2, np.zeros((2, 4)))
 
-    def test_map_by_shape_keeps_list_order(self):
-        rng = np.random.default_rng(3)
-        mats = [rng.standard_normal((int(p), int(q)))
-                for p, q in rng.integers(1, 4, size=(40, 2))]
-        norms = map_by_shape(op_norm, mats)
-        assert norms.tolist() == [op_norm(m) for m in mats]
-        flags = map_by_shape(lambda s: op_norm(s) > 1.5, mats)
-        assert flags.dtype == bool
-        assert flags.tolist() == [op_norm(m) > 1.5 for m in mats]
+    def test_level_norms_reject_a_list_of_mixed_levels(self):
+        with pytest.raises(ValueError):
+            level_norms(M2, [np.ones((1, 1, 4)), np.ones((2, 2, 4))])
 
 
 class TestStackValidation:
@@ -253,18 +248,28 @@ def ref_check_brs_level(algebra, level, samples, seed, tol=1e-10):
     return max(0.0, worst), worst <= tol, witness
 
 
-def ref_positive_system_sample(system, x_space, level, rng, style, rho):
-    n = level
+def ref_positive_system_draws(rng, level, samples, d):
+    """The draws of ``systems._positive_system_sample`` as (rho, Gram
+    factors or None, x) per sample, in sample order."""
+    rho = [1.0] * min(samples, 2) + \
+        rng.uniform(0.0, 1.0, size=max(samples - 2, 0)).tolist()
+    g, h = rng.standard_normal((2, samples // 2, level, level))
+    xs = rng.standard_normal((samples, level, level, d))
+    return [(rho[i], (g[i // 2], h[i // 2]) if i % 2 else None, xs[i])
+            for i in range(samples)]
+
+
+def ref_positive_system_sample(system, x_space, rho, factors, x):
+    n = len(x)
     d = system.source_dim
-    if style == "unit":
+    if factors is None:
         lam = np.eye(n)
         mu = np.eye(n)
     else:
-        g = rng.standard_normal((n, n))
+        g, h = factors
         lam = g @ g.T + 0.1 * np.eye(n)
-        h = rng.standard_normal((n, n))
         mu = h @ h.T + 0.1 * np.eye(n)
-    x = random_elem(x_space, n, rng)
+    x = MatElem(x_space, x)
     lam_half_inv = np.linalg.inv(np.linalg.cholesky(lam))
     mu_half_inv = np.linalg.inv(np.linalg.cholesky(mu))
     s = level_norm(scalar_sandwich(lam_half_inv, x, mu_half_inv.T))
@@ -283,12 +288,11 @@ def ref_paulsen_positivity_transfer(u, levels, samples, seed, tol=1e-9):
     failures = 0
     witness = None
     for lvl in range(1, levels + 1):
-        rng = derived_rng(seed, 41, lvl)
-        for i in range(samples):
-            style = "unit" if i % 2 == 0 else "gram"
-            rho = 1.0 if i < 2 else float(rng.uniform(0.0, 1.0))
-            coeffs = ref_positive_system_sample(s_dom, u.domain, lvl, rng,
-                                                style, rho)
+        draws = ref_positive_system_draws(derived_rng(seed, 41, lvl), lvl,
+                                          samples, u.domain.dim)
+        for rho, factors, x in draws:
+            coeffs = ref_positive_system_sample(s_dom, u.domain, rho,
+                                                factors, x)
             sample = MatElem(s_dom.space, coeffs)
             assert is_real_positive(sample.realization(), tol)
             img_mat = phi(sample).realization()
@@ -342,26 +346,28 @@ def ref_projection_complexification(u):
 def ref_mideal_column_rows(seed):
     """Deviations of the column-embedding and column-averaging rows."""
     rng = derived_rng(seed, 131)
-    dom_dev = 0.0
+    projections = []
     for _ in range(10):
         a, _ = np.linalg.qr(rng.standard_normal((4, 2)))
         c = rng.standard_normal((2, 4))
         pm = a @ (a.T + c @ (np.eye(4) - a @ a.T))
-        proj = mideal.projection(M2, pm)
-        nu, _, _ = mideal.build_nu_mu_tau(proj)
-        for _ in range(5):
-            x = random_elem(M2, int(rng.integers(1, 3)), rng)
-            px = proj.underlying(x)
-            rest = MatElem(M2, x.coeffs - px.coeffs)
-            dom_dev = max(dom_dev, max(level_norm(px), level_norm(rest)) -
-                          level_norm(nu(x)))
+        projections.append(mideal.projection(M2, pm))
+    levels = rng.integers(1, 3, size=50)
+    dom_dev = 0.0
+    for i, x in enumerate(ref_normal_draws(rng, [(n, n, 4) for n in levels])):
+        nu, _, _ = mideal.build_nu_mu_tau(projections[i // 5])
+        x = MatElem(M2, x)
+        px = projections[i // 5].underlying(x)
+        rest = MatElem(M2, x.coeffs - px.coeffs)
+        dom_dev = max(dom_dev, max(level_norm(px), level_norm(rest)) -
+                      level_norm(nu(x)))
     p_good = mideal.projection(M2, suites.DIAG_MULT)
     _, mu_good, _ = mideal.build_nu_mu_tau(p_good)
     c2 = mu_good.domain
     ineq_dev = 0.0
-    for _ in range(50):
-        x = random_elem(M2, 2, rng)
-        y = random_elem(M2, 2, rng)
+    for coeffs in rng.standard_normal((50, 2, 2, 8)):
+        x = MatElem(M2, coeffs[..., :4])
+        y = MatElem(M2, coeffs[..., 4:])
         col = mideal.column_embed(x, y, c2)
         ineq_dev = max(ineq_dev, level_norm(mu_good(col)) - level_norm(col))
     return max(0.0, dom_dev), max(0.0, ineq_dev)
