@@ -340,7 +340,7 @@ def _cmd_reproduce(args):
                 "witness": rep.witness,
                 "sdp_iterations": rep.sdp_iterations,
                 "claim": rep.claim}, _verdict(rep.passed)
-    scalars = opspace.span_space([[[1.0]]])
+    scalars = opspace.scalar_space()
     x = opspace.elem(scalars, np.array([[[1.0], [0.0]], [[0.0], [0.0]]]))
     y = opspace.elem(scalars, np.array([[[0.0], [1.0]], [[0.0], [0.0]]]))
     cnorm = opspace.complexification_norm(scalars, x, y)

@@ -27,6 +27,7 @@ a matrix or a stack of them, with the basis pseudo-inverse cached.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -166,6 +167,14 @@ def full_matrix_space(p: int, q: int | None = None) -> OpSpace:
 def span_space(mats) -> OpSpace:
     """Operator space spanned by the given matrices (kept as the basis)."""
     return OpSpace(np.stack([as_matrix(m) for m in mats]))
+
+
+@functools.cache
+def scalar_space() -> OpSpace:
+    """The real scalars, span{1} inside M_1(R): one space per process, so
+    that what it memoizes, its complexification among them, is built
+    once.  Its basis is read-only, as every space's is."""
+    return span_space([[[1.0]]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -515,7 +524,7 @@ class QuotientResult:
     converged: bool          # gap <= tol * max(1, value)
     minimizer: np.ndarray    # (n, n, dim Y) coefficients over the subspace
     lower: float             # certified lower bound on the distance
-    iterations: int          # interior-point steps (0 at the zero exit)
+    iterations: int          # interior-point steps (0: closed start)
 
 
 def quotient_level_norm(space: OpSpace, subspace_coeffs, x: MatElem,
@@ -526,7 +535,8 @@ def quotient_level_norm(space: OpSpace, subspace_coeffs, x: MatElem,
     The distance is min over t of sigma_max(R(x) - R(y(t))), which
     ``optim.spectral_min_sdp`` brackets in residual coordinates around the
     least-squares point.  An element whose residual there has operator
-    norm at most 1e-13 lies in M_n(Y), with lower bound 0 and no step.
+    norm at most ``optim.SDP_BRACKET`` (1e-10) closes the bracket at
+    once: it is returned with lower bound 0 and no step.
     ``value`` is the norm of the best residual, an upper bound, attained
     at the reported minimizer up to the roundoff of forming x - y, and
     ``lower`` comes from a trace-norm dual certificate.

@@ -33,7 +33,9 @@ Five workhorses and two reference solvers:
   with the package, so the commands that make no SDP solve never load
   it.
   The caller turns each iterate into a certified bracket, and the solve
-  stops on the best bracket seen.
+  stops on the best bracket seen, once it is closed (``bracket_closed``).
+  Both instances check that rule on their starting bracket first and,
+  when it already holds, build no SDP and load no scipy.
 * ``spectral_min_sdp``: its quotient-norm instance, for the convex problem
   min_w sigma_max(B - K w), solved in the one orthonormal basis U of
   span K from an SVD of K and in residual coordinates around the
@@ -55,6 +57,7 @@ Five workhorses and two reference solvers:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,11 +345,21 @@ def smoothed_spectral_min(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
     return prev_val, w, float(gap)
 
 
-#: sdp_maximize stops once its bracket is at most this times
-#: max(1, upper bound)
+#: a certified bracket is closed once it is at most this times
+#: max(1, upper bound); see ``bracket_closed``
 SDP_BRACKET = 1e-10
 #: iteration cap of sdp_maximize
 SDP_MAX_ITERS = 50
+
+
+def bracket_closed(upper: float, lower: float) -> bool:
+    """Whether a certified bracket lower <= value <= upper needs no SDP
+    step: upper - lower <= SDP_BRACKET * max(1, upper).  It is the loop
+    test of ``sdp_maximize``, and both of its instances check it on their
+    starting bracket before they build anything.  A bracket with a
+    non-finite side is never closed."""
+    return math.isfinite(upper) and math.isfinite(lower) and \
+        upper - lower <= SDP_BRACKET * max(1.0, upper)
 
 
 @dataclass
@@ -442,10 +455,12 @@ def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, y0: np.ndarray, bracket,
     bounds; it must not rely on the iterate being exactly feasible.  The
     least upper (with its y) and the greatest lower (with its x) seen are
     kept, starting from ``upper`` and ``lower``, which must be finite, and
-    the solve stops once upper - lower <= SDP_BRACKET * max(1, upper),
-    after SDP_MAX_ITERS steps, or on a LinAlgError of a Cholesky factor of
-    X or S near the optimum, which ends the solve with the bounds reached
-    so far.
+    the solve stops once ``bracket_closed(upper, lower)``, after
+    SDP_MAX_ITERS steps, or on a LinAlgError of a Cholesky factor of X or
+    S near the optimum, which ends the solve with the bounds reached so
+    far.  A starting bracket that is already closed returns at once with
+    no step and no iterate (y and x None); both instances check that
+    before they build the problem, so that they skip building it.
     """
     if not (np.isfinite(upper) and np.isfinite(lower)):
         raise ValueError(f"sdp_maximize needs finite starting bounds, got "
@@ -460,7 +475,7 @@ def sdp_maximize(a: np.ndarray, c_mat: np.ndarray, y0: np.ndarray, bracket,
     iterations = 0
     try:
         while iterations < SDP_MAX_ITERS and \
-                upper - lower > SDP_BRACKET * max(1.0, upper):
+                not bracket_closed(upper, lower):
             s = c_mat - (y @ a_f).reshape(side, side)
             x_ci = _inv_cholesky(x)
             s_ci = _inv_cholesky(s)
@@ -507,9 +522,12 @@ def spectral_min_sdp(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
     in residual coordinates around the least-squares point v0 = U^T B:
     over dv in the residual R = r0 - U dv, r0 = B - U v0 formed once, so
     that no component of B inside span K, however large, enters a step,
-    and no iterate can drift along the null space of K.  When
-    sigma_max(r0) <= 1e-13, the element lies in span K, and
-    w0 = V v0 / s is returned at once with lower bound 0 and no step.
+    and no iterate can drift along the null space of K.  When the
+    starting bracket 0 <= infimum <= sigma_max(r0) is already closed,
+    ``bracket_closed(sigma_max(r0), 0)``, which holds exactly when
+    sigma_max(r0) <= SDP_BRACKET, w0 = V v0 / s is returned at once with
+    lower bound 0 and no step, before anything is built and before scipy
+    loads.
 
     Otherwise the instance of ``sdp_maximize``: min t subject to
     S = C - t A_0 - sum_j dv_j A_j >= 0 with A_0 = -I, A_j = -D(U_j) and
@@ -539,7 +557,7 @@ def spectral_min_sdp(b_vec: np.ndarray, k_mat: np.ndarray, rows: int,
     v0 = basis.T @ b_vec
     r0 = b_vec - basis @ v0
     start = float(np.linalg.svd(r0.reshape(rows, cols), compute_uv=False)[0])
-    if start <= 1e-13:
+    if bracket_closed(start, 0.0):
         return start, to_w @ v0, 0.0, np.zeros((rows, cols)), 0
 
     def singular_values(vec):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .linalg import as_matrix, clip_contraction, dilation, kron_sum, op_norm
 from .opspace import OpSpace, complex_structure, complexify_space
-from .optim import sdp_maximize
+from .optim import bracket_closed, sdp_maximize
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +193,10 @@ def _haagerup_sdp(mats: list[np.ndarray], lower: float):
     mu = max(1, sum ||a_k||), so that the start stays strictly feasible at
     any scale, from the bracket of the triangle bound sum ||a_k|| (the
     point X_k = Y_k = ||a_k|| I) and the witnessed ``lower``, and stops
-    when the two sides meet.
+    when the two sides meet.  When that starting bracket is already closed
+    (``optim.bracket_closed``), nothing is built and scipy is not loaded:
+    the triangle certificate comes back with ``lower``, no witness and 0
+    steps, as the solve would return it.
 
     Each iterate gives both sides.  Upper: every 2n-block of the dual point
     is shifted by its most negative eigenvalue, and the bound is
@@ -209,10 +212,15 @@ def _haagerup_sdp(mats: list[np.ndarray], lower: float):
     beaten), and the steps taken.
     """
     d, n = len(mats), len(mats[0])
-    coeffs = np.stack(mats)
     norms = [op_norm(a) for a in mats]
-    margin = max(1.0, sum(norms))
     eye = np.eye(n)
+    # the triangle bound sum ||a_k|| at X_k = Y_k = ||a_k|| I
+    scaled_eyes = np.array(norms)[:, None, None] * eye
+    triangle = (float(sum(norms)), scaled_eyes, scaled_eyes.copy())
+    if bracket_closed(triangle[0], lower):
+        return triangle, lower, None, 0
+    coeffs = np.stack(mats)
+    margin = max(1.0, sum(norms))
     # symmetric unit matrices E_pq (p <= q), n(n+1)/2 of them
     iu = np.triu_indices(n)
     sym = np.zeros((len(iu[0]), n, n))
@@ -254,13 +262,10 @@ def _haagerup_sdp(mats: list[np.ndarray], lower: float):
 
     res = sdp_maximize(a, c_mat, y0,
                        lambda x, y: (certificate(y)[0], witness(x)[0]),
-                       float(sum(norms)), lower)
-    if res.y is None:
-        xy = np.array(norms)[:, None, None] * np.stack([eye, eye])[:, None]
-    else:
-        xy = certificate(res.y)[1]
-    return ((res.upper, xy[0], xy[1]), res.lower,
-            None if res.x is None else witness(res.x)[1], res.iterations)
+                       triangle[0], lower)
+    cert = triangle if res.y is None else (res.upper, *certificate(res.y)[1])
+    return (cert, res.lower, None if res.x is None else witness(res.x)[1],
+            res.iterations)
 
 
 def max_l1_norm_bounds(coeff_mats) -> MaxL1Result:
@@ -281,7 +286,11 @@ def max_l1_norm_bounds(coeff_mats) -> MaxL1Result:
     entry finite.  The Haagerup SDP of ``_haagerup_sdp`` starts from the
     value of the polar factors of the scaled a_k, clipped to contractions;
     its primal witness replaces that tuple only when strictly better, and
-    its certificate gives ``upper``.  Nothing else searches: when the SDP
+    its certificate gives ``upper``.  When that start already meets the
+    triangle bound sum ||a_k|| to within the SDP's bracket target
+    (``optim.bracket_closed``), as the polar factors of the l12 pair do, no
+    SDP is built: the certificate is X_k = Y_k = ||a_k|| I and
+    ``sdp_iterations`` is 0.  Nothing else searches: when the SDP
     stops early (on a failed Cholesky factor or at its step cap), the
     bracket it reached is returned open, still certified on both sides.
     The value and the certificate (t, X, Y) are scaled back.  A lower

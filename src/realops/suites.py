@@ -19,7 +19,7 @@ from .opspace import (CBMap, MatElem, OpSpace, check_ruan_axioms,
                       direct_sum_spaces, elem, full_matrix_space,
                       cb_norm_levels, cb_norm_lower_search, level_norm,
                       level_norms, quotient_level_norm, random_elem,
-                      span_space)
+                      scalar_space, span_space)
 from .quantization import (ell_infty, ell_one, min_level_norm, realize_min,
                            reproduce_l12_nonuniqueness, w2_complex_norm,
                            max_l1_norm_bounds, BanachSpace)
@@ -42,10 +42,6 @@ def _check(name: str, deviation: float, tolerance: float, *,
     deviation = float(deviation)
     return CheckResult(name, deviation, float(tolerance),
                        bool(deviation <= tolerance and converged), details)
-
-
-def _scalar_space() -> OpSpace:
-    return span_space([[[1.0]]])
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +161,7 @@ def suite_linalg(seed: int) -> list[CheckResult]:
 
 def _fixture_spaces() -> list[tuple[str, OpSpace]]:
     return [
-        ("scalars", _scalar_space()),
+        ("scalars", scalar_space()),
         ("M2(R)", full_matrix_space(2)),
         ("M_{1,2}(R)", full_matrix_space(1, 2)),
         ("min ell_inf_2", realize_min(ell_infty(2))),
@@ -270,7 +266,7 @@ def suite_opspace(seed: int) -> list[CheckResult]:
     blocks[:4, :2, :2] = m2.basis
     blocks[4:, 2:, 2:] = m2.basis
     sdev = float(np.max(np.abs(direct_sum_spaces([m2, m2]).basis - blocks)))
-    two = direct_sum_spaces([_scalar_space(), _scalar_space()])
+    two = direct_sum_spaces([scalar_space(), scalar_space()])
     sdev = max(sdev, abs(level_norm(elem(two, [3.0, -4.0])) - 4.0))
     out.append(_check("direct sum norms are the max over summands", sdev,
                       1e-12))
@@ -464,7 +460,7 @@ def suite_mideal(seed: int, projection_matrix=None) -> list[CheckResult]:
     out.append(_check("orthogonal projection witnesses never refute", bad,
                       0.0, witnesses=4, levels=2))
 
-    for name, sp in [("scalars", _scalar_space()), ("M2(R)", m2)]:
+    for name, sp in [("scalars", scalar_space()), ("M2(R)", m2)]:
         out.append(_check(f"column/complexification shuffle is exact on "
                           f"{name}", mideal.shuffle_iso(sp).basis_deviation,
                           1e-12))
@@ -549,13 +545,13 @@ def suite_systems(seed: int) -> list[CheckResult]:
     out.append(_check("unitization commutes with complexification",
                       dims_dev + basis_dev, 0.0, basis_deviation=basis_dev))
 
-    ps_r = systems.build_paulsen_system(_scalar_space())
+    ps_r = systems.build_paulsen_system(scalar_space())
     ps_m2 = systems.build_paulsen_system(m2)
     out.append(_check("system corners have dimension 2 dim(X) + 2",
                       abs(ps_r.space.dim - 4) + abs(ps_m2.space.dim - 10),
                       0.0))
 
-    sc = _scalar_space()
+    sc = scalar_space()
     rep_id = systems.paulsen_positivity_transfer(
         opspace.identity_map(sc), levels=2, samples=30, seed=seed)
     rep_half = systems.paulsen_positivity_transfer(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import realops
-from realops import cli, mideal, quantization, systems
+from realops import cli, mideal, opspace, quantization, systems
 from realops.linalg import MEMBERSHIP_TOL
 from realops.opspace import full_matrix_space, opspace_to_json, span_space
 
@@ -898,8 +898,22 @@ def test_out_writes_the_reported_object(files, capsys, tmp_path, command,
     assert json.loads(out.read_text()) == rep["result"][key]
 
 
+def test_complex_dual_builds_the_complex_scalars_once(capsys, monkeypatch):
+    argv = ["--json", "reproduce", "complex-dual", "--restarts", "2"]
+    assert cli.run(argv) == 0
+    first = capsys.readouterr().out
+
+    def rebuilt(space):
+        raise AssertionError("the complex scalars were built again")
+
+    monkeypatch.setattr(opspace, "_complexified", rebuilt)
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == first
+
+
 #: run in a fresh interpreter: which scipy modules are loaded after the
-#: import, after the commands that need no SDP, and after a quotient norm
+#: import, after the commands that need no SDP (the l12 pair's bracket is
+#: closed at its start), and after a quotient norm
 SCIPY_PROBE = """
 import contextlib, io, json, sys
 import realops.cli as cli
@@ -911,6 +925,7 @@ steps = {"import": loaded()}
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.run(["verify", s]) for s in ("linalg", "mideal", "systems")]
     codes.append(cli.run(["reproduce", "complex-dual"]))
+    codes.append(cli.run(["reproduce", "l12-nonunique"]))
     steps["cheap"] = loaded()
     codes.append(cli.run(["quotient-norm"] + sys.argv[1:]))
 steps["quotient"] = loaded()
@@ -920,7 +935,8 @@ print(json.dumps({"codes": codes, "steps": steps}))
 
 def test_commands_without_an_sdp_load_no_scipy(files):
     # LAPACK loads on the first SDP solve and scipy.optimize only for the
-    # reference solvers, so importing the CLI stays cheap
+    # reference solvers, so importing the CLI stays cheap; a start that
+    # closes its bracket builds no SDP
     src = os.path.dirname(os.path.dirname(realops.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -930,7 +946,7 @@ def test_commands_without_an_sdp_load_no_scipy(files):
          files["generic_elem.json"]],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     rep = json.loads(proc.stdout)
-    assert rep["codes"] == [0] * 5
+    assert rep["codes"] == [0] * 6
     assert rep["steps"]["import"] == rep["steps"]["cheap"] == []
     assert "scipy.linalg" in rep["steps"]["quotient"]
     assert not any(m.startswith("scipy.optimize")

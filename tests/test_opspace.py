@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from realops import optim
+from realops import opspace, optim
 from realops.linalg import clip_contraction, kron_sum, kron_sum_grad, op_norm
 from realops.optim import (SDP_BRACKET, SDP_MAX_ITERS, smoothed_spectral_min,
                            spectral_min_sdp)
@@ -16,8 +18,8 @@ from realops.opspace import (CBMap, MatElem, check_ruan_axioms,
                              elem_from_json, full_matrix_space,
                              identity_map, level_norm, opspace_from_json,
                              opspace_to_json, quotient_level_norm,
-                             random_elem, scalar_sandwich, span_space,
-                             theta_dual_search)
+                             random_elem, scalar_sandwich, scalar_space,
+                             span_space, theta_dual_search)
 from realops.rng import derived_rng
 
 M2 = full_matrix_space(2)
@@ -149,6 +151,23 @@ class TestComplexification:
         for _ in range(2):
             with pytest.raises(ValueError):
                 complexify_space(xc)
+
+    def test_scalar_space_is_shared_and_read_only(self, monkeypatch):
+        sc = scalar_space()
+        assert sc is scalar_space()
+        assert np.array_equal(sc.basis, [[[1.0]]])
+        with pytest.raises(ValueError, match="read-only"):
+            sc.basis[0, 0, 0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sc.basis = np.ones((1, 1, 1))
+        # its complexification is built once, then read from its memo
+        xc = complexify_space(sc)
+
+        def rebuilt(space):
+            raise AssertionError("the complex scalars were built again")
+
+        monkeypatch.setattr(opspace, "_complexified", rebuilt)
+        assert complexify_space(scalar_space()) is xc
 
     def test_extends_original_norm(self):
         x = elem(R1, [3.0])
@@ -567,6 +586,54 @@ class TestSpectralMinSdp:
         trace_norm = np.linalg.svd(z_ann.reshape(rows, cols),
                                    compute_uv=False).sum()
         assert abs(b @ z_ann) / trace_norm == pytest.approx(lower, rel=1e-10)
+
+    @staticmethod
+    def offset_element(eps):
+        """B = 3 E11 + eps E12 - 2 E22 against K = [2 E11, -4 E22]: the
+        basis of span K is exact, so the starting residual is eps E12
+        exactly, of norm eps, and the least-squares point is (1.5, 0.5)."""
+        k = np.zeros((4, 2))
+        k[0, 0], k[3, 1] = 2.0, -4.0
+        return np.array([3.0, eps, 0.0, -2.0]), k
+
+    @pytest.mark.parametrize("eps", [2e-13, 1e-12, 5e-11, SDP_BRACKET])
+    def test_closed_start_builds_nothing(self, eps, monkeypatch):
+        # 0 <= distance <= eps is a closed bracket once eps <= SDP_BRACKET,
+        # so the least-squares point returns before an SDP is built
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a closed start built an SDP")
+
+        monkeypatch.setattr(optim, "sdp_maximize", forbidden)
+        monkeypatch.setattr(optim, "_lapack", forbidden)
+        value, w, lower, z, iterations = spectral_min_sdp(
+            *self.offset_element(eps), 2, 2)
+        assert (value, lower, iterations) == (eps, 0.0, 0)
+        assert np.array_equal(w, [1.5, 0.5])
+        assert np.array_equal(z, np.zeros((2, 2)))
+
+    def test_overflowing_start_is_never_closed(self):
+        # the starting residual's norm overflows to inf, and
+        # inf - 0 <= SDP_BRACKET * inf holds: only the rule's finiteness
+        # test keeps it from coming back as a closed bracket
+        k = np.zeros((4, 1))
+        k[0, 0] = 1.0
+        with pytest.raises(ValueError, match="finite"):
+            spectral_min_sdp(np.array([0.0, 1.7e308, 1.7e308, 1.7e308]), k,
+                             2, 2)
+
+    def test_start_just_above_the_bracket_steps(self, monkeypatch):
+        real, calls = optim.sdp_maximize, []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(optim, "sdp_maximize", counted)
+        eps = np.nextafter(SDP_BRACKET, 1.0)
+        value, _, lower, _, iterations = spectral_min_sdp(
+            *self.offset_element(eps), 2, 2)
+        assert calls == [1] and iterations >= 1
+        assert 0.0 < lower <= value and value - lower <= SDP_BRACKET
 
     def test_two_runs_give_the_same_bits(self):
         b, k, rows, cols, _ = SDP_CASES[-1]

@@ -290,11 +290,21 @@ class TestSdpMaximize:
         assert (res.upper, res.lower, res.iterations) == (2.0, 2.0, 0)
         assert res.x is None and res.y is None
 
+    @pytest.mark.parametrize("upper, lower, closed", [
+        (2.0, 2.0, True), (SDP_BRACKET, 0.0, True),
+        (np.nextafter(SDP_BRACKET, 1.0), 0.0, False),
+        (3e10, 3e10 - 3.0, True), (3e10, 3e10 - 3.1, False),
+        (np.inf, 0.0, False), (1.0, np.inf, False), (np.nan, 0.0, False),
+        (9.0, -np.inf, False), (9.0, np.nan, False)])
+    def test_closed_bracket_rule(self, upper, lower, closed):
+        # relative to max(1, upper), and never closed with a non-finite side
+        assert optim.bracket_closed(upper, lower) == closed
+
     @pytest.mark.parametrize("upper, lower", [
         (np.inf, 0.0), (np.nan, 0.0), (9.0, -np.inf), (9.0, np.nan)])
     def test_non_finite_start_bounds_rejected(self, upper, lower):
-        # inf - lower > 1e-10 * inf is false: an infinite upper bound would
-        # end the solve at once with no step
+        # a non-finite starting bound is an error, not a bracket that the
+        # solve could close or improve
         c = self.problem(0)
         with pytest.raises(ValueError, match="finite"):
             sdp_maximize(-np.eye(5)[None], -c, np.array([9.0]),

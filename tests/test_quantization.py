@@ -418,6 +418,35 @@ class TestHaagerupCertificate:
         assert res.sdp_iterations == 0
         assert certificate_defect([PAIR_A, PAIR_B], res) == (0.0, 0.0)
 
+    def test_closed_start_builds_no_sdp(self, monkeypatch):
+        # the polar start (A, B) meets the triangle bound 2, so the bracket
+        # is closed before an SDP is built, and the certificate is the
+        # triangle one, X_k = Y_k = ||a_k|| I
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a closed start built an SDP")
+
+        for module in (optim, quantization):
+            monkeypatch.setattr(module, "sdp_maximize", forbidden)
+        monkeypatch.setattr(optim, "_lapack", forbidden)
+        res = max_l1_norm_bounds([PAIR_A, PAIR_B])
+        assert (res.lower, res.upper, res.sdp_iterations) == (2.0, 2.0, 0)
+        t, xs, ys = res.certificate
+        eyes = np.stack([op_norm(a) * np.eye(2) for a in (PAIR_A, PAIR_B)])
+        assert t == 2.0
+        assert np.array_equal(xs, eyes) and np.array_equal(ys, eyes)
+
+    def test_open_start_still_solves(self, monkeypatch):
+        real, calls = quantization.sdp_maximize, []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(quantization, "sdp_maximize", counted)
+        res = max_l1_norm_bounds(random_tuples()[0])
+        assert calls == [1] and res.sdp_iterations > 0
+        assert optim.bracket_closed(res.upper, res.lower)
+
     def test_scalars_give_the_l1_norm(self):
         rng = np.random.default_rng(12)
         for d in (1, 2, 5):
