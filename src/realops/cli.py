@@ -52,6 +52,11 @@ GLOBAL_OPTIONS = ("command", "seed", "tol", "json")
 #: commands whose report name carries their positional argument
 NAMED_BY = {"reproduce": "name", "verify": "suite"}
 
+#: the largest --restarts of ``reproduce``: the complex-dual search draws
+#: every start as one array, so a count far beyond this would exhaust
+#: memory or run for hours instead of giving a report
+MAX_RESTARTS = 10_000
+
 
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
@@ -445,14 +450,14 @@ class _CheckedAction(argparse.Action):
 
 
 def _count(text: str) -> int:
-    """A --restarts value of ``reproduce``, an integer >= 1."""
+    """A --restarts value of ``reproduce``, an integer in [1, MAX_RESTARTS]."""
     try:
         count = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if count < 1:
+    if not 1 <= count <= MAX_RESTARTS:
         raise argparse.ArgumentTypeError(
-            f"must be an integer >= 1, got {text!r}")
+            f"must be an integer in [1, {MAX_RESTARTS}], got {text!r}")
     return count
 
 
@@ -559,7 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=["l12-nonunique", "complex-dual"])
     p.add_argument("--restarts", type=_count, default=64,
                    help="random starts of the complex-dual search, at its "
-                        "size n = 2; l12-nonunique accepts and ignores it")
+                        f"size n = 2, 1 to {MAX_RESTARTS}; l12-nonunique "
+                        "accepts and ignores it")
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("suite", choices=["all", "linalg", "opspace",

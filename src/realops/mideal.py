@@ -86,13 +86,6 @@ def _stacked_columns(space: OpSpace) -> OpSpace:
     return OpSpace(basis)
 
 
-def column_embed(x: MatElem, y: MatElem, c2: OpSpace) -> MatElem:
-    """The element [x; y] of M_n(C_2(X))."""
-    if x.level != y.level:
-        raise ValueError("column entries must share a level")
-    return MatElem(c2, np.concatenate([x.coeffs, y.coeffs], axis=2))
-
-
 def build_nu_mu_tau(p: Projection) -> tuple[CBMap, CBMap, CBMap]:
     """The maps nu: x -> [P(x); x - P(x)], mu: [x; y] -> P(x) + (I-P)(y),
     and tau: [x; y] -> [P(x); y] on the concrete column space.

@@ -319,13 +319,6 @@ def _complexified(space: OpSpace) -> OpSpace:
     return OpSpace(basis, is_complexified=True, conjugation=conj)
 
 
-def conjugate_elem(x: MatElem) -> MatElem:
-    if x.space.conjugation is None:
-        raise ValueError("space carries no conjugation")
-    return MatElem(x.space,
-                   np.einsum("kl,ijl->ijk", x.space.conjugation, x.coeffs))
-
-
 def complexified_elem(space_c: OpSpace, x: MatElem, y: MatElem) -> MatElem:
     """The element x + iy of M_n(X_c), given x, y in M_n(X)."""
     if x.level != y.level:
@@ -585,15 +578,17 @@ def theta_dual_search(z_re, z_im, restarts: int = 64,
     only m = n is searched.
 
     One exact alternating (seesaw) ascent, ``optim.polar_seesaw``, runs
-    from the identity and from ``restarts`` seeded random unitaries,
-    restart r drawn from ``derived_rng(seed, n, r)``.  A round takes the
+    from the identity and from ``restarts`` seeded random unitaries, the
+    Q factors of complex Gaussian matrices drawn, restart after restart,
+    from the one substream ``derived_rng(seed, n)``.  A round takes the
     top singular pair (u, v) of the realized matrix M(W) and moves to the
     contraction maximizing the linearization u^T M(W') v = Re tr(G^* W'):
     the unitary polar factor of G, so the value never decreases.  Every
     value, per restart included, is the norm at a unitary test matrix, a
     true lower bound; z = 0 gives 0.  The first of equal best test
     matrices wins, and ``restart_values`` (r ascending) do not depend on
-    how many restarts run.
+    how many restarts run: numpy fills the (restarts, 2, n, n) draw in
+    order, so restart r starts from the same matrix at every count.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -609,8 +604,7 @@ def theta_dual_search(z_re, z_im, restarts: int = 64,
         w = u @ vh
         return np.stack([w.real, w.imag], axis=-3)
 
-    g = np.array([derived_rng(seed, n, r).standard_normal((2, n, n))
-                  for r in range(restarts)])
+    g = derived_rng(seed, n).standard_normal((restarts, 2, n, n))
     w = clip_contraction(np.concatenate(
         [np.eye(n, dtype=complex)[None],
          np.linalg.qr(g[:, 0] + 1j * g[:, 1])[0]]))

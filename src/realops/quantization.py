@@ -14,6 +14,7 @@ witness the lower bound; nothing else searches.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,9 +84,18 @@ def ell_infty(dim: int) -> BanachSpace:
 
 
 def ell_one(dim: int) -> BanachSpace:
-    """ell^1_d: dual ball is the sign cube."""
+    """ell^1_d: dual ball is the sign cube.  Each call builds a new space,
+    distinct from every other (spaces compare by identity)."""
     signs = np.array(np.meshgrid(*([[1.0, -1.0]] * dim))).T.reshape(-1, dim)
     return BanachSpace(dim, signs)
+
+
+@functools.cache
+def _ell_one_2() -> BanachSpace:
+    """ell^1_2 for ``reproduce_l12_nonuniqueness``: one space per process,
+    as ``opspace.scalar_space()`` is, so the sign cube is deduplicated once.
+    Its arrays are read-only, as every space's are."""
+    return ell_one(2)
 
 
 def min_level_norm(space: BanachSpace, element) -> float:
@@ -96,10 +106,10 @@ def min_level_norm(space: BanachSpace, element) -> float:
         c = c.reshape(1, 1, -1)
     if c.ndim != 3 or c.shape[0] != c.shape[1] or c.shape[2] != space.dim:
         raise ValueError("element must be an (n, n, dim) tensor")
-    best = 0.0
-    for f in space.representatives:
-        best = max(best, op_norm(c @ f))
-    return best
+    # the (m, n, n) stack of the matrices [<f, x_ij>], each product as the
+    # lone c @ f computes it, and one stacked SVD
+    scalars = (c @ space.representatives[:, None, :, None])[..., 0]
+    return float(np.max(op_norm(scalars)))
 
 
 def realize_min(space: BanachSpace) -> OpSpace:
@@ -212,14 +222,14 @@ def _haagerup_sdp(mats: list[np.ndarray], lower: float):
     beaten), and the steps taken.
     """
     d, n = len(mats), len(mats[0])
-    norms = [op_norm(a) for a in mats]
+    coeffs = np.stack(mats)
+    norms = op_norm(coeffs).tolist()
     eye = np.eye(n)
     # the triangle bound sum ||a_k|| at X_k = Y_k = ||a_k|| I
     scaled_eyes = np.array(norms)[:, None, None] * eye
     triangle = (float(sum(norms)), scaled_eyes, scaled_eyes.copy())
     if bracket_closed(triangle[0], lower):
         return triangle, lower, None, 0
-    coeffs = np.stack(mats)
     margin = max(1.0, sum(norms))
     # symmetric unit matrices E_pq (p <= q), n(n+1)/2 of them
     iu = np.triu_indices(n)
@@ -304,8 +314,9 @@ def max_l1_norm_bounds(coeff_mats) -> MaxL1Result:
     for a in mats:
         if a.shape != (n, n):
             raise ValueError("coefficient matrices must share a square shape")
-    e = math.frexp(max(op_norm(a) for a in mats))[1] - 1
-    scaled = np.ldexp(np.stack(mats), -e)
+    stack = np.stack(mats)
+    e = math.frexp(float(np.max(op_norm(stack))))[1] - 1
+    scaled = np.ldexp(stack, -e)
     u, _, vt = np.linalg.svd(scaled)
     witness = clip_contraction(u @ vt)
     best = float(_tuple_norms(scaled.transpose(1, 2, 0), witness))
@@ -355,9 +366,8 @@ def reproduce_l12_nonuniqueness() -> L1NonuniquenessReport:
     norm is sqrt(2) within L12_MIN_TOL, the maximal bracket reaches 2
     (lower bound at least 2 - L12_LOWER_TOL, upper bound 2 within
     L12_UPPER_TOL) and the two structures split by at least L12_GAP."""
-    e = ell_one(2)
     element = np.stack([PAIR_A, PAIR_B], axis=-1)      # (2, 2, 2) tensor
-    mn = min_level_norm(e, element)
+    mn = min_level_norm(_ell_one_2(), element)
     mx = max_l1_norm_bounds([PAIR_A, PAIR_B])
     gap = mx.lower - mn
     passed = (abs(mn - np.sqrt(2.0)) <= L12_MIN_TOL and

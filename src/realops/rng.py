@@ -4,6 +4,14 @@ Every randomized routine in the package takes an explicit 64-bit seed and
 derives independent substreams from (seed, *key).  Substreams are stable
 across runs and independent of execution order, so multistart searches can
 be reordered or parallelized without changing results.
+
+A multistart search draws its random starts up front, either from one
+substream in restart order (``opspace.theta_dual_search`` takes one
+(restarts, ...) array, which numpy fills restart after restart) or from
+one substream per restart (``opspace.cb_norm_levels``).  Either way the
+start of restart r does not depend on how many restarts run.  Each
+substream builds a SeedSequence and a bit generator, so one substream per
+search is the cheaper of the two.
 """
 
 from __future__ import annotations

@@ -775,6 +775,75 @@ class TestReproductions:
         assert "best_m" not in r
 
 
+class TestReproduceCost:
+    """What a ``reproduce`` request builds: one random stream per dual
+    search, one l^1_2 per process, and a bounded restart count."""
+
+    def test_dual_search_seeds_one_stream(self, monkeypatch):
+        keys = []
+
+        def counted(seed, *key):
+            keys.append(key)
+            return real(seed, *key)
+        real = opspace.derived_rng
+        monkeypatch.setattr(opspace, "derived_rng", counted)
+        opspace.theta_dual_search([[1.0, 0.0], [0.0, 0.0]],
+                                  [[0.0, 1.0], [0.0, 0.0]], restarts=16,
+                                  seed=0xC0FFEE)
+        assert keys == [(2,)]
+
+    def test_first_start_does_not_depend_on_the_restart_count(
+            self, monkeypatch):
+        starts = []
+
+        def recorded(realize, grad, polar, x0):
+            starts.append(x0.copy())
+            return real(realize, grad, polar, x0)
+        real = opspace.polar_seesaw
+        monkeypatch.setattr(opspace, "polar_seesaw", recorded)
+        z = ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]])
+        one = opspace.theta_dual_search(*z, restarts=1, seed=0xC0FFEE)
+        many = opspace.theta_dual_search(*z, restarts=64, seed=0xC0FFEE)
+        assert [len(s) for s in starts] == [2, 65]
+        # the identity, then the first random start
+        assert np.array_equal(starts[0], starts[1][:2])
+        assert one.restart_values == many.restart_values[:1]
+
+    def test_l12_builds_ell_one_once(self, capsys, monkeypatch):
+        built = []
+
+        def counted(dim):
+            built.append(dim)
+            return real(dim)
+        real = quantization.ell_one
+        monkeypatch.setattr(quantization, "ell_one", counted)
+        quantization._ell_one_2.cache_clear()
+        argv = ["--json", "reproduce", "l12-nonunique"]
+        assert cli.run(argv) == 0
+        first = capsys.readouterr().out
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == first
+        assert built == [2]
+        space = quantization._ell_one_2()
+        assert not space.functionals.flags.writeable
+        assert not space.representatives.flags.writeable
+
+    def test_restart_cap(self, capsys):
+        cap = cli.MAX_RESTARTS
+        assert cli._count(str(cap)) == cap
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._count(str(cap + 1))
+        for count in (cap + 1, 10 ** 11):
+            code = cli.run(["--json", "reproduce", "complex-dual",
+                            "--restarts", str(count)])
+            captured = capsys.readouterr()
+            assert code == 2
+            rep = json.loads(captured.out)
+            assert set(rep) == {"command", "config", "error"}
+            assert "--restarts" in rep["error"] and str(cap) in rep["error"]
+            assert "Traceback" not in captured.out + captured.err
+
+
 class TestVerify:
     def test_verify_linalg_passes(self, capsys):
         code, rep = run_json(capsys, ["verify", "linalg"])

@@ -4,7 +4,7 @@ import pytest
 from realops import mideal, suites
 from realops.linalg import op_norm
 from realops.mideal import (build_nu_mu_tau, certify_left_m_projection,
-                            column_embed, column_space, is_right_ideal,
+                            column_space, is_right_ideal,
                             projection, projection_complexification_consistency,
                             reverify_certification, shuffle_iso,
                             solve_left_multiplier, tau_map,
@@ -21,6 +21,11 @@ R1 = span_space([[[1.0]]])
 DIAG_MULT = np.diag([1.0, 1.0, 0.0, 0.0])
 SYMMETRIZATION = np.array([[1, 0, 0, 0], [0, .5, .5, 0],
                            [0, .5, .5, 0], [0, 0, 0, 1]], float)
+
+
+def column_embed(x, y, c2):
+    """Reference: the element [x; y] of M_n(C_2(X)), x and y at one level."""
+    return MatElem(c2, np.concatenate([x.coeffs, y.coeffs], axis=2))
 
 
 class TestProjectionType:

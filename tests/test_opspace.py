@@ -13,8 +13,8 @@ from realops.opspace import (CBMap, MatElem, check_ruan_axioms,
                              cbmap_from_json, cb_norm_levels,
                              cb_norm_lower_search, complexification_norm,
                              complexified_elem, complexify_map,
-                             complexify_space, conjugate_elem,
-                             direct_sum_elem, direct_sum_spaces, elem,
+                             complexify_space, direct_sum_elem,
+                             direct_sum_spaces, elem,
                              elem_from_json, full_matrix_space,
                              identity_map, level_norm, opspace_from_json,
                              opspace_to_json, quotient_level_norm,
@@ -39,6 +39,13 @@ def assemble_complex_block(x, y):
     """Brute-force oracle: the 2np x 2nq block matrix [[x, -y], [y, x]]."""
     xm, ym = x.realization(), y.realization()
     return np.block([[xm, -ym], [ym, xm]])
+
+
+def conjugate_elem(x):
+    """Reference: the conjugate of x in M_n of a complexified space, its
+    coefficients sent through the space's conjugation matrix."""
+    return MatElem(x.space,
+                   np.einsum("kl,ijl->ijk", x.space.conjugation, x.coeffs))
 
 
 class TestSpaces:
@@ -846,14 +853,16 @@ def inline_theta_search(z_re, z_im, sizes, restarts, seed, iters=150):
     """The dual search with its own lockstep seesaw loop over the given
     test sizes m, as it was before the loop moved into
     ``optim.polar_seesaw`` and the search ran at m = n only: (lower,
-    restart_values, witness)."""
+    restart_values, witness).  The starts of size m come from the one
+    stream ``derived_rng(seed, m)``, restart after restart, real part
+    first, one matrix per draw."""
     z_re, z_im = np.asarray(z_re, float), np.asarray(z_im, float)
     coeffs = np.stack([z_re, z_im], axis=-1)
     best, best_w, restart_values = 0.0, np.eye(1), []
     for m in sizes:
         g = np.empty((restarts, m, m), dtype=complex)
+        rng = derived_rng(seed, m)
         for r in range(restarts):
-            rng = derived_rng(seed, m, r)
             g[r] = rng.standard_normal((m, m)) + \
                 1j * rng.standard_normal((m, m))
         w = clip_contraction(np.concatenate(

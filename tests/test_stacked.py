@@ -15,7 +15,7 @@ must give the same values bit for bit, so the comparisons use ``==``.
 import numpy as np
 import pytest
 
-from realops import mideal, suites, systems
+from realops import mideal, quantization, suites, systems
 from realops.linalg import (contraction_block, contraction_iff_positive,
                             is_real_positive, kron_sum, op_norm,
                             sym_eig_min)
@@ -123,6 +123,20 @@ class TestStackedKernels:
     def test_level_norms_reject_a_list_of_mixed_levels(self):
         with pytest.raises(ValueError):
             level_norms(M2, [np.ones((1, 1, 4)), np.ones((2, 2, 4))])
+
+    @pytest.mark.parametrize("space", [
+        quantization.ell_one(2), quantization.ell_infty(3),
+        quantization.BanachSpace(2, [[1.0, 0.0], [0.5, 1.0], [-0.5, 1.0]])],
+        ids=["l1_2", "linf_3", "hexagon"])
+    def test_min_level_norm_equals_the_loop_over_functionals(self, space):
+        # reference: one product c @ f and one lone SVD per functional
+        rng = np.random.default_rng(space.dim)
+        for n in SIDES:
+            for c in rng.standard_normal((3, n, n, space.dim)):
+                lone = 0.0
+                for f in space.representatives:
+                    lone = max(lone, op_norm(c @ f))
+                assert quantization.min_level_norm(space, c) == lone
 
 
 class TestStackValidation:
@@ -368,7 +382,7 @@ def ref_mideal_column_rows(seed):
     for coeffs in rng.standard_normal((50, 2, 2, 8)):
         x = MatElem(M2, coeffs[..., :4])
         y = MatElem(M2, coeffs[..., 4:])
-        col = mideal.column_embed(x, y, c2)
+        col = MatElem(c2, np.concatenate([x.coeffs, y.coeffs], axis=2))
         ineq_dev = max(ineq_dev, level_norm(mu_good(col)) - level_norm(col))
     return max(0.0, dom_dev), max(0.0, ineq_dev)
 
