@@ -52,10 +52,16 @@ GLOBAL_OPTIONS = ("command", "seed", "tol", "json")
 #: commands whose report name carries their positional argument
 NAMED_BY = {"reproduce": "name", "verify": "suite"}
 
-#: the largest --restarts of ``reproduce``: the complex-dual search draws
-#: every start as one array, so a count far beyond this would exhaust
-#: memory or run for hours instead of giving a report
+#: the largest count option: --restarts of ``reproduce`` and
+#: ``certify-mproj``, --samples of ``brs-check``.  Each search or check
+#: draws its starts or samples as one array, so a count far beyond this
+#: would exhaust memory or run for hours instead of giving a report
 MAX_RESTARTS = 10_000
+
+#: the largest level option: --max-level of ``certify-mproj``, --level of
+#: ``brs-check``.  Level n works on n^2 d coefficients and (n p) x (n q)
+#: realizations, so the cost grows like a high power of n
+MAX_LEVEL = 8
 
 
 def _jsonable(obj):
@@ -449,16 +455,26 @@ class _CheckedAction(argparse.Action):
             raise argparse.ArgumentError(self, str(exc))
 
 
-def _count(text: str) -> int:
-    """A --restarts value of ``reproduce``, an integer in [1, MAX_RESTARTS]."""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if not 1 <= count <= MAX_RESTARTS:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer in [1, {MAX_RESTARTS}], got {text!r}")
-    return count
+def _bounded(low: int, high: int):
+    """The converter of an integer option in [low, high]."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer in [{low}, {high}], got {text!r}")
+        return value
+    return convert
+
+
+#: a --restarts value, an integer in [1, MAX_RESTARTS]
+_count = _bounded(1, MAX_RESTARTS)
+#: a --samples value of ``brs-check``, which may be 0 (canonical pairs only)
+_samples = _bounded(0, MAX_RESTARTS)
+#: a level option, an integer in [1, MAX_LEVEL]
+_level = _bounded(1, MAX_LEVEL)
 
 
 @functools.cache
@@ -512,8 +528,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="certify or refute a complete left M-projection")
     p.add_argument("--space", required=True)
     p.add_argument("--proj", required=True)
-    p.add_argument("--max-level", type=int, default=3)
-    p.add_argument("--restarts", type=int, default=16)
+    p.add_argument("--max-level", type=_level, default=3,
+                   help=f"levels to search, 1 to {MAX_LEVEL}")
+    p.add_argument("--restarts", type=_count, default=16,
+                   help="random starts per level and map, 1 to "
+                        f"{MAX_RESTARTS}")
 
     p = sub.add_parser("multiplier-witness",
                        help="check a left-multiplier witness matrix")
@@ -528,8 +547,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("brs-check",
                        help="Banach-algebra check at a matrix level")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--level", type=int, default=2)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--level", type=_level, default=2,
+                   help=f"matrix level, 1 to {MAX_LEVEL}")
+    p.add_argument("--samples", type=_samples, default=100,
+                   help="random pairs after the canonical ones, 0 to "
+                        f"{MAX_RESTARTS}")
 
     p = sub.add_parser("unitize", help="adjoin the unit to an algebra")
     p.add_argument("--algebra", required=True)

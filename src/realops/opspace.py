@@ -448,13 +448,17 @@ def cb_norm_levels(u: CBMap, max_level: int, restarts: int = 32,
     Multistart ascent on the ratio norm(u_n(x)) / norm(x), one stacked
     ascent per level from the d single-coefficient elements, the best
     point so far (zero-padded, so results are nondecreasing in the level)
-    and ``restarts`` draws of ``derived_rng(seed, n, r)``: the exact
-    seesaw on a domain that fills its ambient space, ``ratio_ascent``
-    otherwise.  The stack is reduced in order with strict ``>``, and when
-    its best beats the incumbent, one more ascent polishes it.  Every
-    value is the ratio at a feasible element; ``restart_values`` are those
-    of the seeded starts.  Invalid parameters raise ``ValueError`` at the
-    first ``next()``.
+    and ``restarts`` seeded starts, drawn as one (restarts, 2, dim) array
+    from ``derived_rng(seed, n)`` (a start plus 1e-8 times a tie-break;
+    numpy fills the array restart after restart, so restart r's start does
+    not depend on the restart count).  The ascent is the exact seesaw on a
+    domain that fills its ambient space and ``ratio_ascent`` otherwise.
+    The stack is reduced in order with strict ``>``.  The seesaw ends each
+    row at its own fixed point; ``ratio_ascent`` can stop short, so when
+    its best beats the incumbent, one more ascent at a small first step
+    polishes it.  Every value is the ratio at a feasible element;
+    ``restart_values`` are those of the seeded starts.  Invalid parameters
+    raise ``ValueError`` at the first ``next()``.
     """
     if max_level < 1:
         raise ValueError("level must be at least 1")
@@ -464,10 +468,7 @@ def cb_norm_levels(u: CBMap, max_level: int, restarts: int = 32,
         raise ValueError("iters must be at least 1")
     d = u.domain.dim
     p, q = u.domain.ambient
-
-    def ascent(num, den, x0s, step0=0.5):
-        return seesaw_ascent(num, den, x0s) if d == p * q else \
-            ratio_ascent(num, den, x0s, iters=iters, step0=step0)
+    exact = d == p * q
 
     def padded(lvl):
         out = np.zeros((lvl, lvl, d))
@@ -479,20 +480,21 @@ def cb_norm_levels(u: CBMap, max_level: int, restarts: int = 32,
     for lvl in range(1, max_level + 1):
         num, den = num_den_maps(u, lvl)
         dim = lvl * lvl * d
-        seeded = np.empty((restarts, dim))
-        for r in range(restarts):
-            rng = derived_rng(seed, lvl, r)
-            seeded[r] = rng.standard_normal(dim)
-            seeded[r] += 1e-8 * rng.standard_normal(dim)  # tie-break
+        g = derived_rng(seed, lvl).standard_normal((restarts, 2, dim))
+        seeded = g[:, 0] + 1e-8 * g[:, 1]   # tie-break
         # a zero incumbent keeps the value 0 at itself
-        vals, xs = ascent(num, den, np.concatenate(
-            [np.eye(d, dim), padded(lvl).reshape(1, -1), seeded]))
+        x0s = np.concatenate([np.eye(d, dim), padded(lvl).reshape(1, -1),
+                              seeded])
+        vals, xs = seesaw_ascent(num, den, x0s) if exact else \
+            ratio_ascent(num, den, x0s, iters=iters)
         i = int(np.argmax(vals))     # the first of equal maxima
         if vals[i] > best_val:
             best_val, best = float(vals[i]), xs[i].reshape(lvl, lvl, d)
-            (val,), (x,) = ascent(num, den, xs[i][None], step0=1e-3)
-            if val > best_val:
-                best_val, best = float(val), x.reshape(lvl, lvl, d)
+            if not exact:
+                (val,), (x,) = ratio_ascent(num, den, xs[i][None],
+                                            iters=iters, step0=1e-3)
+                if val > best_val:
+                    best_val, best = float(val), x.reshape(lvl, lvl, d)
         yield CbSearchResult(best_val, lvl, padded(lvl),
                              vals[-restarts:].tolist())
 

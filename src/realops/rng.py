@@ -5,13 +5,12 @@ derives independent substreams from (seed, *key).  Substreams are stable
 across runs and independent of execution order, so multistart searches can
 be reordered or parallelized without changing results.
 
-A multistart search draws its random starts up front, either from one
-substream in restart order (``opspace.theta_dual_search`` takes one
-(restarts, ...) array, which numpy fills restart after restart) or from
-one substream per restart (``opspace.cb_norm_levels``).  Either way the
-start of restart r does not depend on how many restarts run.  Each
-substream builds a SeedSequence and a bit generator, so one substream per
-search is the cheaper of the two.
+A multistart search draws its random starts up front from one substream
+in restart order: ``opspace.theta_dual_search`` and each level of
+``opspace.cb_norm_levels`` take one (restarts, ...) array, which numpy
+fills restart after restart, so the start of restart r does not depend on
+how many restarts run.  Each substream builds a SeedSequence and a bit
+generator, so one substream per search costs less than one per restart.
 """
 
 from __future__ import annotations

@@ -203,6 +203,12 @@ class PaulsenSystem:
 
 
 def build_paulsen_system(space: OpSpace) -> PaulsenSystem:
+    """The Paulsen system of ``space``, built once per space (memoized on
+    it, as its column space and complexification are)."""
+    return space.memo("paulsen_system", lambda: _paulsen_system(space))
+
+
+def _paulsen_system(space: OpSpace) -> PaulsenSystem:
     d = space.dim
     p, q = space.ambient
     side = p + q

@@ -844,6 +844,43 @@ class TestReproduceCost:
             assert "Traceback" not in captured.out + captured.err
 
 
+class TestOptionBounds:
+    """Every count and level option of ``certify-mproj`` and ``brs-check``
+    is bounded at parse time; no search runs at a cap."""
+
+    OPTIONS = [
+        (["certify-mproj", "--space", "m2.json", "--proj", "proj_symm.json"],
+         "--restarts", cli.MAX_RESTARTS),
+        (["certify-mproj", "--space", "m2.json", "--proj", "proj_symm.json"],
+         "--max-level", cli.MAX_LEVEL),
+        (["brs-check", "--algebra", "m2.json"], "--samples",
+         cli.MAX_RESTARTS),
+        (["brs-check", "--algebra", "m2.json"], "--level", cli.MAX_LEVEL)]
+
+    @pytest.mark.parametrize("argv, option, cap", OPTIONS,
+                             ids=[f"{a[0]} {o}" for a, o, _ in OPTIONS])
+    def test_beyond_the_cap_is_an_input_error(self, files, capsys, argv,
+                                              option, cap):
+        for value in (cap + 1, 10 ** 15):
+            code = cli.run(["--json"] + [files.get(a, a) for a in argv]
+                           + [option, str(value)])
+            captured = capsys.readouterr()
+            assert code == 2
+            rep = json.loads(captured.out)
+            assert set(rep) == {"command", "config", "error"}
+            assert option in rep["error"] and str(cap) in rep["error"]
+            assert "Traceback" not in captured.out + captured.err
+
+    def test_converters_accept_their_ranges(self):
+        for convert, low, high in ((cli._count, 1, cli.MAX_RESTARTS),
+                                   (cli._samples, 0, cli.MAX_RESTARTS),
+                                   (cli._level, 1, cli.MAX_LEVEL)):
+            assert (convert(str(low)), convert(str(high))) == (low, high)
+            for bad in (str(low - 1), str(high + 1), "1.5", "abc"):
+                with pytest.raises(argparse.ArgumentTypeError):
+                    convert(bad)
+
+
 class TestVerify:
     def test_verify_linalg_passes(self, capsys):
         code, rep = run_json(capsys, ["verify", "linalg"])

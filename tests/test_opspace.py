@@ -341,17 +341,17 @@ class TestCbLowerBounds:
 
     def test_partial_domain_values_are_pinned(self):
         # span{e11, e12, e22} is not all of M2(R), so the search runs the
-        # lockstep ratio ascent; these are the values of the one-start-at-a-
-        # time ascent it replaced
+        # lockstep ratio ascent; the values are those of the seeded starts
+        # drawn as one array from derived_rng(3, 2)
         ut = span_space([[[1, 0], [0, 0]], [[0, 1], [0, 0]],
                          [[0, 0], [0, 1]]])
         u = CBMap(ut, ut, np.array([[1.0, 0.5, 0.0], [0.0, -1.0, 0.3],
                                     [0.2, 0.0, 0.7]]))
         res = cb_norm_lower_search(u, 2, restarts=4, iters=150, seed=3)
-        assert abs(res.value - 1.3151451678597066) <= 1e-12
+        assert abs(res.value - 1.3076632843769287) <= 1e-12
         assert np.allclose(res.restart_values,
-                           [1.3044768657730266, 1.3119301088415292,
-                            1.3147710536281525, 1.3124510329139312],
+                           [1.3063138618741663, 1.3039478489960525,
+                            1.3075111537992425, 1.304421355013391],
                            rtol=0, atol=1e-12)
         w = MatElem(ut, res.witness)
         assert level_norm(u(w)) / level_norm(w) == pytest.approx(
@@ -360,6 +360,70 @@ class TestCbLowerBounds:
         # the list without reordering it
         more = cb_norm_lower_search(u, 2, restarts=6, iters=150, seed=3)
         assert more.restart_values[:4] == res.restart_values
+
+
+class TestCbSweepCost:
+    """What one ``cb_norm_levels`` sweep runs: one random stream per
+    level, one seesaw per level on a full domain, and a polish only on the
+    ratio branch."""
+
+    def test_one_stream_per_level(self, monkeypatch):
+        keys = []
+
+        def counted(seed, *key):
+            keys.append(key)
+            return real(seed, *key)
+        real = opspace.derived_rng
+        monkeypatch.setattr(opspace, "derived_rng", counted)
+        for u in (TRANSPOSE, TRIANGULAR_MAP):
+            keys.clear()
+            list(cb_norm_levels(u, 3, restarts=5, iters=50, seed=9))
+            assert keys == [(1,), (2,), (3,)]
+
+    def test_full_domain_runs_one_seesaw_per_level(self, monkeypatch):
+        calls = []
+
+        def counted(num, den, x0s):
+            calls.append(len(x0s))
+            return real(num, den, x0s)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ratio_ascent on a full domain")
+        real = opspace.seesaw_ascent
+        monkeypatch.setattr(opspace, "seesaw_ascent", counted)
+        monkeypatch.setattr(opspace, "ratio_ascent", forbidden)
+        sweep = list(cb_norm_levels(TRANSPOSE, 3, restarts=6, seed=9))
+        # the 4 single-coefficient elements, the incumbent, 6 seeded starts
+        assert calls == [11, 11, 11]
+        assert sweep[-1].value == pytest.approx(2.0, abs=1e-9)
+
+    def test_ratio_branch_polishes_a_new_best(self, monkeypatch):
+        calls = []
+
+        def recorded(num, den, x0s, iters=500, step0=0.5):
+            vals, xs = real(num, den, x0s, iters=iters, step0=step0)
+            calls.append((len(x0s), step0, float(np.max(vals))))
+            return vals, xs
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("seesaw_ascent on a subspace domain")
+        real = opspace.ratio_ascent
+        monkeypatch.setattr(opspace, "ratio_ascent", recorded)
+        monkeypatch.setattr(opspace, "seesaw_ascent", forbidden)
+        sweep = list(cb_norm_levels(TRIANGULAR_MAP, 3, restarts=4,
+                                    iters=150, seed=3))
+        # each level's stack (3 single-coefficient elements, the
+        # incumbent, 4 seeded starts) is followed by a one-row polish at
+        # step 1e-3 exactly when its best beats the incumbent
+        incumbent, polished = 0.0, 0
+        for res in sweep:
+            size, step0, best = calls.pop(0)
+            assert (size, step0) == (8, 0.5)
+            if best > incumbent:
+                assert calls.pop(0)[:2] == (1, 1e-3)
+                polished += 1
+            incumbent = res.value
+        assert calls == [] and polished >= 1
 
 
 class TestQuotientNorm:

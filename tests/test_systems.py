@@ -182,6 +182,16 @@ class TestPaulsen:
         assert phi.matrix[s_dom.lam_index, s_dom.lam_index] == 1.0
         assert phi.matrix[s_dom.mu_index, s_dom.mu_index] == 1.0
 
+    def test_one_system_per_space(self):
+        space = full_matrix_space(2)
+        ps = build_paulsen_system(space)
+        assert build_paulsen_system(space) is ps
+        # an equal but distinct space gets its own system
+        assert build_paulsen_system(full_matrix_space(2)) is not ps
+        phi, s_dom, s_cod = paulsen_map(identity_map(space))
+        assert s_dom is s_cod is ps
+        assert phi.domain is phi.codomain is ps.space
+
 
 def defective_m2(entry):
     """M2(R) whose derived structure tensor gains 0.25 at ``entry``; the
