@@ -64,13 +64,8 @@ def _as_square(m, what: str) -> np.ndarray:
 def op_norm(m):
     """Largest singular value of ``m`` (0 for the zero matrix); for a
     (..., p, q) stack, the array of them."""
-    a = as_matrices(m)
-    if a.ndim == 2:
-        if not a.any():
-            return 0.0
-        return float(np.linalg.svd(a, compute_uv=False)[0])
-    top = np.linalg.svd(a, compute_uv=False)[..., 0]
-    return np.where(a.any(axis=(-2, -1)), top, 0.0)
+    top = np.linalg.svd(as_matrices(m), compute_uv=False)[..., 0]
+    return float(top) if top.ndim == 0 else top
 
 
 def sym_eig_min(m):

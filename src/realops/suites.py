@@ -391,7 +391,7 @@ SYMMETRIZATION = np.array([[1, 0, 0, 0], [0, .5, .5, 0],
 DIAG_MULT = np.diag([1.0, 1.0, 0.0, 0.0])
 
 
-def suite_mideal(seed: int, projection_matrix=None) -> list[CheckResult]:
+def suite_mideal(seed: int) -> list[CheckResult]:
     out = []
     m2 = full_matrix_space(2)
 
@@ -411,11 +411,9 @@ def suite_mideal(seed: int, projection_matrix=None) -> list[CheckResult]:
                       "value sqrt(2)", wdev, 1e-9,
                       verdict=cert_s.verdict, level=cert_s.refuted_level,
                       observed=cert_s.observed))
-    if refuted_ok:
-        redev = abs(mideal.reverify_certification(p_symm, cert_s) -
-                    cert_s.observed)
-        out.append(_check("stored refutation witnesses re-verify", redev,
-                          1e-12))
+    redev = abs(mideal.reverify_certification(p_symm, cert_s) -
+                cert_s.observed) if refuted_ok else 1.0
+    out.append(_check("stored refutation witnesses re-verify", redev, 1e-12))
 
     rng = derived_rng(seed, 131)
     nus = np.empty((10, 2 * m2.dim, m2.dim))
@@ -499,14 +497,6 @@ def suite_mideal(seed: int, projection_matrix=None) -> list[CheckResult]:
         wrong += 1
     out.append(_check("right ideals of the triangular algebra classify "
                       "correctly", wrong, 0.0))
-
-    if projection_matrix is not None:
-        p_user = mideal.projection(m2, np.asarray(projection_matrix, float))
-        cert_u = mideal.certify_left_m_projection(
-            p_user, max_level=2, restarts=6, seed=seed, tol=1e-9)
-        out.append(_check("user-supplied projection certifies",
-                          0.0 if cert_u.certified else 1.0, 0.0,
-                          verdict=cert_u.verdict))
     return out
 
 
@@ -637,6 +627,7 @@ def suite_systems(seed: int) -> list[CheckResult]:
     return out
 
 
+#: name -> suite, in the order ``verify all`` runs them
 SUITES = {
     "linalg": suite_linalg,
     "opspace": suite_opspace,
@@ -644,17 +635,3 @@ SUITES = {
     "mideal": suite_mideal,
     "systems": suite_systems,
 }
-
-
-def run_suite(name: str, seed: int, projection_matrix=None) -> list[CheckResult]:
-    if name == "mideal":
-        return suite_mideal(seed, projection_matrix=projection_matrix)
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from "
-                         f"{sorted(SUITES)} or 'all'")
-    return SUITES[name](seed)
-
-
-def run_all(seed: int) -> dict[str, list[CheckResult]]:
-    return {name: SUITES[name](seed) for name in
-            ("linalg", "opspace", "quantization", "mideal", "systems")}

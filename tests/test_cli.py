@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import realops
-from realops import cli, mideal, opspace, quantization, systems
+from realops import cli, mideal, opspace, quantization, suites, systems
 from realops.linalg import MEMBERSHIP_TOL
 from realops.opspace import full_matrix_space, opspace_to_json, span_space
 
@@ -288,7 +288,6 @@ class TestExitCodes:
      "--y", "[1, 0]"],
     ["max-l1", "--coeffs", "huge_coeffs.json"],
     ["certify-mproj", "--space", "m2.json", "--proj", "huge_proj.json"],
-    ["verify", "mideal", "--proj", "huge_proj.json"],
     ["choi-effros", "--algebra", "m2.json", "--idempotent", "huge_proj.json"],
     ["quotient-norm", "--space", "m2.json", "--subspace",
      "tiny_subspace.json", "--elem", "huge_elem.json"],
@@ -590,21 +589,11 @@ def test_subtriple_rejects_a_rank_cutoff_of_one_or_more(files, capsys):
 @pytest.mark.parametrize("argv", [
     ["certify-mproj", "--space", "m2.json", "--proj", "foo.json"],
     ["choi-effros", "--algebra", "m2.json", "--idempotent", "foo.json"],
-    ["verify", "mideal", "--proj", "foo.json"],
 ])
 def test_matrix_files_without_matrix_are_input_errors(files, capsys, argv):
     code, rep = run_json(capsys, [files.get(a, a) for a in argv])
     assert code == 2
     assert rep["error"] == 'projection JSON needs a "matrix"'
-
-
-@pytest.mark.parametrize("suite", ["all", "linalg"])
-def test_verify_proj_outside_mideal_is_an_input_error(files, capsys, suite):
-    # the symmetrization fails the mideal suite, so a pass would be vacuous
-    code, rep = run_json(capsys, ["verify", suite, "--proj",
-                                  files["proj_symm.json"]])
-    assert code == 2
-    assert rep["error"] == "--proj applies to the mideal suite only"
 
 
 @pytest.mark.parametrize("argv", [
@@ -904,18 +893,29 @@ class TestVerify:
         assert code == 0
         assert rep["passed"] is True
 
-    def test_verify_mideal_with_corrupt_projection(self, files, capsys):
-        code = cli.run(["--json", "verify", "mideal", "--proj",
-                        files["proj_corrupt.json"]])
-        capsys.readouterr()
-        assert code == 2
-
-    def test_verify_mideal_with_good_projection(self, files, capsys):
+    def test_verify_takes_no_projection(self, files, capsys):
         code, rep = run_json(capsys, ["verify", "mideal", "--proj",
                                       files["proj_good.json"]])
+        assert code == 2
+        assert rep["command"] == "verify"
+        assert rep["error"].startswith("unrecognized arguments: --proj")
+
+    def test_verify_choices_are_the_suites(self):
+        suite = next(a for a in subcommand_parser("verify")._actions
+                     if a.dest == "suite")
+        assert suite.choices == ["all", *suites.SUITES]
+
+    def test_good_projection_certifies_through_certify_mproj(self, files,
+                                                             capsys):
+        # the parameters of the mideal suite's orthogonal-projection row
+        code, rep = run_json(capsys, ["certify-mproj", "--space",
+                                      files["m2.json"], "--proj",
+                                      files["proj_good.json"],
+                                      "--max-level", "2", "--restarts", "6"])
         assert code == 0
-        names = [row["name"] for row in rep["result"]["mideal"]]
-        assert any("user-supplied" in n for n in names)
+        assert rep["result"]["verdict"] == "certified"
+        assert (rep["config"]["max_level"], rep["config"]["restarts"],
+                rep["config"]["tol"]) == (2, 6, 1e-9)
 
     def test_text_mode_has_config_lines(self, files, capsys):
         code = cli.run(["norm", "--mat", files["mat.json"]])
@@ -966,11 +966,16 @@ NONZERO_CODES = {"certify-mproj": 1, "right-ideal": 1, "tro-check": 1,
                  "choi-effros": 2, "quotient-norm": 2}
 
 
-def subcommand_options(command):
-    """The option names (dests) the parser declares for a subcommand."""
+def subcommand_parser(command):
+    """The parser of one subcommand."""
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in sub.choices[command]._actions
+    return sub.choices[command]
+
+
+def subcommand_options(command):
+    """The option names (dests) the parser declares for a subcommand."""
+    return {a.dest for a in subcommand_parser(command)._actions
             if a.dest != "help"}
 
 
