@@ -145,7 +145,7 @@ if __name__ == "__main__":
     for name, text in zip(CERTIFICATES, certs):
         cert = json.loads(text)["result"]
         print(f"certify-mproj | {name} | {cert['verdict']} | "
-              f"{cert['check']} | {cert['refuted_level']} | "
+              f"{cert['check']} | {cert['levels_checked']} | "
               f"{cert['observed']!r}")
     for name, text in zip(REPRODUCTS, reprods):
         rep = json.loads(text)

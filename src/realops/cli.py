@@ -1,10 +1,12 @@
 """Command-line surface.
 
 Subcommand style over JSON files.  Each handler returns ``(result,
-code)``, and ``run`` assembles every report from it: ``command``, then
+code)``, the result a library result object, reported whole, where there
+is one, and ``run`` assembles every report from it: ``command``, then
 ``config`` with seed, tol and output followed by every option of the
 parsed subcommand (defaults and unset options included verbatim), then
-``result``.  Identical inputs and seed produce byte-identical reports.
+``result``, which repeats none of them.  Identical inputs and seed produce
+byte-identical reports.
 Exit codes: 0 pass/true, 1 refuted/false/assertion failed, 2 invalid
 input or inconclusive; a numerical RuntimeWarning (an overflow on finite
 input) inside a command also exits 2, with an error report, as does an
@@ -248,9 +250,7 @@ def _cmd_max_l1(args):
     if not isinstance(obj, dict) or "mats" not in obj:
         raise ValueError('coefficient file needs {"mats": [matrix, ...]}')
     mats = [linalg.mat_from_json(m) for m in obj["mats"]]
-    res = quantization.max_l1_norm_bounds(mats)
-    return {"lower": res.lower, "upper": res.upper, "witness": res.witness,
-            "sdp_iterations": res.sdp_iterations}, None
+    return quantization.max_l1_norm_bounds(mats), None
 
 
 def _cmd_certify_mproj(args):
@@ -282,9 +282,7 @@ def _cmd_brs_check(args):
     rep = systems.check_brs_level(algebra, level=args.level,
                                   samples=args.samples, seed=args.seed,
                                   tol=_tol(args))
-    return {"level": rep.level, "samples": rep.samples,
-            "max_violation": rep.max_violation, "passed": rep.passed}, \
-        _verdict(rep.passed)
+    return rep, _verdict(rep.passed)
 
 
 def _cmd_unitize(args):
@@ -310,7 +308,8 @@ def _cmd_choi_effros(args):
                         _load_matrix(args.idempotent))
     rep = systems.choi_effros_product(algebra, phi, tol=_tol(args),
                                       seed=args.seed)
-    return rep, _verdict(rep.passed) if rep.preconditions_ok else EXIT_ERROR
+    return rep, EXIT_ERROR if rep.precondition_failures else \
+        _verdict(rep.passed)
 
 
 def _cmd_tro_check(args):
@@ -328,9 +327,7 @@ def _cmd_shilov(args):
     y = opspace.elem_from_json(tro.space, _load_json(args.y))
     z = opspace.elem_from_json(tro.space, _load_json(args.z))
     res = systems.shilov_inner_product(tro, y, z, tol=_tol(args))
-    return {"matrix": res.matrix,
-            "membership_residual": res.membership_residual,
-            "in_span": res.in_span}, _verdict(res.in_span)
+    return res, _verdict(res.in_span)
 
 
 def _cmd_quotient_norm(args):

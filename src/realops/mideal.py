@@ -141,15 +141,12 @@ class MultiplierCertificate:
 @dataclass
 class Certification:
     verdict: str                 # "certified" | "refuted"
-    levels_checked: int          # 0 when certified by ``certificate``
-    tolerance: float
-    refuted_level: int | None = None
+    #: 0 when ``certificate`` proves every level, else the refuted level or
+    #: the last one searched
+    levels_checked: int
     check: str | None = None     # "nu_isometry" | "mu_contraction" | "tau_contraction"
-    witness: np.ndarray | None = None
-    witness_in_column_space: bool = False
-    observed: float | None = None
-    expected: float | None = None
-    all_levels: bool = False     # certified at every level, by ``certificate``
+    witness: np.ndarray | None = None    # in X for "nu_isometry", else C_2(X)
+    observed: float | None = None        # the witness's ratio, above 1 + tol
     certificate: MultiplierCertificate | None = None
 
     @property
@@ -163,11 +160,12 @@ def _multiplier_certificate(p: Projection,
     property at every level within ``tol``, else None.
 
     The witness a is the least-squares solution of a B_k = P(B_k), kept
-    only when ``verify_multiplier_witness`` accepts it.  At level n the
-    three maps are x -> (I_n (x) V) X, z -> (I_n (x) W) Z and
-    z -> (I_n (x) diag(a, I)) Z on the realizations, plus the amplified
-    residual E(x) = P(x) - a x in one or both rows.  E is
-    sum_k c_k(x) R_k with R_k = P(B_k) - a B_k and c_k the coordinate
+    only when every residual R_k = P(B_k) - a B_k is within
+    ``MEMBERSHIP_TOL`` entrywise, the rule of
+    ``verify_multiplier_witness``.  At level n the three maps are
+    x -> (I_n (x) V) X, z -> (I_n (x) W) Z and z -> (I_n (x) diag(a, I)) Z
+    on the realizations, plus the amplified residual E(x) = P(x) - a x in
+    one or both rows.  E is sum_k c_k(x) R_k with c_k the coordinate
     functionals, so ||E||_cb <= sum_k ||c_k|| ||R_k|| (a functional's cb
     norm is its norm).  c_k is the trace pairing with the dual basis
     element D_k, whose Frobenius norm is sqrt((Gamma^-1)_kk) for the trace
@@ -176,14 +174,14 @@ def _multiplier_certificate(p: Projection,
     """
     space, u = p.space, p.underlying
     a, _ = solve_left_multiplier(space, u)
-    if not verify_multiplier_witness(space, u, a):
+    resid = _images(space, u) - a @ space.basis
+    if not np.max(np.abs(resid)) <= MEMBERSHIP_TOL:
         return None
     eye = np.eye(len(a))
     v = np.vstack([a, eye - a])
     vecs = space.basis.reshape(space.dim, -1)
     coord = np.sqrt(min(space.ambient) *
                     np.diag(np.linalg.inv(vecs @ vecs.T)))
-    resid = _images(space, u) - a @ space.basis
     eps = float(coord @ np.linalg.norm(resid, 2, axis=(1, 2)))
     delta = op_norm(v.T @ v - eye)
     mu_bound = op_norm(np.hstack([a, eye - a])) + 2 * eps
@@ -201,8 +199,8 @@ def certify_left_m_projection(p: Projection, max_level: int = 3,
     After the parameters are validated, ``_multiplier_certificate`` is
     tried first: when P is left multiplication by a matrix a that makes
     nu an isometry and mu and tau contractions within ``tol``, the verdict
-    is ``certified`` at all levels (``all_levels``, with the bounds in
-    ``certificate``) and nothing is searched: ``levels_checked`` is then 0.
+    is ``certified`` at all levels, with the bounds in ``certificate``, and
+    nothing is searched: ``levels_checked`` is then 0.
 
     Otherwise the check is level-bounded.  nu, mu and tau each get one
     lazy ``cb_norm_levels`` sweep, and each level takes the next result
@@ -223,8 +221,7 @@ def certify_left_m_projection(p: Projection, max_level: int = 3,
         raise ValueError("restarts must be at least 1")
     cert = _multiplier_certificate(p, tol)
     if cert is not None:
-        return Certification("certified", 0, tol, all_levels=True,
-                             certificate=cert)
+        return Certification("certified", 0, certificate=cert)
     sweeps = [(name, cb_norm_levels(mp, max_level, restarts=restarts,
                                     iters=300, seed=seed + 1))
               for name, mp in zip(("nu_isometry", "mu_contraction",
@@ -233,12 +230,9 @@ def certify_left_m_projection(p: Projection, max_level: int = 3,
         for name, levels in sweeps:
             res = next(levels)
             if res.value > 1.0 + tol:
-                return Certification(
-                    "refuted", lvl, tol, refuted_level=lvl, check=name,
-                    witness=res.witness,
-                    witness_in_column_space=name != "nu_isometry",
-                    observed=res.value, expected=1.0)
-    return Certification("certified", max_level, tol)
+                return Certification("refuted", lvl, check=name,
+                                     witness=res.witness, observed=res.value)
+    return Certification("certified", max_level)
 
 
 def reverify_certification(p: Projection, cert: Certification) -> float:

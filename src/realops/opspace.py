@@ -352,9 +352,6 @@ def complexify_map(u: CBMap) -> CBMap:
 class RuanReport:
     direct_sum_deviation: float
     scalar_action_deviation: float
-    samples: int
-    max_level: int
-    tol: float
     passed: bool
 
 
@@ -385,8 +382,7 @@ def check_ruan_axioms(space: OpSpace, max_level: int = 3, samples: int = 100,
         beta = rng.standard_normal((n, n))
         lhs = level_norm(scalar_sandwich(alpha, x, beta))
         dev2 = max(dev2, max(0.0, lhs - op_norm(alpha) * nx * op_norm(beta)))
-    return RuanReport(dev1, dev2, samples, max_level, tol,
-                      passed=(dev1 <= tol and dev2 <= tol))
+    return RuanReport(dev1, dev2, dev1 <= tol and dev2 <= tol)
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,6 @@ class OpAlgebra:
 
     space: OpSpace
     structure: np.ndarray | None          # (d, d, d)
-    derived: bool = True
     closure_residuals: np.ndarray = field(default=None)
     structure_residuals: np.ndarray = field(default=None)
 
@@ -96,7 +95,7 @@ class OpAlgebra:
 def op_algebra(space: OpSpace, structure=None) -> OpAlgebra:
     """Build an algebra on ``space``; the structure tensor is derived from
     ambient products unless supplied."""
-    return OpAlgebra(space, structure, derived=structure is None)
+    return OpAlgebra(space, structure)
 
 
 # ----------------------------------------------------------------------
@@ -105,10 +104,7 @@ def op_algebra(space: OpSpace, structure=None) -> OpAlgebra:
 
 @dataclass
 class BrsReport:
-    level: int
-    samples: int
     max_violation: float
-    tol: float
     passed: bool
     witness: tuple[np.ndarray, np.ndarray] | None
 
@@ -143,9 +139,9 @@ def check_brs_level(algebra: OpAlgebra, level: int = 2, samples: int = 100,
     viol = np.where((na < 1e-14) | (nb < 1e-14), -np.inf, nab - na * nb)
     i = int(np.argmax(viol))             # the first of equal maxima
     if viol[i] > 0.0:
-        return BrsReport(level, samples, float(viol[i]), tol,
-                         passed=bool(viol[i] <= tol), witness=(ca[i], cb[i]))
-    return BrsReport(level, samples, 0.0, tol, passed=True, witness=None)
+        return BrsReport(float(viol[i]), bool(viol[i] <= tol),
+                         (ca[i], cb[i]))
+    return BrsReport(0.0, True, None)
 
 
 # ----------------------------------------------------------------------
@@ -233,20 +229,16 @@ def paulsen_map(u: CBMap) -> tuple[CBMap, PaulsenSystem, PaulsenSystem]:
     between the Paulsen systems of the domain and codomain of u."""
     s_dom = build_paulsen_system(u.domain)
     s_cod = build_paulsen_system(u.codomain)
-    d_x = u.domain.dim
-    d_y = u.codomain.dim
-    mat = np.zeros((2 * d_y + 2, 2 * d_x + 2))
-    mat[0, 0] = 1.0
-    mat[1, 1] = 1.0
-    mat[2:2 + d_y, 2:2 + d_x] = u.matrix
-    mat[2 + d_y:, 2 + d_x:] = u.matrix
+    mat = np.zeros((s_cod.space.dim, s_dom.space.dim))
+    mat[s_cod.lam_index, s_dom.lam_index] = 1.0
+    mat[s_cod.mu_index, s_dom.mu_index] = 1.0
+    mat[np.ix_(s_cod.upper_indices, s_dom.upper_indices)] = u.matrix
+    mat[np.ix_(s_cod.lower_indices, s_dom.lower_indices)] = u.matrix
     return CBMap(s_dom.space, s_cod.space, mat), s_dom, s_cod
 
 
 @dataclass
 class PaulsenTransferReport:
-    levels: int
-    samples_per_level: int
     failures: int
     passed: bool
     witness_level: int | None
@@ -327,8 +319,7 @@ def paulsen_positivity_transfer(u: CBMap, levels: int = 2, samples: int = 50,
             i = bad[0]
             witness = (lvl, coeffs[i], sym_eig_min(img_mats[i]))
     return PaulsenTransferReport(
-        levels, samples, failures, failures == 0,
-        witness[0] if witness else None,
+        failures, failures == 0, witness[0] if witness else None,
         witness[1] if witness else None,
         witness[2] if witness else None)
 
@@ -339,8 +330,7 @@ def paulsen_positivity_transfer(u: CBMap, levels: int = 2, samples: int = 50,
 
 @dataclass
 class ChoiEffrosReport:
-    preconditions_ok: bool
-    precondition_failures: list[str]
+    precondition_failures: list[str]     # empty when every one holds
     mode: str                      # "selfadjoint" or "completely-contractive"
     range_dim: int
     unital_deviation: float
@@ -353,7 +343,6 @@ class ChoiEffrosReport:
     cstar_identity_deviation: float
     bimodule_deviation: float
     trials: int
-    tol: float
     passed: bool
 
 
@@ -413,9 +402,9 @@ def choi_effros_product(algebra: OpAlgebra, phi: CBMap, tol: float = 1e-10,
     mode = "selfadjoint" if dev_sa <= max(tol, 1e-9) else \
         "completely-contractive"
     if failures:
-        return ChoiEffrosReport(False, failures, mode, 0, dev_unital,
-                                dev_idem, dev_sa, cc_bounds, np.inf, np.inf,
-                                np.inf, np.inf, np.inf, trials, tol, False)
+        return ChoiEffrosReport(failures, mode, 0, dev_unital, dev_idem,
+                                dev_sa, cc_bounds, np.inf, np.inf, np.inf,
+                                np.inf, np.inf, trials, False)
 
     # orthonormal basis of the range of phi in coefficient space
     u_svd, s_svd, _ = np.linalg.svd(pm)
@@ -454,10 +443,9 @@ def choi_effros_product(algebra: OpAlgebra, phi: CBMap, tol: float = 1e-10,
     dev_cstar = float(np.max(np.abs(op_norm(realize(rtr)) - squares)))
     passed = (dev_assoc <= tol and dev_unit_law <= tol and
               dev_invol <= tol and dev_cstar <= tol and dev_bimod <= tol)
-    return ChoiEffrosReport(True, [], mode, rank, dev_unital, dev_idem,
-                            dev_sa, cc_bounds, dev_assoc, dev_unit_law,
-                            dev_invol, dev_cstar, dev_bimod, trials, tol,
-                            passed)
+    return ChoiEffrosReport([], mode, rank, dev_unital, dev_idem, dev_sa,
+                            cc_bounds, dev_assoc, dev_unit_law, dev_invol,
+                            dev_cstar, dev_bimod, trials, passed)
 
 
 # ----------------------------------------------------------------------
@@ -467,11 +455,9 @@ def choi_effros_product(algebra: OpAlgebra, phi: CBMap, tol: float = 1e-10,
 @dataclass
 class TroReport:
     is_tro: bool
-    max_residual: float
-    tol: float
+    max_residual: float           # the witness's residual, when there is one
     witness_triple: tuple[int, int, int] | None
     witness_product: np.ndarray | None
-    witness_residual: float
 
 
 def _triple_products(mats: np.ndarray) -> np.ndarray:
@@ -487,11 +473,10 @@ def tro_closure_report(space: OpSpace, tol: float = MEMBERSHIP_TOL) -> TroReport
     _, res = space.coefficients(prods)
     scaled = relative_residual(res, prods)
     if in_span(res, prods, tol).all():
-        return TroReport(True, float(scaled.max()), tol, None, None, 0.0)
+        return TroReport(True, float(scaled.max()), None, None)
     witness = np.unravel_index(np.argmax(scaled), scaled.shape)
-    worst = float(scaled[witness])
-    return TroReport(False, worst, tol, tuple(int(i) for i in witness),
-                     prods[witness], worst)
+    return TroReport(False, float(scaled[witness]),
+                     tuple(int(i) for i in witness), prods[witness])
 
 
 def is_tro(space: OpSpace, tol: float = MEMBERSHIP_TOL) -> bool:

@@ -124,7 +124,16 @@ class TestBasicCommands:
         assert rep["result"]["upper"] == pytest.approx(2.0, abs=1e-12)
         # no best_m (always n) and no search_rounds (no polish) remain
         assert set(rep["result"]) == {"lower", "upper", "witness",
-                                      "sdp_iterations"}
+                                      "sdp_iterations", "certificate"}
+
+    def test_max_l1_reports_the_library_certificate(self, files, capsys):
+        # the (t, X, Y) behind upper, as max_l1_norm_bounds returns it
+        _, rep = run_json(capsys, ["max-l1", "--coeffs", files["pair.json"]])
+        mats = [np.array([[1.0, 0.0], [0.0, -1.0]]),
+                np.array([[0.0, 1.0], [1.0, 0.0]])]
+        t, x, y = quantization.max_l1_norm_bounds(mats).certificate
+        assert rep["result"]["certificate"] == [t, x.tolist(), y.tolist()]
+        assert rep["result"]["upper"] == t
 
     def test_quotient_norm(self, files, capsys):
         code, rep = run_json(capsys, ["quotient-norm", "--space",
@@ -144,7 +153,6 @@ class TestExitCodes:
                                       "--max-level", "2", "--restarts", "6"])
         assert code == 0
         assert rep["result"]["verdict"] == "certified"
-        assert rep["result"]["all_levels"] is True
         # nothing was searched on the all-level path
         assert rep["result"]["levels_checked"] == 0
         assert set(rep["result"]["certificate"]) == \
@@ -161,7 +169,7 @@ class TestExitCodes:
         assert rep["result"]["observed"] == pytest.approx(np.sqrt(2.0),
                                                           abs=1e-9)
         assert "samples" not in rep["result"]
-        assert rep["result"]["all_levels"] is False
+        assert rep["result"]["levels_checked"] == 1
         assert rep["result"]["certificate"] is None
 
     def test_corrupt_projection_is_an_input_error(self, files, capsys):
@@ -229,7 +237,7 @@ class TestExitCodes:
                                       files["diag_phi.json"]])
         assert code == 1
         assert rep["passed"] is False
-        assert rep["result"]["preconditions_ok"] is True
+        assert rep["result"]["precondition_failures"] == []
         assert rep["result"]["bimodule_deviation"] == 0.25
 
     def test_unitize(self, files, capsys):
@@ -567,6 +575,17 @@ def test_explicit_tol_reaches_brs_check(files, capsys):
     code, rep = run_json(capsys, ["--tol", "2"] + argv)
     assert code == 0
     assert rep["config"]["tol"] == 2.0 and rep["result"]["passed"] is True
+
+
+def test_brs_check_reports_the_violating_pair(files, capsys):
+    code, rep = run_json(capsys, ["brs-check", "--algebra",
+                                  files["half_scalars.json"]])
+    assert code == 1
+    algebra = systems.op_algebra(span_space([[[0.5]]]), structure=[[[1.0]]])
+    a, b = (np.array(c) for c in rep["result"]["witness"])
+    na, nb, nab = opspace.level_norms(algebra.space, np.stack(
+        [a, b, algebra.product_coeffs(a, b)]))
+    assert nab - na * nb == rep["result"]["max_violation"] > 0
 
 
 def test_explicit_tol_reaches_unitize(files, capsys):
@@ -958,6 +977,10 @@ REPORT_ARGVS = {
     "verify": ["verify", "linalg"],
 }
 
+#: result keys naming the object a command builds from the input file
+#: that config names by the same key
+BUILT_OBJECT_KEYS = {"space", "algebra"}
+
 NO_VERDICT = {"norm", "complexify", "quantize-min", "w2-norm", "max-l1",
               "unitize", "paulsen", "subtriple"}
 
@@ -988,6 +1011,12 @@ def test_report_shape(files, capsys, command):
     assert set(rep["config"]) == ({"seed", "output"} | tol |
                                   subcommand_options(command))
     assert rep["config"]["output"] == "json"
+    if isinstance(rep["result"], dict):
+        # a result states what the command computed: no input, no tolerance
+        shared = set(rep["result"]) & (set(rep["config"]) |
+                                       {"tol", "tolerance"})
+        assert shared <= BUILT_OBJECT_KEYS
+        assert all(rep["result"][k] != rep["config"][k] for k in shared)
     assert code == NONZERO_CODES.get(command, 0)
     if command in NO_VERDICT:
         assert "passed" not in rep

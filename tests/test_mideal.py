@@ -21,6 +21,9 @@ R1 = span_space([[[1.0]]])
 DIAG_MULT = np.diag([1.0, 1.0, 0.0, 0.0])
 SYMMETRIZATION = np.array([[1, 0, 0, 0], [0, .5, .5, 0],
                            [0, .5, .5, 0], [0, 0, 0, 1]], float)
+#: a copy of ell_inf_2 in M3(R) whose third diagonal entry averages the
+#: first two; no ambient matrix implements its coordinate projections
+AVERAGED = span_space([np.diag([1.0, 0.0, 0.5]), np.diag([0.0, 1.0, 0.5])])
 
 
 def column_embed(x, y, c2):
@@ -95,7 +98,7 @@ class TestCertification:
         p = projection(M2, DIAG_MULT)
         cert = certify_left_m_projection(p, max_level=3, restarts=8,
                                          seed=0xC0FFEE, tol=1e-9)
-        assert cert.certified and cert.all_levels
+        assert cert.certified and cert.certificate is not None
         # nothing was searched on the all-level path
         assert cert.levels_checked == 0
         assert np.allclose(cert.certificate.a, np.diag([1.0, 0.0]),
@@ -133,7 +136,7 @@ class TestCertification:
         pm = M2.coefficients(e @ M2.basis)[0].T
         cert = certify_left_m_projection(projection(M2, pm), max_level=2,
                                          restarts=6, seed=0xC0FFEE, tol=1e-9)
-        assert cert.certified and cert.all_levels
+        assert cert.certified and cert.certificate is not None
         # the certificate's bounds, re-checked by eigvalsh
         c = cert.certificate
         a, eye = c.a, np.eye(2)
@@ -156,9 +159,9 @@ class TestCertification:
             p = projection(M2, pm)
             cert = certify_left_m_projection(p, max_level=3, restarts=8,
                                              seed=0xC0FFEE)
-            assert (cert.verdict, cert.check, cert.refuted_level) == \
+            assert (cert.verdict, cert.check, cert.levels_checked) == \
                 ("refuted", "nu_isometry", 1)
-            assert (cert.all_levels, cert.certificate) == (False, None)
+            assert cert.certificate is None
             assert abs(reverify_certification(p, cert) - cert.observed) \
                 <= 1e-12
             seesaw = cb_norm_lower_search(build_nu_mu_tau(p)[0], 1).value
@@ -175,12 +178,32 @@ class TestCertification:
                                          max_level=3, restarts=8,
                                          seed=0xC0FFEE, tol=1e-9)
         assert cert.verdict == "refuted"
-        assert cert.refuted_level == 1
-        assert (cert.check, cert.witness_in_column_space) == \
-            ("mu_contraction", True)
+        assert (cert.levels_checked, cert.check) == (1, "mu_contraction")
         ratio = 1.0 / np.sqrt(op_norm(s.T @ s + k.T @ k))
         assert cert.observed == pytest.approx(ratio, abs=1e-9)
-        assert (cert.all_levels, cert.certificate) == (False, None)
+        assert cert.certificate is None
+
+    def test_coordinate_projection_certifies_level_by_level(self):
+        # on the diagonal copy of ell_inf_2, P is left multiplication by
+        # E11; in M3(R), a B_2 = 0 forces the third column of a to vanish,
+        # and then a B_1 misses the entry 1/2 of B_1
+        p = projection(AVERAGED, np.diag([1.0, 0.0]))
+        _, residual = solve_left_multiplier(AVERAGED, p.underlying)
+        assert residual == pytest.approx(np.sqrt(2.0) / 4.0, abs=1e-12)
+        cert = certify_left_m_projection(p, max_level=2, restarts=6, seed=0)
+        assert (cert.verdict, cert.levels_checked, cert.certificate) == \
+            ("certified", 2, None)
+        assert (cert.check, cert.witness, cert.observed) == (None, None, None)
+
+    def test_oblique_projection_of_the_averaged_copy_refutes(self):
+        # x = B_1 + B_2 has norm 1; nu(x) = [2 B_1; -B_1 + B_2] has the
+        # column norm sqrt(2^2 + 1^2) in its first diagonal entry
+        p = projection(AVERAGED, [[1.0, 1.0], [0.0, 0.0]])
+        cert = certify_left_m_projection(p, max_level=2, restarts=6, seed=0)
+        assert (cert.verdict, cert.check, cert.levels_checked) == \
+            ("refuted", "nu_isometry", 1)
+        assert cert.observed == pytest.approx(np.sqrt(5.0), abs=1e-12)
+        assert abs(reverify_certification(p, cert) - cert.observed) <= 1e-12
 
     def test_witness_reverifies_deterministically(self):
         p = projection(M2, SYMMETRIZATION)
@@ -219,7 +242,7 @@ class TestMultiplierCertificate:
         cert = certify_left_m_projection(projection(u.domain, u.matrix),
                                          max_level=2, restarts=6,
                                          seed=0xC0FFEE)
-        assert cert.certified and cert.all_levels
+        assert cert.certified and cert.certificate is not None
         assert np.allclose(cert.certificate.a, np.diag([1.0, 0, 1, 0]),
                            atol=1e-12)
         assert cert.certificate.epsilon <= 1e-12
@@ -232,10 +255,10 @@ class TestMultiplierCertificate:
         assert residual <= 1e-12 and np.allclose(found, a, atol=1e-12)
         cert = certify_left_m_projection(p, max_level=3, restarts=8,
                                          seed=0xC0FFEE)
-        assert (cert.verdict, cert.check, cert.refuted_level) == \
+        assert (cert.verdict, cert.check, cert.levels_checked) == \
             ("refuted", "nu_isometry", 1)
         assert abs(reverify_certification(p, cert) - cert.observed) <= 1e-12
-        assert (cert.all_levels, cert.certificate) == (False, None)
+        assert cert.certificate is None
 
 
 class TestSubspaceDomain:
@@ -247,7 +270,7 @@ class TestSubspaceDomain:
                                          seed=0xC0FFEE, tol=1e-9)
         # nu is no expansion here: norm([P x; x - P x]) = max(|x11|,
         # norm of the second column of x) <= norm(x) at level 1
-        assert (cert.verdict, cert.check, cert.refuted_level) == \
+        assert (cert.verdict, cert.check, cert.levels_checked) == \
             ("refuted", "mu_contraction", 1)
         assert cert.observed > 1 + 1e-9
         assert abs(reverify_certification(p, cert) - cert.observed) \
@@ -259,7 +282,7 @@ class TestSubspaceDomain:
         cert = certify_left_m_projection(
             projection(triangular.space, np.diag(diag)), max_level=3,
             restarts=8, seed=0xC0FFEE, tol=1e-9)
-        assert cert.certified and cert.all_levels
+        assert cert.certified and cert.certificate is not None
 
 
 class TestShuffle:
