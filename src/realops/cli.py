@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import warnings
 from dataclasses import asdict, is_dataclass
@@ -117,17 +116,11 @@ def _load_algebra(path: str) -> systems.OpAlgebra:
     return systems.algebra_from_json(_load_json(path))
 
 
-def _load_map(path: str, domain=None, codomain=None) -> opspace.CBMap:
-    obj = _load_json(path)
-    return opspace.cbmap_from_json(obj, domain=domain, codomain=codomain,
-                                   base_dir=os.path.dirname(path) or ".")
-
-
 def _load_matrix(path: str) -> np.ndarray:
-    """The coefficient matrix of a projection or idempotent map file."""
+    """The coefficient matrix of a projection, idempotent or map file."""
     obj = _load_json(path)
     if not isinstance(obj, dict) or "matrix" not in obj:
-        raise ValueError('projection JSON needs a "matrix"')
+        raise ValueError('matrix file needs a "matrix"')
     return np.asarray(obj["matrix"], dtype=float)
 
 
@@ -264,7 +257,7 @@ def _cmd_certify_mproj(args):
 
 def _cmd_multiplier_witness(args):
     space = _load_space(args.space)
-    u = _load_map(args.map, domain=space, codomain=space)
+    u = opspace.CBMap(space, space, _load_matrix(args.map))
     a = linalg.mat_from_json(_load_json(args.a))
     ok = mideal.verify_multiplier_witness(space, u, a, tol=_tol(args))
     return {"is_witness": ok}, _verdict(ok)
@@ -375,12 +368,8 @@ def _cmd_verify(args):
     # looked up at call time, so a wrapped SUITES entry is the one run
     names = list(suites.SUITES) if args.suite == "all" else [args.suite]
     per_suite = {name: suites.SUITES[name](args.seed) for name in names}
-    result = {name: [{"name": c.name, "deviation": c.deviation,
-                      "tolerance": c.tolerance, "passed": c.passed,
-                      "details": c.details} for c in checks]
-              for name, checks in per_suite.items()}
-    return result, _verdict(all(c.passed for checks in per_suite.values()
-                                for c in checks))
+    return per_suite, _verdict(all(c.passed for checks in per_suite.values()
+                                   for c in checks))
 
 
 # ----------------------------------------------------------------------

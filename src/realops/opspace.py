@@ -28,8 +28,6 @@ a matrix or a stack of them, with the basis pseudo-inverse cached.
 from __future__ import annotations
 
 import functools
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -375,8 +373,6 @@ def check_ruan_axioms(space: OpSpace, max_level: int = 3, samples: int = 100,
         x = random_elem(space, n, rng)
         y = random_elem(space, m, rng)
         nx, ny = level_norm(x), level_norm(y)
-        if nx < 1e-14 or ny < 1e-14:
-            continue
         dev1 = max(dev1, abs(level_norm(direct_sum_elem(x, y)) - max(nx, ny)))
         alpha = rng.standard_normal((n, n))
         beta = rng.standard_normal((n, n))
@@ -442,18 +438,19 @@ def cb_norm_levels(u: CBMap, max_level: int, restarts: int = 32,
     a certified lower bound for the norm of u_n, searched when asked for.
 
     Multistart ascent on the ratio norm(u_n(x)) / norm(x), one stacked
-    ascent per level from the d single-coefficient elements, the best
-    point so far (zero-padded, so results are nondecreasing in the level)
-    and ``restarts`` seeded starts, drawn as one (restarts, 2, dim) array
-    from ``derived_rng(seed, n)`` (a start plus 1e-8 times a tie-break;
-    numpy fills the array restart after restart, so restart r's start does
-    not depend on the restart count).  The ascent is the exact seesaw on a
-    domain that fills its ambient space and ``ratio_ascent`` otherwise.
-    The stack is reduced in order with strict ``>``.  The seesaw ends each
-    row at its own fixed point; ``ratio_ascent`` can stop short, so when
-    its best beats the incumbent, one more ascent at a small first step
-    polishes it.  Every value is the ratio at a feasible element;
-    ``restart_values`` are those of the seeded starts.  Invalid parameters
+    ascent per level from exactly ``restarts`` seeded starts, drawn as one
+    (restarts, 2, dim) array from ``derived_rng(seed, n)`` (a start plus
+    1e-8 times a tie-break; numpy fills the array restart after restart,
+    so restart r's start does not depend on the restart count).  The
+    ascent is the exact seesaw on a domain that fills its ambient space
+    and ``ratio_ascent`` otherwise.  The stack is reduced in order with
+    strict ``>`` against the best value of the lower levels, whose point,
+    zero-padded, stays the witness otherwise, so results are
+    nondecreasing in the level.  The seesaw ends each row at its own
+    fixed point; ``ratio_ascent`` can stop short, so when its best beats
+    the incumbent, one more ascent at a small first step polishes it.
+    Every value is the ratio at a feasible element; ``restart_values``
+    are those of the level's starts, one per row.  Invalid parameters
     raise ``ValueError`` at the first ``next()``.
     """
     if max_level < 1:
@@ -477,10 +474,7 @@ def cb_norm_levels(u: CBMap, max_level: int, restarts: int = 32,
         num, den = num_den_maps(u, lvl)
         dim = lvl * lvl * d
         g = derived_rng(seed, lvl).standard_normal((restarts, 2, dim))
-        seeded = g[:, 0] + 1e-8 * g[:, 1]   # tie-break
-        # a zero incumbent keeps the value 0 at itself
-        x0s = np.concatenate([np.eye(d, dim), padded(lvl).reshape(1, -1),
-                              seeded])
+        x0s = g[:, 0] + 1e-8 * g[:, 1]   # tie-break
         vals, xs = seesaw_ascent(num, den, x0s) if exact else \
             ratio_ascent(num, den, x0s, iters=iters)
         i = int(np.argmax(vals))     # the first of equal maxima
@@ -491,8 +485,7 @@ def cb_norm_levels(u: CBMap, max_level: int, restarts: int = 32,
                                             iters=iters, step0=1e-3)
                 if val > best_val:
                     best_val, best = float(val), x.reshape(lvl, lvl, d)
-        yield CbSearchResult(best_val, lvl, padded(lvl),
-                             vals[-restarts:].tolist())
+        yield CbSearchResult(best_val, lvl, padded(lvl), vals.tolist())
 
 
 def cb_norm_lower_search(u: CBMap, level: int, restarts: int = 32,
@@ -576,17 +569,17 @@ def theta_dual_search(z_re, z_im, restarts: int = 64,
     only m = n is searched.
 
     One exact alternating (seesaw) ascent, ``optim.polar_seesaw``, runs
-    from the identity and from ``restarts`` seeded random unitaries, the
-    Q factors of complex Gaussian matrices drawn, restart after restart,
-    from the one substream ``derived_rng(seed, n)``.  A round takes the
-    top singular pair (u, v) of the realized matrix M(W) and moves to the
-    contraction maximizing the linearization u^T M(W') v = Re tr(G^* W'):
-    the unitary polar factor of G, so the value never decreases.  Every
-    value, per restart included, is the norm at a unitary test matrix, a
-    true lower bound; z = 0 gives 0.  The first of equal best test
-    matrices wins, and ``restart_values`` (r ascending) do not depend on
-    how many restarts run: numpy fills the (restarts, 2, n, n) draw in
-    order, so restart r starts from the same matrix at every count.
+    from exactly ``restarts`` seeded random unitaries, the Q factors of
+    complex Gaussian matrices drawn, restart after restart, from the one
+    substream ``derived_rng(seed, n)``.  A round takes the top singular
+    pair (u, v) of the realized matrix M(W) and moves to the contraction
+    maximizing the linearization u^T M(W') v = Re tr(G^* W'): the unitary
+    polar factor of G, so the value never decreases.  Every value, per
+    restart included, is the norm at a unitary test matrix, a true lower
+    bound; z = 0 gives 0.  The first of equal best test matrices wins, and
+    ``restart_values`` (r ascending) do not depend on how many restarts
+    run: numpy fills the (restarts, 2, n, n) draw in order, so restart r
+    starts from the same matrix at every count.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -603,15 +596,13 @@ def theta_dual_search(z_re, z_im, restarts: int = 64,
         return np.stack([w.real, w.imag], axis=-3)
 
     g = derived_rng(seed, n).standard_normal((restarts, 2, n, n))
-    w = clip_contraction(np.concatenate(
-        [np.eye(n, dtype=complex)[None],
-         np.linalg.qr(g[:, 0] + 1j * g[:, 1])[0]]))
+    w = clip_contraction(np.linalg.qr(g[:, 0] + 1j * g[:, 1])[0])
     values, ws, _ = polar_seesaw(
         lambda ds: kron_sum(coeffs, ds),
         lambda u, v: kron_sum_grad(coeffs, u, v), polar,
         np.stack([w.real, w.imag], axis=-3))
     i = int(np.argmax(values))     # the first of equal maxima
-    return ThetaSearchResult(float(values[i]), values[1:].tolist(),
+    return ThetaSearchResult(float(values[i]), values.tolist(),
                              ws[i, 0].copy(), ws[i, 1].copy())
 
 
@@ -653,26 +644,3 @@ def elem_from_json(space: OpSpace, obj: dict) -> MatElem:
     if "level" in obj and x.level != int(obj["level"]):
         raise ValueError("declared level does not match coefficient shape")
     return x
-
-
-def cbmap_from_json(obj: dict, domain: OpSpace | None = None,
-                    codomain: OpSpace | None = None,
-                    base_dir: str = ".") -> CBMap:
-    if not isinstance(obj, dict) or "matrix" not in obj:
-        raise ValueError('map JSON needs a "matrix"')
-
-    def resolve(slot, given):
-        if given is not None:
-            return given
-        val = obj.get(slot)
-        if val is None:
-            raise ValueError(f'map JSON needs "{slot}" (inline or file path) '
-                             f'when no space is supplied')
-        if isinstance(val, str):
-            with open(os.path.join(base_dir, val)) as fh:
-                return opspace_from_json(json.load(fh))
-        return opspace_from_json(val)
-
-    dom = resolve("domain", domain)
-    cod = resolve("codomain", codomain)
-    return CBMap(dom, cod, np.asarray(obj["matrix"], dtype=float))

@@ -332,17 +332,18 @@ def paulsen_positivity_transfer(u: CBMap, levels: int = 2, samples: int = 50,
 class ChoiEffrosReport:
     precondition_failures: list[str]     # empty when every one holds
     mode: str                      # "selfadjoint" or "completely-contractive"
-    range_dim: int
+    # the range and the laws are None when a precondition fails: none of
+    # them is computed then
+    range_dim: int | None
     unital_deviation: float
     idempotent_deviation: float
     selfadjoint_deviation: float
     cc_level_bounds: list[float]
-    associativity_deviation: float
-    unit_law_deviation: float
-    involution_deviation: float
-    cstar_identity_deviation: float
-    bimodule_deviation: float
-    trials: int
+    associativity_deviation: float | None
+    unit_law_deviation: float | None
+    involution_deviation: float | None
+    cstar_identity_deviation: float | None
+    bimodule_deviation: float | None
     passed: bool
 
 
@@ -402,9 +403,9 @@ def choi_effros_product(algebra: OpAlgebra, phi: CBMap, tol: float = 1e-10,
     mode = "selfadjoint" if dev_sa <= max(tol, 1e-9) else \
         "completely-contractive"
     if failures:
-        return ChoiEffrosReport(failures, mode, 0, dev_unital, dev_idem,
-                                dev_sa, cc_bounds, np.inf, np.inf, np.inf,
-                                np.inf, np.inf, trials, False)
+        return ChoiEffrosReport(failures, mode, None, dev_unital, dev_idem,
+                                dev_sa, cc_bounds, None, None, None, None,
+                                None, False)
 
     # orthonormal basis of the range of phi in coefficient space
     u_svd, s_svd, _ = np.linalg.svd(pm)
@@ -445,7 +446,7 @@ def choi_effros_product(algebra: OpAlgebra, phi: CBMap, tol: float = 1e-10,
               dev_invol <= tol and dev_cstar <= tol and dev_bimod <= tol)
     return ChoiEffrosReport([], mode, rank, dev_unital, dev_idem, dev_sa,
                             cc_bounds, dev_assoc, dev_unit_law, dev_invol,
-                            dev_cstar, dev_bimod, trials, passed)
+                            dev_cstar, dev_bimod, passed)
 
 
 # ----------------------------------------------------------------------
@@ -488,11 +489,9 @@ class TROSpace:
     """A concrete TRO: operator space closed under x y^T z."""
 
     space: OpSpace
-    triple_closure_residual: float = 0.0
 
     def __post_init__(self):
         rep = tro_closure_report(self.space)
-        object.__setattr__(self, "triple_closure_residual", rep.max_residual)
         if not rep.is_tro:
             raise ValueError(
                 f"span is not triple closed (residual {rep.max_residual:.3e} "

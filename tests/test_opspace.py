@@ -10,7 +10,7 @@ from realops.optim import (SDP_BRACKET, SDP_MAX_ITERS, smoothed_spectral_min,
 from realops.quantization import ell_one, realize_min
 from realops.systems import op_algebra
 from realops.opspace import (CBMap, MatElem, check_ruan_axioms,
-                             cbmap_from_json, cb_norm_levels,
+                             cb_norm_levels,
                              cb_norm_lower_search, complexification_norm,
                              complexified_elem, complexify_map,
                              complexify_space, direct_sum_elem,
@@ -126,10 +126,6 @@ class TestSpaces:
         x2 = elem_from_json(sp, {"level": 1,
                                  "coeffs": [[[1.0, 2.0, 3.0, 4.0]]]})
         assert np.array_equal(x2.coeffs, x.coeffs)
-        u = cbmap_from_json({"matrix": TRANSPOSE.matrix.tolist(),
-                             "domain": opspace_to_json(M2),
-                             "codomain": opspace_to_json(M2)})
-        assert np.array_equal(u.matrix, TRANSPOSE.matrix)
 
 
 class TestComplexification:
@@ -393,8 +389,9 @@ class TestCbSweepCost:
         monkeypatch.setattr(opspace, "seesaw_ascent", counted)
         monkeypatch.setattr(opspace, "ratio_ascent", forbidden)
         sweep = list(cb_norm_levels(TRANSPOSE, 3, restarts=6, seed=9))
-        # the 4 single-coefficient elements, the incumbent, 6 seeded starts
-        assert calls == [11, 11, 11]
+        # the 6 seeded starts and nothing else
+        assert calls == [6, 6, 6]
+        assert [len(res.restart_values) for res in sweep] == [6, 6, 6]
         assert sweep[-1].value == pytest.approx(2.0, abs=1e-9)
 
     def test_ratio_branch_polishes_a_new_best(self, monkeypatch):
@@ -412,13 +409,14 @@ class TestCbSweepCost:
         monkeypatch.setattr(opspace, "seesaw_ascent", forbidden)
         sweep = list(cb_norm_levels(TRIANGULAR_MAP, 3, restarts=4,
                                     iters=150, seed=3))
-        # each level's stack (3 single-coefficient elements, the
-        # incumbent, 4 seeded starts) is followed by a one-row polish at
-        # step 1e-3 exactly when its best beats the incumbent
+        # each level's stack (the 4 seeded starts) is followed by a
+        # one-row polish at step 1e-3 exactly when its best beats the
+        # incumbent
         incumbent, polished = 0.0, 0
         for res in sweep:
             size, step0, best = calls.pop(0)
-            assert (size, step0) == (8, 0.5)
+            assert (size, step0) == (4, 0.5)
+            assert len(res.restart_values) == 4
             if best > incumbent:
                 assert calls.pop(0)[:2] == (1, 1e-3)
                 polished += 1
@@ -919,7 +917,7 @@ def inline_theta_search(z_re, z_im, sizes, restarts, seed, iters=150):
     ``optim.polar_seesaw`` and the search ran at m = n only: (lower,
     restart_values, witness).  The starts of size m come from the one
     stream ``derived_rng(seed, m)``, restart after restart, real part
-    first, one matrix per draw."""
+    first, one matrix per draw, and are the only starts."""
     z_re, z_im = np.asarray(z_re, float), np.asarray(z_im, float)
     coeffs = np.stack([z_re, z_im], axis=-1)
     best, best_w, restart_values = 0.0, np.eye(1), []
@@ -929,11 +927,10 @@ def inline_theta_search(z_re, z_im, sizes, restarts, seed, iters=150):
         for r in range(restarts):
             g[r] = rng.standard_normal((m, m)) + \
                 1j * rng.standard_normal((m, m))
-        w = clip_contraction(np.concatenate(
-            [np.eye(m, dtype=complex)[None], np.linalg.qr(g)[0]]))
-        run_best = np.zeros(restarts + 1)
+        w = clip_contraction(np.linalg.qr(g)[0])
+        run_best = np.zeros(restarts)
         run_w = w.copy()
-        live = np.arange(restarts + 1)
+        live = np.arange(restarts)
         for _ in range(iters):
             u, s, vt = np.linalg.svd(
                 kron_sum(coeffs, np.stack([w.real, w.imag], axis=-3)))
@@ -951,7 +948,7 @@ def inline_theta_search(z_re, z_im, sizes, restarts, seed, iters=150):
         i = int(np.argmax(run_best))
         if run_best[i] > best:
             best, best_w = float(run_best[i]), run_w[i]
-        restart_values.extend(run_best[1:].tolist())
+        restart_values.extend(run_best.tolist())
     return best, restart_values, best_w
 
 

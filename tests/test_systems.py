@@ -248,6 +248,12 @@ class TestChoiEffros:
         rep = choi_effros_product(op_algebra(M2), phi, seed=6)
         assert rep.precondition_failures
         assert any("idempotent" in f for f in rep.precondition_failures)
+        # nothing past the preconditions ran, so nothing of it is reported
+        assert rep.range_dim is None
+        assert (rep.associativity_deviation, rep.unit_law_deviation,
+                rep.involution_deviation, rep.cstar_identity_deviation,
+                rep.bimodule_deviation) == (None,) * 5
+        assert not rep.passed
 
     def test_non_unital_algebra_rejected(self):
         e12_alg = op_algebra(span_space([[[0, 1], [0, 0]]]))
