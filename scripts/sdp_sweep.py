@@ -17,8 +17,11 @@ Each line gives the solves, the total SDP steps, the solves whose
 relative bracket (upper - lower) / max(1, upper) is above 1e-7 (the
 default ``--tol`` of ``quotient-norm``), the worst relative bracket with
 where it was seen, and every solve left open above ``optim.SDP_BRACKET``,
-as ``seed#index`` (quotient) or ``#index`` (max-l1).  Runs with one BLAS
-thread, from the repository root:
+as ``seed#index`` (quotient) or ``#index`` (max-l1).  Exits 1 when a
+solve of either sweep is not converged at 1e-7, and 0 otherwise; the
+solves left open above ``optim.SDP_BRACKET`` vary with the BLAS build,
+so they do not set the exit code.  Runs with one BLAS thread, from the
+repository root:
 
     PYTHONPATH=src python scripts/sdp_sweep.py
 """
@@ -72,6 +75,7 @@ def max_l1_solves():
 
 
 def summary(name, solves):
+    """The summary line of a sweep, and its count of solves not converged."""
     count = steps = not_converged = 0
     worst, worst_at, still_open = -np.inf, "-", []
     for where, iterations, upper, lower in solves:
@@ -85,9 +89,15 @@ def summary(name, solves):
             still_open.append(where)
     return (f"{name}: {count} solves, {steps} steps, {not_converged} not "
             f"converged, worst bracket {worst:.3g} at {worst_at}, "
-            f"{len(still_open)} open: {' '.join(still_open) or '-'}")
+            f"{len(still_open)} open: {' '.join(still_open) or '-'}",
+            not_converged)
 
 
 if __name__ == "__main__":
-    print(summary("quotient", quotient_solves()), flush=True)
-    print(summary("max-l1", max_l1_solves()))
+    failed = 0
+    for name, solves in (("quotient", quotient_solves()),
+                         ("max-l1", max_l1_solves())):
+        line, not_converged = summary(name, solves)
+        print(line, flush=True)
+        failed += not_converged
+    sys.exit(1 if failed else 0)

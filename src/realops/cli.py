@@ -27,7 +27,7 @@ from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
-from . import linalg, mideal, opspace, quantization, suites, systems
+from . import linalg
 from .linalg import CLASSIFY_TOL, MEMBERSHIP_TOL
 from .rng import DEFAULT_SEED
 
@@ -99,20 +99,22 @@ SPACE_MEMO_SIZE = 8
 
 
 @functools.lru_cache(maxsize=SPACE_MEMO_SIZE)
-def _space_from_text(text: str) -> opspace.OpSpace:
+def _space_from_text(text: str):
     """The validated space of a file's text.  Spaces are frozen, so equal
     text gets one space object, with the derived matrices it memoizes; an
     invalid text raises again on every call, as exceptions are not
     cached."""
+    from . import opspace
     return opspace.opspace_from_json(json.loads(text))
 
 
-def _load_space(path: str) -> opspace.OpSpace:
+def _load_space(path: str):
     with open(path) as fh:
         return _space_from_text(fh.read())
 
 
-def _load_algebra(path: str) -> systems.OpAlgebra:
+def _load_algebra(path: str):
+    from . import systems
     return systems.algebra_from_json(_load_json(path))
 
 
@@ -197,13 +199,15 @@ def _emit_tree(node, prefix, out) -> None:
 
 # ----------------------------------------------------------------------
 # Handlers: each returns (result, exit code), the code None when the
-# command gives no verdict
+# command gives no verdict.  Each imports the library modules it calls,
+# so that a process loads only what its command runs
 # ----------------------------------------------------------------------
 
 def _cmd_norm(args):
     if args.mat:
         m = linalg.mat_from_json(_load_json(args.mat))
         return {"op_norm": linalg.op_norm(m)}, None
+    from . import opspace
     if not (args.space and args.elem):
         raise ValueError("norm needs --mat, or --space with --elem")
     space = _load_space(args.space)
@@ -212,12 +216,14 @@ def _cmd_norm(args):
 
 
 def _cmd_complexify(args):
+    from . import opspace
     xc = opspace.complexify_space(_load_space(args.space))
     result = {"space": opspace.opspace_to_json(xc), "dim": xc.dim}
     return _write_out(args, result, "space"), None
 
 
 def _cmd_quantize_min(args):
+    from . import opspace, quantization
     e = quantization.banach_from_json(_load_json(args.banach))
     xs = quantization.realize_min(e)
     result = {"space": opspace.opspace_to_json(xs),
@@ -232,6 +238,7 @@ def _cmd_quantize_min(args):
 
 
 def _cmd_w2_norm(args):
+    from . import quantization
     e = quantization.banach_from_json(_load_json(args.banach))
     x = np.asarray(_vector_arg(args.x), dtype=float)
     y = np.asarray(_vector_arg(args.y), dtype=float)
@@ -239,6 +246,7 @@ def _cmd_w2_norm(args):
 
 
 def _cmd_max_l1(args):
+    from . import quantization
     obj = _load_json(args.coeffs)
     if not isinstance(obj, dict) or "mats" not in obj:
         raise ValueError('coefficient file needs {"mats": [matrix, ...]}')
@@ -247,6 +255,7 @@ def _cmd_max_l1(args):
 
 
 def _cmd_certify_mproj(args):
+    from . import mideal
     space = _load_space(args.space)
     proj = mideal.projection(space, _load_matrix(args.proj))
     cert = mideal.certify_left_m_projection(
@@ -256,6 +265,7 @@ def _cmd_certify_mproj(args):
 
 
 def _cmd_multiplier_witness(args):
+    from . import mideal, opspace
     space = _load_space(args.space)
     u = opspace.CBMap(space, space, _load_matrix(args.map))
     a = linalg.mat_from_json(_load_json(args.a))
@@ -264,6 +274,7 @@ def _cmd_multiplier_witness(args):
 
 
 def _cmd_right_ideal(args):
+    from . import mideal
     algebra = _load_algebra(args.algebra)
     ok = mideal.is_right_ideal(algebra, _coeffs(_load_json(args.subspace)),
                                tol=_tol(args))
@@ -271,6 +282,7 @@ def _cmd_right_ideal(args):
 
 
 def _cmd_brs_check(args):
+    from . import systems
     algebra = _load_algebra(args.algebra)
     rep = systems.check_brs_level(algebra, level=args.level,
                                   samples=args.samples, seed=args.seed,
@@ -279,6 +291,7 @@ def _cmd_brs_check(args):
 
 
 def _cmd_unitize(args):
+    from . import systems
     algebra = _load_algebra(args.algebra)
     unital = systems.unitize(algebra, tol=_tol(args))
     result = {"dim_before": algebra.dim, "dim_after": unital.dim,
@@ -287,6 +300,7 @@ def _cmd_unitize(args):
 
 
 def _cmd_paulsen(args):
+    from . import opspace, systems
     ps = systems.build_paulsen_system(_load_space(args.space))
     return {"dim": ps.space.dim, "ambient_side": ps.space.ambient[0],
             "space": opspace.opspace_to_json(ps.space),
@@ -296,6 +310,7 @@ def _cmd_paulsen(args):
 
 
 def _cmd_choi_effros(args):
+    from . import opspace, systems
     algebra = _load_algebra(args.algebra)
     phi = opspace.CBMap(algebra.space, algebra.space,
                         _load_matrix(args.idempotent))
@@ -306,16 +321,19 @@ def _cmd_choi_effros(args):
 
 
 def _cmd_tro_check(args):
+    from . import systems
     rep = systems.tro_closure_report(_load_space(args.space), tol=_tol(args))
     return rep, _verdict(rep.is_tro)
 
 
 def _cmd_subtriple(args):
+    from . import opspace, systems
     sub = systems.generated_subtriple(_load_space(args.space), tol=_tol(args))
     return {"dim": sub.dim, "space": opspace.opspace_to_json(sub)}, None
 
 
 def _cmd_shilov(args):
+    from . import opspace, systems
     tro = systems.TROSpace(_load_space(args.tro))
     y = opspace.elem_from_json(tro.space, _load_json(args.y))
     z = opspace.elem_from_json(tro.space, _load_json(args.z))
@@ -324,6 +342,7 @@ def _cmd_shilov(args):
 
 
 def _cmd_quotient_norm(args):
+    from . import opspace
     space = _load_space(args.space)
     coeffs = _coeffs(_load_json(args.subspace))
     x = opspace.elem_from_json(space, _load_json(args.elem))
@@ -335,12 +354,14 @@ def _cmd_quotient_norm(args):
 
 def _cmd_reproduce(args):
     if args.name == "l12-nonunique":
+        from . import quantization
         rep = quantization.reproduce_l12_nonuniqueness()
         return {"min_norm": rep.min_norm, "max_lower": rep.max_lower,
                 "max_upper": rep.max_upper, "gap": rep.gap,
                 "witness": rep.witness,
                 "sdp_iterations": rep.sdp_iterations,
                 "claim": rep.claim}, _verdict(rep.passed)
+    from . import opspace
     scalars = opspace.scalar_space()
     x = opspace.elem(scalars, np.array([[[1.0], [0.0]], [[0.0], [0.0]]]))
     y = opspace.elem(scalars, np.array([[[0.0], [1.0]], [[0.0], [0.0]]]))
@@ -365,6 +386,7 @@ def _cmd_reproduce(args):
 
 
 def _cmd_verify(args):
+    from . import suites
     # looked up at call time, so a wrapped SUITES entry is the one run
     names = list(suites.SUITES) if args.suite == "all" else [args.suite]
     per_suite = {name: suites.SUITES[name](args.seed) for name in names}
@@ -571,7 +593,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "accepts and ignores it")
 
     p = sub.add_parser("verify", help="run the invariant suites")
-    p.add_argument("suite", choices=["all", *suites.SUITES])
+    # the keys of suites.SUITES, written out: reading them would load
+    # every module of the package to build the parser
+    p.add_argument("suite", choices=["all", "linalg", "opspace",
+                                     "quantization", "mideal", "systems"])
     return parser
 
 

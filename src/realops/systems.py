@@ -331,13 +331,16 @@ def paulsen_positivity_transfer(u: CBMap, levels: int = 2, samples: int = 50,
 @dataclass
 class ChoiEffrosReport:
     precondition_failures: list[str]     # empty when every one holds
-    mode: str                      # "selfadjoint" or "completely-contractive"
+    # "selfadjoint" or "completely-contractive"; it and the selfadjoint
+    # deviation are None when the algebra is not transpose closed, as
+    # there is no transposition to measure against then
+    mode: str | None
     # the range and the laws are None when a precondition fails: none of
     # them is computed then
     range_dim: int | None
     unital_deviation: float
     idempotent_deviation: float
-    selfadjoint_deviation: float
+    selfadjoint_deviation: float | None
     cc_level_bounds: list[float]
     associativity_deviation: float | None
     unit_law_deviation: float | None
@@ -389,19 +392,17 @@ def choi_effros_product(algebra: OpAlgebra, phi: CBMap, tol: float = 1e-10,
     if in_span(t_res, transposes).all():
         # coefficient matrix of x -> x^T, one column per basis element
         tmat = np.ascontiguousarray(t_coeffs.T)
+        dev_sa = float(np.max(np.abs(pm @ tmat - tmat @ pm)))
+        mode = "selfadjoint" if dev_sa <= max(tol, 1e-9) else \
+            "completely-contractive"
     else:
         failures.append("algebra is not transpose closed")
-        tmat = None
-    dev_sa = np.inf
-    if tmat is not None:
-        dev_sa = float(np.max(np.abs(pm @ tmat - tmat @ pm)))
+        tmat = dev_sa = mode = None
     cc_bounds = [res.value for res in cb_norm_levels(phi, 2, restarts=8,
                                                      iters=200, seed=seed)]
     if any(v > 1.0 + 1e-9 for v in cc_bounds):
         failures.append(f"phi is not completely contractive at tested "
                         f"levels (bounds {cc_bounds})")
-    mode = "selfadjoint" if dev_sa <= max(tol, 1e-9) else \
-        "completely-contractive"
     if failures:
         return ChoiEffrosReport(failures, mode, None, dev_unital, dev_idem,
                                 dev_sa, cc_bounds, None, None, None, None,

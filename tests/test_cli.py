@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -1071,43 +1072,68 @@ def test_complex_dual_builds_the_complex_scalars_once(capsys, monkeypatch):
     assert capsys.readouterr().out == first
 
 
-#: run in a fresh interpreter: which scipy modules are loaded after the
-#: import, after the commands that need no SDP (the l12 pair's bracket is
-#: closed at its start), and after a quotient norm
-SCIPY_PROBE = """
+#: run in a fresh interpreter: the realops and scipy modules loaded after
+#: the import and after each step, a step being a JSON list of argument
+#: lists given as the first argument
+LOAD_PROBE = """
 import contextlib, io, json, sys
 import realops.cli as cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return {pkg: sorted(m for m in sys.modules if m.split(".")[0] == pkg)
+            for pkg in ("realops", "scipy")}
 
-steps = {"import": loaded()}
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.run(["verify", s]) for s in ("linalg", "mideal", "systems")]
-    codes.append(cli.run(["reproduce", "complex-dual"]))
-    codes.append(cli.run(["reproduce", "l12-nonunique"]))
-    steps["cheap"] = loaded()
-    codes.append(cli.run(["quotient-norm"] + sys.argv[1:]))
-steps["quotient"] = loaded()
+steps, codes = {"import": loaded()}, []
+for name, commands in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes += [cli.run(argv) for argv in commands]
+    steps[name] = loaded()
 print(json.dumps({"codes": codes, "steps": steps}))
 """
+
+#: what importing the CLI loads: the tolerances of linalg and the seed of rng
+CLI_IMPORT_LOADS = ["realops", "realops.cli", "realops.linalg",
+                    "realops.rng"]
+
+
+def load_probe(steps):
+    src = os.path.dirname(os.path.dirname(realops.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOAD_PROBE, json.dumps(steps)],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
 
 
 def test_commands_without_an_sdp_load_no_scipy(files):
     # LAPACK loads on the first SDP solve and scipy.optimize only for the
     # reference solvers, so importing the CLI stays cheap; a start that
-    # closes its bracket builds no SDP
-    src = os.path.dirname(os.path.dirname(realops.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, "--space", files["m2.json"],
-         "--subspace", files["subspace.json"], "--elem",
-         files["generic_elem.json"]],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    rep = json.loads(proc.stdout)
+    # closes its bracket builds no SDP (the l12 pair's).  Each command
+    # loads only the realops modules it runs, and importing the CLI none
+    # but the two its module top reads
+    quotient = ["quotient-norm", "--space", files["m2.json"], "--subspace",
+                files["subspace.json"], "--elem", files["generic_elem.json"]]
+    rep = load_probe([
+        ["reproduce", [["reproduce", "complex-dual"],
+                       ["reproduce", "l12-nonunique"]]],
+        ["cheap", [["verify", s] for s in ("linalg", "mideal", "systems")]],
+        ["quotient", [quotient]]])
     assert rep["codes"] == [0] * 6
-    assert rep["steps"]["import"] == rep["steps"]["cheap"] == []
-    assert "scipy.linalg" in rep["steps"]["quotient"]
+    steps = rep["steps"]
+    assert steps["import"]["realops"] == CLI_IMPORT_LOADS
+    assert steps["reproduce"]["realops"] == sorted(CLI_IMPORT_LOADS + [
+        "realops.opspace", "realops.optim", "realops.quantization"])
+    every_module = sorted(["realops"] + [
+        f"realops.{m.name}" for m in pkgutil.iter_modules(realops.__path__)])
+    assert steps["cheap"]["realops"] == every_module
+    assert steps["import"]["scipy"] == steps["reproduce"]["scipy"] == \
+        steps["cheap"]["scipy"] == []
+    assert "scipy.linalg" in steps["quotient"]["scipy"]
     assert not any(m.startswith("scipy.optimize")
-                   for m in rep["steps"]["quotient"])
+                   for m in steps["quotient"]["scipy"])
+
+    alone = load_probe([["quotient", [quotient]]])
+    assert alone["codes"] == [0]
+    assert alone["steps"]["quotient"]["realops"] == sorted(
+        CLI_IMPORT_LOADS + ["realops.opspace", "realops.optim"])

@@ -255,6 +255,18 @@ class TestChoiEffros:
                 rep.bimodule_deviation) == (None,) * 5
         assert not rep.passed
 
+    def test_without_transposition_nothing_selfadjoint_is_reported(self):
+        # span{E11, E12, E22} is a unital algebra that is not transpose
+        # closed, so there is no transposition to test phi against
+        rep = choi_effros_product(op_algebra(UPPER_TRI),
+                                  identity_map(UPPER_TRI), seed=6)
+        assert rep.precondition_failures == ["algebra is not transpose "
+                                             "closed"]
+        assert rep.selfadjoint_deviation is None
+        assert rep.mode is None
+        assert rep.range_dim is None
+        assert not rep.passed
+
     def test_non_unital_algebra_rejected(self):
         e12_alg = op_algebra(span_space([[[0, 1], [0, 0]]]))
         phi = CBMap(e12_alg.space, e12_alg.space, np.eye(1))
